@@ -23,7 +23,7 @@ from .schema_store import (
     builtin_core_schemas,
     load_schema_dir,
 )
-from .linter import Diagnostic, LintReport, Severity, format_diagnostic, lint_template, report_counts
+from .linter import Diagnostic, LintReport, Severity, format_diagnostic, lint_template
 from .gateway import (
     ChatMessage,
     GenerationConfig,
@@ -55,7 +55,6 @@ from .bench import (
     TrialResult,
     aggregate,
     detect_plateau,
-    export,
     export_csv,
     export_json,
     export_svg,

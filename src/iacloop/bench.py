@@ -11,17 +11,11 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .gateway import (
-    HttpBackend,
-    ScriptedBackend,
-    SyntheticBackend,
-    SyntheticParams,
-    mix64,
-)
+from .gateway import make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
 from .schema_store import SchemaStore, builtin_core_schemas, load_schema_dir
 
@@ -37,7 +31,6 @@ __all__ = [
     "run_benchmark",
     "aggregate",
     "detect_plateau",
-    "export",
     "export_csv",
     "export_json",
     "export_svg",
@@ -86,24 +79,13 @@ class BenchmarkConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
 
     def to_dict(self) -> dict:
-        # parallelism is an execution detail, not an experiment parameter;
-        # leaving it out keeps results files byte-identical across schedules.
+        # parallelism and traces_dir are execution details, not experiment
+        # parameters; leaving them out keeps results files byte-identical
+        # across schedules and output locations.
         return {
-            "cases_dir": self.cases_dir,
-            "generations_per_case": self.generations_per_case,
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "backend": self.backend,
-            "p_fix": self.p_fix,
-            "p_spawn": self.p_spawn,
-            "stubborn_fraction": self.stubborn_fraction,
-            "initial_defects_min": self.initial_defects_min,
-            "initial_defects_max": self.initial_defects_max,
-            "script_dir": self.script_dir,
-            "api_base_url": self.api_base_url,
-            "model": self.model,
-            "schemas_dir": self.schemas_dir,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("parallelism", "traces_dir")
         }
 
 
@@ -196,28 +178,6 @@ def _load_store(cfg: BenchmarkConfig) -> SchemaStore:
     return builtin_core_schemas()
 
 
-def _make_backend(cfg: BenchmarkConfig, cell_seed: int, store: SchemaStore):
-    if cfg.backend == "synthetic":
-        params = SyntheticParams(
-            p_fix=cfg.p_fix,
-            p_spawn=cfg.p_spawn,
-            stubborn_fraction=cfg.stubborn_fraction,
-            seed=cell_seed,
-        )
-        if cfg.initial_defects_min == cfg.initial_defects_max:
-            initial = cfg.initial_defects_min
-        else:
-            initial = (cfg.initial_defects_min, cfg.initial_defects_max)
-        return SyntheticBackend(params, initial_defects=initial, store=store)
-    if cfg.backend == "scripted":
-        if not cfg.script_dir:
-            raise ValueError("scripted backend requires script_dir")
-        return ScriptedBackend.from_dir(cfg.script_dir)
-    if not cfg.api_base_url:
-        raise ValueError("http backend requires api_base_url")
-    return HttpBackend(cfg.api_base_url)
-
-
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Execute trials x cases x generations cells and sum counts per iteration.
 
@@ -228,6 +188,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     cases = load_cases(cfg.cases_dir)
     store = _load_store(cfg)
     loop_cfg = LoopConfig(max_iterations=cfg.iterations, early_stop=False)
+    if cfg.initial_defects_min == cfg.initial_defects_max:
+        initial_defects: int | tuple[int, int] = cfg.initial_defects_min
+    else:
+        initial_defects = (cfg.initial_defects_min, cfg.initial_defects_max)
 
     cells = [
         (trial, case_index, generation)
@@ -238,8 +202,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     def run_cell(cell: tuple[int, int, int]):
         trial, case_index, generation = cell
-        seed = mix64(cfg.master_seed, trial, case_index, generation)
-        backend = _make_backend(cfg, seed, store)
+        backend = make_backend(
+            cfg.backend,
+            store,
+            seed=mix64(cfg.master_seed, trial, case_index, generation),
+            p_fix=cfg.p_fix,
+            p_spawn=cfg.p_spawn,
+            stubborn_fraction=cfg.stubborn_fraction,
+            initial_defects=initial_defects,
+            script_dir=cfg.script_dir,
+            api_base_url=cfg.api_base_url,
+        )
         case = cases[case_index]
         try:
             return run_loop(case, backend, store, loop_cfg, generation_index=generation)
@@ -356,18 +329,6 @@ def read_csv(path: str | Path) -> AggregateStats:
 
 def export_json(stats: AggregateStats, out_path: str | Path) -> None:
     Path(out_path).write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-def export(stats: AggregateStats, format: str, out_path: str | Path) -> None:
-    """Write aggregate stats as csv, json, or svg."""
-    if format == "csv":
-        export_csv(stats, out_path)
-    elif format == "json":
-        export_json(stats, out_path)
-    elif format == "svg":
-        export_svg(stats, out_path)
-    else:
-        raise ValueError(f"unknown export format {format!r}")
 
 
 _SVG_WIDTH = 800

@@ -25,13 +25,7 @@ from .bench import (
     run_benchmark,
     write_results,
 )
-from .gateway import (
-    GenerationConfig,
-    HttpBackend,
-    ScriptedBackend,
-    SyntheticBackend,
-    SyntheticParams,
-)
+from .gateway import GenerationConfig, MissingSetting, make_backend
 from .linter import format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
@@ -177,26 +171,6 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
     return 2 if report.error_count else 0
 
 
-def _make_loop_backend(args: argparse.Namespace, config: dict, store):
-    if args.backend == "scripted":
-        script_dir = args.script_dir or config.get("script_dir")
-        if not script_dir:
-            raise UsageError("scripted backend requires --script-dir")
-        return ScriptedBackend.from_dir(script_dir)
-    if args.backend == "synthetic":
-        params = SyntheticParams(
-            p_fix=args.p_fix,
-            p_spawn=args.p_spawn,
-            stubborn_fraction=args.stubborn_fraction,
-            seed=args.seed,
-        )
-        return SyntheticBackend(params, initial_defects=args.initial_defects, store=store)
-    api_base = args.api_base or config.get("api_base_url")
-    if not api_base:
-        raise UsageError("http backend requires --api-base")
-    return HttpBackend(api_base)
-
-
 def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
     store = _resolve_store(schemas_dir)
@@ -206,7 +180,20 @@ def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
         print(f"cannot read prompt file: {exc}", file=sys.stderr)
         return 3
     case = BenchmarkCase(id=Path(args.prompt_file).stem, prompt=prompt)
-    backend = _make_loop_backend(args, config, store)
+    try:
+        backend = make_backend(
+            args.backend,
+            store,
+            seed=args.seed,
+            p_fix=args.p_fix,
+            p_spawn=args.p_spawn,
+            stubborn_fraction=args.stubborn_fraction,
+            initial_defects=args.initial_defects,
+            script_dir=args.script_dir or config.get("script_dir"),
+            api_base_url=args.api_base or config.get("api_base_url"),
+        )
+    except MissingSetting as exc:
+        raise UsageError(str(exc)) from exc
     loop_cfg = LoopConfig(
         max_iterations=args.iterations,
         early_stop=args.early_stop,

@@ -3,11 +3,14 @@ a synthetic degrading fixer.
 
 The synthetic backend exists so the repair loop can be exercised offline with
 controllable dynamics: it injects known defects into a real template, then on
-each feedback turn repairs each flagged defect with probability ``p_fix``,
+each feedback turn repairs each live defect with probability ``p_fix``,
 while each executed repair spawns one fresh defect with probability
 ``p_spawn``.  A configurable fraction of the initial defects is "stubborn"
 (never repaired).  Defects are real template mutations detected by the real
 linter, so the synthetic path runs the identical loop code as the live path.
+The backend repairs from its own ledger of live defects rather than from the
+feedback text: that the linter flags every live defect, and nothing else, is
+an invariant the test suite checks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 
 import requests
 
-from .linter import LintReport, lint_template
+from .linter import LintReport
 from .located_json import LocatedNode, escape_pointer_token, parse_located, render_value
 from .schema_store import SchemaStore, builtin_core_schemas
 
@@ -35,8 +38,10 @@ __all__ = [
     "AuthError",
     "ScriptExhausted",
     "NoTemplateFound",
+    "MissingSetting",
     "Backend",
     "generate",
+    "make_backend",
     "HttpBackend",
     "ScriptedBackend",
     "SyntheticBackend",
@@ -97,6 +102,10 @@ class ScriptExhausted(RuntimeError):
 
 class NoTemplateFound(ValueError):
     """No parseable JSON template could be extracted from a model response."""
+
+
+class MissingSetting(ValueError):
+    """The chosen backend kind lacks a setting it cannot run without."""
 
 
 class Backend(Protocol):
@@ -225,6 +234,38 @@ class HttpBackend:
         return content
 
 
+def make_backend(
+    kind: str,
+    store: SchemaStore,
+    *,
+    seed: int,
+    p_fix: float,
+    p_spawn: float,
+    stubborn_fraction: float,
+    initial_defects: int | tuple[int, int],
+    script_dir: Optional[str],
+    api_base_url: Optional[str],
+) -> Backend:
+    """Build the ``kind`` backend ("synthetic", "scripted" or "http").
+
+    Only the settings of the chosen kind are read.  Raises MissingSetting when
+    a scripted backend has no ``script_dir`` or an http backend no
+    ``api_base_url``.
+    """
+    if kind == "synthetic":
+        params = SyntheticParams(
+            p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction, seed=seed
+        )
+        return SyntheticBackend(params, initial_defects=initial_defects, store=store)
+    if kind == "scripted":
+        if not script_dir:
+            raise MissingSetting("scripted backend requires script_dir")
+        return ScriptedBackend.from_dir(script_dir)
+    if not api_base_url:
+        raise MissingSetting("http backend requires api_base_url")
+    return HttpBackend(api_base_url)
+
+
 class ScriptedBackend:
     """Deterministic replay of a fixed response sequence."""
 
@@ -339,35 +380,75 @@ _WRONG_VALUES = {
 
 _BAD_ENUM_VALUE = "__invalid_enum__"
 
-# (store fingerprint, blocks) -> count of distinct error-kind sites.  Site
-# eligibility depends on the store's property specs, so the cache keys on them.
-_SITE_COUNT_CACHE: dict[tuple, int] = {}
+
+def _eligible_pairs(
+    template: dict, store: SchemaStore, occupied: set[str], error_only: bool
+) -> list[tuple[str, str]]:
+    """(kind, site-pointer) pairs in document order; at most one live defect
+    may occupy a site, so sites in ``occupied`` are skipped."""
+    pairs: list[tuple[str, str]] = []
+    for name in _TOP_KEY_POOL:
+        pointer = "/" + name
+        if name not in template and pointer not in occupied:
+            pairs.append(("unknown_top_key", pointer))
+    if not error_only:
+        for name in _PARAM_POOL:
+            pointer = "/Parameters/" + name
+            if name not in template.get("Parameters", {}) and pointer not in occupied:
+                pairs.append(("unused_parameter", pointer))
+    for logical_id, entry in template.get("Resources", {}).items():
+        schema = store.lookup(entry.get("Type", ""))
+        if schema is None:
+            continue
+        properties = entry.get("Properties", {})
+        for prop_name, value in properties.items():
+            spec = schema.properties.get(prop_name)
+            if spec is None:
+                continue
+            pointer = (
+                "/Resources/"
+                + escape_pointer_token(logical_id)
+                + "/Properties/"
+                + escape_pointer_token(prop_name)
+            )
+            if pointer in occupied:
+                continue
+            if spec.required:
+                pairs.append(("drop_required", pointer))
+            pairs.append(("wrong_type", pointer))
+            if spec.primitive == "string" and isinstance(value, str):
+                pairs.append(("bad_intrinsic_getazs", pointer))
+                if spec.enum_values is not None and value in spec.enum_values:
+                    pairs.append(("bad_enum", pointer))
+    return pairs
 
 
-def _store_fingerprint(store: SchemaStore) -> tuple:
-    return tuple(
-        sorted((name, tuple(schema.properties.values())) for name, schema in store.schemas.items())
-    )
+def _site_count(blocks: int, store: SchemaStore) -> int:
+    """Distinct error-kind sites of the clean base template."""
+    pairs = _eligible_pairs(synthetic_base_template(blocks), store, set(), error_only=True)
+    return len({site for _, site in pairs})
 
 
 def _blocks_for(defect_count: int, store: SchemaStore) -> int:
-    """Smallest block count whose base template leaves free-site headroom."""
+    """Smallest block count (at least 1) whose base template leaves free-site
+    headroom for ``defect_count`` defects.
+
+    Every block adds the same resources, so the site count is linear in the
+    block count: ``s0 + blocks * k`` (s0 = 9, k = 13 for the builtin store).
+    Raises ValueError when the store makes no block site eligible (k = 0) and
+    the fixed sites are too few.
+    """
     needed = math.ceil(defect_count * 1.25) + 2
-    fingerprint = _store_fingerprint(store)
-    blocks = 1
-    while True:
-        key = (fingerprint, blocks)
-        if key not in _SITE_COUNT_CACHE:
-            probe = SyntheticBackend.__new__(SyntheticBackend)
-            probe.store = store
-            probe.template = synthetic_base_template(blocks)
-            probe.live = []
-            _SITE_COUNT_CACHE[key] = len(
-                {site for _, site in probe._eligible_pairs(error_only=True)}
-            )
-        if _SITE_COUNT_CACHE[key] >= needed:
-            return blocks
-        blocks += 1
+    s0 = _site_count(0, store)
+    k = _site_count(1, store) - s0
+    if s0 + k >= needed:
+        return 1
+    if k == 0:
+        raise ValueError(
+            f"schema store leaves {s0} defect sites, {needed} needed for "
+            f"{defect_count} defects: it has no property schemas for the template's types"
+        )
+    return math.ceil((needed - s0) / k)
 
 
 @dataclass(frozen=True)
@@ -471,7 +552,7 @@ def _insert_key_at(mapping: dict, key: str, value: Any, index: int) -> None:
 
 
 class SyntheticBackend:
-    """Offline backend that probabilistically repairs flagged defects.
+    """Offline backend that probabilistically repairs its live defects.
 
     The first completion builds a fresh template with ``initial_defects``
     injected defects (an int, or an inclusive (lo, hi) range sampled per
@@ -496,18 +577,27 @@ class SyntheticBackend:
     # -- backend interface ---------------------------------------------------
 
     def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
+        """Initial generation for a fresh prompt, one repair step for feedback.
+
+        A feedback turn neither parses nor lints: the linter flags every live
+        defect (a tested invariant), so the backend repairs from its own
+        ledger of live defects, exactly as if it had read the feedback.
+        """
         from .loop import FEEDBACK_HEADER  # local import to avoid a cycle
 
         last_user = next((m for m in reversed(conversation) if m.role == "user"), None)
         if last_user is not None and last_user.content.startswith(FEEDBACK_HEADER):
-            report = lint_template(parse_located(self._serialize()), self.store)
-            return self.synthetic_step(report)
+            return self.synthetic_step()
         return self.initial_generation()
 
     # -- generation and stepping ----------------------------------------------
 
     def initial_generation(self) -> str:
-        """Build a fresh defective template; resets any previous state."""
+        """Build a fresh defective template; resets any previous state.
+
+        Raises ValueError when the store has no property schemas for the
+        template's resource types and too few other defect sites remain.
+        """
         if isinstance(self.initial_defects, tuple):
             lo, hi = self.initial_defects
             count = self.rng.randint(lo, hi)
@@ -517,12 +607,10 @@ class SyntheticBackend:
         self.live = []
         # Injections only ever remove eligibility at the occupied site, so the
         # clean-template enumeration can be filtered instead of recomputed.
-        all_pairs = self._eligible_pairs(error_only=True)
+        all_pairs = _eligible_pairs(self.template, self.store, set(), error_only=True)
         occupied: set[str] = set()
         for _ in range(count):
             pairs = [p for p in all_pairs if p[1] not in occupied]
-            if not pairs:
-                raise ValueError("template has no free defect sites left")
             kind, site = pairs[self.rng.randrange(len(pairs))]
             self._inject(kind, site)
             occupied.add(site)
@@ -555,7 +643,8 @@ class SyntheticBackend:
         for defect in to_repair:
             self._repair(defect)
             if self.rng.random() < self.params.p_spawn:
-                pairs = self._eligible_pairs(error_only=False)
+                occupied = {d.target_pointer for d in self.live}
+                pairs = _eligible_pairs(self.template, self.store, occupied, error_only=False)
                 if pairs:
                     kind, site = pairs[self.rng.randrange(len(pairs))]
                     self._inject(kind, site)
@@ -565,49 +654,6 @@ class SyntheticBackend:
         return json.dumps(self.template, indent=2)
 
     # -- defect plumbing -------------------------------------------------------
-
-    def _occupied(self) -> set[str]:
-        return {d.target_pointer for d in self.live}
-
-    def _eligible_pairs(self, error_only: bool) -> list[tuple[str, str]]:
-        """(kind, site-pointer) pairs in document order; at most one live
-        defect may occupy a site."""
-        occupied = self._occupied()
-        pairs: list[tuple[str, str]] = []
-        for name in _TOP_KEY_POOL:
-            pointer = "/" + name
-            if name not in self.template and pointer not in occupied:
-                pairs.append(("unknown_top_key", pointer))
-        if not error_only:
-            for name in _PARAM_POOL:
-                pointer = "/Parameters/" + name
-                if name not in self.template.get("Parameters", {}) and pointer not in occupied:
-                    pairs.append(("unused_parameter", pointer))
-        for logical_id, entry in self.template.get("Resources", {}).items():
-            schema = self.store.lookup(entry.get("Type", ""))
-            if schema is None:
-                continue
-            properties = entry.get("Properties", {})
-            for prop_name, value in properties.items():
-                spec = schema.properties.get(prop_name)
-                if spec is None:
-                    continue
-                pointer = (
-                    "/Resources/"
-                    + escape_pointer_token(logical_id)
-                    + "/Properties/"
-                    + escape_pointer_token(prop_name)
-                )
-                if pointer in occupied:
-                    continue
-                if spec.required:
-                    pairs.append(("drop_required", pointer))
-                pairs.append(("wrong_type", pointer))
-                if spec.primitive == "string" and isinstance(value, str):
-                    pairs.append(("bad_intrinsic_getazs", pointer))
-                    if spec.enum_values is not None and value in spec.enum_values:
-                        pairs.append(("bad_enum", pointer))
-        return pairs
 
     def _site_parts(self, pointer: str) -> tuple[dict, str, object]:
         """(properties-dict, prop-name, spec) for a property site pointer."""

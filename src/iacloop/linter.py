@@ -43,7 +43,6 @@ __all__ = [
     "LintReport",
     "lint_template",
     "format_diagnostic",
-    "report_counts",
     "TOP_LEVEL_SECTIONS",
     "INTRINSIC_FUNCTIONS",
     "EXPECTED_FORMAT_VERSION",
@@ -118,10 +117,6 @@ class LintReport:
 
     def __len__(self) -> int:
         return len(self.diagnostics)
-
-
-def report_counts(report: LintReport) -> tuple[int, int]:
-    return report.error_count, report.warning_count
 
 
 def format_diagnostic(diagnostic: Diagnostic, file_path: str) -> str:

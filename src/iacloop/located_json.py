@@ -45,6 +45,10 @@ _ESCAPES = {
 }
 # Accepted for parity with json.loads, which allows these non-RFC constants.
 _CONSTANTS = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+# Most containers open at once.  The parser recurses twice per level, so a
+# cap well below the interpreter's recursion limit turns hostile nesting into
+# a JsonSyntaxError instead of a RecursionError.
+MAX_NESTING_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,7 @@ class _Parser:
         self.line = 1
         self.column = 1
         self.byte = 0
+        self.depth = 0  # containers open at the cursor
 
     def span(self) -> SourceSpan:
         return SourceSpan(self.line, self.column, self.byte)
@@ -220,10 +225,13 @@ class _Parser:
         ch = self.peek()
         if ch == "":
             raise self.fail("unexpected end of input")
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+        if ch in "{[":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise self.fail("nesting too deep")
+            self.depth += 1
+            node = self.parse_object() if ch == "{" else self.parse_array()
+            self.depth -= 1
+            return node
         if ch == '"':
             return self.parse_string()
         if ch == "-" or ch.isdigit() or ch in "NI":
@@ -369,7 +377,8 @@ def parse_located(text: str) -> LocatedNode:
     """Parse JSON text into a span-annotated tree.
 
     Raises JsonSyntaxError (or DuplicateKeyError) with the span of the first
-    offending character when the text is not acceptable.
+    offending character when the text is not acceptable, including the
+    bracket that opens container number ``MAX_NESTING_DEPTH + 1``.
     """
     return _Parser(text).parse_document()
 

@@ -298,19 +298,6 @@ class TestExport:
         bars = [e for e in root.iter() if e.get("class") == "bar"]
         assert len(bars) == 10
 
-    def test_unified_export_dispatch(self, tmp_path):
-        from iacloop.bench import export
-
-        stats = self._stats(4)
-        export(stats, "csv", tmp_path / "s.csv")
-        export(stats, "json", tmp_path / "s.json")
-        export(stats, "svg", tmp_path / "s.svg")
-        assert (tmp_path / "s.csv").read_text().startswith("iteration,")
-        assert AggregateStats.from_dict(json.loads((tmp_path / "s.json").read_text())) == stats
-        ET.fromstring((tmp_path / "s.svg").read_text())
-        with pytest.raises(ValueError):
-            export(stats, "pdf", tmp_path / "s.pdf")
-
 
 class TestResultsFile:
     def test_schema_shape(self, tmp_path):

@@ -167,6 +167,24 @@ class TestLoopCommand:
         assert trace["case_id"] == "p"
         assert [r["error_count"] for r in trace["records"]] == [3, 1, 0]
 
+    def test_deeply_nested_reply_is_an_extraction_failure(self, tmp_path, capsys):
+        script = tmp_path / "script"
+        script.mkdir()
+        replies = ["[" * 3000, 'Here: {"a":' * 600 + "0" + "}" * 600, ONE_ERROR]
+        for i, text in enumerate(replies):
+            (script / f"{i:03d}.txt").write_text(text)
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a bucket stack")
+        out = tmp_path / "trace.json"
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "scripted",
+            "--script-dir", str(script), "--iterations", "2", "--out", str(out),
+        ])
+        assert code == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["extraction_failed"] for r in records] == [True, True, False]
+        assert records[2]["error_count"] == 1
+
     def test_synthetic_loop_deterministic(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"
         prompt.write_text("Create a vpc")

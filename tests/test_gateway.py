@@ -18,6 +18,9 @@ from iacloop.gateway import (
     SyntheticBackend,
     SyntheticParams,
     TransportError,
+    _blocks_for,
+    _eligible_pairs,
+    _site_count,
     extract_template,
     generate,
     mix64,
@@ -25,7 +28,7 @@ from iacloop.gateway import (
 )
 from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
-from iacloop.schema_store import builtin_core_schemas
+from iacloop.schema_store import SchemaStore, builtin_core_schemas
 
 CFG = GenerationConfig(max_retries=3, timeout_seconds=5.0)
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
@@ -284,7 +287,11 @@ class TestSyntheticBackend:
             backend.template = synthetic_base_template(2)
             backend.live = []
             original = json.dumps(backend.template)
-            pairs = [p for p in backend._eligible_pairs(error_only=False) if p[0] == kind]
+            pairs = [
+                p
+                for p in _eligible_pairs(backend.template, backend.store, set(), error_only=False)
+                if p[0] == kind
+            ]
             assert pairs, kind
             defect = backend._inject(*pairs[0])
             assert json.dumps(backend.template) != original
@@ -296,7 +303,7 @@ class TestSyntheticBackend:
         backend.template = synthetic_base_template(2)
         backend.live = []
         seen_kinds = set()
-        for kind, site in backend._eligible_pairs(error_only=False):
+        for kind, site in _eligible_pairs(backend.template, backend.store, set(), error_only=False):
             if kind in seen_kinds:
                 continue
             seen_kinds.add(kind)
@@ -369,3 +376,89 @@ class TestSyntheticBackend:
             spread = statistics.stdev(counts[t]) if len(set(counts[t])) > 1 else 0.0
             limit = 3 * spread / seeds**0.5
             assert abs(mean - expected) <= max(limit, 1e-9), (t, mean, expected)
+
+
+class TestSyntheticLedger:
+    @pytest.mark.parametrize("p_spawn", [0.15, 0.9])
+    def test_lint_flags_exactly_the_live_defects(self, p_spawn):
+        # The backend repairs from its ledger instead of linting its own
+        # output; this is the invariant that makes that equivalent.
+        store = builtin_core_schemas()
+        for seed in range(45):
+            backend = SyntheticBackend(
+                SyntheticParams(p_fix=0.55, p_spawn=p_spawn, stubborn_fraction=0.25, seed=seed),
+                initial_defects=(6, 10),
+                store=store,
+            )
+            text = backend.initial_generation()
+            for _ in range(11):
+                report = lint_template(parse_located(text), store)
+                keys = {(d.code, d.pointer, d.message) for d in report.diagnostics}
+                for defect in backend.live:
+                    assert defect.diagnostic_key() in keys, (seed, defect)
+                warnings = sum(1 for d in backend.live if d.kind == "unused_parameter")
+                assert (report.error_count, report.warning_count) == (
+                    len(backend.live) - warnings,
+                    warnings,
+                ), seed
+                text = backend.synthetic_step()
+
+    def test_feedback_turn_matches_step_on_lint_report(self):
+        from iacloop.loop import FEEDBACK_HEADER
+
+        feedback = CONVERSATION + [ChatMessage("user", FEEDBACK_HEADER + "{}")]
+        params = SyntheticParams(p_fix=0.55, p_spawn=0.9, stubborn_fraction=0.25, seed=21)
+        via_complete = SyntheticBackend(params, initial_defects=10)
+        via_report = SyntheticBackend(params, initial_defects=10)
+        assert via_complete.complete(CONVERSATION, CFG) == via_report.initial_generation()
+        for _ in range(10):
+            expected = via_report.synthetic_step(_lint_text(via_report._serialize()))
+            assert via_complete.complete(feedback, CFG) == expected
+
+
+class TestTemplateSizing:
+    def test_site_count_is_linear_in_blocks(self):
+        store = builtin_core_schemas()
+        assert [_site_count(b, store) for b in range(8)] == [9 + 13 * b for b in range(8)]
+
+    def test_blocks_for_is_smallest_with_headroom(self):
+        store = builtin_core_schemas()
+        sites = [_site_count(b, store) for b in range(40)]
+        for defects in range(1, 300):
+            needed = -(-defects * 5 // 4) + 2
+            blocks = _blocks_for(defects, store)
+            assert sites[blocks] >= needed, defects
+            assert blocks == 1 or sites[blocks - 1] < needed, defects
+
+    def test_store_without_usable_sites_raises(self):
+        # Run in a thread: a sizing search that never finds headroom would
+        # otherwise hang the suite instead of failing this test.
+        outcome = []
+
+        def build():
+            backend = SyntheticBackend(
+                SyntheticParams(p_fix=0.5, p_spawn=0.0, seed=1),
+                initial_defects=8,
+                store=SchemaStore({}),
+            )
+            try:
+                backend.initial_generation()
+            except ValueError as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=build, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(outcome) == 1
+        assert "defect sites" in str(outcome[0])
+
+    def test_store_without_schemas_still_sizes_small_counts(self):
+        # Six top-level sections remain eligible without any property schema.
+        backend = SyntheticBackend(
+            SyntheticParams(p_fix=0.5, p_spawn=0.0, seed=1),
+            initial_defects=3,
+            store=SchemaStore({}),
+        )
+        backend.initial_generation()
+        assert sorted(d.kind for d in backend.live) == ["unknown_top_key"] * 3

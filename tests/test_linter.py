@@ -9,7 +9,6 @@ from iacloop.linter import (
     Severity,
     format_diagnostic,
     lint_template,
-    report_counts,
 )
 from iacloop.located_json import SourceSpan, node_at, parse_located
 from iacloop.schema_store import builtin_core_schemas
@@ -94,7 +93,7 @@ class TestLintBasics:
     def test_clean_template_reports_nothing(self):
         report, _ = lint_fixture("clean")
         assert report.diagnostics == ()
-        assert report_counts(report) == (0, 0)
+        assert (report.error_count, report.warning_count) == (0, 0)
 
     def test_empty_resources_is_exactly_e1002(self):
         report = lint_template(parse_located('{"Resources": {}}'), builtin_core_schemas())
@@ -151,13 +150,16 @@ class TestReportCounts:
         return LintReport(diags)
 
     def test_empty(self):
-        assert report_counts(self._report([])) == (0, 0)
+        report = self._report([])
+        assert (report.error_count, report.warning_count) == (0, 0)
 
     def test_mixed(self):
-        assert report_counts(self._report(["E1002", "W2001", "E3003"])) == (2, 1)
+        report = self._report(["E1002", "W2001", "E3003"])
+        assert (report.error_count, report.warning_count) == (2, 1)
 
     def test_single_error(self):
-        assert report_counts(self._report(["E1015"])) == (1, 0)
+        report = self._report(["E1015"])
+        assert (report.error_count, report.warning_count) == (1, 0)
 
     def test_counts_partition_diagnostics(self):
         report = self._report(["E1002", "W2001", "E3003", "W1020"])

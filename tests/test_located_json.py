@@ -4,6 +4,7 @@ import random
 import pytest
 
 from iacloop.located_json import (
+    MAX_NESTING_DEPTH,
     DuplicateKeyError,
     JsonSyntaxError,
     MalformedPointerError,
@@ -68,6 +69,21 @@ class TestParseLocated:
     def test_trailing_data_rejected(self):
         with pytest.raises(JsonSyntaxError):
             parse_located("{} {}")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        for text in ("[" * 3000, '{"a":' * 600):
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located(text)
+            assert exc_info.value.reason == "nesting too deep"
+        with pytest.raises(JsonSyntaxError) as exc_info:
+            parse_located("[" * (MAX_NESTING_DEPTH + 1) + "]" * (MAX_NESTING_DEPTH + 1))
+        assert exc_info.value.span.column == MAX_NESTING_DEPTH + 1
+
+    def test_nesting_depth_counts_open_containers_only(self):
+        deepest = "[" * MAX_NESTING_DEPTH + "]" * MAX_NESTING_DEPTH
+        assert parse_located(deepest).to_python() == json.loads(deepest)
+        siblings = json.dumps([{"a": [[1]]}] * (4 * MAX_NESTING_DEPTH))
+        assert parse_located(siblings).to_python() == json.loads(siblings)
 
     def test_root_carries_source_text(self):
         text = '  {"x": 1}  '
