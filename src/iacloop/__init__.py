@@ -1,19 +1,19 @@
 """Lint-driven repair loop for LLM-generated CloudFormation templates.
 
-Subpackages: span-tracking JSON parsing (located_json), resource schemas
-(schema_store), the rule-registry linter (linter), generation backends
-(gateway), the feedback loop (loop), and the benchmark harness (bench).
+Subpackages: JSON decoding with on-demand spans (located_json), resource
+schemas (schema_store), the rule-registry linter (linter), generation
+backends (gateway), the feedback loop (loop), and the benchmark harness
+(bench).
 """
 
 from .located_json import (
     DuplicateKeyError,
+    JsonDocument,
     JsonSyntaxError,
-    LocatedNode,
     MalformedPointerError,
     SourceSpan,
-    node_at,
     parse_located,
-    render_fragment,
+    resolve_spans,
 )
 from .schema_store import (
     PropertySpec,

@@ -181,9 +181,10 @@ def _load_store(cfg: BenchmarkConfig) -> SchemaStore:
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Execute trials x cases x generations cells and sum counts per iteration.
 
-    Aborted cells (backend failure) are excluded from totals and listed in
-    ``failures``.  The reduction is a deterministic serial pass over cells
-    ordered by (trial, case, generation), whatever the parallelism.
+    Aborted cells (a backend failure or any other exception from the loop)
+    are excluded from totals and listed in ``failures``.  The reduction is a
+    deterministic serial pass over cells ordered by (trial, case,
+    generation), whatever the parallelism.
     """
     cases = load_cases(cfg.cases_dir)
     store = _load_store(cfg)
@@ -217,13 +218,16 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         try:
             return run_loop(case, backend, store, loop_cfg, generation_index=generation)
         except BackendFailure as exc:
-            return CellFailure(
-                trial_index=trial,
-                case_id=case.id,
-                generation_index=generation,
-                error=str(exc),
-                records_completed=len(exc.trace.records),
-            )
+            error, completed = str(exc), len(exc.trace.records)
+        except Exception as exc:  # one cell's fault must not lose the others
+            error, completed = f"{type(exc).__name__}: {exc}", 0
+        return CellFailure(
+            trial_index=trial,
+            case_id=case.id,
+            generation_index=generation,
+            error=error,
+            records_completed=completed,
+        )
 
     if cfg.parallelism == 1:
         outcomes = [run_cell(cell) for cell in cells]

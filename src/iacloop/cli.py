@@ -108,10 +108,9 @@ def _load_config_file(path: Optional[str]) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     try:
-        node = parse_located(text)
+        data = parse_located(text).value
     except JsonSyntaxError as exc:
         raise UsageError(f"config file {path}:{exc.span.line}:{exc.span.column}: {exc.reason}") from exc
-    data = node.to_python()
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return data
@@ -135,7 +134,7 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 3
     try:
-        root = parse_located(text)
+        document = parse_located(text)
     except JsonSyntaxError as exc:
         # Not part of the rule registry: parse failures surface as E0000 in
         # the same two-line layout so tooling sees one shape.
@@ -151,7 +150,7 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
         else:
             print(f"E0000 {exc.reason}\nError location - {args.file}:{exc.span.line}:{exc.span.column}")
         return 2
-    report = lint_template(root, store)
+    report = lint_template(document, store)
     if args.format == "json":
         payload = [
             {
@@ -236,6 +235,9 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     write_results(result, args.out, stats=stats, plateau_index=plateau)
     completed = len(result.traces)
     print(f"{completed} cells completed, {len(result.failures)} failed; results -> {args.out}")
+    if not completed:
+        print(f"no cell completed; first failure: {result.failures[0].error}", file=sys.stderr)
+        return 3
     if plateau is not None:
         print(f"plateau at iteration {plateau}")
     return 0

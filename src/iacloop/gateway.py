@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 import requests
 
 from .linter import LintReport
-from .located_json import LocatedNode, escape_pointer_token, parse_located, render_value
+from .located_json import JsonDocument, escape_pointer_token, parse_located, render_value
 from .schema_store import SchemaStore, builtin_core_schemas
 
 __all__ = [
@@ -291,56 +291,145 @@ class ScriptedBackend:
 
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_RAW_DECODER = json.JSONDecoder()
+_OBJECT_OPENING_RE = re.compile(r'\{[ \t\n\r]*["}]')
+# A failed decode costs time linear in its offset (the error message counts
+# lines), so a brace scan gives up decoding after this many failures.
+_MAX_FAILED_DECODES = 8
+
+_BRACE_TOKEN_RE = re.compile(r'[{}"\\]')
+# A string that holds no "{", so no brace scan can start inside it.
+_BRACELESS_STRING_RE = re.compile(r'"[^"\\{]*(?:\\[^{][^"\\{]*)*"', re.DOTALL)
+# A brace scan's lexer state: outside strings, inside one, or just after a
+# backslash inside one.
+_OUT, _IN, _ESCAPED = 0, 1, 2
+
+
+def _merge_lanes(a: Optional[list], b: Optional[list]) -> Optional[list]:
+    """Join two stacks of open scans that are in the same lexer state from
+    here on: groups at equal depth below the top close together."""
+    if a is None or b is None:
+        return b if a is None else a
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(1, len(b) + 1):
+        if len(a[-k]) < len(b[-k]):
+            a[-k], b[-k] = b[-k], a[-k]
+        a[-k].extend(b[-k])
+    return a
+
+
+def _object_end(text: str, start: int) -> int:
+    """Offset just past the JSON object that starts at ``start``, or -1.
+
+    Hostile nesting makes the C decoder raise RecursionError; that only
+    means the brace scan takes its slow path.
+    """
+    try:
+        return _RAW_DECODER.raw_decode(text, start)[1]
+    except (ValueError, RecursionError):
+        return -1
 
 
 def _largest_balanced_braces(text: str) -> Optional[str]:
-    best: Optional[tuple[int, int]] = None
-    for start, ch in enumerate(text):
-        if ch != "{":
-            continue
-        if best is not None and start <= best[1]:
-            continue  # inside a span we already matched
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    if best is None or (i - start) > (best[1] - best[0]):
-                        best = (start, i)
-                    break
-    if best is None:
+    """The substring a per-"{" scan would pick, found in linear time.
+
+    The reference semantics: scan from each "{" in turn, skipping those
+    inside the best span so far, with a fresh lexer that ignores braces
+    inside double-quoted strings; the first "}" that brings the depth back
+    to zero closes the scan, and a strictly longer span replaces the best.
+
+    A scan's lexer state after any prefix is one of three, so all scans
+    move in at most three lanes, each a stack of groups of scans that open
+    and close together; lanes that reach the same state merge.  A "{" met
+    while no scan is open and past the best span is first tried as a whole
+    JSON object with the C decoder, which jumps over it in one call.
+    """
+    best_start, best_end = -1, -1
+    closes: dict[int, int] = {}
+    pending: list[int] = []  # starts not yet weighed against the best span
+    lanes: list[Optional[list]] = [None, None, None]  # stacks by lexer state
+    pos, n = 0, len(text)
+    decodes_left = _MAX_FAILED_DECODES
+
+    def settle() -> None:
+        nonlocal best_start, best_end
+        for start in pending:
+            end = closes.get(start)
+            if start > best_end and end is not None and end - start > best_end - best_start:
+                best_start, best_end = start, end
+        pending.clear()
+
+    while pos < n:
+        if lanes == [None, None, None]:
+            settle()
+            start = text.find("{", max(pos, best_end + 1))
+            if start < 0:
+                break
+            if decodes_left and _OBJECT_OPENING_RE.match(text, start):
+                end = _object_end(text, start)
+                if end < 0:
+                    decodes_left -= 1
+                elif best_start < 0 or end - 1 - start > best_end - best_start:
+                    best_start, best_end, pos = start, end - 1, end
+                    continue
+            pos = start
+        match = _BRACE_TOKEN_RE.search(text, pos)
+        if match is None:
+            break
+        at = match.start()
+        if at > pos and lanes[_ESCAPED] is not None:  # an ordinary character ends the escape
+            lanes[_IN] = _merge_lanes(lanes[_IN], lanes[_ESCAPED])
+            lanes[_ESCAPED] = None
+        out, inside, escaped = lanes
+        char = text[at]
+        pos = at + 1
+        if char == "{":
+            pending.append(at)
+            if out is None:
+                out = []
+            out.append([at])
+            lanes = [out, _merge_lanes(inside, escaped), None]
+        elif char == "}":
+            if out:
+                for start in out.pop():
+                    closes[start] = at
+            lanes = [out or None, _merge_lanes(inside, escaped), None]
+        elif char == '"':
+            if inside is None and escaped is None and out is not None:
+                string = _BRACELESS_STRING_RE.match(text, at)
+                if string is not None:  # only this lane moves; skip the string
+                    pos = string.end()
+                    continue
+            lanes = [inside, _merge_lanes(out, escaped), None]
+        else:  # backslash
+            lanes = [out, escaped, inside]
+    settle()
+    if best_start < 0:
         return None
-    return text[best[0] : best[1] + 1]
+    return text[best_start : best_end + 1]
 
 
-def extract_template(response_text: str) -> LocatedNode:
+def extract_template(response_text: str) -> JsonDocument:
     """Pull a JSON template out of free-form model output.
 
     Tries fenced code blocks first, then the largest balanced-brace
     substring, then the whole text.  Raises NoTemplateFound when nothing
-    parses; the returned root carries the exact substring that parsed in
-    ``source_text``.
+    parses; the returned document's ``text`` is the exact substring that
+    parsed.
     """
     for match in _FENCE_RE.finditer(response_text):
         try:
             return parse_located(match.group(1))
         except ValueError:
             continue
+    stripped = response_text.strip(" \t\n\r")
+    if stripped[:1] == "{" and stripped[-1:] == "}":
+        # A reply that is one JSON object is its own largest balanced span.
+        try:
+            return parse_located(stripped)
+        except ValueError:
+            pass
     candidate = _largest_balanced_braces(response_text)
     if candidate is not None:
         try:

@@ -17,7 +17,7 @@ Rules (E-codes are errors, W-codes warnings):
 
 Linting never fails: malformed regions yield diagnostics.  Message templates
 are fixed strings with fragment interpolation so output is bit-reproducible.
-Every diagnostic's pointer resolves to the node whose span it carries.
+Every diagnostic's pointer names the value whose span it carries.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Any, Optional
 
 from .located_json import (
-    LocatedNode,
+    JsonDocument,
     SourceSpan,
     escape_pointer_token,
-    iter_nodes,
-    render_fragment,
     render_value,
+    resolve_spans,
 )
 from .schema_store import PropertySpec, SchemaStore
 
@@ -127,17 +126,16 @@ def format_diagnostic(diagnostic: Diagnostic, file_path: str) -> str:
     )
 
 
-def intrinsic_name(node: LocatedNode) -> Optional[str]:
-    """Name of the recognized intrinsic function this object node is, if any."""
-    if isinstance(node.value, dict) and len(node.value) == 1:
-        key = next(iter(node.value))
+def intrinsic_name(value: Any) -> Optional[str]:
+    """Name of the recognized intrinsic function this object value is, if any."""
+    if isinstance(value, dict) and len(value) == 1:
+        key = next(iter(value))
         if key in INTRINSIC_FUNCTIONS:
             return key
     return None
 
 
-def _matches_primitive(node: LocatedNode, primitive: str) -> bool:
-    v = node.value
+def _matches_primitive(v: Any, primitive: str) -> bool:
     if primitive == "string":
         return isinstance(v, str)
     if primitive == "boolean":
@@ -155,199 +153,168 @@ def _matches_primitive(node: LocatedNode, primitive: str) -> bool:
     raise ValueError(f"unknown primitive {primitive!r}")
 
 
+def _referenced_names(root: Any) -> set[str]:
+    """Targets of every {"Ref": name} object anywhere in the value."""
+    names: set[str] = set()
+    stack = [root]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            if intrinsic_name(value) == "Ref" and isinstance(value["Ref"], str):
+                names.add(value["Ref"])
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return names
+
+
 class _Linter:
-    def __init__(self, root: LocatedNode, store: SchemaStore, strict_unknown_types: bool):
+    def __init__(self, root: Any, store: SchemaStore, strict_unknown_types: bool):
         self.root = root
         self.store = store
         self.strict = strict_unknown_types
-        self.diagnostics: list[Diagnostic] = []
+        self.findings: list[tuple[str, str, str]] = []  # (code, message, pointer)
 
-    def emit(self, code: str, message: str, node: LocatedNode, pointer: str) -> None:
-        self.diagnostics.append(Diagnostic(code, message, node.span, pointer))
+    def emit(self, code: str, message: str, pointer: str) -> None:
+        self.findings.append((code, message, pointer))
 
-    def run(self) -> LintReport:
-        if self.root.json_type != "object":
-            self.emit("E0001", "Template root is not of type 'object'", self.root, "")
+    def run(self) -> None:
+        if not isinstance(self.root, dict):
+            self.emit("E0001", "Template root is not of type 'object'", "")
         else:
             self.check_sections()
             self.check_format_version()
             self.check_resources()
             self.check_unused_parameters()
-        ordered = sorted(self.diagnostics, key=lambda d: (d.span.byte_offset, d.code))
-        return LintReport(tuple(ordered))
 
     def check_sections(self) -> None:
-        for key, child in self.root.value.items():
+        for key in self.root:
             if key not in TOP_LEVEL_SECTIONS:
                 self.emit(
                     "E1001",
                     f"Unknown top-level section '{key}'",
-                    child,
                     "/" + escape_pointer_token(key),
                 )
 
     def check_format_version(self) -> None:
-        node = self.root.get("AWSTemplateFormatVersion")
-        if node is not None and node.value != EXPECTED_FORMAT_VERSION:
+        version = self.root.get("AWSTemplateFormatVersion", EXPECTED_FORMAT_VERSION)
+        if version != EXPECTED_FORMAT_VERSION:
             self.emit(
                 "W1020",
-                f"{render_fragment(node)} is not a valid AWSTemplateFormatVersion",
-                node,
+                f"{render_value(version)} is not a valid AWSTemplateFormatVersion",
                 "/AWSTemplateFormatVersion",
             )
 
     def check_resources(self) -> None:
-        resources = self.root.get("Resources")
-        if resources is None:
-            self.emit("E1002", "Template is missing a 'Resources' section", self.root, "")
+        if "Resources" not in self.root:
+            self.emit("E1002", "Template is missing a 'Resources' section", "")
             return
-        if not isinstance(resources.value, dict) or not resources.value:
-            self.emit(
-                "E1002",
-                "'Resources' section must be a non-empty object",
-                resources,
-                "/Resources",
-            )
+        resources = self.root["Resources"]
+        if not isinstance(resources, dict) or not resources:
+            self.emit("E1002", "'Resources' section must be a non-empty object", "/Resources")
             return
-        for logical_id, entry in resources.value.items():
+        for logical_id, entry in resources.items():
             self.check_resource(logical_id, entry)
 
-    def check_resource(self, logical_id: str, entry: LocatedNode) -> None:
+    def check_resource(self, logical_id: str, entry: Any) -> None:
         pointer = "/Resources/" + escape_pointer_token(logical_id)
-        if not isinstance(entry.value, dict):
-            self.emit("E3012", f"{render_fragment(entry)} is not of type 'object'", entry, pointer)
+        if not isinstance(entry, dict):
+            self.emit("E3012", f"{render_value(entry)} is not of type 'object'", pointer)
             return
-        type_node = entry.get("Type")
-        if type_node is None:
-            self.emit(
-                "E3001",
-                f"Resource '{logical_id}' is missing required key 'Type'",
-                entry,
-                pointer,
-            )
+        if "Type" not in entry:
+            self.emit("E3001", f"Resource '{logical_id}' is missing required key 'Type'", pointer)
             return
-        if not isinstance(type_node.value, str):
-            self.emit(
-                "E3012",
-                f"{render_fragment(type_node)} is not of type 'string'",
-                type_node,
-                pointer + "/Type",
-            )
+        type_name = entry["Type"]
+        if not isinstance(type_name, str):
+            self.emit("E3012", f"{render_value(type_name)} is not of type 'string'", pointer + "/Type")
             return
-        schema = self.store.lookup(type_node.value)
+        schema = self.store.lookup(type_name)
         if schema is None:
             if self.strict:
                 self.emit(
                     "E3002",
-                    f"Resource type '{type_node.value}' is not recognized",
-                    type_node,
+                    f"Resource type '{type_name}' is not recognized",
                     pointer + "/Type",
                 )
             return
         self.check_resource_properties(schema, entry, pointer)
 
-    def check_resource_properties(self, schema, entry: LocatedNode, pointer: str) -> None:
-        properties = entry.get("Properties")
-        if properties is not None and not isinstance(properties.value, dict):
-            self.emit(
-                "E3012",
-                f"{render_fragment(properties)} is not of type 'object'",
-                properties,
-                pointer + "/Properties",
-            )
-            properties = None
-        present = properties.value if properties is not None else {}
-        anchor = properties if properties is not None else entry
-        anchor_pointer = pointer + "/Properties" if properties is not None else pointer
+    def check_resource_properties(self, schema, entry: dict, pointer: str) -> None:
+        present = entry.get("Properties", {})
+        anchor_pointer = pointer + "/Properties" if "Properties" in entry else pointer
+        if not isinstance(present, dict):
+            self.emit("E3012", f"{render_value(present)} is not of type 'object'", anchor_pointer)
+            present, anchor_pointer = {}, pointer
         for name in schema.required_names:
             if name not in present:
-                self.emit(
-                    "E3003",
-                    f"Required property '{name}' is missing",
-                    anchor,
-                    anchor_pointer,
-                )
-        for name, value_node in present.items():
+                self.emit("E3003", f"Required property '{name}' is missing", anchor_pointer)
+        for name, value in present.items():
             spec = schema.properties.get(name)
             if spec is not None:
-                prop_pointer = anchor_pointer + "/" + escape_pointer_token(name)
-                self.check_value(spec, value_node, prop_pointer)
+                self.check_value(spec, value, anchor_pointer + "/" + escape_pointer_token(name))
 
-    def check_value(self, spec: PropertySpec, node: LocatedNode, pointer: str) -> None:
-        name = intrinsic_name(node)
+    def check_value(self, spec: PropertySpec, value: Any, pointer: str) -> None:
+        name = intrinsic_name(value)
         if name is not None:
-            self.check_intrinsic(name, spec.primitive, node, pointer)
+            self.check_intrinsic(name, spec.primitive, value, pointer)
             return
-        if not _matches_primitive(node, spec.primitive):
-            self.emit(
-                "E3012",
-                f"{render_fragment(node)} is not of type '{spec.primitive}'",
-                node,
-                pointer,
-            )
+        if not _matches_primitive(value, spec.primitive):
+            self.emit("E3012", f"{render_value(value)} is not of type '{spec.primitive}'", pointer)
             return
         if spec.primitive == "string" and spec.enum_values is not None:
-            if node.value not in spec.enum_values:
+            if value not in spec.enum_values:
                 self.emit(
                     "E3030",
-                    f"{render_fragment(node)} is not one of {render_value(list(spec.enum_values))}",
-                    node,
+                    f"{render_value(value)} is not one of {render_value(list(spec.enum_values))}",
                     pointer,
                 )
         elif spec.primitive == "array" and spec.item_primitive is not None:
             item_spec = PropertySpec(name=spec.name, primitive=spec.item_primitive)
-            for i, item in enumerate(node.value):
+            for i, item in enumerate(value):
                 self.check_value(item_spec, item, f"{pointer}/{i}")
 
-    def check_intrinsic(self, name: str, primitive: str, node: LocatedNode, pointer: str) -> None:
+    def check_intrinsic(self, name: str, primitive: str, value: dict, pointer: str) -> None:
         yields = INTRINSIC_FUNCTIONS[name]
         if primitive == "string":
             if name == "Fn::GetAZs":
-                self.emit(
-                    "E1015",
-                    f"{render_fragment(node)} is not of type 'string'",
-                    node,
-                    pointer,
-                )
+                self.emit("E1015", f"{render_value(value)} is not of type 'string'", pointer)
         elif yields != primitive:
-            self.emit(
-                "E1010",
-                f"{render_fragment(node)} is not of type '{primitive}'",
-                node,
-                pointer,
-            )
+            self.emit("E1010", f"{render_value(value)} is not of type '{primitive}'", pointer)
 
     def check_unused_parameters(self) -> None:
         parameters = self.root.get("Parameters")
-        if parameters is None or not isinstance(parameters.value, dict):
+        if not isinstance(parameters, dict):
             return
-        referenced: set[str] = set()
-        for _, node in iter_nodes(self.root):
-            if intrinsic_name(node) == "Ref":
-                target = node.value["Ref"]
-                if isinstance(target.value, str):
-                    referenced.add(target.value)
-        for name, entry in parameters.value.items():
+        referenced = _referenced_names(self.root)
+        for name in parameters:
             if name not in referenced:
                 self.emit(
                     "W2001",
                     f"Parameter '{name}' is never used",
-                    entry,
                     "/Parameters/" + escape_pointer_token(name),
                 )
 
 
 def lint_template(
-    root: LocatedNode,
+    document: JsonDocument,
     store: SchemaStore,
     *,
     strict_unknown_types: Optional[bool] = None,
 ) -> LintReport:
     """Apply the full rule registry to a parsed template.
 
-    ``strict_unknown_types`` overrides the store's flag when given.
-    Deterministic for fixed inputs; diagnostics are ordered by
-    (byte_offset, code).
+    The rules read the plain value; the spans of the findings are then
+    resolved from the text in one batch.  ``strict_unknown_types`` overrides
+    the store's flag when given.  Deterministic for fixed inputs; diagnostics
+    are ordered by (byte_offset, code).
     """
     strict = store.strict_unknown_types if strict_unknown_types is None else strict_unknown_types
-    return _Linter(root, store, strict).run()
+    linter = _Linter(document.value, store, strict)
+    linter.run()
+    spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
+    diagnostics = [
+        Diagnostic(code, message, spans[pointer], pointer)
+        for code, message, pointer in linter.findings
+    ]
+    diagnostics.sort(key=lambda d: (d.span.byte_offset, d.code))
+    return LintReport(tuple(diagnostics))

@@ -1,59 +1,51 @@
-"""JSON parsing with exact source positions.
+"""JSON documents whose positions are resolved on demand.
 
-Every parsed node remembers the line, column, and byte offset of its first
-character, so downstream tooling can point at the offending spot in the
-original text.  The accepted grammar matches ``json.loads`` (including its
-NaN/Infinity extensions) with one deliberate exception: duplicate object
-keys are rejected instead of silently keeping the last value, which keeps
-lint results deterministic.
+``parse_located`` decodes with the stdlib's C scanner into plain values (the
+``json.loads`` shape) and keeps the source text beside them.  The accepted
+grammar is that of ``json.loads`` (including its NaN/Infinity extensions)
+with two deliberate exceptions: duplicate object keys are rejected instead of
+silently keeping the last value, which keeps lint results deterministic, and
+at most ``MAX_NESTING_DEPTH`` containers may be open at once.
 
-Lines and columns are 1-based.  Columns count characters, byte offsets count
-UTF-8 bytes, so multi-byte text still yields human-meaningful positions.
+Positions are computed only where they are asked for: ``resolve_spans`` maps
+a batch of JSON pointers to the spans of their values in one walk over the
+text.  Lines and columns are 1-based.  Columns count characters, byte offsets
+count UTF-8 bytes, so multi-byte text still yields human-meaningful positions.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from dataclasses import dataclass
+from itertools import accumulate
+from json.decoder import scanstring
+from json.scanner import make_scanner
+from typing import Any, Iterable, Optional
 
 __all__ = [
     "SourceSpan",
-    "LocatedNode",
+    "JsonDocument",
     "JsonSyntaxError",
     "DuplicateKeyError",
     "MalformedPointerError",
+    "MAX_NESTING_DEPTH",
     "parse_located",
-    "node_at",
-    "render_fragment",
     "render_value",
-    "iter_nodes",
     "escape_pointer_token",
 ]
+# ``resolve_spans`` runs once per lint, inside ``linter.lint_template``; it is
+# left out of ``__all__`` so that per-layer traces count its time there.
 
-_WHITESPACE = " \t\n\r"
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_ESCAPES = {
-    '"': '"',
-    "\\": "\\",
-    "/": "/",
-    "b": "\b",
-    "f": "\f",
-    "n": "\n",
-    "r": "\r",
-    "t": "\t",
-}
-# Accepted for parity with json.loads, which allows these non-RFC constants.
-_CONSTANTS = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
-# Most containers open at once.  The parser recurses twice per level, so a
-# cap well below the interpreter's recursion limit turns hostile nesting into
-# a JsonSyntaxError instead of a RecursionError.
+# Most containers open at once.  The check runs before decoding, so hostile
+# nesting is a JsonSyntaxError at the offending bracket, never a RecursionError
+# from the decoder.
 MAX_NESTING_DEPTH = 256
 
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Position of a node's first character: 1-based line/column, 0-based byte offset."""
+    """Position of a value's first character: 1-based line/column, 0-based byte offset."""
 
     line: int
     column: int
@@ -61,6 +53,14 @@ class SourceSpan:
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+
+@dataclass(frozen=True)
+class JsonDocument:
+    """A decoded JSON text: the exact source and its plain Python value."""
+
+    text: str
+    value: Any
 
 
 class JsonSyntaxError(ValueError):
@@ -84,303 +84,154 @@ class MalformedPointerError(ValueError):
     """JSON pointer text does not follow RFC 6901 syntax."""
 
 
-@dataclass
-class LocatedNode:
-    """One JSON value plus the source span of its first character.
-
-    ``value`` is the plain Python shape of the node except that containers
-    hold child ``LocatedNode`` objects: ``None``, ``bool``, ``int``, ``float``,
-    ``str``, ``list[LocatedNode]`` or ``dict[str, LocatedNode]``.  Objects keep
-    insertion order and expose the span of each key via ``key_spans``.
-    """
-
-    value: Any
-    span: SourceSpan
-    key_spans: Optional[dict[str, SourceSpan]] = None
-    number_text: Optional[str] = None
-    source_text: Optional[str] = field(default=None, repr=False)
-
-    @property
-    def json_type(self) -> str:
-        v = self.value
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "boolean"
-        if isinstance(v, (int, float)):
-            return "number"
-        if isinstance(v, str):
-            return "string"
-        if isinstance(v, list):
-            return "array"
-        return "object"
-
-    def to_python(self) -> Any:
-        """Strip spans and return the plain Python value (json.loads shape)."""
-        v = self.value
-        if isinstance(v, dict):
-            return {k: child.to_python() for k, child in v.items()}
-        if isinstance(v, list):
-            return [child.to_python() for child in v]
-        return v
-
-    def get(self, key: str) -> Optional["LocatedNode"]:
-        """Child lookup for object nodes; None when absent or not an object."""
-        if isinstance(self.value, dict):
-            return self.value.get(key)
-        return None
-
-    def __len__(self) -> int:
-        if isinstance(self.value, (dict, list)):
-            return len(self.value)
-        raise TypeError("len() only applies to container nodes")
-
-
 def escape_pointer_token(token: str) -> str:
     return token.replace("~", "~0").replace("/", "~1")
 
 
-def iter_nodes(root: LocatedNode, pointer: str = "") -> Iterator[tuple[str, LocatedNode]]:
-    """Yield (json-pointer, node) pairs for the whole tree in document order."""
-    yield pointer, root
-    if isinstance(root.value, dict):
-        for key, child in root.value.items():
-            yield from iter_nodes(child, pointer + "/" + escape_pointer_token(key))
-    elif isinstance(root.value, list):
-        for i, child in enumerate(root.value):
-            yield from iter_nodes(child, f"{pointer}/{i}")
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
 
 
-_WS_RE = re.compile(r"[ \t\n\r]+")
-_SIMPLE_STRING_RE = re.compile(r'"[^"\\\x00-\x1f]*"')
+class _DuplicateKey(Exception):
+    """Raised by the pairs hook; the text is then searched for the first duplicate."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.column = 1
-        self.byte = 0
-        self.depth = 0  # containers open at the cursor
-
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, self.byte)
-
-    def peek(self) -> str:
-        if self.i < len(self.text):
-            return self.text[self.i]
-        return ""
-
-    def advance(self, n: int = 1) -> None:
-        """Consume n characters, updating line/column/byte counters in bulk."""
-        if n == 1:
-            ch = self.text[self.i]
-            self.i += 1
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-                self.byte += 1
-            else:
-                self.column += 1
-                o = ord(ch)
-                self.byte += 1 if o < 0x80 else 2 if o < 0x800 else 3 if o < 0x10000 else 4
-            return
-        chunk = self.text[self.i : self.i + n]
-        self.i += n
-        if chunk.isascii():
-            self.byte += len(chunk)
-        else:
-            self.byte += len(chunk.encode("utf-8"))
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.column = len(chunk) - chunk.rfind("\n")
-        else:
-            self.column += len(chunk)
-
-    def skip_whitespace(self) -> None:
-        m = _WS_RE.match(self.text, self.i)
-        if m is not None:
-            self.advance(m.end() - self.i)
-
-    def fail(self, reason: str) -> JsonSyntaxError:
-        return JsonSyntaxError(reason, self.span())
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.fail(f"expected {ch!r}")
-        self.advance()
-
-    def parse_document(self) -> LocatedNode:
-        self.skip_whitespace()
-        node = self.parse_value()
-        self.skip_whitespace()
-        if self.i < len(self.text):
-            raise self.fail("extra data after document")
-        node.source_text = self.text
-        return node
-
-    def parse_value(self) -> LocatedNode:
-        ch = self.peek()
-        if ch == "":
-            raise self.fail("unexpected end of input")
-        if ch in "{[":
-            if self.depth == MAX_NESTING_DEPTH:
-                raise self.fail("nesting too deep")
-            self.depth += 1
-            node = self.parse_object() if ch == "{" else self.parse_array()
-            self.depth -= 1
-            return node
-        if ch == '"':
-            return self.parse_string()
-        if ch == "-" or ch.isdigit() or ch in "NI":
-            return self.parse_number()
-        if self.text.startswith("true", self.i):
-            return self.parse_keyword("true", True)
-        if self.text.startswith("false", self.i):
-            return self.parse_keyword("false", False)
-        if self.text.startswith("null", self.i):
-            return self.parse_keyword("null", None)
-        raise self.fail(f"unexpected character {ch!r}")
-
-    def parse_keyword(self, word: str, value: Any) -> LocatedNode:
-        span = self.span()
-        self.advance(len(word))
-        return LocatedNode(value, span)
-
-    def parse_number(self) -> LocatedNode:
-        span = self.span()
-        for literal, const in _CONSTANTS.items():
-            if self.text.startswith(literal, self.i):
-                self.advance(len(literal))
-                return LocatedNode(const, span, number_text=literal)
-        m = _NUMBER_RE.match(self.text, self.i)
-        if m is None or m.end() == self.i:
-            raise self.fail("invalid number")
-        lexeme = m.group(0)
-        self.advance(len(lexeme))
-        if "." in lexeme or "e" in lexeme or "E" in lexeme:
-            value: Union[int, float] = float(lexeme)
-        else:
-            value = int(lexeme)
-        return LocatedNode(value, span, number_text=lexeme)
-
-    def parse_string(self) -> LocatedNode:
-        span = self.span()
-        m = _SIMPLE_STRING_RE.match(self.text, self.i)
-        if m is not None:  # fast path: no escapes or control characters
-            self.advance(m.end() - self.i)
-            return LocatedNode(m.group(0)[1:-1], span)
-        self.advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.i >= len(self.text):
-                raise self.fail("unterminated string")
-            ch = self.text[self.i]
-            if ch == '"':
-                self.advance()
-                return LocatedNode("".join(chars), span)
-            if ch == "\\":
-                chars.append(self._parse_escape())
-                continue
-            if ord(ch) < 0x20:
-                raise self.fail("control character inside string")
-            chars.append(ch)
-            self.advance()
-
-    def _parse_escape(self) -> str:
-        escape_span = self.span()
-        self.advance()  # backslash
-        ch = self.peek()
-        if ch == "":
-            raise self.fail("unterminated string escape")
-        if ch in _ESCAPES:
-            self.advance()
-            return _ESCAPES[ch]
-        if ch == "u":
-            self.advance()
-            code = self._parse_hex4()
-            # Combine surrogate pairs; lone surrogates pass through like json.loads.
-            if 0xD800 <= code <= 0xDBFF and self.text.startswith("\\u", self.i):
-                mark = (self.i, self.line, self.column, self.byte)
-                self.advance(2)
-                low = self._parse_hex4()
-                if 0xDC00 <= low <= 0xDFFF:
-                    return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-                self.i, self.line, self.column, self.byte = mark
-            return chr(code)
-        raise JsonSyntaxError(f"invalid string escape \\{ch}", escape_span)
-
-    def _parse_hex4(self) -> int:
-        digits = self.text[self.i : self.i + 4]
-        if len(digits) < 4 or any(c not in "0123456789abcdefABCDEF" for c in digits):
-            raise self.fail("invalid \\u escape")
-        self.advance(4)
-        return int(digits, 16)
-
-    def parse_array(self) -> LocatedNode:
-        span = self.span()
-        self.advance()  # [
-        items: list[LocatedNode] = []
-        self.skip_whitespace()
-        if self.peek() == "]":
-            self.advance()
-            return LocatedNode(items, span)
-        while True:
-            items.append(self.parse_value())
-            self.skip_whitespace()
-            ch = self.peek()
-            if ch == ",":
-                self.advance()
-                self.skip_whitespace()
-                continue
-            if ch == "]":
-                self.advance()
-                return LocatedNode(items, span)
-            raise self.fail("expected ',' or ']' in array")
-
-    def parse_object(self) -> LocatedNode:
-        span = self.span()
-        self.advance()  # {
-        entries: dict[str, LocatedNode] = {}
-        key_spans: dict[str, SourceSpan] = {}
-        self.skip_whitespace()
-        if self.peek() == "}":
-            self.advance()
-            return LocatedNode(entries, span, key_spans=key_spans)
-        while True:
-            self.skip_whitespace()
-            if self.peek() != '"':
-                raise self.fail("expected object key string")
-            key_node = self.parse_string()
-            key = key_node.value
-            if key in entries:
-                raise DuplicateKeyError(key, key_node.span)
-            self.skip_whitespace()
-            self.expect(":")
-            self.skip_whitespace()
-            entries[key] = self.parse_value()
-            key_spans[key] = key_node.span
-            self.skip_whitespace()
-            ch = self.peek()
-            if ch == ",":
-                self.advance()
-                continue
-            if ch == "}":
-                self.advance()
-                return LocatedNode(entries, span, key_spans=key_spans)
-            raise self.fail("expected ',' or '}' in object")
+def _unique_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise _DuplicateKey
+    return obj
 
 
-def parse_located(text: str) -> LocatedNode:
-    """Parse JSON text into a span-annotated tree.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_pairs)
+# Scans one value at an offset without duplicate checks, for texts already
+# decoded once: (value, end) or StopIteration.
+_scan_once = make_scanner(json.JSONDecoder())
+
+_BRACKET_DEPTH = {ord("{"): 1, ord("["): 1, ord("}"): -1, ord("]"): -1}
+_NOT_BRACKET_OR_QUOTE = bytes(b for b in range(256) if b not in b'{}[]"')
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_STRING_OR_BRACKET_RE = re.compile(_STRING + r"|[{}\[\]]", re.DOTALL)
+_STRING_OR_PUNCTUATION_RE = re.compile(_STRING + r"|[{}\[\],]", re.DOTALL)
+_WS_RE = re.compile(r"[ \t\n\r]*")
+
+
+def _may_nest_too_deep(text: str) -> bool:
+    """Cheap conservative test: False guarantees that no bracket opens a
+    container past MAX_NESTING_DEPTH before the text's first syntax error."""
+    if text.count("{") + text.count("[") <= MAX_NESTING_DEPTH:
+        return False
+    data = text.encode("utf-8")
+    if b"\\" in data:
+        # Escapes live inside strings; dropping escaped backslashes, then
+        # escaped quotes, leaves only the quotes that delimit strings.
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    skeleton = data.translate(None, _NOT_BRACKET_OR_QUOTE).replace(b'""', b"")
+    if b'"' in skeleton:
+        skeleton = b"".join(skeleton.split(b'"')[::2])
+    return max(accumulate(map(_BRACKET_DEPTH.__getitem__, skeleton)), default=0) > MAX_NESTING_DEPTH
+
+
+def _overdeep_bracket(text: str) -> int:
+    """Offset of the bracket that opens container MAX_NESTING_DEPTH + 1, or -1."""
+    if not _may_nest_too_deep(text):
+        return -1
+    depth = 0
+    for match in _STRING_OR_BRACKET_RE.finditer(text):
+        token = match.group()
+        if token in "{[":
+            depth += 1
+            if depth > MAX_NESTING_DEPTH:
+                return match.start()
+        elif token in "}]":
+            depth -= 1
+    return -1
+
+
+def _first_duplicate(text: str, end: int) -> Optional[tuple[str, int]]:
+    """(key, offset) of the earliest key in ``text[:end]`` that repeats a key
+    of its object; ``text[:end]`` must be a valid JSON prefix."""
+    frames: list[Optional[set[str]]] = []  # key set per open object, None per array
+    expect_key = False
+    for match in _STRING_OR_PUNCTUATION_RE.finditer(text, 0, end):
+        token = match.group()
+        if token == "{":
+            frames.append(set())
+            expect_key = True
+        elif token == "[":
+            frames.append(None)
+        elif token in "}]":
+            if frames:  # a cut inside an unterminated string may hold stray closers
+                frames.pop()
+            expect_key = False
+        elif token == ",":
+            expect_key = bool(frames) and frames[-1] is not None
+        elif expect_key:
+            key = scanstring(text, match.start() + 1)[0]
+            if key in frames[-1]:
+                return key, match.start()
+            frames[-1].add(key)
+            expect_key = False
+    return None
+
+
+def parse_located(text: str) -> JsonDocument:
+    """Decode JSON text into a document holding the text and its plain value.
 
     Raises JsonSyntaxError (or DuplicateKeyError) with the span of the first
     offending character when the text is not acceptable, including the
-    bracket that opens container number ``MAX_NESTING_DEPTH + 1``.
+    bracket that opens container number ``MAX_NESTING_DEPTH + 1``.  Reasons
+    are the ``json`` module's messages.
     """
-    return _Parser(text).parse_document()
+    cut = _overdeep_bracket(text)
+    try:
+        return JsonDocument(text, _DECODER.decode(text if cut < 0 else text[:cut]))
+    except _DuplicateKey:
+        error_at = len(text) if cut < 0 else cut
+        reason = ""
+    except json.JSONDecodeError as exc:
+        if cut >= 0 and exc.msg.startswith("Unterminated string"):
+            # The string runs past the cut; decoding the whole text locates
+            # its real fault, and the depth before it is within the cap.
+            try:
+                _DECODER.decode(text)
+            except json.JSONDecodeError as whole:
+                exc = whole
+            except _DuplicateKey:
+                pass
+        error_at, reason = exc.pos, exc.msg
+        if exc.pos == cut and reason == "Expecting value":
+            reason = "nesting too deep"
+    duplicate = _first_duplicate(text, error_at)
+    if duplicate is not None:
+        key, offset = duplicate
+        raise DuplicateKeyError(key, _spans_at(text, [offset])[0])
+    raise JsonSyntaxError(reason, _spans_at(text, [error_at])[0])
+
+
+# ---------------------------------------------------------------------------
+# Positions
+# ---------------------------------------------------------------------------
+
+
+def _spans_at(text: str, offsets: list[int]) -> list[SourceSpan]:
+    """Spans of ascending character offsets, counted in one forward pass."""
+    ascii_only = text.isascii()
+    spans = []
+    line, line_start, previous, byte_offset = 1, 0, 0, 0
+    for offset in offsets:
+        newlines = text.count("\n", previous, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", previous, offset) + 1
+        if ascii_only:
+            byte_offset = offset
+        else:
+            byte_offset += len(text[previous:offset].encode("utf-8"))
+        previous = offset
+        spans.append(SourceSpan(line, offset - line_start + 1, byte_offset))
+    return spans
 
 
 def _parse_pointer(pointer: str) -> list[str]:
@@ -388,34 +239,91 @@ def _parse_pointer(pointer: str) -> list[str]:
         return []
     if not pointer.startswith("/"):
         raise MalformedPointerError(f"pointer must start with '/': {pointer!r}")
-    tokens = []
-    for raw in pointer.split("/")[1:]:
-        if re.search(r"~(?![01])", raw):
-            raise MalformedPointerError(f"invalid '~' escape in pointer: {pointer!r}")
-        tokens.append(raw.replace("~1", "/").replace("~0", "~"))
-    return tokens
+    tokens = pointer.split("/")[1:]
+    if "~" not in pointer:
+        return tokens
+    if re.search(r"~(?![01])", pointer):
+        raise MalformedPointerError(f"invalid '~' escape in pointer: {pointer!r}")
+    return [raw.replace("~1", "/").replace("~0", "~") for raw in tokens]
 
 
-_ARRAY_INDEX_RE = re.compile(r"0|[1-9][0-9]*$")
+def _skip_ws(text: str, pos: int) -> int:
+    return _WS_RE.match(text, pos).end()
 
 
-def node_at(root: LocatedNode, pointer: str) -> Optional[LocatedNode]:
-    """Resolve an RFC 6901 pointer; returns None when any step is missing."""
-    node: Optional[LocatedNode] = root
-    for token in _parse_pointer(pointer):
-        if node is None:
-            return None
-        container = node.value
-        if isinstance(container, dict):
-            node = container.get(token)
-        elif isinstance(container, list):
-            if _ARRAY_INDEX_RE.fullmatch(token) and int(token) < len(container):
-                node = container[int(token)]
-            else:
-                return None
+# An object member's key without escapes, with the colon and the whitespace
+# up to its value; keys with escapes take the scanstring path.
+_PLAIN_KEY_RE = re.compile(r'"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*')
+# What follows a member's value: a comma or the container's closer.
+_AFTER_VALUE_RE = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
+# Key under which a trie node records the pointer that ends there; pointer
+# tokens are strings, so it never collides with one.
+_HERE = None
+
+
+def _locate(text: str, pos: int, wanted: dict, found: dict[str, int], need_end: bool) -> int:
+    """Record the offsets of the wanted values inside the value at ``pos``.
+
+    ``wanted`` is a trie of pointer tokens.  Only requested members are
+    descended into; siblings are skipped with the C scanner.  Returns the
+    offset just past the value when ``need_end`` is set, else -1 as soon as
+    everything wanted here is found.
+    """
+    here = wanted.get(_HERE)
+    if here is not None:
+        found[here] = pos
+    pending = len(wanted) - (here is not None)
+    opener = text[pos]
+    if not pending or opener not in "{[":
+        return _scan_once(text, pos)[1] if need_end else -1
+    pos = _skip_ws(text, pos + 1)
+    if text[pos] in "}]":
+        return pos + 1
+    index = 0
+    while True:
+        if opener == "[":
+            token = str(index)
+            index += 1
         else:
-            return None
-    return node
+            key = _PLAIN_KEY_RE.match(text, pos)
+            if key is not None:
+                token, pos = key.group(1), key.end()
+            else:
+                token, pos = scanstring(text, pos + 1)
+                pos = _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
+        child = wanted.get(token)
+        if child is None:
+            pos = _scan_once(text, pos)[1]
+        else:
+            pending -= 1
+            pos = _locate(text, pos, child, found, need_end or pending > 0)
+            if not (pending or need_end):
+                return -1
+        after = _AFTER_VALUE_RE.match(text, pos)
+        pos = after.end()
+        if after.group(1) != ",":
+            return pos
+
+
+def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[SourceSpan]]:
+    """Spans of the values that RFC 6901 ``pointers`` name in valid JSON ``text``.
+
+    One walk over the text serves the whole batch.  A pointer that names no
+    value (missing key, index out of range or not canonical, step into a
+    scalar) maps to None.
+    """
+    trie: dict = {}
+    pointers = list(pointers)
+    for pointer in pointers:
+        node = trie
+        for token in _parse_pointer(pointer):
+            node = node.setdefault(token, {})
+        node[_HERE] = pointer
+    found: dict[str, int] = {}
+    _locate(text, _skip_ws(text, 0), trie, found, need_end=False)
+    located = sorted(found.items(), key=lambda item: item[1])
+    spans = dict(zip((p for p, _ in located), _spans_at(text, [o for _, o in located])))
+    return {pointer: spans.get(pointer) for pointer in pointers}
 
 
 def render_value(value: Any) -> str:
@@ -438,8 +346,3 @@ def render_value(value: Any) -> str:
         parts = (f"{render_value(k)}: {render_value(v)}" for k, v in value.items())
         return "{" + ", ".join(parts) + "}"
     raise TypeError(f"not a JSON value: {type(value).__name__}")
-
-
-def render_fragment(node: LocatedNode) -> str:
-    """Render a parsed node the way it should appear inside a diagnostic message."""
-    return render_value(node.to_python())

@@ -220,7 +220,7 @@ def run_loop(
             raise BackendFailure(f"backend failed at iteration {index}: {exc}", trace) from exc
 
         try:
-            node = extract_template(raw)
+            document = extract_template(raw)
         except NoTemplateFound:
             prev = trace.records[-1] if trace.records else None
             trace.records.append(
@@ -235,9 +235,9 @@ def run_loop(
             )
             continue
 
-        report = lint_template(node, store)
+        report = lint_template(document, store)
         rendered = render_diagnostics(report, cfg.file_alias)
-        template_text = node.source_text if node.source_text is not None else raw
+        template_text = document.text
         trace.records.append(
             IterationRecord(
                 index=index,

@@ -1,9 +1,10 @@
-"""Shared test support: a random JSON corpus generator and an independent
-position-tracking tokenizer used as the span oracle.
+"""Shared test support: a random JSON corpus generator, an independent
+position-tracking tokenizer used as the span oracle, and a quadratic
+reference brace scan with a corpus of noisy model replies for it.
 
-The oracle is deliberately written with a different technique from the
-package parser (regex token scan over character indices instead of a
-recursive-descent cursor) so the two implementations can check each other.
+The span oracle is deliberately written with a different technique from the
+package (a regex token scan over character indices instead of the C decoder
+plus a pointer-guided walk) so the two implementations can check each other.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from typing import Iterator, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +204,82 @@ def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
 
     parse_value("")
     return spans
+
+
+def iter_pointers(value, pointer: str = "") -> Iterator[tuple[str, object]]:
+    """Yield (json-pointer, value) for every value in document order."""
+    yield pointer, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from iter_pointers(child, pointer + "/" + _escape(key))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from iter_pointers(child, f"{pointer}/{i}")
+
+
+# ---------------------------------------------------------------------------
+# Reference brace scan and a corpus of noisy replies
+# ---------------------------------------------------------------------------
+
+
+def reference_largest_balanced_braces(text: str) -> Optional[str]:
+    """The straightforward per-"{" scan, quadratic on unclosed runs; the
+    package's linear scan must pick the same substring."""
+    best: Optional[tuple[int, int]] = None
+    for start, ch in enumerate(text):
+        if ch != "{":
+            continue
+        if best is not None and start <= best[1]:
+            continue  # inside a span we already matched
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            c = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_string = False
+                continue
+            if c == '"':
+                in_string = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    if best is None or (i - start) > (best[1] - best[0]):
+                        best = (start, i)
+                    break
+    if best is None:
+        return None
+    return text[best[0] : best[1] + 1]
+
+
+_REPLY_PIECES = (
+    "{", "}", '"', "\\", "\\\\", '\\"', "```", "```json\n", "\n", " ", "x", "Here is the template. ",
+    "{}", '"{"', '"}"', "{Placeholder}", '{"a": 1}', '{"k": "v\\"}"}', "[", "]", ":", ",",
+)
+
+
+def random_reply(rng: random.Random) -> str:
+    """Prose with stray braces, quotes, backslashes and fences, sometimes
+    around a whole, truncated or fenced template or an unclosed "{" run."""
+    parts = [rng.choice(_REPLY_PIECES) for _ in range(rng.randint(0, 30))]
+    template = render_random_layout(rng, {"Resources": random_value(rng)})
+    roll = rng.random()
+    if roll < 0.25:
+        insert = template
+    elif roll < 0.5:
+        insert = template[: rng.randrange(len(template))]
+    elif roll < 0.6:
+        insert = "```json\n" + template + "\n```"
+    elif roll < 0.75:
+        insert = "{" * rng.randint(2, 40)
+    else:
+        insert = ""
+    parts.insert(rng.randint(0, len(parts)), insert)
+    return "".join(parts)

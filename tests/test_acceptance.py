@@ -23,11 +23,11 @@ from iacloop.bench import (
 )
 from iacloop.gateway import ScriptedBackend, SyntheticBackend, SyntheticParams
 from iacloop.linter import format_diagnostic, lint_template
-from iacloop.located_json import iter_nodes, node_at, parse_located
+from iacloop.located_json import parse_located, resolve_spans
 from iacloop.loop import BenchmarkCase, LoopConfig, run_loop
 from iacloop.schema_store import builtin_core_schemas
 
-from helpers import random_document
+from helpers import iter_pointers, random_document
 
 STORE = builtin_core_schemas()
 
@@ -71,8 +71,8 @@ class TestCriterion1PinnedMessageReproduction:
             )
 
         probe = build(1)
-        node = node_at(parse_located(probe), "/Resources/Instance/Properties/AvailabilityZone")
-        return build(1 + (4575 - node.span.column))
+        pointer = "/Resources/Instance/Properties/AvailabilityZone"
+        return build(1 + (4575 - resolve_spans(probe, [pointer])[pointer].column))
 
     def test_byte_exact_error_message(self):
         started = time.monotonic()
@@ -266,30 +266,22 @@ class TestCriterion7DeterminismUnderParallelism:
 class TestCriterion8SpanSoundness:
     def test_random_documents(self):
         rng = random.Random(80808)
+        decoder = json.JSONDecoder()
         for _ in range(100):
             text = random_document(rng)
             data = text.encode("utf-8")
-            root = parse_located(text)
-            for _, node in iter_nodes(root):
-                offset = node.span.byte_offset
-                rest = data[offset:]
-                if node.json_type == "string":
-                    assert rest.startswith(b'"')
-                elif node.json_type == "object":
-                    assert rest.startswith(b"{")
-                elif node.json_type == "array":
-                    assert rest.startswith(b"[")
-                elif node.json_type == "number":
-                    assert rest.startswith(node.number_text.encode())
-                elif node.json_type == "boolean":
-                    assert rest.startswith(b"true" if node.value else b"false")
-                else:
-                    assert rest.startswith(b"null")
+            values = dict(iter_pointers(parse_located(text).value))
+            spans = resolve_spans(text, values)
+            assert None not in spans.values()
+            for pointer, span in spans.items():
+                offset = span.byte_offset
+                rest = data[offset:].decode("utf-8")
+                assert decoder.raw_decode(rest)[0] == values[pointer], (pointer, text)
                 prefix = data[:offset]
-                assert node.span.line == prefix.count(b"\n") + 1
-                assert node.span.column == len(prefix[prefix.rfind(b"\n") + 1 :].decode("utf-8")) + 1
-        _announce(8, "100 random documents: byte offsets begin literals, line/column agree "
-                     "with newline counting")
+                assert span.line == prefix.count(b"\n") + 1
+                assert span.column == len(prefix[prefix.rfind(b"\n") + 1 :].decode("utf-8")) + 1
+        _announce(8, "100 random documents: every pointer's byte offset begins its literal, "
+                     "line/column agree with newline counting")
 
 
 class TestCriterion9ExportRoundTrip:

@@ -145,6 +145,36 @@ class TestRunBenchmark:
         assert result.failures[0].records_completed == 1
         assert result.trials[0].per_iteration_totals == [(0, 0)] * 4
 
+    def test_unexpected_cell_error_listed_not_fatal(self, one_case_dir, monkeypatch):
+        from iacloop import bench
+
+        cfg = BenchmarkConfig(
+            cases_dir=str(one_case_dir), generations_per_case=3, iterations=3,
+            trials=2, master_seed=5,
+        )
+        expected = run_benchmark(cfg)
+        inner = bench.run_loop
+
+        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0):
+            if generation_index == 1:
+                raise RuntimeError("cell exploded")
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+
+        monkeypatch.setattr(bench, "run_loop", failing_second_generation)
+        result = run_benchmark(cfg)
+        assert [(f.trial_index, f.generation_index, f.error, f.records_completed)
+                for f in result.failures] == [(0, 1, "RuntimeError: cell exploded", 0),
+                                              (1, 1, "RuntimeError: cell exploded", 0)]
+        kept = [t for t in expected.traces if t.generation_index != 1]
+        assert [t.to_dict() for t in result.traces] == [t.to_dict() for t in kept]
+        for trial in range(cfg.trials):
+            totals = [(0, 0)] * (cfg.iterations + 1)
+            for trace in kept[trial * 2 : trial * 2 + 2]:
+                for r in trace.records:
+                    e, w = totals[r.index]
+                    totals[r.index] = (e + r.error_count, w + r.warning_count)
+            assert result.trials[trial].per_iteration_totals == totals
+
     def test_traces_persisted(self, one_case_dir, script_dir, tmp_path):
         traces_dir = tmp_path / "traces"
         cfg = BenchmarkConfig(

@@ -89,6 +89,21 @@ class TestLintCommand:
         assert captured.out.startswith("E0000 ")
         assert f"Error location - {bad}:1:7" in captured.out
 
+    def test_syntax_error_json_format_pins_position(self, tmp_path, capsys):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{\n  "Resources": {}\n  "Outputs": {}\n}\n')
+        code = dispatch(["lint", str(bad), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == [{
+            "code": "E0000",
+            "message": "Expecting ',' delimiter",
+            "severity": "error",
+            "line": 3,
+            "column": 3,
+            "pointer": None,
+        }]
+
     def test_missing_file_runtime_failure(self, capsys):
         assert dispatch(["lint", "/no/such/file.json"]) == 3
 
@@ -237,6 +252,27 @@ class TestBenchAndReport:
         root = ET.fromstring(svg_out.read_text())
         bars = [e for e in root.iter() if e.get("class") == "bar"]
         assert len(bars) == 4
+
+    def test_bench_without_usable_schemas_exits_3(self, tmp_path, capsys):
+        # No schema for the synthetic template's types: every cell fails to
+        # size its template, so no cell completes.
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "case0.txt").write_text("Create a stack")
+        schemas = tmp_path / "schemas"
+        schemas.mkdir()
+        (schemas / "widget.json").write_text(json.dumps({
+            "typeName": "AWS::Custom::Widget", "properties": {"Size": {"type": "integer"}},
+        }))
+        code = dispatch([
+            "bench", "--cases", str(cases), "--backend", "synthetic", "--schemas", str(schemas),
+            "--trials", "2", "--generations", "1", "--iterations", "2",
+            "--defects-min", "8", "--defects-max", "8", "--out", str(tmp_path / "results.json"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "0 cells completed, 2 failed" in captured.out
+        assert "ValueError" in captured.err and "defect sites" in captured.err
 
     def test_report_requires_an_output(self, tmp_path, capsys):
         results = tmp_path / "results.json"

@@ -1,6 +1,8 @@
 import json
+import random
 import statistics
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -20,6 +22,7 @@ from iacloop.gateway import (
     TransportError,
     _blocks_for,
     _eligible_pairs,
+    _largest_balanced_braces,
     _site_count,
     extract_template,
     generate,
@@ -29,6 +32,8 @@ from iacloop.gateway import (
 from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import SchemaStore, builtin_core_schemas
+
+from helpers import random_reply, reference_largest_balanced_braces
 
 CFG = GenerationConfig(max_retries=3, timeout_seconds=5.0)
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
@@ -192,16 +197,16 @@ class TestHttpBackend:
 
 class TestExtractTemplate:
     def test_fenced_block(self):
-        node = extract_template("Here you go:\n```json\n{}\n```")
-        assert node.value == {}
+        document = extract_template("Here you go:\n```json\n{}\n```")
+        assert document.value == {}
 
     def test_plain_fence(self):
-        node = extract_template("```\n{\"Resources\": {}}\n```")
-        assert node.to_python() == {"Resources": {}}
+        document = extract_template("```\n{\"Resources\": {}}\n```")
+        assert document.value == {"Resources": {}}
 
     def test_bare_json(self):
-        node = extract_template('{"Resources": {}}')
-        assert node.to_python() == {"Resources": {}}
+        document = extract_template('{"Resources": {}}')
+        assert document.value == {"Resources": {}}
 
     def test_prose_rejected(self):
         with pytest.raises(NoTemplateFound):
@@ -209,22 +214,48 @@ class TestExtractTemplate:
 
     def test_braces_inside_prose(self):
         text = 'Sure! The template {"Resources": {"B": {"Type": "AWS::S3::Bucket"}}} should work.'
-        node = extract_template(text)
-        assert node.to_python()["Resources"]["B"]["Type"] == "AWS::S3::Bucket"
+        document = extract_template(text)
+        assert document.value["Resources"]["B"]["Type"] == "AWS::S3::Bucket"
 
     def test_first_parseable_fence_wins(self):
         text = "```\nnot json\n```\nthen\n```json\n{\"a\": 1}\n```"
-        assert extract_template(text).to_python() == {"a": 1}
+        assert extract_template(text).value == {"a": 1}
 
     def test_roundtrip_of_serialized_template(self):
         template = synthetic_base_template(2)
         for dump in (json.dumps(template), json.dumps(template, indent=2)):
-            assert extract_template(dump).to_python() == template
+            assert extract_template(dump).value == template
 
     def test_source_text_is_parsed_substring(self):
         text = "prefix {\"a\": 1} suffix"
-        node = extract_template(text)
-        assert node.source_text == '{"a": 1}'
+        document = extract_template(text)
+        assert document.text == '{"a": 1}'
+
+
+class TestBraceScan:
+    def test_matches_reference_on_noisy_replies(self):
+        rng = random.Random(4242)
+        picked = 0
+        for _ in range(2500):
+            reply = random_reply(rng)
+            expected = reference_largest_balanced_braces(reply)
+            assert _largest_balanced_braces(reply) == expected, repr(reply)
+            picked += expected is not None
+        assert picked > 1500
+
+    def test_hostile_replies_take_linear_time(self):
+        for reply in ("{" * 16384, "x" * 1_000_000 + "{"):
+            started = time.perf_counter()
+            with pytest.raises(NoTemplateFound):
+                extract_template(reply)
+            assert time.perf_counter() - started < 0.5
+
+    def test_brace_inside_a_shorter_valid_object_can_win(self):
+        # {"a": "{"} decodes but is shorter than the first span, so the "{"
+        # inside its string still starts a scan, and that scan wins.
+        reply = "{ " + "x" * 16 + ' } {"a": "{"} ' + "y" * 30 + ' " }'
+        assert _largest_balanced_braces(reply) == '{"} ' + "y" * 30 + ' " }'
+        assert reference_largest_balanced_braces(reply) == '{"} ' + "y" * 30 + ' " }'
 
 
 class TestMix64:

@@ -8,14 +8,13 @@ from iacloop.located_json import (
     DuplicateKeyError,
     JsonSyntaxError,
     MalformedPointerError,
-    iter_nodes,
-    node_at,
+    SourceSpan,
     parse_located,
-    render_fragment,
     render_value,
+    resolve_spans,
 )
 
-from helpers import oracle_spans, random_document, random_value, render_random_layout
+from helpers import iter_pointers, oracle_spans, random_document, random_value, render_random_layout
 
 EXAMPLE_TEMPLATE = """{"AWSTemplateFormatVersion": "2010-09-09",
 "Resources": {
@@ -30,41 +29,73 @@ EXAMPLE_TEMPLATE = """{"AWSTemplateFormatVersion": "2010-09-09",
 }"""
 
 
+def span_of(text: str, pointer: str):
+    return resolve_spans(text, [pointer])[pointer]
+
+
 class TestParseLocated:
     def test_empty_object(self):
-        node = parse_located("{}")
-        assert node.value == {}
-        assert node.span.line == 1
-        assert node.span.column == 1
-        assert node.span.byte_offset == 0
+        document = parse_located("{}")
+        assert document.value == {}
+        assert span_of("{}", "") == SourceSpan(1, 1, 0)
 
     def test_example_template_key_order(self):
-        node = parse_located(EXAMPLE_TEMPLATE)
-        assert list(node.value) == ["AWSTemplateFormatVersion", "Resources"]
-        assert node.to_python() == json.loads(EXAMPLE_TEMPLATE)
+        document = parse_located(EXAMPLE_TEMPLATE)
+        assert list(document.value) == ["AWSTemplateFormatVersion", "Resources"]
+        assert document.value == json.loads(EXAMPLE_TEMPLATE)
 
     def test_nested_value_span_matches_oracle(self):
         text = '{"a": [1, {"b": true}]}'
-        node = node_at(parse_located(text), "/a/1/b")
         line, column, byte_offset = oracle_spans(text)["/a/1/b"]
-        assert (node.span.line, node.span.column, node.span.byte_offset) == (line, column, byte_offset)
+        assert span_of(text, "/a/1/b") == SourceSpan(line, column, byte_offset)
 
     def test_roundtrip_equals_reference_parse(self):
         rng = random.Random(1234)
         for _ in range(100):
             text = random_document(rng)
-            assert parse_located(text).to_python() == json.loads(text)
+            assert parse_located(text).value == json.loads(text)
 
     def test_duplicate_key_rejected_with_second_span(self):
         with pytest.raises(DuplicateKeyError) as exc_info:
             parse_located('{"a": 1, "a": 2}')
         assert exc_info.value.span.column == 10
 
+    def test_first_duplicate_in_text_order_wins(self):
+        # The inner object closes (and is checked) after the outer duplicate.
+        for text, column in (
+            ('{"a": 1, "a": {"b": 1, "b": 2}}', 10),
+            ('{"x": {"a": 1, "a": {"b": 1, "b": 2}}}', 16),
+        ):
+            with pytest.raises(DuplicateKeyError) as exc_info:
+                parse_located(text)
+            assert (exc_info.value.key, exc_info.value.span.column) == ("a", column)
+
+    def test_duplicate_before_syntax_error_is_reported(self):
+        for text in ('{"a": 1, "a": 2, !}', '{"a": 1, "a" 2}', '{"a": 1, "a": [' + "[" * 300):
+            with pytest.raises(DuplicateKeyError) as exc_info:
+                parse_located(text)
+            assert exc_info.value.span == SourceSpan(1, 10, 9)
+        with pytest.raises(JsonSyntaxError) as exc_info:
+            parse_located('{"a": !, "a": 2}')
+        assert not isinstance(exc_info.value, DuplicateKeyError)
+
     def test_syntax_error_carries_span(self):
         with pytest.raises(JsonSyntaxError) as exc_info:
             parse_located('{"a": 1,\n  !}')
         assert exc_info.value.span.line == 2
         assert exc_info.value.span.column == 3
+
+    def test_syntax_errors_carry_json_reasons(self):
+        cases = [
+            ('{"a": 1 "b": 2}', "Expecting ',' delimiter", 9),
+            ('{"a": "abc', "Unterminated string starting at", 7),  # the opening quote
+            ("", "Expecting value", 1),
+            ("[1,]", "Expecting value", 4),
+        ]
+        for text, reason, column in cases:
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located(text)
+            assert (exc_info.value.reason, exc_info.value.span.column) == (reason, column), text
 
     def test_trailing_data_rejected(self):
         with pytest.raises(JsonSyntaxError):
@@ -79,27 +110,46 @@ class TestParseLocated:
             parse_located("[" * (MAX_NESTING_DEPTH + 1) + "]" * (MAX_NESTING_DEPTH + 1))
         assert exc_info.value.span.column == MAX_NESTING_DEPTH + 1
 
+    def test_depth_1000_documents_never_raise_recursion_error(self):
+        for text, column in (
+            ('{"a":' * 1000 + "1" + "}" * 1000, 5 * MAX_NESTING_DEPTH + 1),
+            ("[" * 1000 + "]" * 1000, MAX_NESTING_DEPTH + 1),
+        ):
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located(text)
+            assert (exc_info.value.reason, exc_info.value.span.column) == ("nesting too deep", column)
+
+    def test_brackets_inside_strings_do_not_count_toward_depth(self):
+        text = json.dumps(["[{" * 300, {"k": "\\\"[" * 300}])
+        assert parse_located(text).value == json.loads(text)
+        for tail, reason, column in (
+            ("\\", "Unterminated string starting at", 2),
+            ("\x01", "Invalid control character at", 303),  # past the 257th bracket
+        ):
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located('["' + "[" * 300 + tail)
+            assert (exc_info.value.reason, exc_info.value.span.column) == (reason, column)
+
     def test_nesting_depth_counts_open_containers_only(self):
         deepest = "[" * MAX_NESTING_DEPTH + "]" * MAX_NESTING_DEPTH
-        assert parse_located(deepest).to_python() == json.loads(deepest)
+        assert parse_located(deepest).value == json.loads(deepest)
         siblings = json.dumps([{"a": [[1]]}] * (4 * MAX_NESTING_DEPTH))
-        assert parse_located(siblings).to_python() == json.loads(siblings)
+        assert parse_located(siblings).value == json.loads(siblings)
 
     def test_root_carries_source_text(self):
         text = '  {"x": 1}  '
-        assert parse_located(text).source_text == text
+        assert parse_located(text).text == text
 
     def test_number_text_preserved(self):
-        node = parse_located('{"n": 1.50e1}')
-        assert node.get("n").number_text == "1.50e1"
-        assert node.get("n").value == 15.0
+        text = '{"n": 1.50e1}'
+        assert parse_located(text).value["n"] == 15.0
+        assert text[span_of(text, "/n").byte_offset :].startswith("1.50e1")
 
     def test_multibyte_columns_count_characters(self):
         # Two 3-byte characters before the value: byte and char positions split.
-        text = '{"猫犬": 1}'
-        node = node_at(parse_located(text), "/猫犬")
-        assert node.span.column == 8
-        assert node.span.byte_offset == 11
+        span = span_of('{"猫犬": 1}', "/猫犬")
+        assert span.column == 8
+        assert span.byte_offset == 11
 
 
 class TestGrammarEquivalence:
@@ -164,81 +214,73 @@ class TestSpanSoundness:
         rng = random.Random(7)
         for _ in range(100):
             text = random_document(rng)
-            root = parse_located(text)
             expected = oracle_spans(text)
-            for pointer, node in iter_nodes(root):
-                assert (node.span.line, node.span.column, node.span.byte_offset) == expected[pointer], (
-                    pointer,
-                    text,
-                )
+            spans = resolve_spans(text, expected)
+            assert {p: (s.line, s.column, s.byte_offset) for p, s in spans.items()} == expected, text
 
     def test_byte_offset_slices_begin_literal(self):
         rng = random.Random(8)
+        decoder = json.JSONDecoder()
         for _ in range(50):
             text = random_document(rng)
             data = text.encode("utf-8")
-            for _, node in iter_nodes(parse_located(text)):
-                rest = data[node.span.byte_offset :]
-                if node.json_type == "string":
-                    assert rest.startswith(b'"')
-                elif node.json_type == "object":
-                    assert rest.startswith(b"{")
-                elif node.json_type == "array":
-                    assert rest.startswith(b"[")
-                elif node.json_type == "number":
-                    assert rest.startswith(node.number_text.encode())
-                elif node.json_type == "boolean":
-                    assert rest.startswith(b"true" if node.value else b"false")
-                else:
-                    assert rest.startswith(b"null")
+            pointers = dict(iter_pointers(parse_located(text).value))
+            for pointer, span in resolve_spans(text, pointers).items():
+                rest = data[span.byte_offset :].decode("utf-8")
+                assert decoder.raw_decode(rest)[0] == pointers[pointer], (pointer, text)
+
+    def test_batch_equals_single_lookups(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            text = random_document(rng)
+            pointers = [p for p, _ in iter_pointers(json.loads(text))]
+            pointers += [p + "/missing" for p in pointers[::3]]
+            batch = resolve_spans(text, rng.sample(pointers, len(pointers)))
+            assert batch == {p: span_of(text, p) for p in pointers}
 
 
 class TestNodeAt:
+    """Single-pointer lookups through resolve_spans."""
+
     def test_empty_pointer_is_root(self):
-        root = parse_located("{}")
-        assert node_at(root, "") is root
+        assert span_of("{}", "") == SourceSpan(1, 1, 0)
+        assert span_of("\n  []", "") == SourceSpan(2, 3, 3)
 
     def test_example_template_type_lookup(self):
-        root = parse_located(EXAMPLE_TEMPLATE)
-        node = node_at(root, "/Resources/MyEC2Instance/Type")
-        assert node.value == "AWS::EC2::Instance"
+        span = span_of(EXAMPLE_TEMPLATE, "/Resources/MyEC2Instance/Type")
+        assert EXAMPLE_TEMPLATE[span.byte_offset :].startswith('"AWS::EC2::Instance"')
+        assert (span.line, span.column) == (4, 13)
 
     def test_array_index(self):
-        root = parse_located('{"a":[10,20]}')
-        assert node_at(root, "/a/1").value == 20
+        assert span_of('{"a":[10,20]}', "/a/1") == SourceSpan(1, 10, 9)
 
     def test_missing_steps_absent(self):
-        root = parse_located('{"a":[10,20]}')
-        assert node_at(root, "/b") is None
-        assert node_at(root, "/a/2") is None
-        assert node_at(root, "/a/-") is None
-        assert node_at(root, "/a/01") is None
-        assert node_at(root, "/a/0/x") is None
+        text = '{"a":[10,20]}'
+        assert resolve_spans(text, ["/b", "/a/2", "/a/-", "/a/01", "/a/0/x"]) == {
+            "/b": None, "/a/2": None, "/a/-": None, "/a/01": None, "/a/0/x": None,
+        }
 
     def test_escaped_tokens(self):
-        root = parse_located('{"a/b": {"c~d": 5}}')
-        assert node_at(root, "/a~1b/c~0d").value == 5
+        assert span_of('{"a/b": {"c~d": 5}}', "/a~1b/c~0d") == SourceSpan(1, 17, 16)
 
     def test_malformed_pointers(self):
-        root = parse_located("{}")
         for pointer in ["a", "/~2", "/~", "x/y"]:
             with pytest.raises(MalformedPointerError):
-                node_at(root, pointer)
+                resolve_spans("{}", [pointer])
 
 
 class TestRenderFragment:
     def test_getazs_object(self):
-        node = parse_located('{"Fn::GetAZs": ""}')
-        assert render_fragment(node) == "{'Fn::GetAZs': ''}"
+        assert render_value(parse_located('{"Fn::GetAZs": ""}').value) == "{'Fn::GetAZs': ''}"
 
     def test_empty_string(self):
-        assert render_fragment(parse_located('""')) == "''"
+        assert render_value(parse_located('""').value) == "''"
 
     def test_mixed_array(self):
-        assert render_fragment(parse_located('["a", 1, true]')) == "['a', 1, True]"
+        assert render_value(parse_located('["a", 1, true]').value) == "['a', 1, True]"
 
     def test_null_false_numbers(self):
-        assert render_fragment(parse_located("[null, false, 1.5, -2]")) == "[None, False, 1.5, -2]"
+        assert render_value(parse_located("[null, false, 1.5, -2]").value) == "[None, False, 1.5, -2]"
 
     def test_quote_escaping(self):
         assert render_value("it's") == "'it\\'s'"
@@ -248,5 +290,4 @@ class TestRenderFragment:
         for _ in range(100):
             value = random_value(rng)
             text = render_random_layout(random.Random(5), value)
-            node = parse_located(text)
-            assert render_fragment(node) == render_fragment(parse_located(text))
+            assert render_value(parse_located(text).value) == render_value(value)
