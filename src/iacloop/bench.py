@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .gateway import make_backend, mix64
+from .gateway import GenerationConfig, make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
 from .schema_store import SchemaStore, builtin_core_schemas, load_schema_dir
 
@@ -94,12 +94,6 @@ class TrialResult:
     trial_index: int
     per_iteration_totals: list[tuple[int, int]]
 
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "per_iteration_totals": [list(t) for t in self.per_iteration_totals],
-        }
-
 
 @dataclass
 class CellFailure:
@@ -108,15 +102,6 @@ class CellFailure:
     generation_index: int
     error: str
     records_completed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "case_id": self.case_id,
-            "generation_index": self.generation_index,
-            "error": self.error,
-            "records_completed": self.records_completed,
-        }
 
 
 @dataclass
@@ -139,22 +124,9 @@ class AggregateStats:
     def __len__(self) -> int:
         return len(self.mean_errors)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_errors": self.mean_errors,
-            "std_errors": self.std_errors,
-            "mean_warnings": self.mean_warnings,
-            "std_warnings": self.std_warnings,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateStats":
-        return cls(
-            mean_errors=list(data["mean_errors"]),
-            std_errors=list(data["std_errors"]),
-            mean_warnings=list(data["mean_warnings"]),
-            std_warnings=list(data["std_warnings"]),
-        )
+        return cls(**data)
 
 
 def load_cases(path: str | Path) -> list[BenchmarkCase]:
@@ -188,7 +160,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """
     cases = load_cases(cfg.cases_dir)
     store = _load_store(cfg)
-    loop_cfg = LoopConfig(max_iterations=cfg.iterations, early_stop=False)
+    loop_cfg = LoopConfig(
+        max_iterations=cfg.iterations,
+        early_stop=False,
+        generation=GenerationConfig(model=cfg.model),
+    )
     if cfg.initial_defects_min == cfg.initial_defects_max:
         initial_defects: int | tuple[int, int] = cfg.initial_defects_min
     else:
@@ -332,7 +308,7 @@ def read_csv(path: str | Path) -> AggregateStats:
 
 
 def export_json(stats: AggregateStats, out_path: str | Path) -> None:
-    Path(out_path).write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
+    Path(out_path).write_text(json.dumps(vars(stats), indent=2) + "\n", encoding="utf-8")
 
 
 _SVG_WIDTH = 800
@@ -429,10 +405,10 @@ def results_to_dict(
 ) -> dict:
     return {
         "config": result.config.to_dict(),
-        "trials": [t.to_dict() for t in result.trials],
-        "stats": stats.to_dict() if stats is not None else None,
+        "trials": [vars(t) for t in result.trials],
+        "stats": vars(stats) if stats is not None else None,
         "plateau_index": plateau_index,
-        "failures": [f.to_dict() for f in result.failures],
+        "failures": [vars(f) for f in result.failures],
     }
 
 

@@ -116,18 +116,18 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _resolve_store(schemas_dir: Optional[str], strict: bool = False):
+def _resolve_store(schemas_dir: Optional[str]):
     if schemas_dir:
-        store, report = load_schema_dir(schemas_dir, strict_unknown_types=strict)
-        for err in report.errors:
-            print(f"schema load: {err}", file=sys.stderr)
+        store, report = load_schema_dir(schemas_dir)
+        for message in [*report.errors, *report.warnings]:
+            print(f"schema load: {message}", file=sys.stderr)
         return store
-    return builtin_core_schemas(strict_unknown_types=strict)
+    return builtin_core_schemas()
 
 
 def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
-    store = _resolve_store(schemas_dir, strict=args.strict_types)
+    store = _resolve_store(schemas_dir)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
@@ -150,7 +150,7 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
         else:
             print(f"E0000 {exc.reason}\nError location - {args.file}:{exc.span.line}:{exc.span.column}")
         return 2
-    report = lint_template(document, store)
+    report = lint_template(document, store, strict_unknown_types=args.strict_types)
     if args.format == "json":
         payload = [
             {

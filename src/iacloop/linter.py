@@ -299,17 +299,16 @@ def lint_template(
     document: JsonDocument,
     store: SchemaStore,
     *,
-    strict_unknown_types: Optional[bool] = None,
+    strict_unknown_types: bool = False,
 ) -> LintReport:
     """Apply the full rule registry to a parsed template.
 
     The rules read the plain value; the spans of the findings are then
-    resolved from the text in one batch.  ``strict_unknown_types`` overrides
-    the store's flag when given.  Deterministic for fixed inputs; diagnostics
-    are ordered by (byte_offset, code).
+    resolved from the text in one batch.  With ``strict_unknown_types`` a
+    resource type the store does not hold is an error (E3002).  Deterministic
+    for fixed inputs; diagnostics are ordered by (byte_offset, code).
     """
-    strict = store.strict_unknown_types if strict_unknown_types is None else strict_unknown_types
-    linter = _Linter(document.value, store, strict)
+    linter = _Linter(document.value, store, strict_unknown_types)
     linter.run()
     spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
     diagnostics = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from json.decoder import scanstring
@@ -115,6 +116,8 @@ _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _STRING_OR_BRACKET_RE = re.compile(_STRING + r"|[{}\[\]]", re.DOTALL)
 _STRING_OR_PUNCTUATION_RE = re.compile(_STRING + r"|[{}\[\],]", re.DOTALL)
 _WS_RE = re.compile(r"[ \t\n\r]*")
+# Group 1 or 2 is set when the number is a float.
+_STRING_OR_NUMBER_RE = re.compile(_STRING + r"|-?\d+(\.\d+)?([eE][-+]?\d+)?", re.DOTALL)
 
 
 def _may_nest_too_deep(text: str) -> bool:
@@ -176,13 +179,31 @@ def _first_duplicate(text: str, end: int) -> Optional[tuple[str, int]]:
     return None
 
 
+def _first_long_integer(text: str) -> Optional[tuple[int, str]]:
+    """(offset of the first digit, reason) of the first integer literal with
+    more digits than the interpreter converts (``sys.get_int_max_str_digits``,
+    absent from builds older than the limit and 0 when unlimited), or None."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return None
+    for match in _STRING_OR_NUMBER_RE.finditer(text):
+        token = match.group()
+        if token[0] == '"' or match.group(1) or match.group(2):
+            continue
+        sign = token[0] == "-"
+        if len(token) - sign > limit:
+            return match.start() + sign, f"Integer has {len(token) - sign} digits, more than {limit}"
+    return None
+
+
 def parse_located(text: str) -> JsonDocument:
     """Decode JSON text into a document holding the text and its plain value.
 
     Raises JsonSyntaxError (or DuplicateKeyError) with the span of the first
     offending character when the text is not acceptable, including the
-    bracket that opens container number ``MAX_NESTING_DEPTH + 1``.  Reasons
-    are the ``json`` module's messages.
+    bracket that opens container number ``MAX_NESTING_DEPTH + 1`` and the
+    first digit of an integer too long for the interpreter to convert.
+    Other reasons are the ``json`` module's messages.
     """
     cut = _overdeep_bracket(text)
     try:
@@ -203,6 +224,13 @@ def parse_located(text: str) -> JsonDocument:
         error_at, reason = exc.pos, exc.msg
         if exc.pos == cut and reason == "Expecting value":
             reason = "nesting too deep"
+    except ValueError:
+        # int() refused an over-long literal; the decoder stopped at the
+        # first one, so the text before it is valid.
+        long_integer = _first_long_integer(text)
+        if long_integer is None:
+            raise
+        error_at, reason = long_integer
     duplicate = _first_duplicate(text, error_at)
     if duplicate is not None:
         key, offset = duplicate

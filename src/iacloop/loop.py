@@ -20,12 +20,13 @@ from .gateway import (
     extract_template,
     generate,
 )
-from .linter import LintReport, Severity, format_diagnostic, lint_template
+from .linter import LintReport, format_diagnostic, lint_template
 from .schema_store import SchemaStore
 
 __all__ = [
     "SYSTEM_PROMPT",
     "FEEDBACK_HEADER",
+    "FILE_ALIAS",
     "BenchmarkCase",
     "IterationRecord",
     "LoopTrace",
@@ -43,6 +44,9 @@ SYSTEM_PROMPT = (
 )
 
 FEEDBACK_HEADER = "Here is a CloudFormation template:\n"
+
+# The file name diagnostics are located in when fed back to the model.
+FILE_ALIAS = "template.json"
 
 _FEEDBACK_INSTRUCTION = (
     "\nModify the template to fix these problems. "
@@ -70,24 +74,15 @@ class BenchmarkCase:
             raise ValueError("case prompt must be non-empty")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
     index: int
-    template_text: str
     error_count: int
     warning_count: int
-    diagnostics_rendered: str
     extraction_failed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "error_count": self.error_count,
-            "warning_count": self.warning_count,
-            "extraction_failed": self.extraction_failed,
-            "template_text": self.template_text,
-            "diagnostics_rendered": self.diagnostics_rendered,
-        }
+    template_text: str
+    # Exactly the diagnostics text the next turn feeds back ("" when clean).
+    diagnostics_rendered: str
 
 
 @dataclass
@@ -100,34 +95,18 @@ class LoopTrace:
         return [(r.error_count, r.warning_count) for r in self.records]
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "generation_index": self.generation_index,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return {**vars(self), "records": [vars(r) for r in self.records]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoopTrace":
-        records = [
-            IterationRecord(
-                index=r["index"],
-                template_text=r["template_text"],
-                error_count=r["error_count"],
-                warning_count=r["warning_count"],
-                diagnostics_rendered=r["diagnostics_rendered"],
-                extraction_failed=r["extraction_failed"],
-            )
-            for r in data["records"]
-        ]
-        return cls(case_id=data["case_id"], generation_index=data["generation_index"], records=records)
+        records = [IterationRecord(**r) for r in data["records"]]
+        return cls(**{**data, "records": records})
 
 
 @dataclass
 class LoopConfig:
     max_iterations: int = 10
     early_stop: bool = False
-    include_warnings_in_feedback: bool = True
-    file_alias: str = "template.json"
     generation: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self) -> None:
@@ -147,39 +126,19 @@ def build_initial_messages(case: BenchmarkCase) -> list[ChatMessage]:
     return [ChatMessage("system", SYSTEM_PROMPT), ChatMessage("user", case.prompt)]
 
 
-def render_diagnostics(report: LintReport, file_alias: str, include_warnings: bool = True) -> str:
+def render_diagnostics(report: LintReport) -> str:
     """Blank-line separated two-line diagnostic blocks, the loop's feedback payload."""
-    selected = [
-        d
-        for d in report.diagnostics
-        if include_warnings or d.severity is Severity.ERROR
-    ]
-    return "\n\n".join(format_diagnostic(d, file_alias) for d in selected)
+    return "\n\n".join(format_diagnostic(d, FILE_ALIAS) for d in report.diagnostics)
 
 
-def build_feedback_messages(
-    prev_template: str, report: LintReport, file_alias: str, include_warnings: bool = True
-) -> list[ChatMessage]:
-    """Fresh two-message conversation refeeding the template and its diagnostics."""
-    if not report.diagnostics:
-        raise ValueError("feedback requires a non-empty report")
-    rendered = render_diagnostics(report, file_alias, include_warnings)
-    if not rendered:
-        # Warning-only report with warnings filtered out: feed everything
-        # rather than sending an empty diagnostics block.
-        rendered = render_diagnostics(report, file_alias, include_warnings=True)
-    user = (
-        FEEDBACK_HEADER
-        + prev_template
-        + "\nRunning cfn-lint produced:\n"
-        + rendered
-        + _FEEDBACK_INSTRUCTION
-    )
-    return [ChatMessage("system", SYSTEM_PROMPT), ChatMessage("user", user)]
-
-
-def _build_clean_messages(prev_template: str) -> list[ChatMessage]:
-    user = FEEDBACK_HEADER + prev_template + _CLEAN_INSTRUCTION
+def build_feedback_messages(prev_template: str, rendered: str) -> list[ChatMessage]:
+    """Fresh two-message conversation refeeding the template and its rendered
+    diagnostics; an empty rendering asks for the template unchanged."""
+    if rendered:
+        instruction = "\nRunning cfn-lint produced:\n" + rendered + _FEEDBACK_INSTRUCTION
+    else:
+        instruction = _CLEAN_INSTRUCTION
+    user = FEEDBACK_HEADER + prev_template + instruction
     return [ChatMessage("system", SYSTEM_PROMPT), ChatMessage("user", user)]
 
 
@@ -200,19 +159,16 @@ def run_loop(
     cfg = cfg if cfg is not None else LoopConfig()
     trace = LoopTrace(case_id=case.id, generation_index=generation_index)
     last_template: Optional[str] = None
-    last_report: Optional[LintReport] = None
 
     for index in range(cfg.max_iterations + 1):
-        if index == 0 or last_template is None:
+        if last_template is None:
             # Initial generation; also re-prompts from scratch when no
             # template has ever been extracted.
             messages = build_initial_messages(case)
-        elif last_report is not None and last_report.diagnostics:
-            messages = build_feedback_messages(
-                last_template, last_report, cfg.file_alias, cfg.include_warnings_in_feedback
-            )
         else:
-            messages = _build_clean_messages(last_template)
+            # The last record carries the last extracted template's rendering.
+            rendered = trace.records[-1].diagnostics_rendered
+            messages = build_feedback_messages(last_template, rendered)
 
         try:
             raw = generate(messages, cfg.generation, backend)
@@ -236,19 +192,16 @@ def run_loop(
             continue
 
         report = lint_template(document, store)
-        rendered = render_diagnostics(report, cfg.file_alias)
-        template_text = document.text
         trace.records.append(
             IterationRecord(
                 index=index,
-                template_text=template_text,
+                template_text=document.text,
                 error_count=report.error_count,
                 warning_count=report.warning_count,
-                diagnostics_rendered=rendered,
+                diagnostics_rendered=render_diagnostics(report),
             )
         )
-        last_template = template_text
-        last_report = report
+        last_template = document.text
         if cfg.early_stop and report.error_count == 0 and report.warning_count == 0:
             break
 

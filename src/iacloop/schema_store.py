@@ -12,7 +12,7 @@ level deep, without looking up the types of sub-values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -103,14 +103,10 @@ class SchemaStore:
     """Immutable index of resource schemas; safe to share across lint calls."""
 
     schemas: dict[str, ResourceSchema]
-    strict_unknown_types: bool = False
 
     def lookup(self, type_name: str) -> Optional[ResourceSchema]:
         """Case-sensitive exact-match retrieval; None when absent."""
         return self.schemas.get(type_name)
-
-    def with_strict(self, strict: bool) -> "SchemaStore":
-        return replace(self, strict_unknown_types=strict)
 
     def __len__(self) -> int:
         return len(self.schemas)
@@ -196,7 +192,7 @@ def parse_schema_document(doc: object, source: str = "<memory>") -> tuple[Resour
     return schema, warnings
 
 
-def load_schema_dir(path: str | Path, strict_unknown_types: bool = False) -> tuple[SchemaStore, SchemaLoadReport]:
+def load_schema_dir(path: str | Path) -> tuple[SchemaStore, SchemaLoadReport]:
     """Load every ``*.json`` schema document under ``path``.
 
     Unreadable directories raise OSError; individual bad files are recorded
@@ -224,7 +220,7 @@ def load_schema_dir(path: str | Path, strict_unknown_types: bool = False) -> tup
             continue
         schemas[schema.type_name] = schema
         report.loaded.append(schema.type_name)
-    return SchemaStore(schemas=schemas, strict_unknown_types=strict_unknown_types), report
+    return SchemaStore(schemas=schemas), report
 
 
 def _file_name_for(type_name: str) -> str:
@@ -242,7 +238,8 @@ def save_schema_dir(store: SchemaStore, path: str | Path) -> None:
 
 # Pinned property subset used by fixtures and the synthetic backend.  This is
 # intentionally tiny compared to the real provider schemas; unknown resource
-# types only become errors when strict_unknown_types is set.
+# types only become errors when lint_template is called with
+# strict_unknown_types=True.
 _BUILTIN_DOCUMENTS = [
     {
         "typeName": "AWS::EC2::Instance",
@@ -294,11 +291,11 @@ _BUILTIN_DOCUMENTS = [
 ]
 
 
-def builtin_core_schemas(strict_unknown_types: bool = False) -> SchemaStore:
+def builtin_core_schemas() -> SchemaStore:
     """Embedded store covering the core EC2/S3 resource types used in fixtures."""
     schemas: dict[str, ResourceSchema] = {}
     for doc in _BUILTIN_DOCUMENTS:
         schema, warnings = parse_schema_document(doc, source="<builtin>")
         assert not warnings, "builtin schemas must be clean"
         schemas[schema.type_name] = schema
-    return SchemaStore(schemas=schemas, strict_unknown_types=strict_unknown_types)
+    return SchemaStore(schemas=schemas)

@@ -175,6 +175,22 @@ class TestRunBenchmark:
                     totals[r.index] = (e + r.error_count, w + r.warning_count)
             assert result.trials[trial].per_iteration_totals == totals
 
+    def test_model_reaches_the_loop_config(self, one_case_dir, monkeypatch):
+        from iacloop import bench
+
+        seen = []
+        inner = bench.run_loop
+
+        def recording(case, backend, store, loop_cfg, generation_index=0):
+            seen.append(loop_cfg.generation.model)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+
+        monkeypatch.setattr(bench, "run_loop", recording)
+        cfg = BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
+                              iterations=1, trials=1, model="gpt-4o-mini")
+        run_benchmark(cfg)
+        assert seen == ["gpt-4o-mini", "gpt-4o-mini"]
+
     def test_traces_persisted(self, one_case_dir, script_dir, tmp_path):
         traces_dir = tmp_path / "traces"
         cfg = BenchmarkConfig(

@@ -104,6 +104,33 @@ class TestLintCommand:
             "pointer": None,
         }]
 
+    def test_over_long_integer_reported_as_e0000(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{\n  "Resources": {"N": ' + "1" * 5000 + "}\n}\n")
+        code = dispatch(["lint", str(bad), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        [entry] = json.loads(captured.out)
+        assert (entry["code"], entry["line"], entry["column"]) == ("E0000", 2, 22)
+        assert dispatch(["--config", str(bad), "lint", str(FIXTURES / "clean.json")]) == 1
+        assert f"config file {bad}:2:22: " in capsys.readouterr().err
+
+    def test_schema_load_warnings_printed(self, tmp_path, capsys):
+        schema = {
+            "typeName": "AWS::Custom::Widget",
+            "properties": {"Size": {"type": "integer", "minimum": 1}},
+            "required": [],
+            "additionalProperties": False,
+        }
+        (tmp_path / "widget.json").write_text(json.dumps(schema))
+        code = dispatch(["lint", str(FIXTURES / "clean.json"), "--schemas", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.splitlines() == [
+            "schema load: widget.json: ignored unsupported keyword 'additionalProperties'",
+            "schema load: widget.json: ignored unsupported keyword 'minimum' on property 'Size'",
+        ]
+
     def test_missing_file_runtime_failure(self, capsys):
         assert dispatch(["lint", "/no/such/file.json"]) == 3
 

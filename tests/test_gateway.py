@@ -1,8 +1,10 @@
+import gc
 import json
 import random
 import statistics
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -104,6 +106,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
 
 
 def _completion(text):
@@ -125,6 +128,18 @@ class TestHttpBackend:
             {"role": "system", "content": "be terse"},
             {"role": "user", "content": "make a template"},
         ]
+
+    def test_calls_leave_no_unclosed_socket(self, stub_server):
+        base, handler = stub_server
+        handler.script += [(200, _completion("X"))] * 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            backend = HttpBackend(base, api_key="k")
+            for _ in range(3):
+                assert backend.complete(CONVERSATION, CFG) == "X"
+            del backend
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_retries_5xx_with_backoff(self, stub_server):
         base, handler = stub_server

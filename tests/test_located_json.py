@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -135,6 +136,19 @@ class TestParseLocated:
         assert parse_located(deepest).value == json.loads(deepest)
         siblings = json.dumps([{"a": [[1]]}] * (4 * MAX_NESTING_DEPTH))
         assert parse_located(siblings).value == json.loads(siblings)
+
+    def test_over_long_integer_is_a_syntax_error_at_its_first_digit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        digits = "7" * (limit + 1)
+        text = '{"s": "' + digits + '", "f": 1.' + digits + ',\n "n": -' + digits + "}"
+        with pytest.raises(JsonSyntaxError) as exc_info:
+            parse_located(text)
+        assert exc_info.value.reason == f"Integer has {limit + 1} digits, more than {limit}"
+        assert exc_info.value.span == SourceSpan(2, 8, text.index("\n") + 8)
+        within = "[" + "7" * limit + "]"
+        assert parse_located(within).value == [int("7" * limit)]
 
     def test_root_carries_source_text(self):
         text = '  {"x": 1}  '

@@ -12,6 +12,7 @@ from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.loop import (
     FEEDBACK_HEADER,
+    FILE_ALIAS,
     SYSTEM_PROMPT,
     BackendFailure,
     BenchmarkCase,
@@ -19,6 +20,7 @@ from iacloop.loop import (
     LoopTrace,
     build_feedback_messages,
     build_initial_messages,
+    render_diagnostics,
     run_loop,
 )
 from iacloop.schema_store import builtin_core_schemas
@@ -87,8 +89,8 @@ class TestBuildInitialMessages:
 
 
 class TestBuildFeedbackMessages:
-    def _report(self, text):
-        return lint_template(parse_located(text), STORE)
+    def _rendered(self, text):
+        return render_diagnostics(lint_template(parse_located(text), STORE))
 
     def test_contains_formatted_diagnostics_verbatim(self):
         text = json.dumps(
@@ -101,52 +103,65 @@ class TestBuildFeedbackMessages:
                 }
             }
         )
-        report = self._report(text)
-        messages = build_feedback_messages(text, report, "path/to/my_iac.json")
+        report = lint_template(parse_located(text), STORE)
+        messages = build_feedback_messages(text, render_diagnostics(report))
         diag = report.diagnostics[0]
+        assert FILE_ALIAS == "template.json"
         expected = (
             "E1015 {'Fn::GetAZs': ''} is not of type 'string'\n"
-            f"Error location - path/to/my_iac.json:{diag.span.line}:{diag.span.column}"
+            f"Error location - template.json:{diag.span.line}:{diag.span.column}"
         )
         assert expected in messages[1].content
 
     def test_three_diagnostics_render_three_blocks(self):
-        report = self._report(THREE_ERRORS)
-        assert len(report.diagnostics) == 3
-        messages = build_feedback_messages(THREE_ERRORS, report, "template.json")
+        rendered = self._rendered(THREE_ERRORS)
+        messages = build_feedback_messages(THREE_ERRORS, rendered)
         body = messages[1].content
         block = body.split("Running cfn-lint produced:\n", 1)[1]
         block = block.split("\nModify the template", 1)[0]
+        assert block == rendered
         entries = block.split("\n\n")
         assert len(entries) == 3
         assert all(len(e.split("\n")) == 2 for e in entries)
 
-    def test_empty_report_rejected(self):
-        report = self._report(CLEAN)
-        with pytest.raises(ValueError):
-            build_feedback_messages(CLEAN, report, "template.json")
+    def test_empty_rendering_yields_clean_instruction(self):
+        assert self._rendered(CLEAN) == ""
+        messages = build_feedback_messages(CLEAN, "")
+        assert [m.role for m in messages] == ["system", "user"]
+        assert messages[1].content == (
+            FEEDBACK_HEADER
+            + CLEAN
+            + "\nRunning cfn-lint produced no problems. "
+            "Respond with the same JSON template unchanged."
+        )
 
     def test_message_shape_and_statelessness(self):
-        report = self._report(ONE_ERROR)
-        messages = build_feedback_messages(ONE_ERROR, report, "template.json")
+        messages = build_feedback_messages(ONE_ERROR, self._rendered(ONE_ERROR))
         assert [m.role for m in messages] == ["system", "user"]
         assert messages[0].content == SYSTEM_PROMPT
         assert messages[1].content.startswith(FEEDBACK_HEADER)
 
-    def test_warning_filter(self):
+    def test_warnings_always_fed_back(self):
         text = json.dumps(
             {
                 "Parameters": {"Ghost": {"Type": "String"}},
                 "Resources": {"I": {"Type": "AWS::EC2::Instance", "Properties": {}}},
             }
         )
-        report = self._report(text)
+        report = lint_template(parse_located(text), STORE)
         assert (report.error_count, report.warning_count) == (1, 1)
-        with_warnings = build_feedback_messages(text, report, "t.json", include_warnings=True)
-        without = build_feedback_messages(text, report, "t.json", include_warnings=False)
-        assert "W2001" in with_warnings[1].content
-        assert "W2001" not in without[1].content
-        assert "E3003" in without[1].content
+        content = build_feedback_messages(text, render_diagnostics(report))[1].content
+        assert "W2001" in content
+        assert "E3003" in content
+        warning_only = json.dumps(
+            {
+                "Parameters": {"Ghost": {"Type": "String"}},
+                "Resources": {"B": {"Type": "AWS::S3::Bucket"}},
+            }
+        )
+        content = build_feedback_messages(warning_only, self._rendered(warning_only))[1].content
+        assert "W2001 Parameter 'Ghost' is never used" in content
+        assert content.endswith("Respond with only the corrected JSON template.")
 
 
 class TestRunLoop:
@@ -228,6 +243,17 @@ class TestRunLoop:
         trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=2))
         restored = LoopTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
         assert restored == trace
+
+    def test_recorded_rendering_is_what_the_next_turn_feeds(self):
+        replies = [THREE_ERRORS, "no template", ONE_ERROR, CLEAN, CLEAN]
+        backend = RecordingBackend(ScriptedBackend(replies))
+        case = BenchmarkCase(id="c", prompt="p")
+        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=4))
+        for record, sent in zip(trace.records, backend.conversations[1:]):
+            template = THREE_ERRORS if record.extraction_failed else record.template_text
+            assert sent == build_feedback_messages(template, record.diagnostics_rendered)
+        assert trace.records[2].diagnostics_rendered in backend.conversations[3][1].content
+        assert trace.records[3].diagnostics_rendered == ""
 
     def test_records_capped_by_max_iterations(self):
         backend = ScriptedBackend([THREE_ERRORS] * 4)
