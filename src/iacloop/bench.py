@@ -17,7 +17,7 @@ from typing import Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
-from .schema_store import SchemaStore, builtin_core_schemas, load_schema_dir
+from .schema_store import load_store
 
 __all__ = [
     "BenchmarkConfig",
@@ -143,13 +143,6 @@ def load_cases(path: str | Path) -> list[BenchmarkCase]:
     return cases
 
 
-def _load_store(cfg: BenchmarkConfig) -> SchemaStore:
-    if cfg.schemas_dir:
-        store, _ = load_schema_dir(cfg.schemas_dir)
-        return store
-    return builtin_core_schemas()
-
-
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Execute trials x cases x generations cells and sum counts per iteration.
 
@@ -159,7 +152,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     generation), whatever the parallelism.
     """
     cases = load_cases(cfg.cases_dir)
-    store = _load_store(cfg)
+    store = load_store(cfg.schemas_dir)
     loop_cfg = LoopConfig(
         max_iterations=cfg.iterations,
         early_stop=False,

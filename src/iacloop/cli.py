@@ -29,7 +29,7 @@ from .gateway import GenerationConfig, MissingSetting, make_backend
 from .linter import format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
-from .schema_store import builtin_core_schemas, load_schema_dir
+from .schema_store import load_store
 
 __all__ = ["dispatch", "main"]
 
@@ -116,18 +116,9 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _resolve_store(schemas_dir: Optional[str]):
-    if schemas_dir:
-        store, report = load_schema_dir(schemas_dir)
-        for message in [*report.errors, *report.warnings]:
-            print(f"schema load: {message}", file=sys.stderr)
-        return store
-    return builtin_core_schemas()
-
-
 def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
-    store = _resolve_store(schemas_dir)
+    store = load_store(schemas_dir)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
@@ -172,7 +163,7 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
-    store = _resolve_store(schemas_dir)
+    store = load_store(schemas_dir)
     try:
         prompt = Path(args.prompt_file).read_text(encoding="utf-8").strip()
     except OSError as exc:
@@ -231,7 +222,8 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     )
     result = run_benchmark(cfg)
     stats = aggregate(result.trials) if cfg.trials >= 2 else None
-    plateau = detect_plateau(stats.mean_errors) if stats is not None else None
+    # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.
+    plateau = detect_plateau(stats.mean_errors) if stats is not None and len(stats) > 2 else None
     write_results(result, args.out, stats=stats, plateau_index=plateau)
     completed = len(result.traces)
     print(f"{completed} cells completed, {len(result.failures)} failed; results -> {args.out}")

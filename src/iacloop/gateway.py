@@ -662,6 +662,7 @@ class SyntheticBackend:
         self.rng = random.Random(params.seed)
         self.template: dict = {}
         self.live: list[DefectSpec] = []
+        self.text = "{}"  # the template as last serialized (indent=2)
 
     # -- backend interface ---------------------------------------------------
 
@@ -706,7 +707,8 @@ class SyntheticBackend:
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True
-        return self._serialize()
+        self.text = json.dumps(self.template, indent=2)
+        return self.text
 
     def synthetic_step(self, report: Optional[LintReport] = None) -> str:
         """One repair round over the tracked template.
@@ -715,7 +717,8 @@ class SyntheticBackend:
         diagnostic; with ``report=None`` every live defect is flagged.  Each
         flagged non-stubborn defect is repaired with probability ``p_fix``,
         and each executed repair spawns one fresh defect with probability
-        ``p_spawn`` at a uniformly chosen eligible site.
+        ``p_spawn`` at a uniformly chosen eligible site.  Spawns only follow
+        repairs, so a step that repairs nothing returns the previous text.
         """
         if report is not None:
             flagged = {d.diagnostic_key() for d in self.live} & {
@@ -737,10 +740,9 @@ class SyntheticBackend:
                 if pairs:
                     kind, site = pairs[self.rng.randrange(len(pairs))]
                     self._inject(kind, site)
-        return self._serialize()
-
-    def _serialize(self) -> str:
-        return json.dumps(self.template, indent=2)
+        if to_repair:
+            self.text = json.dumps(self.template, indent=2)
+        return self.text
 
     # -- defect plumbing -------------------------------------------------------
 

@@ -7,7 +7,7 @@ exactly so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .gateway import (
@@ -159,6 +159,7 @@ def run_loop(
     cfg = cfg if cfg is not None else LoopConfig()
     trace = LoopTrace(case_id=case.id, generation_index=generation_index)
     last_template: Optional[str] = None
+    last_raw: Optional[str] = None
 
     for index in range(cfg.max_iterations + 1):
         if last_template is None:
@@ -174,6 +175,14 @@ def run_loop(
             raw = generate(messages, cfg.generation, backend)
         except (TransportError, ScriptExhausted) as exc:
             raise BackendFailure(f"backend failed at iteration {index}: {exc}", trace) from exc
+
+        # A repeated reply repeats the previous record: extract, lint and
+        # render are pure functions of the reply, and a failed extraction
+        # carries forward that record's counts and rendering, its own.
+        if raw == last_raw:
+            trace.records.append(replace(trace.records[-1], index=index))
+            continue
+        last_raw = raw
 
         try:
             document = extract_template(raw)

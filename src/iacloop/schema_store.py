@@ -12,6 +12,7 @@ level deep, without looking up the types of sub-values.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -25,6 +26,7 @@ __all__ = [
     "SchemaLoadReport",
     "parse_schema_document",
     "load_schema_dir",
+    "load_store",
     "save_schema_dir",
     "builtin_core_schemas",
 ]
@@ -221,6 +223,17 @@ def load_schema_dir(path: str | Path) -> tuple[SchemaStore, SchemaLoadReport]:
         schemas[schema.type_name] = schema
         report.loaded.append(schema.type_name)
     return SchemaStore(schemas=schemas), report
+
+
+def load_store(schemas_dir: Optional[str | Path]) -> SchemaStore:
+    """The store under ``schemas_dir``, printing every load error and warning
+    to stderr; the builtin core schemas when no directory is given."""
+    if not schemas_dir:
+        return builtin_core_schemas()
+    store, report = load_schema_dir(schemas_dir)
+    for message in [*report.errors, *report.warnings]:
+        print(f"schema load: {message}", file=sys.stderr)
+    return store
 
 
 def _file_name_for(type_name: str) -> str:

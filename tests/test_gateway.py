@@ -314,7 +314,7 @@ class TestSyntheticBackend:
             initial_defects=3,
         )
         backend.initial_generation()
-        report = _lint_text(backend._serialize())
+        report = _lint_text(backend.text)
         text = backend.synthetic_step(report)
         assert _lint_text(text).diagnostics == ()
 
@@ -369,7 +369,7 @@ class TestSyntheticBackend:
         )
         backend.initial_generation()
         for _ in range(5):
-            report = _lint_text(backend._serialize())
+            report = _lint_text(backend.text)
             text = backend.synthetic_step(report)
         assert _lint_text(text).error_count == 4
 
@@ -379,7 +379,7 @@ class TestSyntheticBackend:
             initial_defects=6,
         )
         backend.initial_generation()
-        report = _lint_text(backend._serialize())
+        report = _lint_text(backend.text)
         text = backend.synthetic_step(report)
         after = _lint_text(text)
         # every repair spawned exactly one defect (some may be warnings)
@@ -395,7 +395,7 @@ class TestSyntheticBackend:
                 initial_defects=100,
             )
             backend.initial_generation()
-            report = _lint_text(backend._serialize())
+            report = _lint_text(backend.text)
             text = backend.synthetic_step(report)
             remaining.append(_lint_text(text).error_count)
         mean = statistics.mean(remaining)
@@ -413,7 +413,7 @@ class TestSyntheticBackend:
             text = backend.initial_generation()
             counts[0].append(_lint_text(text).error_count)
             for t in range(1, steps + 1):
-                report = _lint_text(backend._serialize())
+                report = _lint_text(backend.text)
                 text = backend.synthetic_step(report)
                 counts[t].append(_lint_text(text).error_count)
         for t in range(steps + 1):
@@ -458,7 +458,7 @@ class TestSyntheticLedger:
         via_report = SyntheticBackend(params, initial_defects=10)
         assert via_complete.complete(CONVERSATION, CFG) == via_report.initial_generation()
         for _ in range(10):
-            expected = via_report.synthetic_step(_lint_text(via_report._serialize()))
+            expected = via_report.synthetic_step(_lint_text(via_report.text))
             assert via_complete.complete(feedback, CFG) == expected
 
 
