@@ -4,6 +4,7 @@ from pathlib import Path
 
 
 from iacloop.cli import dispatch
+from iacloop.schema_store import builtin_core_schemas, save_schema_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -300,6 +301,50 @@ class TestBenchAndReport:
         assert code == 3
         assert "0 cells completed, 2 failed" in captured.out
         assert "ValueError" in captured.err and "defect sites" in captured.err
+
+    def test_bench_single_iteration_writes_results(self, tmp_path, capsys):
+        # Two per-iteration means are too few for plateau detection; the run
+        # still writes its results rather than losing every completed cell.
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "case0.txt").write_text("Create a stack")
+        results = tmp_path / "results.json"
+        code = dispatch([
+            "bench", "--cases", str(cases), "--backend", "synthetic",
+            "--trials", "2", "--generations", "1", "--iterations", "1", "--out", str(results),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "2 cells completed, 0 failed" in captured.out
+        assert "plateau at" not in captured.out
+        payload = json.loads(results.read_text())
+        assert payload["plateau_index"] is None
+        assert len(payload["stats"]["mean_errors"]) == 2
+
+    def test_bench_prints_schema_load_report(self, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "case0.txt").write_text("Create a stack")
+        schemas = tmp_path / "schemas"
+        save_schema_dir(builtin_core_schemas(), schemas)
+        (schemas / "broken.json").write_text("{not json")
+        (schemas / "widget.json").write_text(json.dumps({
+            "typeName": "AWS::Custom::Widget",
+            "properties": {"Size": {"type": "integer", "minimum": 1}},
+        }))
+        code = dispatch([
+            "bench", "--cases", str(cases), "--backend", "synthetic", "--schemas", str(schemas),
+            "--trials", "2", "--generations", "1", "--iterations", "2",
+            "--out", str(tmp_path / "results.json"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "2 cells completed, 0 failed" in captured.out
+        assert captured.err.splitlines() == [
+            "schema load: broken.json: unreadable schema document: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            "schema load: widget.json: ignored unsupported keyword 'minimum' on property 'Size'",
+        ]
 
     def test_report_requires_an_output(self, tmp_path, capsys):
         results = tmp_path / "results.json"

@@ -318,14 +318,22 @@ class TestSyntheticBackend:
         text = backend.synthetic_step(report)
         assert _lint_text(text).diagnostics == ()
 
-    def test_p_fix_zero_is_identity(self):
+    def test_p_fix_zero_is_identity(self, monkeypatch):
         backend = SyntheticBackend(
-            SyntheticParams(p_fix=0.0, p_spawn=0.0, seed=5), initial_defects=4
+            SyntheticParams(p_fix=0.0, p_spawn=1.0, seed=5), initial_defects=4
         )
         before = backend.initial_generation()
         report = _lint_text(before)
-        after = backend.synthetic_step(report)
-        assert after == before
+        dumps = []
+        monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: dumps.append(args))
+        # Nothing repaired means nothing spawned: the step reuses its text.
+        assert backend.synthetic_step(report) is before
+        assert backend.synthetic_step() is before
+        assert dumps == []
+
+    def test_step_before_initial_generation(self):
+        backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=1.0, seed=5))
+        assert backend.synthetic_step() == "{}"
 
     def test_inject_repair_identity_per_kind(self):
         for kind in DEFECT_KINDS:
@@ -448,6 +456,7 @@ class TestSyntheticLedger:
                     warnings,
                 ), seed
                 text = backend.synthetic_step()
+                assert text == json.dumps(backend.template, indent=2), seed
 
     def test_feedback_turn_matches_step_on_lint_report(self):
         from iacloop.loop import FEEDBACK_HEADER

@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+import iacloop.loop
 from iacloop.gateway import (
+    NoTemplateFound,
     ScriptedBackend,
     SyntheticBackend,
     SyntheticParams,
+    extract_template,
 )
 from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
@@ -16,6 +19,7 @@ from iacloop.loop import (
     SYSTEM_PROMPT,
     BackendFailure,
     BenchmarkCase,
+    IterationRecord,
     LoopConfig,
     LoopTrace,
     build_feedback_messages,
@@ -254,6 +258,66 @@ class TestRunLoop:
             assert sent == build_feedback_messages(template, record.diagnostics_rendered)
         assert trace.records[2].diagnostics_rendered in backend.conversations[3][1].content
         assert trace.records[3].diagnostics_rendered == ""
+
+    def test_repeated_reply_repeats_its_record(self, monkeypatch):
+        replies = [
+            "Sorry, I cannot do that.",
+            "Sorry, I cannot do that.",
+            "```json\n" + THREE_ERRORS + "\n```",
+            "```json\n" + THREE_ERRORS + "\n```",
+            "Let me think about it.",
+            "Let me think about it.",
+            CLEAN,
+            CLEAN,
+        ]
+        # Each record built directly from its own reply; a failed extraction
+        # carries forward the counts and rendering of the record before it.
+        expected = []
+        for index, raw in enumerate(replies):
+            try:
+                document = extract_template(raw)
+            except NoTemplateFound:
+                prev = expected[-1] if expected else None
+                expected.append(IterationRecord(
+                    index=index,
+                    template_text=raw,
+                    error_count=prev.error_count if prev else 0,
+                    warning_count=prev.warning_count if prev else 0,
+                    diagnostics_rendered=prev.diagnostics_rendered if prev else "",
+                    extraction_failed=True,
+                ))
+                continue
+            report = lint_template(document, STORE)
+            expected.append(IterationRecord(
+                index=index,
+                template_text=document.text,
+                error_count=report.error_count,
+                warning_count=report.warning_count,
+                diagnostics_rendered=render_diagnostics(report),
+            ))
+
+        calls = {"extract": 0, "lint": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(iacloop.loop, "extract_template", counting("extract", extract_template))
+        monkeypatch.setattr(iacloop.loop, "lint_template", counting("lint", lint_template))
+        backend = RecordingBackend(ScriptedBackend(replies))
+        case = BenchmarkCase(id="c", prompt="p")
+        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=len(replies) - 1))
+        assert trace.records == expected
+        assert trace.counts() == [(0, 0), (0, 0)] + [(3, 0)] * 4 + [(0, 0)] * 2
+        # One extraction per run of equal replies, one lint per extracted run.
+        assert calls == {"extract": 4, "lint": 2}
+        # No template yet: turns 1 and 2 both re-prompt from scratch.
+        assert backend.conversations[1] == backend.conversations[2] == build_initial_messages(case)
+        # The mid-cell non-answers still refeed the last extracted template.
+        assert backend.conversations[5] == build_feedback_messages(
+            expected[3].template_text, expected[3].diagnostics_rendered)
 
     def test_records_capped_by_max_iterations(self):
         backend = ScriptedBackend([THREE_ERRORS] * 4)
