@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
+from .linter import RunMemo
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
 from .schema_store import load_store
 
@@ -149,10 +150,12 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     Aborted cells (a backend failure or any other exception from the loop)
     are excluded from totals and listed in ``failures``.  The reduction is a
     deterministic serial pass over cells ordered by (trial, case,
-    generation), whatever the parallelism.
+    generation), whatever the parallelism.  The cells share one RunMemo,
+    which lints and serializes each distinct resource block once.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
+    memo = RunMemo(store)
     loop_cfg = LoopConfig(
         max_iterations=cfg.iterations,
         early_stop=False,
@@ -182,10 +185,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             initial_defects=initial_defects,
             script_dir=cfg.script_dir,
             api_base_url=cfg.api_base_url,
+            memo=memo,
         )
         case = cases[case_index]
         try:
-            return run_loop(case, backend, store, loop_cfg, generation_index=generation)
+            return run_loop(case, backend, store, loop_cfg, generation_index=generation, memo=memo)
         except BackendFailure as exc:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 
 import requests
 
-from .linter import LintReport
+from .linter import LintReport, RunMemo
 from .located_json import JsonDocument, escape_pointer_token, parse_located, render_value
 from .schema_store import SchemaStore, builtin_core_schemas
 
@@ -152,9 +152,10 @@ def resolve_api_key() -> Optional[str]:
 class HttpBackend:
     """OpenAI-compatible chat-completions client with retry/backoff.
 
-    Retries 5xx responses and transport timeouts up to ``cfg.max_retries``
-    times with exponential backoff (1s, 2s, 4s, ...).  Never mutates the
-    conversation it is given.
+    Retries 5xx responses, rate limits (429) and transport timeouts up to
+    ``cfg.max_retries`` times with exponential backoff (1s, 2s, 4s, ...); a
+    429 whose ``Retry-After`` header gives delta-seconds waits that long
+    instead.  Never mutates the conversation it is given.
     """
 
     def __init__(
@@ -196,14 +197,15 @@ class HttpBackend:
                 continue
             if response.status_code == 401:
                 raise AuthError("authentication rejected", status=401, body_excerpt=response.text[:200])
-            if 500 <= response.status_code < 600:
+            if response.status_code == 429 or 500 <= response.status_code < 600:
                 if attempt >= cfg.max_retries:
+                    kind = "rate limited" if response.status_code == 429 else "server error"
                     raise TransportError(
-                        f"server error {response.status_code} after retries",
+                        f"{kind} {response.status_code} after retries",
                         status=response.status_code,
                         body_excerpt=response.text[:200],
                     )
-                self._backoff(attempt)
+                self._backoff(attempt, _retry_after(response))
                 attempt += 1
                 continue
             if response.status_code != 200:
@@ -214,8 +216,8 @@ class HttpBackend:
                 )
             return self._extract_content(response)
 
-    def _backoff(self, attempt: int) -> None:
-        self._sleep(float(2**attempt))
+    def _backoff(self, attempt: int, delay: Optional[float] = None) -> None:
+        self._sleep(float(2**attempt) if delay is None else delay)
         self.last_retry_count += 1
 
     @staticmethod
@@ -234,6 +236,15 @@ class HttpBackend:
         return content
 
 
+def _retry_after(response: Any) -> Optional[float]:
+    """A 429's ``Retry-After`` delay when given in delta-seconds, else None
+    (an HTTP-date or a malformed value falls back to the backoff)."""
+    if response.status_code != 429:
+        return None
+    value = (response.headers.get("Retry-After") or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 def make_backend(
     kind: str,
     store: SchemaStore,
@@ -245,18 +256,20 @@ def make_backend(
     initial_defects: int | tuple[int, int],
     script_dir: Optional[str],
     api_base_url: Optional[str],
+    memo: Optional[RunMemo] = None,
 ) -> Backend:
     """Build the ``kind`` backend ("synthetic", "scripted" or "http").
 
-    Only the settings of the chosen kind are read.  Raises MissingSetting when
-    a scripted backend has no ``script_dir`` or an http backend no
+    Only the settings of the chosen kind are read; a synthetic backend shares
+    ``memo`` with the other cells of its run.  Raises MissingSetting when a
+    scripted backend has no ``script_dir`` or an http backend no
     ``api_base_url``.
     """
     if kind == "synthetic":
         params = SyntheticParams(
             p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction, seed=seed
         )
-        return SyntheticBackend(params, initial_defects=initial_defects, store=store)
+        return SyntheticBackend(params, initial_defects=initial_defects, store=store, memo=memo)
     if kind == "scripted":
         if not script_dir:
             raise MissingSetting("scripted backend requires script_dir")
@@ -518,18 +531,28 @@ def _site_count(blocks: int, store: SchemaStore) -> int:
     return len({site for _, site in pairs})
 
 
-def _blocks_for(defect_count: int, store: SchemaStore) -> int:
+# RunMemo key of a store's (s0, k) template sizing.
+_SITE_COUNTS_KEY = ("site counts",)
+
+
+def _blocks_for(defect_count: int, store: SchemaStore, memo: Optional[RunMemo] = None) -> int:
     """Smallest block count (at least 1) whose base template leaves free-site
     headroom for ``defect_count`` defects.
 
     Every block adds the same resources, so the site count is linear in the
     block count: ``s0 + blocks * k`` (s0 = 9, k = 13 for the builtin store).
-    Raises ValueError when the store makes no block site eligible (k = 0) and
-    the fixed sites are too few.
+    A memo, built for ``store``, keeps s0 and k for its run.  Raises
+    ValueError when the store makes no block site eligible (k = 0) and the
+    fixed sites are too few.
     """
     needed = math.ceil(defect_count * 1.25) + 2
-    s0 = _site_count(0, store)
-    k = _site_count(1, store) - s0
+    counts = memo.get(_SITE_COUNTS_KEY) if memo is not None else None
+    if counts is None:
+        s0 = _site_count(0, store)
+        counts = (s0, _site_count(1, store) - s0)
+        if memo is not None:
+            memo.put(_SITE_COUNTS_KEY, counts)
+    s0, k = counts
     if s0 + k >= needed:
         return 1
     if k == 0:
@@ -632,6 +655,38 @@ def synthetic_base_template(blocks: int) -> dict:
     }
 
 
+def _fragment(indent: str, key: str, value: Any, memo: RunMemo) -> str:
+    """One member of an ``indent=2`` dump, as it reads ``indent`` deep.
+
+    Re-indenting by replacing newlines is exact because JSON output never
+    holds a raw newline inside a string.  ``repr`` keys the memo: for JSON
+    values it keeps key order and tells True, 1 and 1.0 apart.
+    """
+    memo_key = (indent, key, repr(value))
+    fragment = memo.get(memo_key)
+    if fragment is None:
+        dump = json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        fragment = indent + json.dumps(key) + ": " + dump
+        memo.put(memo_key, fragment)
+    return fragment
+
+
+def _dump_template(template: dict, memo: Optional[RunMemo]) -> str:
+    """``json.dumps(template, indent=2)``; with a memo, joined from one
+    fragment per top-level member and per ``Resources`` member, so that a
+    step which changed one block encodes only that block."""
+    if memo is None or not template:
+        return json.dumps(template, indent=2)
+    members = []
+    for key, value in template.items():
+        if key == "Resources" and isinstance(value, dict) and value:
+            blocks = ",\n".join(_fragment("    ", k, v, memo) for k, v in value.items())
+            members.append('  "Resources": {\n' + blocks + "\n  }")
+        else:
+            members.append(_fragment("  ", key, value, memo))
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
 def _insert_key_at(mapping: dict, key: str, value: Any, index: int) -> None:
     """Reinsert a key at its original position (dicts preserve insertion order)."""
     items = list(mapping.items())
@@ -647,7 +702,9 @@ class SyntheticBackend:
     injected defects (an int, or an inclusive (lo, hi) range sampled per
     generation); every later feedback turn runs one repair/spawn step.
     Identical construction (params, seed, sizing) and call sequence yield
-    identical strings.
+    identical strings.  A ``memo``, built for ``store`` and shared by the
+    backends of one run, keeps serialized blocks and the template sizing;
+    it changes no output.
     """
 
     def __init__(
@@ -655,10 +712,14 @@ class SyntheticBackend:
         params: SyntheticParams,
         initial_defects: int | tuple[int, int] = 8,
         store: Optional[SchemaStore] = None,
+        memo: Optional[RunMemo] = None,
     ):
         self.params = params
         self.initial_defects = initial_defects
         self.store = store if store is not None else builtin_core_schemas()
+        if memo is not None and memo.store is not self.store:
+            raise ValueError("memo was built for another schema store")
+        self.memo = memo
         self.rng = random.Random(params.seed)
         self.template: dict = {}
         self.live: list[DefectSpec] = []
@@ -693,7 +754,7 @@ class SyntheticBackend:
             count = self.rng.randint(lo, hi)
         else:
             count = self.initial_defects
-        self.template = synthetic_base_template(_blocks_for(count, self.store))
+        self.template = synthetic_base_template(_blocks_for(count, self.store, self.memo))
         self.live = []
         # Injections only ever remove eligibility at the occupied site, so the
         # clean-template enumeration can be filtered instead of recomputed.
@@ -707,7 +768,7 @@ class SyntheticBackend:
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True
-        self.text = json.dumps(self.template, indent=2)
+        self.text = _dump_template(self.template, self.memo)
         return self.text
 
     def synthetic_step(self, report: Optional[LintReport] = None) -> str:
@@ -741,7 +802,7 @@ class SyntheticBackend:
                     kind, site = pairs[self.rng.randrange(len(pairs))]
                     self._inject(kind, site)
         if to_repair:
-            self.text = json.dumps(self.template, indent=2)
+            self.text = _dump_template(self.template, self.memo)
         return self.text
 
     # -- defect plumbing -------------------------------------------------------

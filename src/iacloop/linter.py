@@ -23,6 +23,7 @@ Every diagnostic's pointer names the value whose span it carries.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
@@ -31,6 +32,7 @@ from .located_json import (
     JsonDocument,
     SourceSpan,
     escape_pointer_token,
+    member_slices,
     render_value,
     resolve_spans,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "LintReport",
+    "RunMemo",
     "lint_template",
     "format_diagnostic",
     "TOP_LEVEL_SECTIONS",
@@ -178,14 +181,28 @@ class _Linter:
     def emit(self, code: str, message: str, pointer: str) -> None:
         self.findings.append((code, message, pointer))
 
-    def run(self) -> None:
+    def run(self, check_blocks: bool = True) -> dict:
+        """Apply the rules; returns the resource blocks, {} when there are
+        none to check.  Without ``check_blocks`` the rules of the blocks
+        themselves are left to the caller (see ``block_findings``)."""
         if not isinstance(self.root, dict):
             self.emit("E0001", "Template root is not of type 'object'", "")
-        else:
-            self.check_sections()
-            self.check_format_version()
-            self.check_resources()
-            self.check_unused_parameters()
+            return {}
+        self.check_sections()
+        self.check_format_version()
+        resources = self.check_resources()
+        if check_blocks:
+            for logical_id, entry in resources.items():
+                self.check_resource(logical_id, entry)
+        self.check_unused_parameters()
+        return resources
+
+    def block_findings(self, logical_id: str, entry: Any) -> list[tuple[str, str, str]]:
+        """The findings of one resource block's rules alone."""
+        outer, self.findings = self.findings, []
+        self.check_resource(logical_id, entry)
+        found, self.findings = self.findings, outer
+        return found
 
     def check_sections(self) -> None:
         for key in self.root:
@@ -205,16 +222,15 @@ class _Linter:
                 "/AWSTemplateFormatVersion",
             )
 
-    def check_resources(self) -> None:
+    def check_resources(self) -> dict:
         if "Resources" not in self.root:
             self.emit("E1002", "Template is missing a 'Resources' section", "")
-            return
+            return {}
         resources = self.root["Resources"]
         if not isinstance(resources, dict) or not resources:
             self.emit("E1002", "'Resources' section must be a non-empty object", "/Resources")
-            return
-        for logical_id, entry in resources.items():
-            self.check_resource(logical_id, entry)
+            return {}
+        return resources
 
     def check_resource(self, logical_id: str, entry: Any) -> None:
         pointer = "/Resources/" + escape_pointer_token(logical_id)
@@ -295,25 +311,114 @@ class _Linter:
                 )
 
 
+class RunMemo:
+    """Content-addressed results that the cells of one run share.
+
+    The linter keeps each resource block's findings here, keyed by the
+    block's logical id, its source text and the strictness, for ``store``
+    only; the synthetic backend keeps its serialized fragments and its
+    template sizing.  Keys hold content, never identities, so an entry is
+    valid wherever its key recurs, and each user's keys have their own shape.
+    At most ``CAPACITY`` entries are kept, the oldest evicted first (the
+    paper-scale protocol stores about 770).  Safe to share between threads.
+    """
+
+    CAPACITY = 4096
+
+    def __init__(self, store: SchemaStore):
+        self.store = store
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any) -> Any:
+        """The value stored under ``key``, or None."""
+        return self._entries.get(key)
+
+    def put(self, key: Any, value: Any) -> None:
+        with self._lock:
+            if key not in self._entries and len(self._entries) >= self.CAPACITY:
+                del self._entries[next(iter(self._entries))]
+            self._entries[key] = value
+
+
+def _lint_by_block(linter: _Linter, text: str, memo: RunMemo) -> list[Diagnostic]:
+    """Diagnostics of the whole template, with each resource block's own
+    findings taken from ``memo`` when its (logical id, source text) recurs.
+
+    A stored finding's span is relative to its block's start: the line and
+    byte offset add, and the column adds only on the block's first line.
+    The spans of new blocks' findings and of the whole-template findings
+    are resolved together, in one walk.
+    """
+    resources = linter.run(check_blocks=False)
+    whole = linter.findings
+    missed = []  # (key, block start, findings)
+    diagnostics = []
+    if resources:
+        slices = member_slices(text, "Resources")
+        for (logical_id, entry), (source, origin) in zip(resources.items(), slices):
+            key = (logical_id, source, linter.strict)
+            rows = memo.get(key)
+            if rows is None:
+                missed.append((key, origin, linter.block_findings(logical_id, entry)))
+                continue
+            for code, message, pointer, line, column, byte_offset in rows:
+                span = SourceSpan(
+                    origin.line + line,
+                    column + origin.column - 1 if line == 0 else column,
+                    origin.byte_offset + byte_offset,
+                )
+                diagnostics.append(Diagnostic(code, message, span, pointer))
+    pointers = {pointer for _, _, pointer in whole}
+    for _, _, found in missed:
+        pointers.update(pointer for _, _, pointer in found)
+    if not pointers:
+        return diagnostics
+    spans = resolve_spans(text, pointers)
+    diagnostics.extend(Diagnostic(code, message, spans[pointer], pointer) for code, message, pointer in whole)
+    for key, origin, found in missed:
+        rows = []
+        for code, message, pointer in found:
+            span = spans[pointer]
+            line = span.line - origin.line
+            column = span.column - origin.column + 1 if line == 0 else span.column
+            rows.append((code, message, pointer, line, column, span.byte_offset - origin.byte_offset))
+            diagnostics.append(Diagnostic(code, message, span, pointer))
+        memo.put(key, tuple(rows))
+    return diagnostics
+
+
 def lint_template(
     document: JsonDocument,
     store: SchemaStore,
     *,
     strict_unknown_types: bool = False,
+    memo: Optional[RunMemo] = None,
 ) -> LintReport:
     """Apply the full rule registry to a parsed template.
 
     The rules read the plain value; the spans of the findings are then
     resolved from the text in one batch.  With ``strict_unknown_types`` a
-    resource type the store does not hold is an error (E3002).  Deterministic
-    for fixed inputs; diagnostics are ordered by (byte_offset, code).
+    resource type the store does not hold is an error (E3002).  With a
+    ``memo`` built for ``store``, a resource block whose logical id and
+    source text it has seen is not checked again; the report is the same.
+    Deterministic for fixed inputs; diagnostics are ordered by
+    (byte_offset, code).
     """
     linter = _Linter(document.value, store, strict_unknown_types)
-    linter.run()
-    spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
-    diagnostics = [
-        Diagnostic(code, message, spans[pointer], pointer)
-        for code, message, pointer in linter.findings
-    ]
+    if memo is not None:
+        if memo.store is not store:
+            raise ValueError("memo was built for another schema store")
+        diagnostics = _lint_by_block(linter, document.text, memo)
+    else:
+        linter.run()
+        spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
+        diagnostics = [
+            Diagnostic(code, message, spans[pointer], pointer)
+            for code, message, pointer in linter.findings
+        ]
     diagnostics.sort(key=lambda d: (d.span.byte_offset, d.code))
     return LintReport(tuple(diagnostics))

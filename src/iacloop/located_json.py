@@ -35,8 +35,9 @@ __all__ = [
     "render_value",
     "escape_pointer_token",
 ]
-# ``resolve_spans`` runs once per lint, inside ``linter.lint_template``; it is
-# left out of ``__all__`` so that per-layer traces count its time there.
+# ``resolve_spans`` and ``member_slices`` run inside ``linter.lint_template``;
+# they are left out of ``__all__`` so that per-layer traces count their time
+# there.
 
 # Most containers open at once.  The check runs before decoding, so hostile
 # nesting is a JsonSyntaxError at the offending bracket, never a RecursionError
@@ -289,6 +290,15 @@ _AFTER_VALUE_RE = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
 _HERE = None
 
 
+def _member_key(text: str, pos: int) -> tuple[str, int]:
+    """The key of the object member at ``pos`` and the offset of its value."""
+    key = _PLAIN_KEY_RE.match(text, pos)
+    if key is not None:
+        return key.group(1), key.end()
+    token, pos = scanstring(text, pos + 1)
+    return token, _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
+
+
 def _locate(text: str, pos: int, wanted: dict, found: dict[str, int], need_end: bool) -> int:
     """Record the offsets of the wanted values inside the value at ``pos``.
 
@@ -313,12 +323,7 @@ def _locate(text: str, pos: int, wanted: dict, found: dict[str, int], need_end: 
             token = str(index)
             index += 1
         else:
-            key = _PLAIN_KEY_RE.match(text, pos)
-            if key is not None:
-                token, pos = key.group(1), key.end()
-            else:
-                token, pos = scanstring(text, pos + 1)
-                pos = _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
+            token, pos = _member_key(text, pos)
         child = wanted.get(token)
         if child is None:
             pos = _scan_once(text, pos)[1]
@@ -352,6 +357,33 @@ def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[Sour
     located = sorted(found.items(), key=lambda item: item[1])
     spans = dict(zip((p for p, _ in located), _spans_at(text, [o for _, o in located])))
     return {pointer: spans.get(pointer) for pointer in pointers}
+
+
+def member_slices(text: str, key: str) -> list[tuple[str, SourceSpan]]:
+    """Source text and start span of each member value of the object that the
+    root object's member ``key`` holds, in text order.
+
+    ``text`` must be valid JSON whose root object has that member, holding a
+    non-empty object.
+    """
+    pos = _skip_ws(text, _skip_ws(text, 0) + 1)
+    while True:
+        token, pos = _member_key(text, pos)
+        if token == key:
+            break
+        pos = _AFTER_VALUE_RE.match(text, _scan_once(text, pos)[1]).end()
+    bounds = []
+    pos = _skip_ws(text, pos + 1)
+    while True:
+        pos = _member_key(text, pos)[1]
+        end = _scan_once(text, pos)[1]
+        bounds.append((pos, end))
+        after = _AFTER_VALUE_RE.match(text, end)
+        if after.group(1) != ",":
+            break
+        pos = after.end()
+    starts = _spans_at(text, [start for start, _ in bounds])
+    return [(text[start:end], span) for (start, end), span in zip(bounds, starts)]
 
 
 def render_value(value: Any) -> str:

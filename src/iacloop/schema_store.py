@@ -27,7 +27,6 @@ __all__ = [
     "parse_schema_document",
     "load_schema_dir",
     "load_store",
-    "save_schema_dir",
     "builtin_core_schemas",
 ]
 
@@ -82,22 +81,6 @@ class ResourceSchema:
     @property
     def required_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.properties.values() if p.required)
-
-    def to_document(self) -> dict:
-        """Canonical schema-document shape; load(save(s)) round-trips."""
-        props: dict[str, dict] = {}
-        for spec in self.properties.values():
-            entry: dict = {"type": spec.primitive}
-            if spec.enum_values is not None:
-                entry["enum"] = list(spec.enum_values)
-            if spec.item_primitive is not None:
-                entry["items"] = {"type": spec.item_primitive}
-            props[spec.name] = entry
-        return {
-            "typeName": self.type_name,
-            "properties": props,
-            "required": [p.name for p in self.properties.values() if p.required],
-        }
 
 
 @dataclass(frozen=True)
@@ -234,19 +217,6 @@ def load_store(schemas_dir: Optional[str | Path]) -> SchemaStore:
     for message in [*report.errors, *report.warnings]:
         print(f"schema load: {message}", file=sys.stderr)
     return store
-
-
-def _file_name_for(type_name: str) -> str:
-    return type_name.lower().replace("::", "-") + ".json"
-
-
-def save_schema_dir(store: SchemaStore, path: str | Path) -> None:
-    """Write one schema document per resource type (inverse of load_schema_dir)."""
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    for schema in store.schemas.values():
-        target = directory / _file_name_for(schema.type_name)
-        target.write_text(json.dumps(schema.to_document(), indent=2) + "\n", encoding="utf-8")
 
 
 # Pinned property subset used by fixtures and the synthetic backend.  This is

@@ -1,6 +1,7 @@
 """Shared test support: a random JSON corpus generator, an independent
-position-tracking tokenizer used as the span oracle, and a quadratic
-reference brace scan with a corpus of noisy model replies for it.
+position-tracking tokenizer used as the span oracle, a quadratic
+reference brace scan with a corpus of noisy model replies for it, and a
+writer of schema directories.
 
 The span oracle is deliberately written with a different technique from the
 package (a regex token scan over character indices instead of the C decoder
@@ -12,7 +13,10 @@ from __future__ import annotations
 import json
 import random
 import re
+from pathlib import Path
 from typing import Iterator, Optional
+
+from iacloop.schema_store import ResourceSchema, SchemaStore
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +287,34 @@ def random_reply(rng: random.Random) -> str:
         insert = ""
     parts.insert(rng.randint(0, len(parts)), insert)
     return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Schema directories
+# ---------------------------------------------------------------------------
+
+
+def schema_document(schema: ResourceSchema) -> dict:
+    """Canonical schema-document shape; loading what it writes round-trips."""
+    props: dict[str, dict] = {}
+    for spec in schema.properties.values():
+        entry: dict = {"type": spec.primitive}
+        if spec.enum_values is not None:
+            entry["enum"] = list(spec.enum_values)
+        if spec.item_primitive is not None:
+            entry["items"] = {"type": spec.item_primitive}
+        props[spec.name] = entry
+    return {
+        "typeName": schema.type_name,
+        "properties": props,
+        "required": [p.name for p in schema.properties.values() if p.required],
+    }
+
+
+def save_schema_dir(store: SchemaStore, path: str | Path) -> None:
+    """Write one schema document per resource type (inverse of load_schema_dir)."""
+    directory = Path(path)
+    directory.mkdir(parents=True, exist_ok=True)
+    for schema in store.schemas.values():
+        target = directory / (schema.type_name.lower().replace("::", "-") + ".json")
+        target.write_text(json.dumps(schema_document(schema), indent=2) + "\n", encoding="utf-8")

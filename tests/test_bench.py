@@ -155,10 +155,10 @@ class TestRunBenchmark:
         expected = run_benchmark(cfg)
         inner = bench.run_loop
 
-        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0):
+        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0, memo=None):
             if generation_index == 1:
                 raise RuntimeError("cell exploded")
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
@@ -181,9 +181,9 @@ class TestRunBenchmark:
         seen = []
         inner = bench.run_loop
 
-        def recording(case, backend, store, loop_cfg, generation_index=0):
+        def recording(case, backend, store, loop_cfg, generation_index=0, memo=None):
             seen.append(loop_cfg.generation.model)
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
 
         monkeypatch.setattr(bench, "run_loop", recording)
         cfg = BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,

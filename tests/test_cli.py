@@ -4,7 +4,9 @@ from pathlib import Path
 
 
 from iacloop.cli import dispatch
-from iacloop.schema_store import builtin_core_schemas, save_schema_dir
+from iacloop.schema_store import builtin_core_schemas
+
+from helpers import save_schema_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 

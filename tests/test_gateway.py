@@ -31,7 +31,7 @@ from iacloop.gateway import (
     mix64,
     synthetic_base_template,
 )
-from iacloop.linter import lint_template
+from iacloop.linter import RunMemo, lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import SchemaStore, builtin_core_schemas
 
@@ -85,9 +85,11 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append(
             {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = type(self).script.pop(0)
+        status, payload, *headers = type(self).script.pop(0)
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -157,6 +159,32 @@ class TestHttpBackend:
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
         assert exc_info.value.status == 503
+
+    def test_rate_limit_honours_retry_after_seconds(self, stub_server):
+        base, handler = stub_server
+        handler.script += [
+            (429, {}, ("Retry-After", "7")),
+            (429, {}),
+            (429, {}, ("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")),
+            (200, _completion("X")),
+        ]
+        sleeps = []
+        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION, CFG) == "X"
+        # Seconds are honoured; no header or an HTTP-date takes the backoff.
+        assert sleeps == [7.0, 2.0, 4.0]
+        assert backend.last_retry_count == 3
+
+    def test_rate_limit_budget_exhausted(self, stub_server):
+        base, handler = stub_server
+        handler.script += [(429, {"error": "slow down"}, ("Retry-After", "0"))] * 3
+        sleeps = []
+        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        with pytest.raises(TransportError) as exc_info:
+            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
+        assert exc_info.value.status == 429
+        assert "rate limited" in str(exc_info.value)
+        assert sleeps == [0.0, 0.0]
 
     def test_auth_error_on_401(self, stub_server):
         base, handler = stub_server
@@ -403,8 +431,9 @@ class TestSyntheticBackend:
                 initial_defects=100,
             )
             backend.initial_generation()
-            report = _lint_text(backend.text)
-            text = backend.synthetic_step(report)
+            # Stepping from the ledger equals stepping on the lint report
+            # (TestSyntheticLedger); the output's lint stays the oracle.
+            text = backend.synthetic_step()
             remaining.append(_lint_text(text).error_count)
         mean = statistics.mean(remaining)
         assert 45.0 <= mean <= 55.0
@@ -421,8 +450,7 @@ class TestSyntheticBackend:
             text = backend.initial_generation()
             counts[0].append(_lint_text(text).error_count)
             for t in range(1, steps + 1):
-                report = _lint_text(backend.text)
-                text = backend.synthetic_step(report)
+                text = backend.synthetic_step()
                 counts[t].append(_lint_text(text).error_count)
         for t in range(steps + 1):
             expected = n0 * (fraction + (1 - fraction) * (1 - p_fix) ** t)
@@ -458,6 +486,22 @@ class TestSyntheticLedger:
                 text = backend.synthetic_step()
                 assert text == json.dumps(backend.template, indent=2), seed
 
+    @pytest.mark.parametrize("p_spawn", [0.15, 0.9])
+    def test_block_serialization_equals_whole_dump(self, p_spawn):
+        # One memo shared by every backend, as in a bench run; each text
+        # equals the whole-template dump and the text of a memo-less twin.
+        store = builtin_core_schemas()
+        memo = RunMemo(store)
+        for seed in range(45):
+            params = SyntheticParams(p_fix=0.55, p_spawn=p_spawn, stubborn_fraction=0.25, seed=seed)
+            backend = SyntheticBackend(params, initial_defects=(6, 10), store=store, memo=memo)
+            twin = SyntheticBackend(params, initial_defects=(6, 10), store=store)
+            text, twin_text = backend.initial_generation(), twin.initial_generation()
+            for _ in range(11):
+                assert text == json.dumps(backend.template, indent=2) == twin_text, seed
+                text, twin_text = backend.synthetic_step(), twin.synthetic_step()
+            assert text == twin_text, seed
+
     def test_feedback_turn_matches_step_on_lint_report(self):
         from iacloop.loop import FEEDBACK_HEADER
 
@@ -472,6 +516,26 @@ class TestSyntheticLedger:
 
 
 class TestTemplateSizing:
+    def test_run_memo_sizes_once(self, monkeypatch):
+        from iacloop import gateway
+
+        sized = []
+        inner = gateway._site_count
+        monkeypatch.setattr(gateway, "_site_count", lambda b, store: sized.append(b) or inner(b, store))
+        store = builtin_core_schemas()
+        memo = RunMemo(store)
+        for seed in range(3):
+            params = SyntheticParams(p_fix=0.5, p_spawn=0.0, seed=seed)
+            backend = SyntheticBackend(params, initial_defects=(6, 40), store=store, memo=memo)
+            backend.initial_generation()
+        assert sized == [0, 1]
+        SyntheticBackend(params, initial_defects=8, store=store).initial_generation()
+        assert sized == [0, 1, 0, 1]
+
+    def test_memo_of_another_store_is_refused(self):
+        with pytest.raises(ValueError):
+            SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.0), memo=RunMemo(builtin_core_schemas()))
+
     def test_site_count_is_linear_in_blocks(self):
         store = builtin_core_schemas()
         assert [_site_count(b, store) for b in range(8)] == [9 + 13 * b for b in range(8)]

@@ -1,11 +1,22 @@
 import json
+import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from iacloop import linter
+from iacloop.gateway import (
+    NoTemplateFound,
+    SyntheticBackend,
+    SyntheticParams,
+    extract_template,
+)
 from iacloop.linter import (
     Diagnostic,
     LintReport,
+    RunMemo,
     Severity,
     format_diagnostic,
     lint_template,
@@ -13,7 +24,7 @@ from iacloop.linter import (
 from iacloop.located_json import SourceSpan, parse_located
 from iacloop.schema_store import builtin_core_schemas
 
-from helpers import oracle_spans
+from helpers import oracle_spans, random_document, random_reply
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "lint"
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "lint_golden.json").read_text())
@@ -181,3 +192,166 @@ class TestDiagnosticInvariants:
     def test_severity_from_prefix(self):
         assert Diagnostic("E1015", "m", SourceSpan(1, 1, 0), "").severity is Severity.ERROR
         assert Diagnostic("W2001", "m", SourceSpan(1, 1, 0), "").severity is Severity.WARNING
+
+
+def _assert_block_lint_matches(memo: RunMemo, text: str, strict: bool = False) -> None:
+    """Linting through ``memo`` equals the whole-template lint, cold then warm."""
+    document = parse_located(text)
+    expected = lint_template(document, memo.store, strict_unknown_types=strict)
+    for _ in range(2):
+        assert lint_template(document, memo.store, strict_unknown_types=strict, memo=memo) == expected
+
+
+def _layouts(text: str) -> list[str]:
+    value = json.loads(text)
+    return [
+        text,
+        json.dumps(value, separators=(",", ":")),  # every block mid-line
+        json.dumps(value, ensure_ascii=False, indent=1),
+    ]
+
+
+# Blocks with findings under awkward logical ids: non-ASCII, "~" and "/"
+# (escaped in pointers), a \u escape in the source, and two identical blocks.
+_AWKWARD = r"""{
+  "Resources": {
+    "Caf\u00e9": {"Type": "AWS::EC2::Instance", "Properties": {"ImageId": 7,
+      "InstanceType": "t9.huge"}},
+    "猫/犬~1": {"Type": "AWS::S3::Bucket", "Properties": {"Tags": ["x", {"Key": 1}]}},
+    "a~b/c": {"Properties": {}},
+    "Same1": {"Type": "AWS::EC2::Subnet", "Properties": {"VpcId": 5,
+      "MapPublicIpOnLaunch": {"Fn::GetAZs": ""}}},
+    "Same2": {"Type": "AWS::EC2::Subnet", "Properties": {"VpcId": 5,
+      "MapPublicIpOnLaunch": {"Fn::GetAZs": ""}}},
+    "\u0042ucket\ud83d\udc0d": {"Type": "AWS::S3::Bucket", "Properties": {"AccessControl": "Nope"}},
+    "Odd": [1, 2],
+    "Strict": {"Type": "AWS::Nope::Thing"}
+  },
+  "Parameters": {"Unused~/": {"Type": "String"}},
+  "Extras": {}
+}"""
+
+
+class TestBlockMemo:
+    def test_equals_whole_lint_on_synthetic_templates(self):
+        store = builtin_core_schemas()
+        memo = RunMemo(store)
+        rng = random.Random(6)
+        for blocks in (1, 2, 5, 16, 64):
+            defects = 10 * blocks  # sizes the template to about ``blocks`` blocks
+            for stubborn in (0.0, 0.25, 0.5, 1.0):  # clean to dense after one step
+                backend = SyntheticBackend(
+                    SyntheticParams(p_fix=1.0, p_spawn=0.3, stubborn_fraction=stubborn,
+                                    seed=rng.getrandbits(32)),
+                    initial_defects=defects,
+                    store=store,
+                )
+                texts = [backend.initial_generation(), backend.synthetic_step()]
+                for text in texts:
+                    for layout in _layouts(text):
+                        _assert_block_lint_matches(memo, layout)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_equals_whole_lint_on_golden_fixtures(self, name):
+        memo = RunMemo(builtin_core_schemas())
+        text = (FIXTURE_DIR / f"{name}.json").read_text()
+        strict = bool(GOLDEN[name].get("options", {}).get("strict_unknown_types"))
+        for layout in _layouts(text):
+            _assert_block_lint_matches(memo, layout, strict)
+            _assert_block_lint_matches(memo, layout, not strict)
+
+    def test_equals_whole_lint_on_random_replies_and_documents(self):
+        memo = RunMemo(builtin_core_schemas())
+        rng = random.Random(77)
+        linted = 0
+        for _ in range(1500):
+            try:
+                text = extract_template(random_reply(rng)).text
+            except NoTemplateFound:
+                continue
+            _assert_block_lint_matches(memo, text)
+            linted += 1
+        for _ in range(300):
+            _assert_block_lint_matches(memo, random_document(rng))
+        assert linted > 500
+
+    def test_awkward_ids_and_moved_blocks(self):
+        memo = RunMemo(builtin_core_schemas())
+        value = json.loads(_AWKWARD)
+        for text in _layouts(_AWKWARD):
+            _assert_block_lint_matches(memo, text, strict=True)
+            _assert_block_lint_matches(memo, text)
+        # Warm blocks found at new lines, columns and byte offsets: a longer
+        # block first, non-ASCII text before them, and a mid-line start.
+        resources = value["Resources"]
+        moved = {"Resources": {"Pad\u00e9\u00e9": {"Properties": "long " * 9}, **resources}}
+        for text in (
+            json.dumps(moved, indent=2),
+            json.dumps(moved, ensure_ascii=False),
+            '{"Description": "\u732b\u732b", "Resources": {"Odd": [1, 2],\n "Same2": '
+            + json.dumps(resources["Same2"], indent=3) + "}}",
+        ):
+            _assert_block_lint_matches(memo, text)
+
+    def test_each_distinct_block_is_checked_once(self, monkeypatch):
+        calls = []
+        inner = linter._Linter.check_resource
+
+        def counting(self, logical_id, entry):
+            calls.append(logical_id)
+            return inner(self, logical_id, entry)
+
+        monkeypatch.setattr(linter._Linter, "check_resource", counting)
+        memo = RunMemo(builtin_core_schemas())
+        document = parse_located(_AWKWARD)
+        lint_template(document, memo.store, memo=memo)
+        assert len(calls) == 8  # identical blocks under two ids are two blocks
+        lint_template(document, memo.store, memo=memo)
+        # The same block texts elsewhere in another template are hits too.
+        moved = parse_located('{"Description": "x",\n' + _AWKWARD[1:])
+        lint_template(moved, memo.store, memo=memo)
+        assert len(calls) == 8
+        lint_template(document, memo.store, strict_unknown_types=True, memo=memo)
+        assert len(calls) == 16
+
+    def test_memo_of_another_store_is_refused(self):
+        memo = RunMemo(builtin_core_schemas())
+        with pytest.raises(ValueError):
+            lint_template(parse_located(_AWKWARD), builtin_core_schemas(), memo=memo)
+
+    def test_capacity_evicts_oldest_first(self):
+        memo = RunMemo(builtin_core_schemas())
+        for i in range(RunMemo.CAPACITY + 2):
+            memo.put(i, -i)
+        assert len(memo) == RunMemo.CAPACITY
+        assert [memo.get(i) for i in (0, 1, 2, RunMemo.CAPACITY + 1)] == [None, None, -2, -RunMemo.CAPACITY - 1]
+        memo.put(2, "again")  # a stored key is replaced, nothing evicted
+        assert (len(memo), memo.get(2), memo.get(3)) == (RunMemo.CAPACITY, "again", -3)
+
+    def test_shared_between_threads(self):
+        memo = RunMemo(builtin_core_schemas())
+        errors = []
+
+        def work(worker: int) -> None:
+            try:
+                for i in range(1500):  # 12,000 keys in all: most are evicted
+                    key = (worker, i)
+                    memo.put(key, i)
+                    assert memo.get(key) in (None, i)
+                    assert len(memo) <= RunMemo.CAPACITY
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) == RunMemo.CAPACITY

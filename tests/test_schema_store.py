@@ -8,8 +8,9 @@ from iacloop.schema_store import (
     builtin_core_schemas,
     load_schema_dir,
     parse_schema_document,
-    save_schema_dir,
 )
+
+from helpers import save_schema_dir
 
 EC2_DOC = {
     "typeName": "AWS::EC2::Instance",
