@@ -150,12 +150,13 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     Aborted cells (a backend failure or any other exception from the loop)
     are excluded from totals and listed in ``failures``.  The reduction is a
     deterministic serial pass over cells ordered by (trial, case,
-    generation), whatever the parallelism.  The cells share one RunMemo,
-    which lints and serializes each distinct resource block once.
+    generation), whatever the parallelism.  With the synthetic backend the
+    cells share one RunMemo, which lints and serializes each distinct
+    resource block once; scripted and http replies are linted whole.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
-    memo = RunMemo(store)
+    memo = RunMemo(store) if cfg.backend == "synthetic" else None
     loop_cfg = LoopConfig(
         max_iterations=cfg.iterations,
         early_stop=False,

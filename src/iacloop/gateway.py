@@ -155,7 +155,8 @@ class HttpBackend:
     Retries 5xx responses, rate limits (429) and transport timeouts up to
     ``cfg.max_retries`` times with exponential backoff (1s, 2s, 4s, ...); a
     429 whose ``Retry-After`` header gives delta-seconds waits that long
-    instead.  Never mutates the conversation it is given.
+    instead, and one that asks for more than ``MAX_RETRY_AFTER_SECONDS`` is
+    a TransportError at once.  Never mutates the conversation it is given.
     """
 
     def __init__(
@@ -205,7 +206,15 @@ class HttpBackend:
                         status=response.status_code,
                         body_excerpt=response.text[:200],
                     )
-                self._backoff(attempt, _retry_after(response))
+                delay = _retry_after(response)
+                if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
+                    raise TransportError(
+                        f"rate limited {response.status_code}: Retry-After exceeds "
+                        f"{MAX_RETRY_AFTER_SECONDS:g} s",
+                        status=response.status_code,
+                        body_excerpt=response.text[:200],
+                    )
+                self._backoff(attempt, delay)
                 attempt += 1
                 continue
             if response.status_code != 200:
@@ -234,6 +243,10 @@ class HttpBackend:
         if not isinstance(content, str):
             raise TransportError("response content is not a string", status=200)
         return content
+
+
+# Longest server-requested wait a 429 retry honours.
+MAX_RETRY_AFTER_SECONDS = 120.0
 
 
 def _retry_after(response: Any) -> Optional[float]:
@@ -531,8 +544,11 @@ def _site_count(blocks: int, store: SchemaStore) -> int:
     return len({site for _, site in pairs})
 
 
-# RunMemo key of a store's (s0, k) template sizing.
-_SITE_COUNTS_KEY = ("site counts",)
+def _site_counts(store: SchemaStore) -> tuple[int, int]:
+    """(s0, k): the sites of a base template without blocks, and the sites
+    that each block adds."""
+    s0 = _site_count(0, store)
+    return s0, _site_count(1, store) - s0
 
 
 def _blocks_for(defect_count: int, store: SchemaStore, memo: Optional[RunMemo] = None) -> int:
@@ -546,13 +562,7 @@ def _blocks_for(defect_count: int, store: SchemaStore, memo: Optional[RunMemo] =
     fixed sites are too few.
     """
     needed = math.ceil(defect_count * 1.25) + 2
-    counts = memo.get(_SITE_COUNTS_KEY) if memo is not None else None
-    if counts is None:
-        s0 = _site_count(0, store)
-        counts = (s0, _site_count(1, store) - s0)
-        if memo is not None:
-            memo.put(_SITE_COUNTS_KEY, counts)
-    s0, k = counts
+    s0, k = memo.sizing(_site_counts) if memo is not None else _site_counts(store)
     if s0 + k >= needed:
         return 1
     if k == 0:
@@ -655,20 +665,13 @@ def synthetic_base_template(blocks: int) -> dict:
     }
 
 
-def _fragment(indent: str, key: str, value: Any, memo: RunMemo) -> str:
+def _encode_member(indent: str, key: str, value: Any) -> str:
     """One member of an ``indent=2`` dump, as it reads ``indent`` deep.
 
     Re-indenting by replacing newlines is exact because JSON output never
-    holds a raw newline inside a string.  ``repr`` keys the memo: for JSON
-    values it keeps key order and tells True, 1 and 1.0 apart.
+    holds a raw newline inside a string.
     """
-    memo_key = (indent, key, repr(value))
-    fragment = memo.get(memo_key)
-    if fragment is None:
-        dump = json.dumps(value, indent=2).replace("\n", "\n" + indent)
-        fragment = indent + json.dumps(key) + ": " + dump
-        memo.put(memo_key, fragment)
-    return fragment
+    return indent + json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _dump_template(template: dict, memo: Optional[RunMemo]) -> str:
@@ -680,10 +683,10 @@ def _dump_template(template: dict, memo: Optional[RunMemo]) -> str:
     members = []
     for key, value in template.items():
         if key == "Resources" and isinstance(value, dict) and value:
-            blocks = ",\n".join(_fragment("    ", k, v, memo) for k, v in value.items())
+            blocks = ",\n".join(memo.fragment("    ", k, v, _encode_member) for k, v in value.items())
             members.append('  "Resources": {\n' + blocks + "\n  }")
         else:
-            members.append(_fragment("  ", key, value, memo))
+            members.append(memo.fragment("  ", key, value, _encode_member))
     return "{\n" + ",\n".join(members) + "\n}"
 
 
@@ -717,8 +720,8 @@ class SyntheticBackend:
         self.params = params
         self.initial_defects = initial_defects
         self.store = store if store is not None else builtin_core_schemas()
-        if memo is not None and memo.store is not self.store:
-            raise ValueError("memo was built for another schema store")
+        if memo is not None:
+            memo.check_store(self.store)
         self.memo = memo
         self.rng = random.Random(params.seed)
         self.template: dict = {}

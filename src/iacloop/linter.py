@@ -26,7 +26,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .located_json import (
     JsonDocument,
@@ -181,28 +181,17 @@ class _Linter:
     def emit(self, code: str, message: str, pointer: str) -> None:
         self.findings.append((code, message, pointer))
 
-    def run(self, check_blocks: bool = True) -> dict:
-        """Apply the rules; returns the resource blocks, {} when there are
-        none to check.  Without ``check_blocks`` the rules of the blocks
-        themselves are left to the caller (see ``block_findings``)."""
+    def run(self) -> dict:
+        """Apply the whole-template rules; returns the resource blocks, {}
+        when there are none to check.  The caller checks each block."""
         if not isinstance(self.root, dict):
             self.emit("E0001", "Template root is not of type 'object'", "")
             return {}
         self.check_sections()
         self.check_format_version()
         resources = self.check_resources()
-        if check_blocks:
-            for logical_id, entry in resources.items():
-                self.check_resource(logical_id, entry)
         self.check_unused_parameters()
         return resources
-
-    def block_findings(self, logical_id: str, entry: Any) -> list[tuple[str, str, str]]:
-        """The findings of one resource block's rules alone."""
-        outer, self.findings = self.findings, []
-        self.check_resource(logical_id, entry)
-        found, self.findings = self.findings, outer
-        return found
 
     def check_sections(self) -> None:
         for key in self.root:
@@ -312,15 +301,17 @@ class _Linter:
 
 
 class RunMemo:
-    """Content-addressed results that the cells of one run share.
+    """Content-addressed results that the cells of one run share, for one
+    schema store.
 
-    The linter keeps each resource block's findings here, keyed by the
-    block's logical id, its source text and the strictness, for ``store``
-    only; the synthetic backend keeps its serialized fragments and its
+    It keeps each resource block's findings, keyed by the block's logical
+    id, its source text and the strictness; serialized template members,
+    keyed by indent, member key and ``repr`` of the value; and the store's
     template sizing.  Keys hold content, never identities, so an entry is
-    valid wherever its key recurs, and each user's keys have their own shape.
-    At most ``CAPACITY`` entries are kept, the oldest evicted first (the
-    paper-scale protocol stores about 770).  Safe to share between threads.
+    valid wherever its key recurs, and each kind of entry has its own key
+    space.  At most ``CAPACITY`` entries are kept, the oldest evicted first
+    (the paper-scale protocol stores about 770).  Safe to share between
+    threads.
     """
 
     CAPACITY = 4096
@@ -333,37 +324,64 @@ class RunMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Any) -> Any:
-        """The value stored under ``key``, or None."""
-        return self._entries.get(key)
+    def check_store(self, store: SchemaStore) -> None:
+        """Raise ValueError unless the memo was built for ``store``."""
+        if store is not self.store:
+            raise ValueError("memo was built for another schema store")
 
-    def put(self, key: Any, value: Any) -> None:
+    def block_findings(self, logical_id: str, source: str, strict: bool) -> Optional[tuple]:
+        """The findings kept for a resource block, or None."""
+        return self._entries.get(("block", logical_id, source, strict))
+
+    def keep_block_findings(self, logical_id: str, source: str, strict: bool, rows: tuple) -> None:
+        self._put(("block", logical_id, source, strict), rows)
+
+    def fragment(self, indent: str, key: str, value: Any, encode: Callable[[str, str, Any], str]) -> str:
+        """The member ``key: value`` serialized ``indent`` deep, made by
+        ``encode(indent, key, value)`` on a miss.  For JSON values ``repr``
+        keeps key order and tells True, 1 and 1.0 apart."""
+        memo_key = ("fragment", indent, key, repr(value))
+        text = self._entries.get(memo_key)
+        if text is None:
+            text = encode(indent, key, value)
+            self._put(memo_key, text)
+        return text
+
+    def sizing(self, measure: Callable[[SchemaStore], tuple[int, int]]) -> tuple[int, int]:
+        """The store's template sizing, made by ``measure(store)`` on a miss."""
+        counts = self._entries.get(("sizing",))
+        if counts is None:
+            counts = measure(self.store)
+            self._put(("sizing",), counts)
+        return counts
+
+    def _put(self, key: tuple, value: Any) -> None:
         with self._lock:
             if key not in self._entries and len(self._entries) >= self.CAPACITY:
                 del self._entries[next(iter(self._entries))]
             self._entries[key] = value
 
 
-def _lint_by_block(linter: _Linter, text: str, memo: RunMemo) -> list[Diagnostic]:
+def _lint_by_block(linter: _Linter, resources: dict, text: str, memo: RunMemo) -> list[Diagnostic]:
     """Diagnostics of the whole template, with each resource block's own
     findings taken from ``memo`` when its (logical id, source text) recurs.
 
-    A stored finding's span is relative to its block's start: the line and
-    byte offset add, and the column adds only on the block's first line.
-    The spans of new blocks' findings and of the whole-template findings
-    are resolved together, in one walk.
+    ``linter`` has applied the whole-template rules.  A stored finding's
+    span is relative to its block's start: the line and byte offset add,
+    and the column adds only on the block's first line.  The spans of new
+    blocks' findings and of the whole-template findings are resolved
+    together, in one walk.
     """
-    resources = linter.run(check_blocks=False)
-    whole = linter.findings
-    missed = []  # (key, block start, findings)
+    missed = []  # (logical id, source, block start, findings)
     diagnostics = []
     if resources:
         slices = member_slices(text, "Resources")
         for (logical_id, entry), (source, origin) in zip(resources.items(), slices):
-            key = (logical_id, source, linter.strict)
-            rows = memo.get(key)
+            rows = memo.block_findings(logical_id, source, linter.strict)
             if rows is None:
-                missed.append((key, origin, linter.block_findings(logical_id, entry)))
+                block = _Linter(linter.root, linter.store, linter.strict)
+                block.check_resource(logical_id, entry)
+                missed.append((logical_id, source, origin, block.findings))
                 continue
             for code, message, pointer, line, column, byte_offset in rows:
                 span = SourceSpan(
@@ -372,14 +390,14 @@ def _lint_by_block(linter: _Linter, text: str, memo: RunMemo) -> list[Diagnostic
                     origin.byte_offset + byte_offset,
                 )
                 diagnostics.append(Diagnostic(code, message, span, pointer))
-    pointers = {pointer for _, _, pointer in whole}
-    for _, _, found in missed:
+    pointers = {pointer for _, _, pointer in linter.findings}
+    for *_, found in missed:
         pointers.update(pointer for _, _, pointer in found)
     if not pointers:
         return diagnostics
     spans = resolve_spans(text, pointers)
-    diagnostics.extend(Diagnostic(code, message, spans[pointer], pointer) for code, message, pointer in whole)
-    for key, origin, found in missed:
+    diagnostics.extend(Diagnostic(code, message, spans[pointer], pointer) for code, message, pointer in linter.findings)
+    for logical_id, source, origin, found in missed:
         rows = []
         for code, message, pointer in found:
             span = spans[pointer]
@@ -387,7 +405,7 @@ def _lint_by_block(linter: _Linter, text: str, memo: RunMemo) -> list[Diagnostic
             column = span.column - origin.column + 1 if line == 0 else span.column
             rows.append((code, message, pointer, line, column, span.byte_offset - origin.byte_offset))
             diagnostics.append(Diagnostic(code, message, span, pointer))
-        memo.put(key, tuple(rows))
+        memo.keep_block_findings(logical_id, source, linter.strict, tuple(rows))
     return diagnostics
 
 
@@ -408,13 +426,15 @@ def lint_template(
     Deterministic for fixed inputs; diagnostics are ordered by
     (byte_offset, code).
     """
-    linter = _Linter(document.value, store, strict_unknown_types)
     if memo is not None:
-        if memo.store is not store:
-            raise ValueError("memo was built for another schema store")
-        diagnostics = _lint_by_block(linter, document.text, memo)
+        memo.check_store(store)
+    linter = _Linter(document.value, store, strict_unknown_types)
+    resources = linter.run()
+    if memo is not None:
+        diagnostics = _lint_by_block(linter, resources, document.text, memo)
     else:
-        linter.run()
+        for logical_id, entry in resources.items():
+            linter.check_resource(logical_id, entry)
         spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
         diagnostics = [
             Diagnostic(code, message, spans[pointer], pointer)

@@ -126,7 +126,7 @@ def _may_nest_too_deep(text: str) -> bool:
     container past MAX_NESTING_DEPTH before the text's first syntax error."""
     if text.count("{") + text.count("[") <= MAX_NESTING_DEPTH:
         return False
-    data = text.encode("utf-8")
+    data = text.encode("utf-8", "surrogatepass")
     if b"\\" in data:
         # Escapes live inside strings; dropping escaped backslashes, then
         # escaped quotes, leaves only the quotes that delimit strings.
@@ -245,7 +245,11 @@ def parse_located(text: str) -> JsonDocument:
 
 
 def _spans_at(text: str, offsets: list[int]) -> list[SourceSpan]:
-    """Spans of ascending character offsets, counted in one forward pass."""
+    """Spans of ascending character offsets, counted in one forward pass.
+
+    A lone surrogate, which a decoded ``\\ud83d`` escape can leave in the
+    text, counts as the three bytes of its ``surrogatepass`` encoding.
+    """
     ascii_only = text.isascii()
     spans = []
     line, line_start, previous, byte_offset = 1, 0, 0, 0
@@ -257,7 +261,7 @@ def _spans_at(text: str, offsets: list[int]) -> list[SourceSpan]:
         if ascii_only:
             byte_offset = offset
         else:
-            byte_offset += len(text[previous:offset].encode("utf-8"))
+            byte_offset += len(text[previous:offset].encode("utf-8", "surrogatepass"))
         previous = offset
         spans.append(SourceSpan(line, offset - line_start + 1, byte_offset))
     return spans

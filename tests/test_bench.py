@@ -191,6 +191,27 @@ class TestRunBenchmark:
         run_benchmark(cfg)
         assert seen == ["gpt-4o-mini", "gpt-4o-mini"]
 
+    def test_only_synthetic_runs_share_a_memo(self, one_case_dir, script_dir, monkeypatch):
+        from iacloop import bench
+
+        seen = []
+        inner = bench.run_loop
+
+        def recording(case, backend, store, loop_cfg, generation_index=0, memo=None):
+            seen.append(memo)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
+
+        monkeypatch.setattr(bench, "run_loop", recording)
+        run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
+                                      iterations=1, trials=2))
+        assert len(seen) == 4 and seen[0] is not None
+        assert all(memo is seen[0] for memo in seen)
+        seen.clear()
+        run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=1,
+                                      iterations=1, trials=1, backend="scripted",
+                                      script_dir=str(script_dir)))
+        assert seen == [None]
+
     def test_traces_persisted(self, one_case_dir, script_dir, tmp_path):
         traces_dir = tmp_path / "traces"
         cfg = BenchmarkConfig(

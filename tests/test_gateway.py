@@ -16,6 +16,7 @@ from iacloop.gateway import (
     DEFECT_KINDS,
     GenerationConfig,
     HttpBackend,
+    MAX_RETRY_AFTER_SECONDS,
     NoTemplateFound,
     ScriptedBackend,
     ScriptExhausted,
@@ -185,6 +186,26 @@ class TestHttpBackend:
         assert exc_info.value.status == 429
         assert "rate limited" in str(exc_info.value)
         assert sleeps == [0.0, 0.0]
+
+    @pytest.mark.parametrize("value", ["121", "3600", "9" * 400])
+    def test_rate_limit_refuses_a_long_retry_after(self, stub_server, value):
+        base, handler = stub_server
+        handler.script += [(429, {}, ("Retry-After", value)), (200, _completion("X"))]
+        sleeps = []
+        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        with pytest.raises(TransportError) as exc_info:
+            backend.complete(CONVERSATION, CFG)
+        assert exc_info.value.status == 429
+        assert "Retry-After exceeds 120 s" in str(exc_info.value)
+        assert sleeps == []
+
+    def test_rate_limit_waits_up_to_the_ceiling(self, stub_server):
+        base, handler = stub_server
+        handler.script += [(429, {}, ("Retry-After", "120")), (200, _completion("X"))]
+        sleeps = []
+        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION, CFG) == "X"
+        assert sleeps == [MAX_RETRY_AFTER_SECONDS] == [120.0]
 
     def test_auth_error_on_401(self, stub_server):
         base, handler = stub_server

@@ -319,14 +319,48 @@ class TestBlockMemo:
         with pytest.raises(ValueError):
             lint_template(parse_located(_AWKWARD), builtin_core_schemas(), memo=memo)
 
+    def test_lone_surrogate_before_the_blocks(self):
+        # A reply holding "\ud83d" decodes to a text with a lone surrogate;
+        # a clean template stays clean and later spans count it as 3 bytes.
+        store = builtin_core_schemas()
+        clean = '{"Description": "x\ud83d", "Resources": {"B": {"Type": "AWS::S3::Bucket"}}}'
+        memo = RunMemo(store)
+        for text in (clean, clean.replace("}}}", '}, "C": 5}}')):
+            _assert_block_lint_matches(memo, text)
+        assert lint_template(parse_located(clean), store, memo=memo).diagnostics == ()
+        (finding,) = lint_template(parse_located(text), store, memo=memo).diagnostics
+        assert finding.span == SourceSpan(1, text.index("5") + 1, text.index("5") + 2)
+
     def test_capacity_evicts_oldest_first(self):
         memo = RunMemo(builtin_core_schemas())
         for i in range(RunMemo.CAPACITY + 2):
-            memo.put(i, -i)
+            memo.keep_block_findings(str(i), "{}", False, (i,))
         assert len(memo) == RunMemo.CAPACITY
-        assert [memo.get(i) for i in (0, 1, 2, RunMemo.CAPACITY + 1)] == [None, None, -2, -RunMemo.CAPACITY - 1]
-        memo.put(2, "again")  # a stored key is replaced, nothing evicted
-        assert (len(memo), memo.get(2), memo.get(3)) == (RunMemo.CAPACITY, "again", -3)
+        assert [memo.block_findings(str(i), "{}", False) for i in (0, 1, 2, RunMemo.CAPACITY + 1)] == [
+            None, None, (2,), (RunMemo.CAPACITY + 1,)
+        ]
+        memo.keep_block_findings("2", "{}", False, ("again",))  # a stored key is replaced, nothing evicted
+        assert (len(memo), memo.block_findings("2", "{}", False), memo.block_findings("3", "{}", False)) == (
+            RunMemo.CAPACITY, ("again",), (3,)
+        )
+
+    def test_kinds_of_entry_have_their_own_keys(self):
+        memo = RunMemo(builtin_core_schemas())
+        encoded = []
+
+        def encode(indent, key, value):
+            encoded.append(value)
+            return f"{indent}{key}={value!r}"
+
+        memo.keep_block_findings("A", "1", False, ("rows",))
+        assert memo.fragment("A", "1", False, encode) == "A1=False"  # same parts, another kind
+        assert memo.fragment("A", "1", False, encode) == "A1=False"
+        assert memo.fragment("A", "1", 0, encode) == "A1=0"  # repr tells False and 0 apart
+        assert encoded == [False, 0]
+        assert memo.block_findings("A", "1", False) == ("rows",)
+        assert memo.sizing(lambda store: (store is memo.store, 1)) == (True, 1)
+        assert memo.sizing(lambda store: (0, 0)) == (True, 1)
+        assert len(memo) == 4
 
     def test_shared_between_threads(self):
         memo = RunMemo(builtin_core_schemas())
@@ -335,9 +369,9 @@ class TestBlockMemo:
         def work(worker: int) -> None:
             try:
                 for i in range(1500):  # 12,000 keys in all: most are evicted
-                    key = (worker, i)
-                    memo.put(key, i)
-                    assert memo.get(key) in (None, i)
+                    logical_id = f"{worker}/{i}"
+                    memo.keep_block_findings(logical_id, "{}", False, (i,))
+                    assert memo.block_findings(logical_id, "{}", False) in (None, (i,))
                     assert len(memo) <= RunMemo.CAPACITY
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)

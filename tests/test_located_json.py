@@ -131,6 +131,20 @@ class TestParseLocated:
                 parse_located('["' + "[" * 300 + tail)
             assert (exc_info.value.reason, exc_info.value.span.column) == (reason, column)
 
+    def test_lone_surrogate_counts_three_bytes(self):
+        # A decoded "\ud83d" escape leaves a lone surrogate, which UTF-8
+        # cannot encode; positions after it still resolve.
+        text = json.loads(r'"{\"a\": \"x\ud83d\", \"b\": 5}"')
+        assert "\ud83d" in text
+        offset = text.index("5")
+        assert span_of(parse_located(text).text, "/b") == SourceSpan(1, offset + 1, offset + 2)
+        with pytest.raises(DuplicateKeyError):
+            parse_located(text[:-1] + ", \"b\": 6}")
+        deep = "[" * (MAX_NESTING_DEPTH + 1) + '"\ud83d"' + "]" * (MAX_NESTING_DEPTH + 1)
+        with pytest.raises(JsonSyntaxError) as exc_info:
+            parse_located(deep)
+        assert exc_info.value.reason == "nesting too deep"
+
     def test_nesting_depth_counts_open_containers_only(self):
         deepest = "[" * MAX_NESTING_DEPTH + "]" * MAX_NESTING_DEPTH
         assert parse_located(deepest).value == json.loads(deepest)
