@@ -157,6 +157,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
     memo = RunMemo(store) if cfg.backend == "synthetic" else None
+    if cfg.traces_dir:  # before any cell runs, so a bad path costs no calls
+        Path(cfg.traces_dir).mkdir(parents=True, exist_ok=True)
     loop_cfg = LoopConfig(
         max_iterations=cfg.iterations,
         early_stop=False,
@@ -232,13 +234,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     ]
 
     if cfg.traces_dir:
-        out = Path(cfg.traces_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for cell, outcome in zip(cells, outcomes):
             if isinstance(outcome, CellFailure):
                 continue
             name = f"trial{cell[0]:02d}_{outcome.case_id}_gen{cell[2]}.json"
-            (out / name).write_text(
+            (Path(cfg.traces_dir) / name).write_text(
                 json.dumps(outcome.to_dict(), indent=2) + "\n", encoding="utf-8"
             )
 

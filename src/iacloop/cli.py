@@ -220,6 +220,8 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
         schemas_dir=args.schemas or config.get("schemas_dir"),
         traces_dir=args.traces_dir,
     )
+    if not Path(args.out).parent.is_dir():  # checked before any cell runs
+        raise FileNotFoundError(f"results directory not found: {Path(args.out).parent}")
     result = run_benchmark(cfg)
     stats = aggregate(result.trials) if cfg.trials >= 2 else None
     # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.

@@ -544,33 +544,31 @@ def _site_count(blocks: int, store: SchemaStore) -> int:
     return len({site for _, site in pairs})
 
 
-def _site_counts(store: SchemaStore) -> tuple[int, int]:
-    """(s0, k): the sites of a base template without blocks, and the sites
-    that each block adds."""
-    s0 = _site_count(0, store)
-    return s0, _site_count(1, store) - s0
-
-
-def _blocks_for(defect_count: int, store: SchemaStore, memo: Optional[RunMemo] = None) -> int:
-    """Smallest block count (at least 1) whose base template leaves free-site
-    headroom for ``defect_count`` defects.
+def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple[str, str]]]:
+    """The clean base template with the fewest blocks (at least 1) that
+    leaves free-site headroom for ``defect_count`` defects, and its
+    error-kind (kind, site) pairs in document order.
 
     Every block adds the same resources, so the site count is linear in the
     block count: ``s0 + blocks * k`` (s0 = 9, k = 13 for the builtin store).
-    A memo, built for ``store``, keeps s0 and k for its run.  Raises
-    ValueError when the store makes no block site eligible (k = 0) and the
-    fixed sites are too few.
+    The 0-block template, which gives s0, is enumerated only when one block
+    is too small.  Raises ValueError when the store makes no block site
+    eligible (k = 0) and the fixed sites are too few.
     """
     needed = math.ceil(defect_count * 1.25) + 2
-    s0, k = memo.sizing(_site_counts) if memo is not None else _site_counts(store)
-    if s0 + k >= needed:
-        return 1
-    if k == 0:
+    template = synthetic_base_template(1)
+    pairs = _eligible_pairs(template, store, set(), error_only=True)
+    sites = len({site for _, site in pairs})
+    if sites >= needed:
+        return template, pairs
+    s0 = _site_count(0, store)
+    if sites == s0:
         raise ValueError(
             f"schema store leaves {s0} defect sites, {needed} needed for "
             f"{defect_count} defects: it has no property schemas for the template's types"
         )
-    return math.ceil((needed - s0) / k)
+    template = synthetic_base_template(math.ceil((needed - s0) / (sites - s0)))
+    return template, _eligible_pairs(template, store, set(), error_only=True)
 
 
 @dataclass(frozen=True)
@@ -706,8 +704,9 @@ class SyntheticBackend:
     generation); every later feedback turn runs one repair/spawn step.
     Identical construction (params, seed, sizing) and call sequence yield
     identical strings.  A ``memo``, built for ``store`` and shared by the
-    backends of one run, keeps serialized blocks and the template sizing;
-    it changes no output.
+    backends of one run, keeps serialized blocks; it changes no output.
+    Raises ValueError unless ``initial_defects`` is a count of at least 0
+    or a range with 0 <= lo <= hi.
     """
 
     def __init__(
@@ -717,6 +716,9 @@ class SyntheticBackend:
         store: Optional[SchemaStore] = None,
         memo: Optional[RunMemo] = None,
     ):
+        lo, hi = initial_defects if isinstance(initial_defects, tuple) else (initial_defects, initial_defects)
+        if not 0 <= lo <= hi:
+            raise ValueError(f"initial defects must be a count >= 0 or a range 0 <= lo <= hi, got {initial_defects}")
         self.params = params
         self.initial_defects = initial_defects
         self.store = store if store is not None else builtin_core_schemas()
@@ -757,11 +759,10 @@ class SyntheticBackend:
             count = self.rng.randint(lo, hi)
         else:
             count = self.initial_defects
-        self.template = synthetic_base_template(_blocks_for(count, self.store, self.memo))
-        self.live = []
         # Injections only ever remove eligibility at the occupied site, so the
         # clean-template enumeration can be filtered instead of recomputed.
-        all_pairs = _eligible_pairs(self.template, self.store, set(), error_only=True)
+        self.template, all_pairs = _sized_base(count, self.store)
+        self.live = []
         occupied: set[str] = set()
         for _ in range(count):
             pairs = [p for p in all_pairs if p[1] not in occupied]

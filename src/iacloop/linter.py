@@ -31,10 +31,10 @@ from typing import Any, Callable, Optional
 from .located_json import (
     JsonDocument,
     SourceSpan,
+    _spans_at,
     escape_pointer_token,
-    member_slices,
     render_value,
-    resolve_spans,
+    resolve_offsets,
 )
 from .schema_store import PropertySpec, SchemaStore
 
@@ -305,13 +305,12 @@ class RunMemo:
     schema store.
 
     It keeps each resource block's findings, keyed by the block's logical
-    id, its source text and the strictness; serialized template members,
-    keyed by indent, member key and ``repr`` of the value; and the store's
-    template sizing.  Keys hold content, never identities, so an entry is
-    valid wherever its key recurs, and each kind of entry has its own key
-    space.  At most ``CAPACITY`` entries are kept, the oldest evicted first
-    (the paper-scale protocol stores about 770).  Safe to share between
-    threads.
+    id, its source text and the strictness, and serialized template
+    members, keyed by indent, member key and ``repr`` of the value.  Keys
+    hold content, never identities, so an entry is valid wherever its key
+    recurs, and each kind of entry has its own key space.  At most
+    ``CAPACITY`` entries are kept, the oldest evicted first (the paper-scale
+    protocol stores about 770).  Safe to share between threads.
     """
 
     CAPACITY = 4096
@@ -347,14 +346,6 @@ class RunMemo:
             self._put(memo_key, text)
         return text
 
-    def sizing(self, measure: Callable[[SchemaStore], tuple[int, int]]) -> tuple[int, int]:
-        """The store's template sizing, made by ``measure(store)`` on a miss."""
-        counts = self._entries.get(("sizing",))
-        if counts is None:
-            counts = measure(self.store)
-            self._put(("sizing",), counts)
-        return counts
-
     def _put(self, key: tuple, value: Any) -> None:
         with self._lock:
             if key not in self._entries and len(self._entries) >= self.CAPACITY:
@@ -362,51 +353,21 @@ class RunMemo:
             self._entries[key] = value
 
 
-def _lint_by_block(linter: _Linter, resources: dict, text: str, memo: RunMemo) -> list[Diagnostic]:
-    """Diagnostics of the whole template, with each resource block's own
-    findings taken from ``memo`` when its (logical id, source text) recurs.
-
-    ``linter`` has applied the whole-template rules.  A stored finding's
-    span is relative to its block's start: the line and byte offset add,
-    and the column adds only on the block's first line.  The spans of new
-    blocks' findings and of the whole-template findings are resolved
-    together, in one walk.
-    """
-    missed = []  # (logical id, source, block start, findings)
-    diagnostics = []
-    if resources:
-        slices = member_slices(text, "Resources")
-        for (logical_id, entry), (source, origin) in zip(resources.items(), slices):
-            rows = memo.block_findings(logical_id, source, linter.strict)
-            if rows is None:
-                block = _Linter(linter.root, linter.store, linter.strict)
-                block.check_resource(logical_id, entry)
-                missed.append((logical_id, source, origin, block.findings))
-                continue
-            for code, message, pointer, line, column, byte_offset in rows:
-                span = SourceSpan(
-                    origin.line + line,
-                    column + origin.column - 1 if line == 0 else column,
-                    origin.byte_offset + byte_offset,
-                )
-                diagnostics.append(Diagnostic(code, message, span, pointer))
-    pointers = {pointer for _, _, pointer in linter.findings}
-    for *_, found in missed:
-        pointers.update(pointer for _, _, pointer in found)
-    if not pointers:
-        return diagnostics
-    spans = resolve_spans(text, pointers)
-    diagnostics.extend(Diagnostic(code, message, spans[pointer], pointer) for code, message, pointer in linter.findings)
-    for logical_id, source, origin, found in missed:
-        rows = []
-        for code, message, pointer in found:
-            span = spans[pointer]
-            line = span.line - origin.line
-            column = span.column - origin.column + 1 if line == 0 else span.column
-            rows.append((code, message, pointer, line, column, span.byte_offset - origin.byte_offset))
-            diagnostics.append(Diagnostic(code, message, span, pointer))
-        memo.keep_block_findings(logical_id, source, linter.strict, tuple(rows))
-    return diagnostics
+def _block_rows(linter: _Linter, logical_id: str, entry: Any, prefix: str, source: str, memo: RunMemo):
+    """A resource block's findings as rows (offset in ``source``, code,
+    message, pointer), taken from ``memo`` when its (logical id, source
+    text) recurs.  ``prefix`` is the block's pointer; a new block's findings
+    are located in ``source`` under their pointers without it."""
+    rows = memo.block_findings(logical_id, source, linter.strict)
+    if rows is None:
+        block = _Linter(linter.root, linter.store, linter.strict)
+        block.check_resource(logical_id, entry)
+        starts = resolve_offsets(source, {pointer[len(prefix):] for *_, pointer in block.findings})[0]
+        rows = tuple(
+            (starts[pointer[len(prefix):]], code, message, pointer) for code, message, pointer in block.findings
+        )
+        memo.keep_block_findings(logical_id, source, linter.strict, rows)
+    return rows
 
 
 def lint_template(
@@ -418,27 +379,36 @@ def lint_template(
 ) -> LintReport:
     """Apply the full rule registry to a parsed template.
 
-    The rules read the plain value; the spans of the findings are then
-    resolved from the text in one batch.  With ``strict_unknown_types`` a
-    resource type the store does not hold is an error (E3002).  With a
-    ``memo`` built for ``store``, a resource block whose logical id and
-    source text it has seen is not checked again; the report is the same.
-    Deterministic for fixed inputs; diagnostics are ordered by
-    (byte_offset, code).
+    The rules read the plain value; each finding is then located by the
+    character offset of its pointer's value, found in one walk over the
+    text, and all offsets become spans in one pass.  With
+    ``strict_unknown_types`` a resource type the store does not hold is an
+    error (E3002).  With a ``memo`` built for ``store``, the walk also finds
+    where each resource block ends, and a block whose logical id and source
+    text the memo has seen is not checked again; its stored offsets are
+    relative to the block's start.  The report is the same.  Deterministic
+    for fixed inputs; diagnostics are ordered by (offset, code), ties in
+    emission order.
     """
     if memo is not None:
         memo.check_store(store)
     linter = _Linter(document.value, store, strict_unknown_types)
     resources = linter.run()
-    if memo is not None:
-        diagnostics = _lint_by_block(linter, resources, document.text, memo)
-    else:
+    blocks: dict[str, str] = {}  # pointer -> logical id of each block the memo serves
+    if memo is None:
         for logical_id, entry in resources.items():
             linter.check_resource(logical_id, entry)
-        spans = resolve_spans(document.text, {pointer for _, _, pointer in linter.findings})
-        diagnostics = [
-            Diagnostic(code, message, spans[pointer], pointer)
-            for code, message, pointer in linter.findings
-        ]
-    diagnostics.sort(key=lambda d: (d.span.byte_offset, d.code))
-    return LintReport(tuple(diagnostics))
+    else:
+        blocks = {"/Resources/" + escape_pointer_token(logical_id): logical_id for logical_id in resources}
+    text = document.text
+    starts, ends = resolve_offsets(text, {pointer for *_, pointer in linter.findings}.union(blocks), blocks)
+    findings = [(starts[pointer], code, message, pointer) for code, message, pointer in linter.findings]
+    for prefix, logical_id in blocks.items():
+        start = starts[prefix]
+        rows = _block_rows(linter, logical_id, resources[logical_id], prefix, text[start : ends[prefix]], memo)
+        findings.extend((start + offset, *row) for offset, *row in rows)
+    findings.sort(key=lambda finding: finding[:2])  # stable: emission order breaks ties
+    spans = _spans_at(text, [offset for offset, *_ in findings])
+    return LintReport(
+        tuple(Diagnostic(code, message, span, pointer) for (_, code, message, pointer), span in zip(findings, spans))
+    )

@@ -7,10 +7,12 @@ with two deliberate exceptions: duplicate object keys are rejected instead of
 silently keeping the last value, which keeps lint results deterministic, and
 at most ``MAX_NESTING_DEPTH`` containers may be open at once.
 
-Positions are computed only where they are asked for: ``resolve_spans`` maps
-a batch of JSON pointers to the spans of their values in one walk over the
-text.  Lines and columns are 1-based.  Columns count characters, byte offsets
-count UTF-8 bytes, so multi-byte text still yields human-meaningful positions.
+Positions are computed only where they are asked for: ``resolve_offsets`` maps
+a batch of JSON pointers to the character offsets of their values in one walk
+over the text, and ``_spans_at`` turns ascending offsets into spans in one
+pass; ``resolve_spans`` does both.  Lines and columns are 1-based.  Columns
+count characters, byte offsets count UTF-8 bytes, so multi-byte text still
+yields human-meaningful positions.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ __all__ = [
     "render_value",
     "escape_pointer_token",
 ]
-# ``resolve_spans`` and ``member_slices`` run inside ``linter.lint_template``;
-# they are left out of ``__all__`` so that per-layer traces count their time
-# there.
+# ``resolve_offsets`` runs inside ``linter.lint_template``; it and
+# ``resolve_spans`` are left out of ``__all__`` so that per-layer traces count
+# their time there.
 
 # Most containers open at once.  The check runs before decoding, so hostile
 # nesting is a JsonSyntaxError at the offending bracket, never a RecursionError
@@ -289,9 +291,10 @@ def _skip_ws(text: str, pos: int) -> int:
 _PLAIN_KEY_RE = re.compile(r'"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*')
 # What follows a member's value: a comma or the container's closer.
 _AFTER_VALUE_RE = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
-# Key under which a trie node records the pointer that ends there; pointer
-# tokens are strings, so it never collides with one.
-_HERE = None
+# Keys under which a trie node records the pointer whose value starts there
+# and the pointer whose value's end is wanted; pointer tokens are strings, so
+# neither collides with one.
+_HERE, _END = None, 0
 
 
 def _member_key(text: str, pos: int) -> tuple[str, int]:
@@ -303,18 +306,19 @@ def _member_key(text: str, pos: int) -> tuple[str, int]:
     return token, _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
 
 
-def _locate(text: str, pos: int, wanted: dict, found: dict[str, int], need_end: bool) -> int:
+def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_end: bool) -> int:
     """Record the offsets of the wanted values inside the value at ``pos``.
 
     ``wanted`` is a trie of pointer tokens.  Only requested members are
-    descended into; siblings are skipped with the C scanner.  Returns the
-    offset just past the value when ``need_end`` is set, else -1 as soon as
-    everything wanted here is found.
+    descended into; siblings are skipped with the C scanner.  A member whose
+    node holds ``_END`` also has the offset just past its value recorded.
+    Returns the offset just past the value when ``need_end`` is set, else -1
+    as soon as everything wanted here is found.
     """
     here = wanted.get(_HERE)
     if here is not None:
-        found[here] = pos
-    pending = len(wanted) - (here is not None)
+        starts[here] = pos
+    pending = len(wanted) - (here is not None) - (_END in wanted)
     opener = text[pos]
     if not pending or opener not in "{[":
         return _scan_once(text, pos)[1] if need_end else -1
@@ -333,13 +337,33 @@ def _locate(text: str, pos: int, wanted: dict, found: dict[str, int], need_end: 
             pos = _scan_once(text, pos)[1]
         else:
             pending -= 1
-            pos = _locate(text, pos, child, found, need_end or pending > 0)
+            end_of = child.get(_END)
+            pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
+            if end_of is not None:
+                ends[end_of] = pos
             if not (pending or need_end):
                 return -1
         after = _AFTER_VALUE_RE.match(text, pos)
-        pos = after.end()
         if after.group(1) != ",":
-            return pos
+            return after.end(1)
+        pos = after.end()
+
+
+def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()) -> tuple[dict, dict]:
+    """Character offsets at which the values that RFC 6901 ``pointers`` name
+    in valid JSON ``text`` start, and just past which the values that
+    ``ends`` name (below the root) end, found in one walk.  A pointer that
+    names no value is absent from the result."""
+    trie: dict = {}
+    for marker, batch in ((_HERE, pointers), (_END, ends)):
+        for pointer in batch:
+            node = trie
+            for token in _parse_pointer(pointer):
+                node = node.setdefault(token, {})
+            node[marker] = pointer
+    starts, stops = {}, {}
+    _locate(text, _skip_ws(text, 0), trie, starts, stops, need_end=False)
+    return starts, stops
 
 
 def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[SourceSpan]]:
@@ -349,45 +373,10 @@ def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[Sour
     value (missing key, index out of range or not canonical, step into a
     scalar) maps to None.
     """
-    trie: dict = {}
     pointers = list(pointers)
-    for pointer in pointers:
-        node = trie
-        for token in _parse_pointer(pointer):
-            node = node.setdefault(token, {})
-        node[_HERE] = pointer
-    found: dict[str, int] = {}
-    _locate(text, _skip_ws(text, 0), trie, found, need_end=False)
-    located = sorted(found.items(), key=lambda item: item[1])
+    located = sorted(resolve_offsets(text, pointers)[0].items(), key=lambda item: item[1])
     spans = dict(zip((p for p, _ in located), _spans_at(text, [o for _, o in located])))
     return {pointer: spans.get(pointer) for pointer in pointers}
-
-
-def member_slices(text: str, key: str) -> list[tuple[str, SourceSpan]]:
-    """Source text and start span of each member value of the object that the
-    root object's member ``key`` holds, in text order.
-
-    ``text`` must be valid JSON whose root object has that member, holding a
-    non-empty object.
-    """
-    pos = _skip_ws(text, _skip_ws(text, 0) + 1)
-    while True:
-        token, pos = _member_key(text, pos)
-        if token == key:
-            break
-        pos = _AFTER_VALUE_RE.match(text, _scan_once(text, pos)[1]).end()
-    bounds = []
-    pos = _skip_ws(text, pos + 1)
-    while True:
-        pos = _member_key(text, pos)[1]
-        end = _scan_once(text, pos)[1]
-        bounds.append((pos, end))
-        after = _AFTER_VALUE_RE.match(text, end)
-        if after.group(1) != ",":
-            break
-        pos = after.end()
-    starts = _spans_at(text, [start for start, _ in bounds])
-    return [(text[start:end], span) for (start, end), span in zip(bounds, starts)]
 
 
 def render_value(value: Any) -> str:

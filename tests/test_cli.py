@@ -2,7 +2,9 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
 
+from iacloop import bench
 from iacloop.cli import dispatch
 from iacloop.schema_store import builtin_core_schemas
 
@@ -253,6 +255,78 @@ class TestLoopCommand:
             "--out", str(tmp_path / "t.json"),
         ])
         assert code == 1
+
+    def test_negative_initial_defects_fail_before_the_loop(self, tmp_path, capsys):
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "trace.json"
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+            "--initial-defects", "-1", "--out", str(out),
+        ])
+        assert code == 3
+        assert "initial defects" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture
+def cells_run(monkeypatch):
+    """The cells a bench run starts, counted at ``bench.run_loop``."""
+    calls = []
+    inner = bench.run_loop
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].id)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_loop", counting)
+    return calls
+
+
+def _bench_args(tmp_path, *extra: str) -> list[str]:
+    cases = tmp_path / "cases"
+    cases.mkdir(exist_ok=True)
+    for i in range(2):
+        (cases / f"case{i}.txt").write_text(f"Create stack {i}")
+    return [
+        "bench", "--cases", str(cases), "--backend", "synthetic",
+        "--trials", "2", "--generations", "1", "--iterations", "2", *extra,
+    ]
+
+
+class TestBenchFailsBeforeItsCells:
+    @pytest.mark.parametrize("low, high", [("10", "5"), ("-3", "-1"), ("-1", "4")])
+    def test_invalid_defect_range(self, tmp_path, capsys, cells_run, low, high):
+        results = tmp_path / "results.json"
+        code = dispatch(_bench_args(
+            tmp_path, "--defects-min", low, "--defects-max", high, "--out", str(results),
+        ))
+        assert code == 3
+        assert "initial defects" in capsys.readouterr().err
+        assert cells_run == []
+        assert not results.exists()
+
+    def test_traces_dir_that_is_a_file(self, tmp_path, capsys, cells_run):
+        traces = tmp_path / "traces"
+        traces.write_text("not a directory")
+        results = tmp_path / "results.json"
+        code = dispatch(_bench_args(tmp_path, "--traces-dir", str(traces), "--out", str(results)))
+        assert code == 3
+        assert cells_run == []
+        assert not results.exists()
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, cells_run):
+        code = dispatch(_bench_args(tmp_path, "--out", str(tmp_path / "missing" / "results.json")))
+        assert code == 3
+        assert "results directory not found" in capsys.readouterr().err
+        assert cells_run == []
+
+    def test_valid_locations_run_every_cell(self, tmp_path, capsys, cells_run):
+        traces = tmp_path / "new" / "traces"
+        code = dispatch(_bench_args(tmp_path, "--traces-dir", str(traces), "--out", str(tmp_path / "r.json")))
+        assert code == 0
+        assert sorted(cells_run) == ["case0", "case0", "case1", "case1"]
+        assert len(list(traces.iterdir())) == 4
 
 
 class TestBenchAndReport:

@@ -23,10 +23,10 @@ from iacloop.gateway import (
     SyntheticBackend,
     SyntheticParams,
     TransportError,
-    _blocks_for,
     _eligible_pairs,
     _largest_balanced_braces,
     _site_count,
+    _sized_base,
     extract_template,
     generate,
     mix64,
@@ -537,21 +537,26 @@ class TestSyntheticLedger:
 
 
 class TestTemplateSizing:
-    def test_run_memo_sizes_once(self, monkeypatch):
+    def test_one_block_sizing_enumerates_once(self, monkeypatch):
+        # Sizing reuses the enumeration that injection needs: a count that
+        # fits one block enumerates only the 1-block template (4 resources);
+        # a larger one also enumerates the 0-block template, then its own.
         from iacloop import gateway
 
-        sized = []
-        inner = gateway._site_count
-        monkeypatch.setattr(gateway, "_site_count", lambda b, store: sized.append(b) or inner(b, store))
+        enumerated = []
+        inner = gateway._eligible_pairs
+
+        def counting(template, *args, **kwargs):
+            enumerated.append(len(template["Resources"]))
+            return inner(template, *args, **kwargs)
+
+        monkeypatch.setattr(gateway, "_eligible_pairs", counting)
         store = builtin_core_schemas()
-        memo = RunMemo(store)
-        for seed in range(3):
-            params = SyntheticParams(p_fix=0.5, p_spawn=0.0, seed=seed)
-            backend = SyntheticBackend(params, initial_defects=(6, 40), store=store, memo=memo)
+        for count in (0, 1, 8, 16, (6, 10), (17, 17), 40):
+            enumerated.clear()
+            backend = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.0), initial_defects=count, store=store)
             backend.initial_generation()
-        assert sized == [0, 1]
-        SyntheticBackend(params, initial_defects=8, store=store).initial_generation()
-        assert sized == [0, 1, 0, 1]
+            assert enumerated == {(17, 17): [4, 1, 7], 40: [4, 1, 13]}.get(count, [4]), count
 
     def test_memo_of_another_store_is_refused(self):
         with pytest.raises(ValueError):
@@ -564,9 +569,12 @@ class TestTemplateSizing:
     def test_blocks_for_is_smallest_with_headroom(self):
         store = builtin_core_schemas()
         sites = [_site_count(b, store) for b in range(40)]
-        for defects in range(1, 300):
+        for defects in range(0, 300):
             needed = -(-defects * 5 // 4) + 2
-            blocks = _blocks_for(defects, store)
+            template, pairs = _sized_base(defects, store)
+            blocks = (len(template["Resources"]) - 1) // 3  # the Vpc, then three per block
+            assert template == synthetic_base_template(blocks), defects
+            assert pairs == _eligible_pairs(template, store, set(), error_only=True), defects
             assert sites[blocks] >= needed, defects
             assert blocks == 1 or sites[blocks - 1] < needed, defects
 

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,9 @@ from iacloop.located_json import (
     MalformedPointerError,
     SourceSpan,
     parse_located,
+    escape_pointer_token,
     render_value,
+    resolve_offsets,
     resolve_spans,
 )
 
@@ -265,6 +268,69 @@ class TestSpanSoundness:
             pointers += [p + "/missing" for p in pointers[::3]]
             batch = resolve_spans(text, rng.sample(pointers, len(pointers)))
             assert batch == {p: span_of(text, p) for p in pointers}
+
+
+# Resource ids that are non-ASCII, hold "~" and "/" (escaped in pointers) or
+# are written with \u escapes, and blocks of every JSON type with odd spacing.
+_AWKWARD_BLOCKS = r"""{"Description": "caf\u00e9 猫", "Resources": {
+  "Café": {"Type": "AWS::EC2::Instance", "Properties": {"ImageId": 7}},
+  "猫/犬~1": {"Type": "AWS::S3::Bucket", "Properties": {"Tags": ["x", {"Key": 1}]}} ,
+  "a~b/c" : {} ,
+  "\u0042ucket\ud83d\udc0d": [1, [], {}],
+  "Odd":"x",  "N" :12.5e3,
+  "T": true
+ } , "Outputs": {"o": 1}}"""
+
+
+def _block_templates() -> list[str]:
+    fixtures = Path(__file__).parent / "fixtures" / "lint"
+    texts = [_AWKWARD_BLOCKS] + [path.read_text() for path in sorted(fixtures.glob("*.json"))]
+    layouts = []
+    for text in texts:
+        value = json.loads(text)
+        if isinstance(value, dict) and isinstance(value.get("Resources"), dict) and value["Resources"]:
+            layouts += [
+                text,
+                json.dumps(value, separators=(",", ":")),  # minified
+                json.dumps(value, ensure_ascii=False, indent=1),
+            ]
+    return layouts
+
+
+class TestValueEnds:
+    """``resolve_offsets`` records where each value named in ``ends`` ends:
+    where the stdlib decoder stops reading it."""
+
+    @staticmethod
+    def _assert_ends_decode(text: str, ends: list[str], others: list[str]) -> None:
+        decoder = json.JSONDecoder()
+        starts, stops = resolve_offsets(text, ends + others, ends)
+        assert set(stops) == set(ends)
+        for pointer in ends:
+            assert stops[pointer] == decoder.raw_decode(text, starts[pointer])[1], (pointer, text)
+        # Ends asked for alone, and beside the starts of other values only.
+        assert resolve_offsets(text, (), ends)[1] == stops
+        assert resolve_offsets(text, others, ends)[1] == stops
+
+    def test_resource_block_ends(self):
+        templates = _block_templates()
+        assert len(templates) > 60
+        for text in templates:
+            value = json.loads(text)
+            blocks = ["/Resources/" + escape_pointer_token(logical_id) for logical_id in value["Resources"]]
+            everything = [pointer for pointer, _ in iter_pointers(value)]
+            self._assert_ends_decode(text, blocks, [])
+            self._assert_ends_decode(text, blocks, everything)
+            self._assert_ends_decode(text, blocks, [p for p in everything if not p.startswith("/Resources")])
+
+    def test_random_document_ends(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            text = random_document(rng)
+            below_root = [pointer for pointer, _ in iter_pointers(json.loads(text))][1:]
+            self._assert_ends_decode(text, below_root, [""])
+            ends = rng.sample(below_root, len(below_root) // 3)
+            self._assert_ends_decode(text, ends, [p for p in below_root if p not in ends])
 
 
 class TestNodeAt:
