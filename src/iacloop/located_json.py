@@ -37,9 +37,9 @@ __all__ = [
     "render_value",
     "escape_pointer_token",
 ]
-# ``resolve_offsets`` runs inside ``linter.lint_template``; it and
-# ``resolve_spans`` are left out of ``__all__`` so that per-layer traces count
-# their time there.
+# ``resolve_offsets`` runs inside ``linter.lint_template`` and is left out of
+# ``__all__`` so that per-layer traces count its time there; ``resolve_spans``,
+# which the tests use as their span oracle, is left out as before.
 
 # Most containers open at once.  The check runs before decoding, so hostile
 # nesting is a JsonSyntaxError at the offending bracket, never a RecursionError
