@@ -127,7 +127,15 @@ class AggregateStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateStats":
-        return cls(**data)
+        """Raises TypeError or ValueError unless ``data`` holds exactly the
+        four fields as lists of numbers of one length."""
+        stats = cls(**data)
+        for column in vars(stats).values():
+            if not isinstance(column, list) or len(column) != len(stats.mean_errors) or not all(
+                isinstance(v, (int, float)) for v in column
+            ):
+                raise ValueError("each stats field must be a list of numbers, all of one length")
+        return stats
 
 
 def load_cases(path: str | Path) -> list[BenchmarkCase]:

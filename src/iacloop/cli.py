@@ -113,6 +113,9 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise UsageError(f"config file {path}:{exc.span.line}:{exc.span.column}: {exc.reason}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    for key in ("schemas_dir", "script_dir", "api_base_url"):
+        if key in data and not isinstance(data[key], str):
+            raise UsageError(f"config file {path}: {key} must be a string")
     return data
 
 
@@ -162,6 +165,8 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
+    if not Path(args.out).parent.is_dir():  # checked before any backend call
+        raise FileNotFoundError(f"trace directory not found: {Path(args.out).parent}")
     schemas_dir = args.schemas or config.get("schemas_dir")
     store = load_store(schemas_dir)
     try:
@@ -238,11 +243,16 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, config: dict) -> int:
-    data = read_results(args.results_in)
-    if not data.get("stats"):
-        print("results file has no aggregate stats (needs >= 2 trials)", file=sys.stderr)
+    try:
+        data = read_results(args.results_in)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        stats = AggregateStats.from_dict(data["stats"]) if data.get("stats") else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"results file {args.results_in} is malformed: {exc}") from exc
+    if stats is None:
+        print(f"results file {args.results_in} has no aggregate stats (needs >= 2 trials)", file=sys.stderr)
         return 3
-    stats = AggregateStats.from_dict(data["stats"])
     wrote = []
     if args.csv:
         export_csv(stats, args.csv)

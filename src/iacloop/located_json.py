@@ -1,11 +1,12 @@
 """JSON documents whose positions are resolved on demand.
 
-``parse_located`` decodes with the stdlib's C scanner into plain values (the
-``json.loads`` shape) and keeps the source text beside them.  The accepted
-grammar is that of ``json.loads`` (including its NaN/Infinity extensions)
-with two deliberate exceptions: duplicate object keys are rejected instead of
-silently keeping the last value, which keeps lint results deterministic, and
-at most ``MAX_NESTING_DEPTH`` containers may be open at once.
+``parse_located`` decodes once with the stdlib's C scanner into plain values
+(the ``json.loads`` shape) and keeps the source text beside them; then at most
+one fault walk over the text finds what the decoder cannot report.  The
+accepted grammar is that of ``json.loads`` (including its NaN/Infinity
+extensions) with two deliberate exceptions: duplicate object keys are rejected
+instead of silently keeping the last value, which keeps lint results
+deterministic, and at most ``MAX_NESTING_DEPTH`` containers may be open at once.
 
 Positions are computed only where they are asked for: ``resolve_offsets`` maps
 a batch of JSON pointers to the character offsets of their values in one walk
@@ -41,9 +42,8 @@ __all__ = [
 # ``__all__`` so that per-layer traces count its time there; ``resolve_spans``,
 # which the tests use as their span oracle, is left out as before.
 
-# Most containers open at once.  The check runs before decoding, so hostile
-# nesting is a JsonSyntaxError at the offending bracket, never a RecursionError
-# from the decoder.
+# Most containers open at once.  Hostile nesting is a JsonSyntaxError at the
+# offending bracket, never a RecursionError from the decoder.
 MAX_NESTING_DEPTH = 256
 
 
@@ -98,7 +98,7 @@ def escape_pointer_token(token: str) -> str:
 
 
 class _DuplicateKey(Exception):
-    """Raised by the pairs hook; the text is then searched for the first duplicate."""
+    """Raised by the pairs hook; the fault walk then finds the first duplicate."""
 
 
 def _unique_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -115,12 +115,11 @@ _scan_once = make_scanner(json.JSONDecoder())
 
 _BRACKET_DEPTH = {ord("{"): 1, ord("["): 1, ord("}"): -1, ord("]"): -1}
 _NOT_BRACKET_OR_QUOTE = bytes(b for b in range(256) if b not in b'{}[]"')
-_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-_STRING_OR_BRACKET_RE = re.compile(_STRING + r"|[{}\[\]]", re.DOTALL)
-_STRING_OR_PUNCTUATION_RE = re.compile(_STRING + r"|[{}\[\],]", re.DOTALL)
 _WS_RE = re.compile(r"[ \t\n\r]*")
-# Group 1 or 2 is set when the number is a float.
-_STRING_OR_NUMBER_RE = re.compile(_STRING + r"|-?\d+(\.\d+)?([eE][-+]?\d+)?", re.DOTALL)
+# What the fault walk needs to see: a string (group 1 is its closing quote,
+# unset when the string is still open where the walk ends), a bracket or a
+# comma, or a number (group 2 or 3 is set when it is a float).
+_TOKEN_RE = re.compile(r'"[^"\\]*(?:\\.?[^"\\]*)*(")?|[{}\[\],]|-?\d+(\.\d+)?([eE][-+]?\d+)?', re.DOTALL)
 
 
 def _may_nest_too_deep(text: str) -> bool:
@@ -139,63 +138,44 @@ def _may_nest_too_deep(text: str) -> bool:
     return max(accumulate(map(_BRACKET_DEPTH.__getitem__, skeleton)), default=0) > MAX_NESTING_DEPTH
 
 
-def _overdeep_bracket(text: str) -> int:
-    """Offset of the bracket that opens container MAX_NESTING_DEPTH + 1, or -1."""
-    if not _may_nest_too_deep(text):
-        return -1
-    depth = 0
-    for match in _STRING_OR_BRACKET_RE.finditer(text):
-        token = match.group()
-        if token in "{[":
-            depth += 1
-            if depth > MAX_NESTING_DEPTH:
-                return match.start()
-        elif token in "}]":
-            depth -= 1
-    return -1
+def _first_fault(text: str, end: int) -> Optional[JsonSyntaxError]:
+    """The first fault in ``text[:end]`` that the decoder does not report.
 
-
-def _first_duplicate(text: str, end: int) -> Optional[tuple[str, int]]:
-    """(key, offset) of the earliest key in ``text[:end]`` that repeats a key
-    of its object; ``text[:end]`` must be a valid JSON prefix."""
+    That is the bracket that opens container MAX_NESTING_DEPTH + 1, a key
+    that repeats a key of its object, or the first digit of an integer with
+    more digits than the interpreter converts (``sys.get_int_max_str_digits``,
+    absent from builds older than the limit and 0 when unlimited), whichever
+    comes first.  ``text[:end]`` must be valid JSON up to the fault; a string
+    still open at ``end`` runs to it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     frames: list[Optional[set[str]]] = []  # key set per open object, None per array
     expect_key = False
-    for match in _STRING_OR_PUNCTUATION_RE.finditer(text, 0, end):
-        token = match.group()
-        if token == "{":
-            frames.append(set())
-            expect_key = True
-        elif token == "[":
-            frames.append(None)
-        elif token in "}]":
-            if frames:  # a cut inside an unterminated string may hold stray closers
+    for match in _TOKEN_RE.finditer(text, 0, end):
+        token, at = match.group(), match.start()
+        if token == "{" or token == "[":
+            frames.append(set() if token == "{" else None)
+            if len(frames) > MAX_NESTING_DEPTH:
+                return JsonSyntaxError("nesting too deep", _spans_at(text, [at])[0])
+            expect_key = token == "{"
+        elif token == "}" or token == "]":
+            if frames:  # past a RecursionError raised at shallow nesting, closers may be stray
                 frames.pop()
             expect_key = False
         elif token == ",":
             expect_key = bool(frames) and frames[-1] is not None
-        elif expect_key:
-            key = scanstring(text, match.start() + 1)[0]
-            if key in frames[-1]:
-                return key, match.start()
-            frames[-1].add(key)
+        elif token[0] == '"':
+            if expect_key and match.group(1):
+                key = scanstring(text, at + 1)[0]
+                if key in frames[-1]:
+                    return DuplicateKeyError(key, _spans_at(text, [at])[0])
+                frames[-1].add(key)
             expect_key = False
-    return None
-
-
-def _first_long_integer(text: str) -> Optional[tuple[int, str]]:
-    """(offset of the first digit, reason) of the first integer literal with
-    more digits than the interpreter converts (``sys.get_int_max_str_digits``,
-    absent from builds older than the limit and 0 when unlimited), or None."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return None
-    for match in _STRING_OR_NUMBER_RE.finditer(text):
-        token = match.group()
-        if token[0] == '"' or match.group(1) or match.group(2):
-            continue
-        sign = token[0] == "-"
-        if len(token) - sign > limit:
-            return match.start() + sign, f"Integer has {len(token) - sign} digits, more than {limit}"
+        elif limit and not (match.group(2) or match.group(3)):
+            digits = len(token) - (token[0] == "-")
+            if digits > limit:
+                reason = f"Integer has {digits} digits, more than {limit}"
+                return JsonSyntaxError(reason, _spans_at(text, [at + len(token) - digits])[0])
     return None
 
 
@@ -207,38 +187,25 @@ def parse_located(text: str) -> JsonDocument:
     bracket that opens container number ``MAX_NESTING_DEPTH + 1`` and the
     first digit of an integer too long for the interpreter to convert.
     Other reasons are the ``json`` module's messages.
+
+    The text is decoded once.  A fault the decoder cannot report is then
+    found by one walk: up to the decoder's error position, over the whole
+    text when the decoder stopped on a duplicate key, an over-long integer or
+    hostile nesting, and on success only when the text may nest too deep.
     """
-    cut = _overdeep_bracket(text)
     try:
-        return JsonDocument(text, _DECODER.decode(text if cut < 0 else text[:cut]))
-    except _DuplicateKey:
-        error_at = len(text) if cut < 0 else cut
-        reason = ""
+        value = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        if cut >= 0 and exc.msg.startswith("Unterminated string"):
-            # The string runs past the cut; decoding the whole text locates
-            # its real fault, and the depth before it is within the cap.
-            try:
-                _DECODER.decode(text)
-            except json.JSONDecodeError as whole:
-                exc = whole
-            except _DuplicateKey:
-                pass
-        error_at, reason = exc.pos, exc.msg
-        if exc.pos == cut and reason == "Expecting value":
-            reason = "nesting too deep"
-    except ValueError:
-        # int() refused an over-long literal; the decoder stopped at the
-        # first one, so the text before it is valid.
-        long_integer = _first_long_integer(text)
-        if long_integer is None:
+        fault = _first_fault(text, exc.pos) or JsonSyntaxError(exc.msg, _spans_at(text, [exc.pos])[0])
+    except (_DuplicateKey, ValueError, RecursionError):
+        fault = _first_fault(text, len(text))
+        if fault is None:
             raise
-        error_at, reason = long_integer
-    duplicate = _first_duplicate(text, error_at)
-    if duplicate is not None:
-        key, offset = duplicate
-        raise DuplicateKeyError(key, _spans_at(text, [offset])[0])
-    raise JsonSyntaxError(reason, _spans_at(text, [error_at])[0])
+    else:
+        fault = _first_fault(text, len(text)) if _may_nest_too_deep(text) else None
+        if fault is None:
+            return JsonDocument(text, value)
+    raise fault
 
 
 # ---------------------------------------------------------------------------

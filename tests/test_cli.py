@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from iacloop import bench
+from iacloop import loop as loop_module
 from iacloop.cli import dispatch
 from iacloop.schema_store import builtin_core_schemas
 
@@ -194,6 +195,21 @@ class TestDispatchBasics:
         ))
         assert dispatch(["--config", str(config), "lint", str(template)]) == 2
 
+    @pytest.mark.parametrize("key", ["schemas_dir", "script_dir", "api_base_url"])
+    @pytest.mark.parametrize("command", ["lint", "loop"])
+    def test_config_setting_that_is_not_a_string(self, tmp_path, capsys, key, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: 5}))
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        argv = {
+            "lint": ["lint", str(FIXTURES / "clean.json")],
+            "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+                     "--out", str(tmp_path / "t.json")],
+        }[command]
+        assert dispatch(["--config", str(config), *argv]) == 1
+        assert f"{key} must be a string" in capsys.readouterr().err
+
 
 class TestLoopCommand:
     def test_scripted_loop_writes_trace(self, tmp_path, capsys):
@@ -267,6 +283,20 @@ class TestLoopCommand:
         assert code == 3
         assert "initial defects" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_in_a_missing_directory_fails_before_any_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        inner = loop_module.generate
+        monkeypatch.setattr(loop_module, "generate", lambda *args: calls.append(1) or inner(*args))
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+            "--iterations", "5", "--out", str(tmp_path / "missing" / "t.json"),
+        ])
+        assert code == 3
+        assert "trace directory not found" in capsys.readouterr().err
+        assert calls == []
 
 
 @pytest.fixture
@@ -427,3 +457,19 @@ class TestBenchAndReport:
         results.write_text(json.dumps({"stats": {"mean_errors": [1], "std_errors": [0],
                                                  "mean_warnings": [0], "std_warnings": [0]}}))
         assert dispatch(["report", "--in", str(results)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        "{not json",
+        json.dumps({"stats": {"mean_errors": [1]}}),
+        json.dumps({"stats": {"mean_errors": 1, "std_errors": 0, "mean_warnings": 0, "std_warnings": 0}}),
+        json.dumps({"stats": {"mean_errors": [1], "std_errors": [0, 0], "mean_warnings": [0], "std_warnings": [0]}}),
+        json.dumps({"stats": {"mean_errors": ["x"], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+    ], ids=["list", "not_json", "missing_fields", "scalar_fields", "unequal_lengths", "non_numbers"])
+    def test_report_on_malformed_results_exits_3(self, tmp_path, capsys, text):
+        results = tmp_path / "results.json"
+        results.write_text(text)
+        code = dispatch(["report", "--in", str(results), "--csv", str(tmp_path / "out.csv")])
+        assert code == 3
+        assert str(results) in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()

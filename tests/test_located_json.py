@@ -123,6 +123,46 @@ class TestParseLocated:
                 parse_located(text)
             assert (exc_info.value.reason, exc_info.value.span.column) == ("nesting too deep", column)
 
+    def test_depth_100000_documents_stop_at_the_257th_container(self):
+        # The C decoder gives up on such nesting with a RecursionError; the
+        # fault walk still reports the bracket that opens container 257.
+        for text, column in (("[" * 100_000, MAX_NESTING_DEPTH + 1), ('{"a":' * 100_000, 5 * MAX_NESTING_DEPTH + 1)):
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located(text)
+            assert (exc_info.value.reason, exc_info.value.span.column) == ("nesting too deep", column)
+
+    def test_first_fault_in_text_order_wins(self):
+        # Each pair of faults in both orders: the earlier one is reported.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        faults = {  # fragment, reason, offset of the fault within the fragment
+            "depth": ("[" * 300 + "]" * 300, "nesting too deep", MAX_NESTING_DEPTH - 1),
+            "duplicate": ('{"a": 1, "a": 2}', "duplicate object key 'a'", 9),
+            "decoder": ("!", "Expecting value", 0),
+        }
+        if limit:
+            faults["integer"] = ("7" * (limit + 1), f"Integer has {limit + 1} digits, more than {limit}", 0)
+        for first, (fragment, reason, offset) in faults.items():
+            for second, (other, _, _) in faults.items():
+                if second == first:
+                    continue
+                text = "[" + fragment + ", " + other + "]"
+                with pytest.raises(JsonSyntaxError) as exc_info:
+                    parse_located(text)
+                assert (exc_info.value.reason, exc_info.value.span.column) == (reason, 2 + offset), (first, second)
+                assert isinstance(exc_info.value, DuplicateKeyError) == (first == "duplicate")
+
+    def test_key_holding_the_decoder_error(self):
+        # The walk ends inside the key, which is never taken as a whole key.
+        for text, reason, column in (
+            ('{"a": 1, "b\x01": 2}', "Invalid control character at", 12),
+            ('{"a": 1, "b\\q": 2}', "Invalid \\escape", 12),
+            ('{"a": 1, "a\\u12": 2}', "Invalid \\uXXXX escape", 13),
+        ):
+            with pytest.raises(JsonSyntaxError) as exc_info:
+                parse_located(text)
+            assert (exc_info.value.reason, exc_info.value.span.column) == (reason, column), text
+            assert not isinstance(exc_info.value, DuplicateKeyError)
+
     def test_brackets_inside_strings_do_not_count_toward_depth(self):
         text = json.dumps(["[{" * 300, {"k": "\\\"[" * 300}])
         assert parse_located(text).value == json.loads(text)
@@ -193,7 +233,7 @@ class TestGrammarEquivalence:
             return True, False
         except DuplicateKeyError:
             return False, True
-        except ValueError:
+        except JsonSyntaxError:
             return False, False
 
     def _reference_accepts(self, text: str) -> bool:
