@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 lint errors present
 (lint subcommand only), 3 runtime failure.  Flags win over the --config file,
-which wins over defaults.
+which wins over defaults.  The argument parser is built on the first
+``dispatch`` and shared by every later call in the process; each call parses
+into a fresh namespace and nothing mutates the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iacloop", description="CloudFormation lint-driven repair loop tools")
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -100,6 +104,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_CONFIG_KEYS = ("schemas_dir", "script_dir", "api_base_url")
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -113,10 +120,21 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise UsageError(f"config file {path}:{exc.span.line}:{exc.span.column}: {exc.reason}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    for key in ("schemas_dir", "script_dir", "api_base_url"):
-        if key in data and not isinstance(data[key], str):
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"config file {path}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        if not isinstance(value, str):
             raise UsageError(f"config file {path}: {key} must be a string")
     return data
+
+
+def _check_out(path: str, what: str) -> None:
+    """Fail before any backend call or cell when ``--out`` cannot be written."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"{what} directory not found: {out.parent}")
+    if out.is_dir():
+        raise IsADirectoryError(f"--out names a directory: {out}")
 
 
 def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
@@ -165,8 +183,7 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
-    if not Path(args.out).parent.is_dir():  # checked before any backend call
-        raise FileNotFoundError(f"trace directory not found: {Path(args.out).parent}")
+    _check_out(args.out, "trace")
     schemas_dir = args.schemas or config.get("schemas_dir")
     store = load_store(schemas_dir)
     try:
@@ -225,8 +242,7 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
         schemas_dir=args.schemas or config.get("schemas_dir"),
         traces_dir=args.traces_dir,
     )
-    if not Path(args.out).parent.is_dir():  # checked before any cell runs
-        raise FileNotFoundError(f"results directory not found: {Path(args.out).parent}")
+    _check_out(args.out, "results")
     result = run_benchmark(cfg)
     stats = aggregate(result.trials) if cfg.trials >= 2 else None
     # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.

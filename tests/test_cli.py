@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -6,6 +10,7 @@ import pytest
 
 from iacloop import bench
 from iacloop import loop as loop_module
+from iacloop import cli
 from iacloop.cli import dispatch
 from iacloop.schema_store import builtin_core_schemas
 
@@ -210,6 +215,32 @@ class TestDispatchBasics:
         assert dispatch(["--config", str(config), *argv]) == 1
         assert f"{key} must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lint", "loop"])
+    def test_unknown_config_key(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(loop_module, "generate", lambda *args: calls.append(1))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_dir": str(tmp_path)}))
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        argv = {
+            "lint": ["lint", str(FIXTURES / "clean.json")],
+            "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+                     "--out", str(tmp_path / "t.json")],
+        }[command]
+        assert dispatch(["--config", str(config), *argv]) == 1
+        assert "unknown key 'schema_dir'" in capsys.readouterr().err
+        assert calls == []
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """The backend calls a loop run makes, counted at ``loop.generate``."""
+    calls = []
+    inner = loop_module.generate
+    monkeypatch.setattr(loop_module, "generate", lambda *args: calls.append(1) or inner(*args))
+    return calls
+
 
 class TestLoopCommand:
     def test_scripted_loop_writes_trace(self, tmp_path, capsys):
@@ -284,10 +315,7 @@ class TestLoopCommand:
         assert "initial defects" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_out_in_a_missing_directory_fails_before_any_call(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        inner = loop_module.generate
-        monkeypatch.setattr(loop_module, "generate", lambda *args: calls.append(1) or inner(*args))
+    def test_out_in_a_missing_directory_fails_before_any_call(self, tmp_path, capsys, generate_calls):
         prompt = tmp_path / "p.txt"
         prompt.write_text("Create a vpc")
         code = dispatch([
@@ -296,7 +324,18 @@ class TestLoopCommand:
         ])
         assert code == 3
         assert "trace directory not found" in capsys.readouterr().err
-        assert calls == []
+        assert generate_calls == []
+
+    def test_out_that_is_a_directory_fails_before_any_call(self, tmp_path, capsys, generate_calls):
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+            "--iterations", "5", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "--out names a directory" in capsys.readouterr().err
+        assert generate_calls == []
 
 
 @pytest.fixture
@@ -350,6 +389,15 @@ class TestBenchFailsBeforeItsCells:
         assert code == 3
         assert "results directory not found" in capsys.readouterr().err
         assert cells_run == []
+
+    def test_out_that_is_a_directory(self, tmp_path, capsys, cells_run):
+        results = tmp_path / "results"
+        results.mkdir()
+        code = dispatch(_bench_args(tmp_path, "--out", str(results)))
+        assert code == 3
+        assert "--out names a directory" in capsys.readouterr().err
+        assert cells_run == []
+        assert list(results.iterdir()) == []
 
     def test_valid_locations_run_every_cell(self, tmp_path, capsys, cells_run):
         traces = tmp_path / "new" / "traces"
@@ -473,3 +521,91 @@ class TestBenchAndReport:
         assert code == 3
         assert str(results) in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+def _parser_state(parser: argparse.ArgumentParser) -> list:
+    """Every setting of ``parser`` and its subparsers that a parse could read."""
+    state = [parser.prog, sorted(parser._defaults.items())]
+    for action in parser._actions:
+        state.append((type(action).__name__, action.option_strings, action.dest, action.default,
+                      action.required, action.choices if not isinstance(action.choices, dict) else None,
+                      action.type, action.nargs, action.help))
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                state.append((name, _parser_state(sub)))
+    return state
+
+
+class TestSharedParser:
+    """One parser per process; nothing carries over from one dispatch to the next."""
+
+    def test_second_dispatch_adds_no_argument(self, capsys, monkeypatch):
+        clean = str(FIXTURES / "clean.json")
+        assert dispatch(["lint", clean]) == 0
+        added = []
+        inner = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda self, *a, **k: added.append(a) or inner(self, *a, **k))
+        assert dispatch(["lint", clean]) == 0
+        assert dispatch(["--help"]) == 0
+        assert added == []
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_leave_the_parser_unchanged(self, tmp_path, capsys):
+        before = _parser_state(cli._build_parser())
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schemas_dir": str(tmp_path)}))
+        path = str(FIXTURES / "unknown_type_lenient.json")
+        for argv in (["--config", str(config), "lint", path, "--strict-types", "--format", "json"],
+                     ["lint", path, "--format", "xml"], ["frobnicate"], ["report", "--help"],
+                     ["loop", "--backend", "synthetic"], []):
+            dispatch(argv)
+        assert _parser_state(cli._build_parser()) == before
+
+    def test_strict_types_does_not_carry_over(self, capsys):
+        path = str(FIXTURES / "unknown_type_lenient.json")
+        assert dispatch(["lint", path, "--strict-types"]) == 2
+        assert "E3002" in capsys.readouterr().out
+        assert dispatch(["lint", path]) == 0
+        assert "E3002" not in capsys.readouterr().out
+
+    def test_config_does_not_carry_over(self, tmp_path, capsys):
+        schema = {"typeName": "AWS::Custom::Widget", "properties": {"Size": {"type": "integer"}},
+                  "required": ["Size"]}
+        schemas = tmp_path / "schemas"
+        schemas.mkdir()
+        (schemas / "widget.json").write_text(json.dumps(schema))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schemas_dir": str(schemas)}))
+        template = tmp_path / "t.json"
+        template.write_text(json.dumps(
+            {"Resources": {"W": {"Type": "AWS::Custom::Widget", "Properties": {}}}}
+        ))
+        assert dispatch(["--config", str(config), "lint", str(template)]) == 2
+        assert "E3003" in capsys.readouterr().out
+        assert dispatch(["lint", str(template)]) == 0
+        assert "E3003" not in capsys.readouterr().out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        clean = str(FIXTURES / "clean.json")
+        assert dispatch(["lint", clean, "--format", "xml"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert dispatch(["lint", clean]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
+    def test_help_is_byte_equal_on_two_calls(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            assert dispatch(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "usage: iacloop" in outputs[0]
+
+    def test_import_does_not_build_the_parser(self):
+        probe = "import iacloop.cli as c; print(c._build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "0"
