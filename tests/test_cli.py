@@ -203,34 +203,28 @@ class TestDispatchBasics:
     @pytest.mark.parametrize("key", ["schemas_dir", "script_dir", "api_base_url"])
     @pytest.mark.parametrize("command", ["lint", "loop"])
     def test_config_setting_that_is_not_a_string(self, tmp_path, capsys, key, command):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({key: 5}))
-        prompt = tmp_path / "p.txt"
-        prompt.write_text("Create a vpc")
-        argv = {
-            "lint": ["lint", str(FIXTURES / "clean.json")],
-            "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
-                     "--out", str(tmp_path / "t.json")],
-        }[command]
-        assert dispatch(["--config", str(config), *argv]) == 1
+        assert dispatch(_config_argv(tmp_path, {key: 5}, command)) == 1
         assert f"{key} must be a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["lint", "loop"])
-    def test_unknown_config_key(self, tmp_path, capsys, monkeypatch, command):
-        calls = []
-        monkeypatch.setattr(loop_module, "generate", lambda *args: calls.append(1))
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"schema_dir": str(tmp_path)}))
-        prompt = tmp_path / "p.txt"
-        prompt.write_text("Create a vpc")
-        argv = {
-            "lint": ["lint", str(FIXTURES / "clean.json")],
-            "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
-                     "--out", str(tmp_path / "t.json")],
-        }[command]
-        assert dispatch(["--config", str(config), *argv]) == 1
+    def test_unknown_config_key(self, tmp_path, capsys, generate_calls, command):
+        assert dispatch(_config_argv(tmp_path, {"schema_dir": str(tmp_path)}, command)) == 1
         assert "unknown key 'schema_dir'" in capsys.readouterr().err
-        assert calls == []
+        assert generate_calls == []
+
+
+def _config_argv(tmp_path, config: dict, command: str) -> list[str]:
+    """``iacloop --config <file holding config> lint|loop ...`` on valid inputs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    prompt = tmp_path / "p.txt"
+    prompt.write_text("Create a vpc")
+    argv = {
+        "lint": ["lint", str(FIXTURES / "clean.json")],
+        "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+                 "--out", str(tmp_path / "t.json")],
+    }[command]
+    return ["--config", str(path), *argv]
 
 
 @pytest.fixture
