@@ -270,7 +270,8 @@ def aggregate(trials: list[TrialResult]) -> AggregateStats:
             (warnings, stats.mean_warnings, stats.std_warnings),
         ):
             mean = sum(values) / n
-            variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+            # fsum rounds once, so every Python version writes the same bytes.
+            variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
             means.append(mean)
             stds.append(math.sqrt(variance))
     return stats

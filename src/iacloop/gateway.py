@@ -15,6 +15,7 @@ an invariant the test suite checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -274,9 +275,9 @@ def make_backend(
     """Build the ``kind`` backend ("synthetic", "scripted" or "http").
 
     Only the settings of the chosen kind are read; a synthetic backend shares
-    ``memo`` with the other cells of its run.  Raises MissingSetting when a
-    scripted backend has no ``script_dir`` or an http backend no
-    ``api_base_url``.
+    ``memo`` with the other cells of its run.  Raises ValueError for any
+    other kind, and MissingSetting when a scripted backend has no
+    ``script_dir`` or an http backend no ``api_base_url``.
     """
     if kind == "synthetic":
         params = SyntheticParams(
@@ -287,6 +288,8 @@ def make_backend(
         if not script_dir:
             raise MissingSetting("scripted backend requires script_dir")
         return ScriptedBackend.from_dir(script_dir)
+    if kind != "http":
+        raise ValueError(f"unknown backend kind {kind!r}")
     if not api_base_url:
         raise MissingSetting("http backend requires api_base_url")
     return HttpBackend(api_base_url)
@@ -324,8 +327,6 @@ _OBJECT_OPENING_RE = re.compile(r'\{[ \t\n\r]*["}]')
 _MAX_FAILED_DECODES = 8
 
 _BRACE_TOKEN_RE = re.compile(r'[{}"\\]')
-# A string that holds no "{", so no brace scan can start inside it.
-_BRACELESS_STRING_RE = re.compile(r'"[^"\\{]*(?:\\[^{][^"\\{]*)*"', re.DOTALL)
 # A brace scan's lexer state: outside strings, inside one, or just after a
 # backslash inside one.
 _OUT, _IN, _ESCAPED = 0, 1, 2
@@ -422,11 +423,6 @@ def _largest_balanced_braces(text: str) -> Optional[str]:
                     closes[start] = at
             lanes = [out or None, _merge_lanes(inside, escaped), None]
         elif char == '"':
-            if inside is None and escaped is None and out is not None:
-                string = _BRACELESS_STRING_RE.match(text, at)
-                if string is not None:  # only this lane moves; skip the string
-                    pos = string.end()
-                    continue
             lanes = [inside, _merge_lanes(out, escaped), None]
         else:  # backslash
             lanes = [out, escaped, inside]
@@ -496,21 +492,15 @@ _WRONG_VALUES = {
 _BAD_ENUM_VALUE = "__invalid_enum__"
 
 
-def _eligible_pairs(
-    template: dict, store: SchemaStore, occupied: set[str], error_only: bool
-) -> list[tuple[str, str]]:
-    """(kind, site-pointer) pairs in document order; at most one live defect
-    may occupy a site, so sites in ``occupied`` are skipped."""
+def _eligible_pairs(template: dict, store: SchemaStore) -> list[tuple[str, str]]:
+    """(kind, site-pointer) pairs of ``template`` in document order."""
     pairs: list[tuple[str, str]] = []
     for name in _TOP_KEY_POOL:
-        pointer = "/" + name
-        if name not in template and pointer not in occupied:
-            pairs.append(("unknown_top_key", pointer))
-    if not error_only:
-        for name in _PARAM_POOL:
-            pointer = "/Parameters/" + name
-            if name not in template.get("Parameters", {}) and pointer not in occupied:
-                pairs.append(("unused_parameter", pointer))
+        if name not in template:
+            pairs.append(("unknown_top_key", "/" + name))
+    for name in _PARAM_POOL:
+        if name not in template.get("Parameters", {}):
+            pairs.append(("unused_parameter", "/Parameters/" + name))
     for logical_id, entry in template.get("Resources", {}).items():
         schema = store.lookup(entry.get("Type", ""))
         if schema is None:
@@ -526,8 +516,6 @@ def _eligible_pairs(
                 + "/Properties/"
                 + escape_pointer_token(prop_name)
             )
-            if pointer in occupied:
-                continue
             if spec.required:
                 pairs.append(("drop_required", pointer))
             pairs.append(("wrong_type", pointer))
@@ -538,16 +526,20 @@ def _eligible_pairs(
     return pairs
 
 
+def _error_site_count(pairs: list[tuple[str, str]]) -> int:
+    """Distinct sites among ``pairs`` that an error-kind defect can occupy."""
+    return len({site for kind, site in pairs if kind != "unused_parameter"})
+
+
 def _site_count(blocks: int, store: SchemaStore) -> int:
     """Distinct error-kind sites of the clean base template."""
-    pairs = _eligible_pairs(synthetic_base_template(blocks), store, set(), error_only=True)
-    return len({site for _, site in pairs})
+    return _error_site_count(_eligible_pairs(synthetic_base_template(blocks), store))
 
 
 def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple[str, str]]]:
     """The clean base template with the fewest blocks (at least 1) that
-    leaves free-site headroom for ``defect_count`` defects, and its
-    error-kind (kind, site) pairs in document order.
+    leaves free error-kind-site headroom for ``defect_count`` defects, and
+    its (kind, site) pairs of every kind in document order.
 
     Every block adds the same resources, so the site count is linear in the
     block count: ``s0 + blocks * k`` (s0 = 9, k = 13 for the builtin store).
@@ -557,8 +549,8 @@ def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple
     """
     needed = math.ceil(defect_count * 1.25) + 2
     template = synthetic_base_template(1)
-    pairs = _eligible_pairs(template, store, set(), error_only=True)
-    sites = len({site for _, site in pairs})
+    pairs = _eligible_pairs(template, store)
+    sites = _error_site_count(pairs)
     if sites >= needed:
         return template, pairs
     s0 = _site_count(0, store)
@@ -568,7 +560,7 @@ def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple
             f"{defect_count} defects: it has no property schemas for the template's types"
         )
     template = synthetic_base_template(math.ceil((needed - s0) / (sites - s0)))
-    return template, _eligible_pairs(template, store, set(), error_only=True)
+    return template, _eligible_pairs(template, store)
 
 
 @dataclass(frozen=True)
@@ -595,14 +587,11 @@ class SyntheticParams:
 
 @dataclass
 class DefectSpec:
-    """One live injected defect: what it is, where, and how to undo it exactly."""
+    """One live injected defect: what it is, where, and the diagnostic it draws."""
 
     kind: str
     target_pointer: str
     stubborn: bool = False
-    # Undo payload: original value and its key position for property mutations.
-    original: Any = None
-    key_index: int = 0
     expected_code: str = ""
     expected_message: str = ""
     # Where the linter anchors this defect's diagnostic (E3003 points at the
@@ -688,25 +677,31 @@ def _dump_template(template: dict, memo: Optional[RunMemo]) -> str:
     return "{\n" + ",\n".join(members) + "\n}"
 
 
-def _insert_key_at(mapping: dict, key: str, value: Any, index: int) -> None:
-    """Reinsert a key at its original position (dicts preserve insertion order)."""
-    items = list(mapping.items())
-    items.insert(index, (key, value))
-    mapping.clear()
-    mapping.update(items)
+@functools.lru_cache(maxsize=4096)  # a run's templates share their few hundred sites
+def _property_site(pointer: str) -> tuple[str, str]:
+    """(logical id, property name) of a ``/Resources/<id>/Properties/<name>`` site."""
+    _, _, logical_id, _, prop_name = pointer.split("/")
+    return (
+        logical_id.replace("~1", "/").replace("~0", "~"),
+        prop_name.replace("~1", "/").replace("~0", "~"),
+    )
 
 
 class SyntheticBackend:
     """Offline backend that probabilistically repairs its live defects.
 
-    The first completion builds a fresh template with ``initial_defects``
-    injected defects (an int, or an inclusive (lo, hi) range sampled per
-    generation); every later feedback turn runs one repair/spawn step.
-    Identical construction (params, seed, sizing) and call sequence yield
-    identical strings.  A ``memo``, built for ``store`` and shared by the
-    backends of one run, keeps serialized blocks; it changes no output.
-    Raises ValueError unless ``initial_defects`` is a count of at least 0
-    or a range with 0 <= lo <= hi.
+    The first completion sizes a clean base template and injects
+    ``initial_defects`` defects (an int, or an inclusive (lo, hi) range
+    sampled per generation); every later feedback turn runs one
+    repair/spawn step.  The template is never edited: each serialization
+    renders the base with the live defects of the ledger applied, so a
+    repair only drops its defect from the ledger and a fully repaired
+    template is the base byte for byte.  Identical construction (params,
+    seed, sizing) and call sequence yield identical strings.  A ``memo``,
+    built for ``store`` and shared by the backends of one run, keeps
+    serialized blocks; it changes no output.  Raises ValueError unless
+    ``initial_defects`` is a count of at least 0 or a range with
+    0 <= lo <= hi.
     """
 
     def __init__(
@@ -726,9 +721,10 @@ class SyntheticBackend:
             memo.check_store(self.store)
         self.memo = memo
         self.rng = random.Random(params.seed)
-        self.template: dict = {}
-        self.live: list[DefectSpec] = []
-        self.text = "{}"  # the template as last serialized (indent=2)
+        self.base: dict = {}  # the clean sized template; never mutated
+        self.pairs: list[tuple[str, str]] = []  # the base's (kind, site) pairs, every kind
+        self.live: list[DefectSpec] = []  # the ledger, in injection order
+        self.text = "{}"  # the rendered template as last serialized (indent=2)
 
     # -- backend interface ---------------------------------------------------
 
@@ -759,20 +755,17 @@ class SyntheticBackend:
             count = self.rng.randint(lo, hi)
         else:
             count = self.initial_defects
-        # Injections only ever remove eligibility at the occupied site, so the
-        # clean-template enumeration can be filtered instead of recomputed.
-        self.template, all_pairs = _sized_base(count, self.store)
+        self.base, self.pairs = _sized_base(count, self.store)
         self.live = []
+        error_pairs = [p for p in self.pairs if p[0] != "unused_parameter"]
         occupied: set[str] = set()
         for _ in range(count):
-            pairs = [p for p in all_pairs if p[1] not in occupied]
-            kind, site = pairs[self.rng.randrange(len(pairs))]
-            self._inject(kind, site)
-            occupied.add(site)
+            pairs = [p for p in error_pairs if p[1] not in occupied]
+            occupied.add(self._inject(*pairs[self.rng.randrange(len(pairs))]).target_pointer)
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True
-        self.text = _dump_template(self.template, self.memo)
+        self.text = _dump_template(self.render(), self.memo)
         return self.text
 
     def synthetic_step(self, report: Optional[LintReport] = None) -> str:
@@ -782,8 +775,9 @@ class SyntheticBackend:
         diagnostic; with ``report=None`` every live defect is flagged.  Each
         flagged non-stubborn defect is repaired with probability ``p_fix``,
         and each executed repair spawns one fresh defect with probability
-        ``p_spawn`` at a uniformly chosen eligible site.  Spawns only follow
-        repairs, so a step that repairs nothing returns the previous text.
+        ``p_spawn`` at a uniformly chosen free site of the base.  Spawns only
+        follow repairs, so a step that repairs nothing returns the previous
+        text.
         """
         if report is not None:
             flagged = {d.diagnostic_key() for d in self.live} & {
@@ -798,113 +792,83 @@ class SyntheticBackend:
             if self.rng.random() < self.params.p_fix:
                 to_repair.append(defect)
         for defect in to_repair:
-            self._repair(defect)
+            self.live.remove(defect)
             if self.rng.random() < self.params.p_spawn:
-                occupied = {d.target_pointer for d in self.live}
-                pairs = _eligible_pairs(self.template, self.store, occupied, error_only=False)
+                pairs = self._free_pairs()
                 if pairs:
-                    kind, site = pairs[self.rng.randrange(len(pairs))]
-                    self._inject(kind, site)
+                    self._inject(*pairs[self.rng.randrange(len(pairs))])
         if to_repair:
-            self.text = _dump_template(self.template, self.memo)
+            self.text = _dump_template(self.render(), self.memo)
         return self.text
+
+    def render(self) -> dict:
+        """The base with every live defect applied in ledger order.
+
+        Injected sections and ``Parameters`` follow the base's members in
+        ledger order.  Blocks that no defect touches are the base's own
+        objects, so the result must not be mutated.
+        """
+        template = dict(self.base)
+        copied: dict[str, dict] = {}  # logical id -> its copied Properties
+        for defect in self.live:
+            kind, pointer = defect.kind, defect.target_pointer
+            if kind == "unknown_top_key":
+                template[pointer[1:]] = {}
+            elif kind == "unused_parameter":
+                template.setdefault("Parameters", {})[pointer.rsplit("/", 1)[1]] = {"Type": "String"}
+            else:
+                logical_id, prop_name = _property_site(pointer)
+                properties = copied.get(logical_id)
+                if properties is None:
+                    if not copied:
+                        template["Resources"] = dict(template["Resources"])
+                    entry = template["Resources"][logical_id] = dict(template["Resources"][logical_id])
+                    properties = copied[logical_id] = entry["Properties"] = dict(entry["Properties"])
+                if kind == "drop_required":
+                    del properties[prop_name]
+                elif kind == "wrong_type":
+                    properties[prop_name] = _WRONG_VALUES[self._site_spec(logical_id, prop_name).primitive]
+                elif kind == "bad_intrinsic_getazs":
+                    properties[prop_name] = {"Fn::GetAZs": ""}
+                else:
+                    properties[prop_name] = _BAD_ENUM_VALUE
+        return template
 
     # -- defect plumbing -------------------------------------------------------
 
-    def _site_parts(self, pointer: str) -> tuple[dict, str, object]:
-        """(properties-dict, prop-name, spec) for a property site pointer."""
-        _, _, logical_id, _, prop_name = pointer.split("/")
-        logical_id = logical_id.replace("~1", "/").replace("~0", "~")
-        prop_name = prop_name.replace("~1", "/").replace("~0", "~")
-        entry = self.template["Resources"][logical_id]
-        schema = self.store.lookup(entry["Type"])
-        return entry["Properties"], prop_name, schema.properties[prop_name]
+    def _free_pairs(self) -> list[tuple[str, str]]:
+        """The base's (kind, site) pairs whose site no live defect occupies;
+        at most one live defect may occupy a site."""
+        occupied = {d.target_pointer for d in self.live}
+        return [p for p in self.pairs if p[1] not in occupied]
+
+    def _site_spec(self, logical_id: str, prop_name: str) -> Any:
+        """The property schema of a site of the base."""
+        return self.store.lookup(self.base["Resources"][logical_id]["Type"]).properties[prop_name]
 
     def _inject(self, kind: str, pointer: str) -> DefectSpec:
+        """Add a defect at a free site of the base to the ledger."""
+        anchor = ""  # where the linter anchors the diagnostic, when not at the site
         if kind == "unknown_top_key":
-            name = pointer[1:]
-            self.template[name] = {}
-            defect = DefectSpec(
-                kind,
-                pointer,
-                expected_code="E1001",
-                expected_message=f"Unknown top-level section '{name}'",
-            )
+            code, message = "E1001", f"Unknown top-level section '{pointer[1:]}'"
         elif kind == "unused_parameter":
-            name = pointer.rsplit("/", 1)[1]
-            self.template.setdefault("Parameters", {})[name] = {"Type": "String"}
-            defect = DefectSpec(
-                kind,
-                pointer,
-                expected_code="W2001",
-                expected_message=f"Parameter '{name}' is never used",
-            )
+            code, message = "W2001", f"Parameter '{pointer.rsplit('/', 1)[1]}' is never used"
         else:
-            properties, prop_name, spec = self._site_parts(pointer)
-            original = properties[prop_name]
-            index = list(properties).index(prop_name)
+            logical_id, prop_name = _property_site(pointer)
+            spec = self._site_spec(logical_id, prop_name)
             if kind == "drop_required":
-                del properties[prop_name]
-                defect = DefectSpec(
-                    kind,
-                    pointer,
-                    original=original,
-                    key_index=index,
-                    expected_code="E3003",
-                    expected_message=f"Required property '{prop_name}' is missing",
-                    expected_pointer=pointer.rsplit("/", 1)[0],
-                )
+                code, message = "E3003", f"Required property '{prop_name}' is missing"
+                anchor = pointer.rsplit("/", 1)[0]
             elif kind == "wrong_type":
-                bad = _WRONG_VALUES[spec.primitive]
-                properties[prop_name] = bad
-                defect = DefectSpec(
-                    kind,
-                    pointer,
-                    original=original,
-                    key_index=index,
-                    expected_code="E3012",
-                    expected_message=f"{render_value(bad)} is not of type '{spec.primitive}'",
-                )
+                bad = render_value(_WRONG_VALUES[spec.primitive])
+                code, message = "E3012", f"{bad} is not of type '{spec.primitive}'"
             elif kind == "bad_intrinsic_getazs":
-                properties[prop_name] = {"Fn::GetAZs": ""}
-                defect = DefectSpec(
-                    kind,
-                    pointer,
-                    original=original,
-                    key_index=index,
-                    expected_code="E1015",
-                    expected_message="{'Fn::GetAZs': ''} is not of type 'string'",
-                )
+                code, message = "E1015", "{'Fn::GetAZs': ''} is not of type 'string'"
             elif kind == "bad_enum":
-                properties[prop_name] = _BAD_ENUM_VALUE
                 enum_rendered = render_value(list(spec.enum_values))
-                defect = DefectSpec(
-                    kind,
-                    pointer,
-                    original=original,
-                    key_index=index,
-                    expected_code="E3030",
-                    expected_message=f"{render_value(_BAD_ENUM_VALUE)} is not one of {enum_rendered}",
-                )
+                code, message = "E3030", f"{render_value(_BAD_ENUM_VALUE)} is not one of {enum_rendered}"
             else:
                 raise ValueError(f"unknown defect kind {kind!r}")
+        defect = DefectSpec(kind, pointer, expected_code=code, expected_message=message, expected_pointer=anchor)
         self.live.append(defect)
         return defect
-
-    def _repair(self, defect: DefectSpec) -> None:
-        pointer = defect.target_pointer
-        if defect.kind == "unknown_top_key":
-            del self.template[pointer[1:]]
-        elif defect.kind == "unused_parameter":
-            name = pointer.rsplit("/", 1)[1]
-            params = self.template["Parameters"]
-            del params[name]
-            if not params:
-                del self.template["Parameters"]
-        elif defect.kind == "drop_required":
-            properties, prop_name, _ = self._site_parts(pointer)
-            _insert_key_at(properties, prop_name, defect.original, defect.key_index)
-        else:
-            properties, prop_name, _ = self._site_parts(pointer)
-            properties[prop_name] = defect.original
-        self.live.remove(defect)

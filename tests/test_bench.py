@@ -266,6 +266,21 @@ class TestAggregate:
                 assert math.isclose(stats.mean_errors[i], mean, rel_tol=1e-12, abs_tol=1e-12)
                 assert math.isclose(stats.std_errors[i], std, rel_tol=1e-12, abs_tol=1e-12)
 
+    def test_std_is_correctly_rounded(self):
+        # Seed 3's iteration-7 error totals: a left-to-right float sum of the
+        # squared deviations ends one ulp off, and Python 3.12 changed sum()
+        # to compensated summation, so results.json bytes hung on the version.
+        totals = [337, 342, 342, 342, 339, 340]
+        mean = sum(totals) / 6
+        squares = [(v - mean) ** 2 for v in totals]
+        running = 0.0
+        for square in squares:
+            running += square
+        assert running != math.fsum(squares)  # the case the test is about
+        stats = aggregate([TrialResult(t, [(v, 0)]) for t, v in enumerate(totals)])
+        assert stats.std_errors == [math.sqrt(math.fsum(squares) / 5)]
+        assert repr(stats.std_errors[0]) == "2.065591117977289"
+
     def test_length_mismatch(self):
         trials = [TrialResult(0, [(1, 1)]), TrialResult(1, [(1, 1), (2, 2)])]
         with pytest.raises(LengthMismatch):

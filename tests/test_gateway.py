@@ -17,6 +17,7 @@ from iacloop.gateway import (
     GenerationConfig,
     HttpBackend,
     MAX_RETRY_AFTER_SECONDS,
+    MissingSetting,
     NoTemplateFound,
     ScriptedBackend,
     ScriptExhausted,
@@ -29,6 +30,7 @@ from iacloop.gateway import (
     _sized_base,
     extract_template,
     generate,
+    make_backend,
     mix64,
     synthetic_base_template,
 )
@@ -54,6 +56,18 @@ class TestGenerate:
         generate(CONVERSATION, CFG, backend)
         with pytest.raises(ScriptExhausted):
             generate(CONVERSATION, CFG, backend)
+
+    def test_make_backend_rejects_unknown_kinds(self):
+        # An unknown kind used to fall through to the http backend.
+        settings = dict(seed=1, p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0, initial_defects=4,
+                        script_dir=None, api_base_url="http://x")
+        for kind in ("Synthetic", "synth", "HTTP", ""):
+            with pytest.raises(ValueError, match=repr(kind)) as caught:
+                make_backend(kind, builtin_core_schemas(), **settings)
+            assert not isinstance(caught.value, MissingSetting)
+        with pytest.raises(MissingSetting):
+            make_backend("http", builtin_core_schemas(), **dict(settings, api_base_url=None))
+        assert isinstance(make_backend("http", builtin_core_schemas(), **settings), HttpBackend)
 
     def test_synthetic_deterministic_for_seed(self):
         params = SyntheticParams(p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25, seed=42)
@@ -387,37 +401,47 @@ class TestSyntheticBackend:
     def test_inject_repair_identity_per_kind(self):
         for kind in DEFECT_KINDS:
             backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
-            backend.template = synthetic_base_template(2)
-            backend.live = []
-            original = json.dumps(backend.template)
-            pairs = [
-                p
-                for p in _eligible_pairs(backend.template, backend.store, set(), error_only=False)
-                if p[0] == kind
-            ]
+            backend.base = synthetic_base_template(2)
+            backend.pairs = _eligible_pairs(backend.base, backend.store)
+            original = json.dumps(backend.base, indent=2)
+            pairs = [p for p in backend._free_pairs() if p[0] == kind]
             assert pairs, kind
             defect = backend._inject(*pairs[0])
-            assert json.dumps(backend.template) != original
-            backend._repair(defect)
-            assert json.dumps(backend.template) == original
+            assert json.dumps(backend.render(), indent=2) != original
+            # Rendering shares untouched blocks but never writes into the base.
+            assert json.dumps(backend.base, indent=2) == original
+            backend.live.remove(defect)
+            assert json.dumps(backend.render(), indent=2) == original
 
     def test_each_defect_yields_exactly_one_diagnostic(self):
         backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
-        backend.template = synthetic_base_template(2)
-        backend.live = []
+        backend.base = synthetic_base_template(2)
+        backend.pairs = _eligible_pairs(backend.base, backend.store)
         seen_kinds = set()
-        for kind, site in _eligible_pairs(backend.template, backend.store, set(), error_only=False):
+        for kind, site in backend.pairs:
             if kind in seen_kinds:
                 continue
             seen_kinds.add(kind)
             defect = backend._inject(kind, site)
-            report = _lint_text(json.dumps(backend.template))
+            report = _lint_text(json.dumps(backend.render()))
             assert len(report.diagnostics) == 1, kind
             assert report.diagnostics[0].code == defect.expected_code
             assert (report.diagnostics[0].code, report.diagnostics[0].pointer,
                     report.diagnostics[0].message) == defect.diagnostic_key()
-            backend._repair(defect)
+            backend.live.remove(defect)
         assert seen_kinds == set(DEFECT_KINDS)
+
+    def test_full_repair_restores_the_base_bytes(self):
+        # Two dropped properties of one resource used to come back in another
+        # key order when repaired by stored index (e.g. seed 34's Subnet0).
+        store = builtin_core_schemas()
+        for seed in range(3000):
+            backend = SyntheticBackend(
+                SyntheticParams(p_fix=1.0, p_spawn=0.0, seed=seed), initial_defects=(6, 10), store=store
+            )
+            backend.initial_generation()
+            blocks = (len(backend.base["Resources"]) - 1) // 3  # the Vpc, then three per block
+            assert backend.synthetic_step() == json.dumps(synthetic_base_template(blocks), indent=2), seed
 
     def test_stubborn_fraction_never_fixed(self):
         backend = SyntheticBackend(
@@ -505,7 +529,35 @@ class TestSyntheticLedger:
                     warnings,
                 ), seed
                 text = backend.synthetic_step()
-                assert text == json.dumps(backend.template, indent=2), seed
+                assert text == json.dumps(backend.render(), indent=2), seed
+
+    def test_spawn_candidates_equal_a_fresh_enumeration(self):
+        # Spawns filter the base's pairs instead of enumerating the rendered
+        # template; the two lists agree, order included, at every draw.
+        store = builtin_core_schemas()
+        draws = 0
+        for seed in range(60):
+            backend = SyntheticBackend(
+                SyntheticParams(p_fix=0.55, p_spawn=0.9, stubborn_fraction=0.25, seed=seed),
+                initial_defects=(6, 10),
+                store=store,
+            )
+            inner = backend._free_pairs
+
+            def checked():
+                nonlocal draws
+                draws += 1
+                occupied = {d.target_pointer for d in backend.live}
+                fresh = [p for p in _eligible_pairs(backend.render(), store) if p[1] not in occupied]
+                pairs = inner()
+                assert pairs == fresh, seed
+                return pairs
+
+            backend._free_pairs = checked
+            backend.initial_generation()
+            for _ in range(10):
+                backend.synthetic_step()
+        assert draws > 1000
 
     @pytest.mark.parametrize("p_spawn", [0.15, 0.9])
     def test_block_serialization_equals_whole_dump(self, p_spawn):
@@ -519,7 +571,7 @@ class TestSyntheticLedger:
             twin = SyntheticBackend(params, initial_defects=(6, 10), store=store)
             text, twin_text = backend.initial_generation(), twin.initial_generation()
             for _ in range(11):
-                assert text == json.dumps(backend.template, indent=2) == twin_text, seed
+                assert text == json.dumps(backend.render(), indent=2) == twin_text, seed
                 text, twin_text = backend.synthetic_step(), twin.synthetic_step()
             assert text == twin_text, seed
 
@@ -574,7 +626,7 @@ class TestTemplateSizing:
             template, pairs = _sized_base(defects, store)
             blocks = (len(template["Resources"]) - 1) // 3  # the Vpc, then three per block
             assert template == synthetic_base_template(blocks), defects
-            assert pairs == _eligible_pairs(template, store, set(), error_only=True), defects
+            assert pairs == _eligible_pairs(template, store), defects
             assert sites[blocks] >= needed, defects
             assert blocks == 1 or sites[blocks - 1] < needed, defects
 
