@@ -17,7 +17,7 @@ from typing import Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
 from .linter import RunMemo
-from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
+from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
 from .schema_store import load_store
 
 __all__ = [
@@ -109,7 +109,7 @@ class CellFailure:
 class BenchmarkResult:
     config: BenchmarkConfig
     trials: list[TrialResult]
-    traces: list[LoopTrace]
+    completed: int  # cells that ran to the end; their counts make the totals
     failures: list[CellFailure] = field(default_factory=list)
 
 
@@ -160,7 +160,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     deterministic serial pass over cells ordered by (trial, case,
     generation), whatever the parallelism.  With the synthetic backend the
     cells share one RunMemo, which lints and serializes each distinct
-    resource block once; scripted and http replies are linted whole.
+    resource block once; scripted and http replies are linted whole.  With
+    ``traces_dir`` set, that same pass writes each completed cell's trace.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -172,11 +173,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         early_stop=False,
         generation=GenerationConfig(model=cfg.model),
     )
-    if cfg.initial_defects_min == cfg.initial_defects_max:
-        initial_defects: int | tuple[int, int] = cfg.initial_defects_min
-    else:
-        initial_defects = (cfg.initial_defects_min, cfg.initial_defects_max)
-
     cells = [
         (trial, case_index, generation)
         for trial in range(cfg.trials)
@@ -193,7 +189,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             p_fix=cfg.p_fix,
             p_spawn=cfg.p_spawn,
             stubborn_fraction=cfg.stubborn_fraction,
-            initial_defects=initial_defects,
+            initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
             script_dir=cfg.script_dir,
             api_base_url=cfg.api_base_url,
             memo=memo,
@@ -219,38 +215,26 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             outcomes = list(pool.map(run_cell, cells))
 
-    traces: list[LoopTrace] = []
     failures: list[CellFailure] = []
     totals = [
         [(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)
     ]
-    for cell, outcome in zip(cells, outcomes):
-        trial = cell[0]
+    for (trial, _, generation), outcome in zip(cells, outcomes):
         if isinstance(outcome, CellFailure):
             failures.append(outcome)
             continue
-        traces.append(outcome)
-        for record in outcome.records:
-            errors, warnings = totals[trial][record.index]
-            totals[trial][record.index] = (
-                errors + record.error_count,
-                warnings + record.warning_count,
-            )
+        row = totals[trial]
+        for index, (errors, warnings) in enumerate(outcome.counts()):
+            row[index] = (row[index][0] + errors, row[index][1] + warnings)
+        if cfg.traces_dir:
+            outcome.write(Path(cfg.traces_dir) / f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json")
 
     trial_results = [
         TrialResult(trial_index=t, per_iteration_totals=totals[t]) for t in range(cfg.trials)
     ]
-
-    if cfg.traces_dir:
-        for cell, outcome in zip(cells, outcomes):
-            if isinstance(outcome, CellFailure):
-                continue
-            name = f"trial{cell[0]:02d}_{outcome.case_id}_gen{cell[2]}.json"
-            (Path(cfg.traces_dir) / name).write_text(
-                json.dumps(outcome.to_dict(), indent=2) + "\n", encoding="utf-8"
-            )
-
-    return BenchmarkResult(config=cfg, trials=trial_results, traces=traces, failures=failures)
+    return BenchmarkResult(
+        config=cfg, trials=trial_results, completed=len(cells) - len(failures), failures=failures
+    )
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateStats:

@@ -214,10 +214,10 @@ def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
     try:
         trace = run_loop(case, backend, store, loop_cfg)
     except BackendFailure as exc:
-        Path(args.out).write_text(json.dumps(exc.trace.to_dict(), indent=2) + "\n", encoding="utf-8")
+        exc.trace.write(args.out)
         print(f"backend failure: {exc}", file=sys.stderr)
         return 3
-    Path(args.out).write_text(json.dumps(trace.to_dict(), indent=2) + "\n", encoding="utf-8")
+    trace.write(args.out)
     counts = ", ".join(f"{r.error_count}e/{r.warning_count}w" for r in trace.records)
     print(f"{case.id}: {len(trace.records)} records ({counts})")
     return 0
@@ -248,9 +248,8 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.
     plateau = detect_plateau(stats.mean_errors) if stats is not None and len(stats) > 2 else None
     write_results(result, args.out, stats=stats, plateau_index=plateau)
-    completed = len(result.traces)
-    print(f"{completed} cells completed, {len(result.failures)} failed; results -> {args.out}")
-    if not completed:
+    print(f"{result.completed} cells completed, {len(result.failures)} failed; results -> {args.out}")
+    if not result.completed:
         print(f"no cell completed; first failure: {result.failures[0].error}", file=sys.stderr)
         return 3
     if plateau is not None:

@@ -585,7 +585,7 @@ class SyntheticParams:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass
+@dataclass(eq=False)  # identity: ``live.remove`` drops that very defect
 class DefectSpec:
     """One live injected defect: what it is, where, and the diagnostic it draws."""
 
@@ -691,17 +691,17 @@ class SyntheticBackend:
     """Offline backend that probabilistically repairs its live defects.
 
     The first completion sizes a clean base template and injects
-    ``initial_defects`` defects (an int, or an inclusive (lo, hi) range
-    sampled per generation); every later feedback turn runs one
-    repair/spawn step.  The template is never edited: each serialization
-    renders the base with the live defects of the ledger applied, so a
-    repair only drops its defect from the ledger and a fully repaired
-    template is the base byte for byte.  Identical construction (params,
-    seed, sizing) and call sequence yield identical strings.  A ``memo``,
-    built for ``store`` and shared by the backends of one run, keeps
-    serialized blocks; it changes no output.  Raises ValueError unless
-    ``initial_defects`` is a count of at least 0 or a range with
-    0 <= lo <= hi.
+    ``initial_defects`` defects (an int n, which is the range (n, n), or an
+    inclusive (lo, hi) range sampled per generation; lo == hi spends no
+    draw); every later feedback turn runs one repair/spawn step.  The
+    template is never edited: each serialization renders the base with the
+    live defects of the ledger applied, so a repair only drops its defect
+    from the ledger and a fully repaired template is the base byte for byte.
+    Identical construction (params, seed, sizing) and call sequence yield
+    identical strings.  A ``memo``, built for ``store`` and shared by the
+    backends of one run, keeps serialized blocks; it changes no output.
+    Raises ValueError unless ``initial_defects`` is a count of at least 0
+    or a range with 0 <= lo <= hi.
     """
 
     def __init__(
@@ -715,7 +715,7 @@ class SyntheticBackend:
         if not 0 <= lo <= hi:
             raise ValueError(f"initial defects must be a count >= 0 or a range 0 <= lo <= hi, got {initial_defects}")
         self.params = params
-        self.initial_defects = initial_defects
+        self.defect_range = (lo, hi)
         self.store = store if store is not None else builtin_core_schemas()
         if memo is not None:
             memo.check_store(self.store)
@@ -750,18 +750,14 @@ class SyntheticBackend:
         Raises ValueError when the store has no property schemas for the
         template's resource types and too few other defect sites remain.
         """
-        if isinstance(self.initial_defects, tuple):
-            lo, hi = self.initial_defects
-            count = self.rng.randint(lo, hi)
-        else:
-            count = self.initial_defects
+        lo, hi = self.defect_range
+        count = lo if lo == hi else self.rng.randint(lo, hi)
         self.base, self.pairs = _sized_base(count, self.store)
         self.live = []
-        error_pairs = [p for p in self.pairs if p[0] != "unused_parameter"]
-        occupied: set[str] = set()
+        free = [p for p in self.pairs if p[0] != "unused_parameter"]
         for _ in range(count):
-            pairs = [p for p in error_pairs if p[1] not in occupied]
-            occupied.add(self._inject(*pairs[self.rng.randrange(len(pairs))]).target_pointer)
+            site = self._inject(*free[self.rng.randrange(len(free))]).target_pointer
+            free = [p for p in free if p[1] != site]
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True

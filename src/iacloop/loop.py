@@ -7,7 +7,9 @@ exactly so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
 from .gateway import (
@@ -101,6 +103,11 @@ class LoopTrace:
     def from_dict(cls, data: dict) -> "LoopTrace":
         records = [IterationRecord(**r) for r in data["records"]]
         return cls(**{**data, "records": records})
+
+    def write(self, path: str | Path) -> None:
+        """Write the trace file, ``to_dict`` as indented JSON; the one place
+        that format is built."""
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from iacloop.bench import (
     run_benchmark,
     write_results,
 )
+from iacloop.loop import LoopTrace
 
 VPC_PROMPT = (
     "Create a AWS CloudFormation template that deploys a VPC with a pair of "
@@ -43,6 +44,17 @@ CLEAN = json.dumps(
      "Resources": {"M": {"Type": "AWS::EC2::Instance",
                          "Properties": {"InstanceType": "t2.micro", "ImageId": "ami-1"}}}}
 )
+
+
+def resum_traces(directory, cfg):
+    """Per-trial (errors, warnings) totals re-summed from the trace files a bench wrote."""
+    totals = [[(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)]
+    for path in directory.iterdir():
+        trial = int(path.name[len("trial"):].split("_", 1)[0])
+        for record in LoopTrace.from_dict(json.loads(path.read_text())).records:
+            e, w = totals[trial][record.index]
+            totals[trial][record.index] = (e + record.error_count, w + record.warning_count)
+    return totals
 
 
 @pytest.fixture
@@ -101,21 +113,14 @@ class TestRunBenchmark:
         result = run_benchmark(cfg)
         assert result.trials[0].per_iteration_totals == [(6, 0), (2, 0), (0, 0), (0, 0)]
 
-    def test_totals_additivity_over_traces(self, one_case_dir):
+    def test_totals_additivity_over_traces(self, one_case_dir, tmp_path):
         cfg = BenchmarkConfig(
             cases_dir=str(one_case_dir), generations_per_case=3, iterations=4,
-            trials=2, master_seed=5,
+            trials=2, master_seed=5, traces_dir=str(tmp_path / "traces"),
         )
         result = run_benchmark(cfg)
-        resummed = {t: [(0, 0)] * (cfg.iterations + 1) for t in range(cfg.trials)}
-        per_trial = cfg.generations_per_case  # one case
-        for i, trace in enumerate(result.traces):
-            trial = i // per_trial
-            for record in trace.records:
-                e, w = resummed[trial][record.index]
-                resummed[trial][record.index] = (e + record.error_count, w + record.warning_count)
-        for trial in result.trials:
-            assert trial.per_iteration_totals == resummed[trial.trial_index]
+        assert result.completed == 6
+        assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "traces", cfg)
 
     def test_deterministic_across_parallelism(self, tmp_path, one_case_dir):
         results = {}
@@ -145,14 +150,15 @@ class TestRunBenchmark:
         assert result.failures[0].records_completed == 1
         assert result.trials[0].per_iteration_totals == [(0, 0)] * 4
 
-    def test_unexpected_cell_error_listed_not_fatal(self, one_case_dir, monkeypatch):
+    def test_unexpected_cell_error_listed_not_fatal(self, one_case_dir, tmp_path, monkeypatch):
         from iacloop import bench
 
         cfg = BenchmarkConfig(
             cases_dir=str(one_case_dir), generations_per_case=3, iterations=3,
-            trials=2, master_seed=5,
+            trials=2, master_seed=5, traces_dir=str(tmp_path / "expected"),
         )
         expected = run_benchmark(cfg)
+        cfg.traces_dir = str(tmp_path / "failing")
         inner = bench.run_loop
 
         def failing_second_generation(case, backend, store, loop_cfg, generation_index=0, memo=None):
@@ -165,15 +171,14 @@ class TestRunBenchmark:
         assert [(f.trial_index, f.generation_index, f.error, f.records_completed)
                 for f in result.failures] == [(0, 1, "RuntimeError: cell exploded", 0),
                                               (1, 1, "RuntimeError: cell exploded", 0)]
-        kept = [t for t in expected.traces if t.generation_index != 1]
-        assert [t.to_dict() for t in result.traces] == [t.to_dict() for t in kept]
-        for trial in range(cfg.trials):
-            totals = [(0, 0)] * (cfg.iterations + 1)
-            for trace in kept[trial * 2 : trial * 2 + 2]:
-                for r in trace.records:
-                    e, w = totals[r.index]
-                    totals[r.index] = (e + r.error_count, w + r.warning_count)
-            assert result.trials[trial].per_iteration_totals == totals
+        assert (expected.completed, result.completed) == (6, 4)
+        # No file for a failed cell; every other file is the expected run's, byte for byte.
+        written = {p.name: p.read_bytes() for p in (tmp_path / "failing").iterdir()}
+        assert written == {
+            p.name: p.read_bytes() for p in (tmp_path / "expected").iterdir() if not p.name.endswith("_gen1.json")
+        }
+        assert len(written) == 4
+        assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "failing", cfg)
 
     def test_model_reaches_the_loop_config(self, one_case_dir, monkeypatch):
         from iacloop import bench

@@ -371,6 +371,23 @@ class TestSyntheticBackend:
             assert report.error_count == count
             assert report.warning_count == 0
 
+    def test_count_is_the_range_of_one_count(self):
+        # An int n and the range (n, n) draw nothing for the count, so they
+        # give the same texts; a wider range draws the count per generation.
+        params = SyntheticParams(p_fix=0.55, p_spawn=0.15, stubborn_fraction=0.25, seed=7)
+        texts = []
+        for count in (8, (8, 8)):
+            backend = SyntheticBackend(params, initial_defects=count)
+            texts.append([backend.initial_generation()] + [backend.synthetic_step() for _ in range(4)])
+        assert texts[0] == texts[1]
+        drawn = []
+        for seed in range(8):
+            backend = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0, seed=seed), initial_defects=(6, 10))
+            backend.initial_generation()
+            assert len(backend.live) == random.Random(seed).randint(6, 10)
+            drawn.append(len(backend.live))
+        assert len(set(drawn)) > 1
+
     def test_all_repaired_lints_clean(self):
         backend = SyntheticBackend(
             SyntheticParams(p_fix=1.0, p_spawn=0.0, stubborn_fraction=0.0, seed=5),

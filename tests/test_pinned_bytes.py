@@ -12,7 +12,7 @@ import shutil
 from pathlib import Path
 
 from iacloop.cli import dispatch
-from iacloop.gateway import ScriptedBackend
+from iacloop.gateway import ScriptedBackend, SyntheticBackend, SyntheticParams
 from iacloop.loop import BenchmarkCase, LoopConfig, run_loop
 from iacloop.schema_store import builtin_core_schemas
 
@@ -66,6 +66,9 @@ BENCH_DIGESTS = {
 }
 LOOP_TRACE_DIGEST = "e94fa61772157cbf04f4aaee870a9d4bfd7fb922b8f50d05065c55824034d0b4"
 LOOP_PROMPTS_DIGEST = "28bae178b4f3bec51130c180a0e882422579c1f171b3135a499dcd8bf2144882"
+# The bench digests cover 6-10 defects; this one covers a 600-defect template
+# (58 blocks), where injection and spawning draw from long free-site lists.
+DENSE_SYNTHETIC_DIGEST = "c17a5495d7b45fabe64473a34e3173f8b200ffef8ec76a7e51040ccb3036b824"
 
 
 def _sha256(data: bytes) -> str:
@@ -144,3 +147,20 @@ def test_scripted_loop_trace_matches_pinned_digest(tmp_path, capsys):
 
 def test_scripted_loop_prompts_match_pinned_digest():
     assert loop_prompts_digest() == LOOP_PROMPTS_DIGEST
+
+
+def dense_synthetic_digest() -> str:
+    """Digest of the generation and three steps of 600-defect cells, seeds 0-4."""
+    digest = hashlib.sha256()
+    store = builtin_core_schemas()
+    for seed in range(5):
+        params = SyntheticParams(p_fix=0.55, p_spawn=0.15, stubborn_fraction=0.25, seed=seed)
+        backend = SyntheticBackend(params, initial_defects=600, store=store)
+        digest.update(backend.initial_generation().encode("utf-8"))
+        for _ in range(3):
+            digest.update(backend.synthetic_step().encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_dense_synthetic_texts_match_pinned_digest():
+    assert dense_synthetic_digest() == DENSE_SYNTHETIC_DIGEST
