@@ -159,9 +159,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     are excluded from totals and listed in ``failures``.  The reduction is a
     deterministic serial pass over cells ordered by (trial, case,
     generation), whatever the parallelism.  With the synthetic backend the
-    cells share one RunMemo, which lints and serializes each distinct
-    resource block once; scripted and http replies are linted whole.  With
-    ``traces_dir`` set, that same pass writes each completed cell's trace.
+    cells share one RunMemo, which lints each distinct resource block once;
+    scripted and http replies are linted whole.  With ``traces_dir`` set,
+    that same pass writes each completed cell's trace.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -192,7 +192,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
             script_dir=cfg.script_dir,
             api_base_url=cfg.api_base_url,
-            memo=memo,
         )
         case = cases[case_index]
         try:

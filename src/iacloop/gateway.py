@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 
 import requests
 
-from .linter import LintReport, RunMemo
+from .linter import LintReport
 from .located_json import JsonDocument, escape_pointer_token, parse_located, render_value
 from .schema_store import SchemaStore, builtin_core_schemas
 
@@ -270,20 +270,18 @@ def make_backend(
     initial_defects: int | tuple[int, int],
     script_dir: Optional[str],
     api_base_url: Optional[str],
-    memo: Optional[RunMemo] = None,
 ) -> Backend:
     """Build the ``kind`` backend ("synthetic", "scripted" or "http").
 
-    Only the settings of the chosen kind are read; a synthetic backend shares
-    ``memo`` with the other cells of its run.  Raises ValueError for any
-    other kind, and MissingSetting when a scripted backend has no
+    Only the settings of the chosen kind are read.  Raises ValueError for
+    any other kind, and MissingSetting when a scripted backend has no
     ``script_dir`` or an http backend no ``api_base_url``.
     """
     if kind == "synthetic":
         params = SyntheticParams(
             p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction, seed=seed
         )
-        return SyntheticBackend(params, initial_defects=initial_defects, store=store, memo=memo)
+        return SyntheticBackend(params, initial_defects=initial_defects, store=store)
     if kind == "scripted":
         if not script_dir:
             raise MissingSetting("scripted backend requires script_dir")
@@ -603,78 +601,98 @@ class DefectSpec:
         return (self.expected_code, pointer, self.expected_message)
 
 
+_BLOCK_TYPES = {"Vpc": "AWS::EC2::VPC", "Subnet": "AWS::EC2::Subnet", "Bucket": "AWS::S3::Bucket",
+                "Instance": "AWS::EC2::Instance"}
+_BASE_MEMBERS = {"AWSTemplateFormatVersion": "2010-09-09", "Description": "Synthetic fixture stack"}
+_Edits = tuple[tuple[str, str, str], ...]  # a block's (property, kind, wrong_type primitive or "") edits
+
+
+def _base_block(logical_id: str) -> dict:
+    """The clean block ``logical_id`` of the base template: the ``Vpc``, or
+    block i's ``Subnet<i>``, ``Bucket<i>`` or ``Instance<i>``."""
+    name = logical_id.rstrip("0123456789")
+    i = int(logical_id[len(name):] or 0)
+    if name == "Vpc":
+        properties = {"CidrBlock": "10.0.0.0/16", "EnableDnsSupport": True, "InstanceTenancy": "default"}
+    elif name == "Subnet":
+        properties = {"VpcId": {"Ref": "Vpc"}, "CidrBlock": f"10.0.{i}.0/24", "AvailabilityZone": "us-east-1a",
+                      "MapPublicIpOnLaunch": False}
+    elif name == "Bucket":
+        properties = {"BucketName": f"artifact-store-{i}", "AccessControl": "Private", "ObjectLockEnabled": False,
+                      "Tags": [{"Key": "env", "Value": "dev"}]}
+    else:
+        properties = {"ImageId": f"ami-{i:017d}", "InstanceType": "t2.micro", "AvailabilityZone": "us-east-1a",
+                      "Monitoring": False, "Tenancy": "default"}
+    return {"Type": _BLOCK_TYPES[name], "Properties": properties}
+
+
 def synthetic_base_template(blocks: int) -> dict:
     """Clean template (lints empty against the builtin store) with repeatable
-    resource blocks providing defect-injection sites."""
-    resources: dict[str, Any] = {
-        "Vpc": {
-            "Type": "AWS::EC2::VPC",
-            "Properties": {
-                "CidrBlock": "10.0.0.0/16",
-                "EnableDnsSupport": True,
-                "InstanceTenancy": "default",
-            },
-        }
-    }
-    for i in range(blocks):
-        resources[f"Subnet{i}"] = {
-            "Type": "AWS::EC2::Subnet",
-            "Properties": {
-                "VpcId": {"Ref": "Vpc"},
-                "CidrBlock": f"10.0.{i}.0/24",
-                "AvailabilityZone": "us-east-1a",
-                "MapPublicIpOnLaunch": False,
-            },
-        }
-        resources[f"Bucket{i}"] = {
-            "Type": "AWS::S3::Bucket",
-            "Properties": {
-                "BucketName": f"artifact-store-{i}",
-                "AccessControl": "Private",
-                "ObjectLockEnabled": False,
-                "Tags": [{"Key": "env", "Value": "dev"}],
-            },
-        }
-        resources[f"Instance{i}"] = {
-            "Type": "AWS::EC2::Instance",
-            "Properties": {
-                "ImageId": f"ami-{i:017d}",
-                "InstanceType": "t2.micro",
-                "AvailabilityZone": "us-east-1a",
-                "Monitoring": False,
-                "Tenancy": "default",
-            },
-        }
-    return {
-        "AWSTemplateFormatVersion": "2010-09-09",
-        "Description": "Synthetic fixture stack",
-        "Resources": resources,
-    }
+    resource blocks providing defect-injection sites.  Each block is built from
+    its logical id alone, so a template's blocks are a prefix of a larger one's."""
+    ids = ["Vpc"] + [f"{name}{i}" for i in range(blocks) for name in ("Subnet", "Bucket", "Instance")]
+    return {**_BASE_MEMBERS, "Resources": {logical_id: _base_block(logical_id) for logical_id in ids}}
 
 
 def _encode_member(indent: str, key: str, value: Any) -> str:
-    """One member of an ``indent=2`` dump, as it reads ``indent`` deep.
-
-    Re-indenting by replacing newlines is exact because JSON output never
-    holds a raw newline inside a string.
-    """
+    """One member of an ``indent=2`` dump, as it reads ``indent`` deep.  Re-indenting
+    by replacing newlines is exact: JSON output never holds a raw newline in a string."""
     return indent + json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _dump_template(template: dict, memo: Optional[RunMemo]) -> str:
-    """``json.dumps(template, indent=2)``; with a memo, joined from one
-    fragment per top-level member and per ``Resources`` member, so that a
-    step which changed one block encodes only that block."""
-    if memo is None or not template:
-        return json.dumps(template, indent=2)
-    members = []
-    for key, value in template.items():
-        if key == "Resources" and isinstance(value, dict) and value:
-            blocks = ",\n".join(memo.fragment("    ", k, v, _encode_member) for k, v in value.items())
-            members.append('  "Resources": {\n' + blocks + "\n  }")
+def _edit_block(block: dict, edits: _Edits) -> dict:
+    """``block`` with ``edits`` applied, or ``block`` itself when there are
+    none: the one place a defect changes a block."""
+    if not edits:
+        return block
+    properties = dict(block["Properties"])
+    for prop_name, kind, primitive in edits:
+        if kind == "drop_required":
+            del properties[prop_name]
+        elif kind == "wrong_type":
+            properties[prop_name] = _WRONG_VALUES[primitive]
+        elif kind == "bad_intrinsic_getazs":
+            properties[prop_name] = {"Fn::GetAZs": ""}
         else:
-            members.append(memo.fragment("  ", key, value, _encode_member))
-    return "{\n" + ",\n".join(members) + "\n}"
+            properties[prop_name] = _BAD_ENUM_VALUE
+    return {**block, "Properties": properties}
+
+
+def _member_value(key: str, parameters: tuple[str, ...]) -> Any:
+    """A top-level member other than ``Resources``: a base scalar, an
+    injected empty section, or ``Parameters`` declaring ``parameters``."""
+    return {name: {"Type": "String"} for name in parameters} if key == "Parameters" else _BASE_MEMBERS.get(key, {})
+
+
+def _object_text(indent: str, members: list[str]) -> str:
+    """An ``indent=2`` JSON object, as it reads ``indent`` deep, from its members' texts."""
+    return "{\n" + ",\n".join(members) + "\n" + indent + "}" if members else "{}"
+
+
+# Texts are keyed by content alone, so every backend of the process shares
+# them.  A block that misses is joined from property texts keyed by the
+# value's compact JSON, which the C encoder writes, so it encodes only values
+# no block has shown.  Distinct texts at paper scale (seeds 0-3): 357-371
+# blocks (a cap of 256 re-encodes 181 at seed 3 and halves what 512 holds),
+# 40 properties, 18-19 top-level members; perfbench's lint corpus: 229 properties.
+@functools.lru_cache(maxsize=256)
+def _block_text(logical_id: str, edits: _Edits) -> str:
+    """The block's member of the ``indent=2`` dump, joined from its properties' texts."""
+    block = _edit_block(_base_block(logical_id), edits)
+    properties = [_property_text(name, json.dumps(value)) for name, value in block["Properties"].items()]
+    members = ['      "Type": ' + json.dumps(block["Type"]), '      "Properties": ' + _object_text("      ", properties)]
+    return "    " + json.dumps(logical_id) + ": " + _object_text("    ", members)
+
+
+@functools.lru_cache(maxsize=512)
+def _property_text(name: str, compact: str) -> str:
+    """The member ``name`` whose value has the compact JSON text ``compact``."""
+    return _encode_member("        ", name, json.loads(compact))
+
+
+@functools.lru_cache(maxsize=64)
+def _member_text(key: str, parameters: tuple[str, ...]) -> str:
+    return _encode_member("  ", key, _member_value(key, parameters))
 
 
 @functools.lru_cache(maxsize=4096)  # a run's templates share their few hundred sites
@@ -698,8 +716,8 @@ class SyntheticBackend:
     live defects of the ledger applied, so a repair only drops its defect
     from the ledger and a fully repaired template is the base byte for byte.
     Identical construction (params, seed, sizing) and call sequence yield
-    identical strings.  A ``memo``, built for ``store`` and shared by the
-    backends of one run, keeps serialized blocks; it changes no output.
+    identical strings.  The text is joined from texts that a process-wide
+    cache keys by content, so a step that changed one block encodes only it.
     Raises ValueError unless ``initial_defects`` is a count of at least 0
     or a range with 0 <= lo <= hi.
     """
@@ -709,7 +727,6 @@ class SyntheticBackend:
         params: SyntheticParams,
         initial_defects: int | tuple[int, int] = 8,
         store: Optional[SchemaStore] = None,
-        memo: Optional[RunMemo] = None,
     ):
         lo, hi = initial_defects if isinstance(initial_defects, tuple) else (initial_defects, initial_defects)
         if not 0 <= lo <= hi:
@@ -717,9 +734,6 @@ class SyntheticBackend:
         self.params = params
         self.defect_range = (lo, hi)
         self.store = store if store is not None else builtin_core_schemas()
-        if memo is not None:
-            memo.check_store(self.store)
-        self.memo = memo
         self.rng = random.Random(params.seed)
         self.base: dict = {}  # the clean sized template; never mutated
         self.pairs: list[tuple[str, str]] = []  # the base's (kind, site) pairs, every kind
@@ -761,7 +775,7 @@ class SyntheticBackend:
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True
-        self.text = _dump_template(self.render(), self.memo)
+        self.text = self._serialize()
         return self.text
 
     def synthetic_step(self, report: Optional[LintReport] = None) -> str:
@@ -794,7 +808,7 @@ class SyntheticBackend:
                 if pairs:
                     self._inject(*pairs[self.rng.randrange(len(pairs))])
         if to_repair:
-            self.text = _dump_template(self.render(), self.memo)
+            self.text = self._serialize()
         return self.text
 
     def render(self) -> dict:
@@ -802,33 +816,40 @@ class SyntheticBackend:
 
         Injected sections and ``Parameters`` follow the base's members in
         ledger order.  Blocks that no defect touches are the base's own
-        objects, so the result must not be mutated.
+        objects, so the result must not be mutated.  The backend's text is
+        ``json.dumps(render(), indent=2)``.
         """
-        template = dict(self.base)
-        copied: dict[str, dict] = {}  # logical id -> its copied Properties
+        sections, edits = self._ledger_edits()
+        resources = {lid: _edit_block(block, edits.get(lid, ())) for lid, block in self.base["Resources"].items()}
+        injected = {key: _member_value(key, names) for key, names in sections.items()}
+        return {**self.base, "Resources": resources, **injected}
+
+    def _serialize(self) -> str:
+        """``json.dumps(self.render(), indent=2)``, joined from cached texts."""
+        sections, edits = self._ledger_edits()
+        # Edits of distinct properties commute, so sorted edits key one text.
+        blocks = [_block_text(lid, tuple(sorted(edits.get(lid, ())))) for lid in self.base["Resources"]]
+        resources = '  "Resources": ' + _object_text("  ", blocks)
+        members = [resources if key == "Resources" else _member_text(key, ()) for key in self.base]
+        return _object_text("", members + [_member_text(key, names) for key, names in sections.items()])
+
+    def _ledger_edits(self) -> tuple[dict[str, tuple[str, ...]], dict[str, _Edits]]:
+        """What the ledger changes in the base, in ledger order: each injected
+        top-level key with the parameter names it declares (``Parameters``
+        sits at its first parameter), and the edits of each edited block."""
+        sections: dict[str, tuple[str, ...]] = {}
+        edits: dict[str, _Edits] = {}
         for defect in self.live:
             kind, pointer = defect.kind, defect.target_pointer
             if kind == "unknown_top_key":
-                template[pointer[1:]] = {}
+                sections[pointer[1:]] = ()
             elif kind == "unused_parameter":
-                template.setdefault("Parameters", {})[pointer.rsplit("/", 1)[1]] = {"Type": "String"}
+                sections["Parameters"] = sections.get("Parameters", ()) + (pointer.rsplit("/", 1)[1],)
             else:
                 logical_id, prop_name = _property_site(pointer)
-                properties = copied.get(logical_id)
-                if properties is None:
-                    if not copied:
-                        template["Resources"] = dict(template["Resources"])
-                    entry = template["Resources"][logical_id] = dict(template["Resources"][logical_id])
-                    properties = copied[logical_id] = entry["Properties"] = dict(entry["Properties"])
-                if kind == "drop_required":
-                    del properties[prop_name]
-                elif kind == "wrong_type":
-                    properties[prop_name] = _WRONG_VALUES[self._site_spec(logical_id, prop_name).primitive]
-                elif kind == "bad_intrinsic_getazs":
-                    properties[prop_name] = {"Fn::GetAZs": ""}
-                else:
-                    properties[prop_name] = _BAD_ENUM_VALUE
-        return template
+                primitive = self._site_spec(logical_id, prop_name).primitive if kind == "wrong_type" else ""
+                edits[logical_id] = edits.get(logical_id, ()) + ((prop_name, kind, primitive),)
+        return sections, edits
 
     # -- defect plumbing -------------------------------------------------------
 

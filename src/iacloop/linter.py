@@ -26,7 +26,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .located_json import (
     JsonDocument,
@@ -301,16 +301,14 @@ class _Linter:
 
 
 class RunMemo:
-    """Content-addressed results that the cells of one run share, for one
+    """Resource block findings that the cells of one run share, for one
     schema store.
 
-    It keeps each resource block's findings, keyed by the block's logical
-    id, its source text and the strictness, and serialized template
-    members, keyed by indent, member key and ``repr`` of the value.  Keys
-    hold content, never identities, so an entry is valid wherever its key
-    recurs, and each kind of entry has its own key space.  At most
-    ``CAPACITY`` entries are kept, the oldest evicted first (the paper-scale
-    protocol stores about 770).  Safe to share between threads.
+    Each entry is keyed by the block's logical id, its source text and the
+    strictness: content, never identities, so an entry is valid wherever
+    its key recurs.  At most ``CAPACITY`` entries are kept, the oldest
+    evicted first (the paper-scale protocol stores about 370).  Safe to
+    share between threads.
     """
 
     CAPACITY = 4096
@@ -323,34 +321,16 @@ class RunMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def check_store(self, store: SchemaStore) -> None:
-        """Raise ValueError unless the memo was built for ``store``."""
-        if store is not self.store:
-            raise ValueError("memo was built for another schema store")
-
     def block_findings(self, logical_id: str, source: str, strict: bool) -> Optional[tuple]:
         """The findings kept for a resource block, or None."""
-        return self._entries.get(("block", logical_id, source, strict))
+        return self._entries.get((logical_id, source, strict))
 
     def keep_block_findings(self, logical_id: str, source: str, strict: bool, rows: tuple) -> None:
-        self._put(("block", logical_id, source, strict), rows)
-
-    def fragment(self, indent: str, key: str, value: Any, encode: Callable[[str, str, Any], str]) -> str:
-        """The member ``key: value`` serialized ``indent`` deep, made by
-        ``encode(indent, key, value)`` on a miss.  For JSON values ``repr``
-        keeps key order and tells True, 1 and 1.0 apart."""
-        memo_key = ("fragment", indent, key, repr(value))
-        text = self._entries.get(memo_key)
-        if text is None:
-            text = encode(indent, key, value)
-            self._put(memo_key, text)
-        return text
-
-    def _put(self, key: tuple, value: Any) -> None:
+        key = (logical_id, source, strict)
         with self._lock:
             if key not in self._entries and len(self._entries) >= self.CAPACITY:
                 del self._entries[next(iter(self._entries))]
-            self._entries[key] = value
+            self._entries[key] = rows
 
 
 def _block_rows(linter: _Linter, logical_id: str, entry: Any, prefix: str, source: str, memo: RunMemo):
@@ -390,8 +370,8 @@ def lint_template(
     for fixed inputs; diagnostics are ordered by (offset, code), ties in
     emission order.
     """
-    if memo is not None:
-        memo.check_store(store)
+    if memo is not None and memo.store is not store:
+        raise ValueError("memo was built for another schema store")
     linter = _Linter(document.value, store, strict_unknown_types)
     resources = linter.run()
     blocks: dict[str, str] = {}  # pointer -> logical id of each block the memo serves

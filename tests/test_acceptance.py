@@ -243,8 +243,9 @@ class TestCriterion7DeterminismUnderParallelism:
         cases_dir.mkdir()
         for i in range(4):
             (cases_dir / f"case{i}.txt").write_text(f"Create stack {i}")
-        outputs = {}
+        outputs, traces = {}, {}
         for parallelism in (1, 8):
+            traces_dir = tmp_path / f"traces-p{parallelism}"
             cfg = BenchmarkConfig(
                 cases_dir=str(cases_dir),
                 generations_per_case=2,
@@ -252,6 +253,7 @@ class TestCriterion7DeterminismUnderParallelism:
                 trials=3,
                 master_seed=424242,
                 parallelism=parallelism,
+                traces_dir=str(traces_dir),
             )
             result = run_benchmark(cfg)
             stats = aggregate(result.trials)
@@ -259,8 +261,11 @@ class TestCriterion7DeterminismUnderParallelism:
             write_results(result, out, stats=stats,
                           plateau_index=detect_plateau(stats.mean_errors))
             outputs[parallelism] = out.read_bytes()
+            traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert outputs[1] == outputs[8]
-        _announce(7, "parallelism 1 and 8 produce byte-identical results.json")
+        assert len(traces[1]) == 3 * 4 * 2
+        assert traces[1] == traces[8]
+        _announce(7, "parallelism 1 and 8 produce byte-identical results.json and traces")
 
 
 class TestCriterion8SpanSoundness:

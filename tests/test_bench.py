@@ -123,11 +123,14 @@ class TestRunBenchmark:
         assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "traces", cfg)
 
     def test_deterministic_across_parallelism(self, tmp_path, one_case_dir):
-        results = {}
+        # Threads share the process-wide text cache, so the traces are
+        # compared byte for byte too.
+        results, traces = {}, {}
         for parallelism in (1, 8):
+            traces_dir = tmp_path / f"traces-p{parallelism}"
             cfg = BenchmarkConfig(
                 cases_dir=str(one_case_dir), generations_per_case=2, iterations=4,
-                trials=2, master_seed=99, parallelism=parallelism,
+                trials=2, master_seed=99, parallelism=parallelism, traces_dir=str(traces_dir),
             )
             result = run_benchmark(cfg)
             stats = aggregate(result.trials)
@@ -135,7 +138,10 @@ class TestRunBenchmark:
             write_results(result, out, stats=stats,
                           plateau_index=detect_plateau(stats.mean_errors))
             results[parallelism] = out.read_bytes()
+            traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert results[1] == results[8]
+        assert len(traces[1]) == 4
+        assert traces[1] == traces[8]
 
     def test_backend_failure_listed_not_fatal(self, one_case_dir, tmp_path):
         short = tmp_path / "short"

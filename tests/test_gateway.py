@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import statistics
+import sys
 import threading
 import time
 import warnings
@@ -34,9 +35,10 @@ from iacloop.gateway import (
     mix64,
     synthetic_base_template,
 )
-from iacloop.linter import RunMemo, lint_template
+from iacloop import gateway
+from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
-from iacloop.schema_store import SchemaStore, builtin_core_schemas
+from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
 
 from helpers import random_reply, reference_largest_balanced_braces
 
@@ -356,6 +358,11 @@ def _lint_text(text):
     return lint_template(parse_located(text), builtin_core_schemas())
 
 
+def _clear_text_caches():
+    for cache in (gateway._block_text, gateway._property_text, gateway._member_text):
+        cache.cache_clear()
+
+
 class TestSyntheticBackend:
     def test_base_template_is_clean(self):
         for blocks in (1, 3, 8):
@@ -578,19 +585,84 @@ class TestSyntheticLedger:
 
     @pytest.mark.parametrize("p_spawn", [0.15, 0.9])
     def test_block_serialization_equals_whole_dump(self, p_spawn):
-        # One memo shared by every backend, as in a bench run; each text
-        # equals the whole-template dump and the text of a memo-less twin.
+        # Texts are joined from a process-wide cache of block and member
+        # texts; each equals the whole-template dump, first on a cache
+        # cleared for the seed, then again on the cache that run filled.
         store = builtin_core_schemas()
-        memo = RunMemo(store)
         for seed in range(45):
             params = SyntheticParams(p_fix=0.55, p_spawn=p_spawn, stubborn_fraction=0.25, seed=seed)
-            backend = SyntheticBackend(params, initial_defects=(6, 10), store=store, memo=memo)
-            twin = SyntheticBackend(params, initial_defects=(6, 10), store=store)
-            text, twin_text = backend.initial_generation(), twin.initial_generation()
-            for _ in range(11):
-                assert text == json.dumps(backend.render(), indent=2) == twin_text, seed
-                text, twin_text = backend.synthetic_step(), twin.synthetic_step()
-            assert text == twin_text, seed
+            _clear_text_caches()
+            for cache in ("cold", "warm"):
+                backend = SyntheticBackend(params, initial_defects=(6, 10), store=store)
+                text = backend.initial_generation()
+                for _ in range(11):
+                    assert text == json.dumps(backend.render(), indent=2), (seed, cache)
+                    text = backend.synthetic_step()
+                assert text == json.dumps(backend.render(), indent=2), (seed, cache)
+            assert gateway._block_text.cache_info().hits > 0
+
+    def test_shared_cache_under_threads(self):
+        # Eight threads fill and evict the process-wide caches at once (the
+        # dense templates hold more blocks than a cache keeps); every text
+        # still equals the whole-template dump.
+        store = builtin_core_schemas()
+        errors = []
+
+        def work(worker: int) -> None:
+            try:
+                for seed in range(worker, 48, 8):
+                    params = SyntheticParams(p_fix=0.55, p_spawn=0.5, stubborn_fraction=0.25, seed=seed)
+                    backend = SyntheticBackend(params, initial_defects=(6, 80), store=store)
+                    text = backend.initial_generation()
+                    for _ in range(4):
+                        assert text == json.dumps(backend.render(), indent=2), seed
+                        text = backend.synthetic_step()
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        _clear_text_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gateway._block_text.cache_info().currsize == gateway._block_text.cache_info().maxsize
+
+    def test_cache_keys_hold_what_an_edit_depends_on(self):
+        # In ``custom`` the bucket's BucketName is an integer, so a wrong_type
+        # defect there writes "twelve" where the builtin store's writes 12345.
+        # Backends of the two stores share the cache; a key that left out the
+        # primitive would hand one store's block text to the other.
+        builtin = builtin_core_schemas()
+        bucket = builtin.lookup("AWS::S3::Bucket")
+        properties = {**bucket.properties, "BucketName": PropertySpec("BucketName", "integer")}
+        custom = SchemaStore({**builtin.schemas, bucket.type_name: ResourceSchema(bucket.type_name, properties)})
+        _clear_text_caches()
+        texts = []
+        for store in (builtin, custom, builtin, custom):
+            backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=0.0), initial_defects=0, store=store)
+            backend.initial_generation()
+            backend._inject("wrong_type", "/Resources/Bucket0/Properties/BucketName")
+            texts.append(backend._serialize())
+            assert texts[-1] == json.dumps(backend.render(), indent=2)
+        assert texts[0] == texts[2] != texts[1] == texts[3]
+        assert '"BucketName": 12345' in texts[0] and '"BucketName": "twelve"' in texts[1]
+        # The same, interleaved over seeded runs of both stores.
+        for seed in range(30):
+            params = SyntheticParams(p_fix=0.55, p_spawn=0.5, stubborn_fraction=0.25, seed=seed)
+            backends = [SyntheticBackend(params, initial_defects=(6, 10), store=store) for store in (builtin, custom)]
+            texts = [backend.initial_generation() for backend in backends]
+            for _ in range(8):
+                for backend, text in zip(backends, texts):
+                    assert text == json.dumps(backend.render(), indent=2), seed
+                texts = [backend.synthetic_step() for backend in backends]
 
     def test_feedback_turn_matches_step_on_lint_report(self):
         from iacloop.loop import FEEDBACK_HEADER
@@ -610,8 +682,6 @@ class TestTemplateSizing:
         # Sizing reuses the enumeration that injection needs: a count that
         # fits one block enumerates only the 1-block template (4 resources);
         # a larger one also enumerates the 0-block template, then its own.
-        from iacloop import gateway
-
         enumerated = []
         inner = gateway._eligible_pairs
 
@@ -627,9 +697,13 @@ class TestTemplateSizing:
             backend.initial_generation()
             assert enumerated == {(17, 17): [4, 1, 7], 40: [4, 1, 13]}.get(count, [4]), count
 
-    def test_memo_of_another_store_is_refused(self):
-        with pytest.raises(ValueError):
-            SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.0), memo=RunMemo(builtin_core_schemas()))
+    def test_base_blocks_are_a_prefix_of_larger_bases(self):
+        # A block is built from its logical id alone, so a block's text never
+        # depends on how many blocks its template has.
+        for n in range(65):
+            small = list(synthetic_base_template(n)["Resources"].items())
+            large = list(synthetic_base_template(n + 1)["Resources"].items())
+            assert (large[: len(small)], len(large)) == (small, len(small) + 3), n
 
     def test_site_count_is_linear_in_blocks(self):
         store = builtin_core_schemas()

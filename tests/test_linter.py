@@ -344,20 +344,18 @@ class TestBlockMemo:
             RunMemo.CAPACITY, ("again",), (3,)
         )
 
-    def test_kinds_of_entry_have_their_own_keys(self):
+    def test_each_key_part_tells_entries_apart(self):
+        # An entry is keyed by logical id, source text and strictness: a key
+        # that differs in any one part misses, and parts never run together.
         memo = RunMemo(builtin_core_schemas())
-        encoded = []
-
-        def encode(indent, key, value):
-            encoded.append(value)
-            return f"{indent}{key}={value!r}"
-
         memo.keep_block_findings("A", "1", False, ("rows",))
-        assert memo.fragment("A", "1", False, encode) == "A1=False"  # same parts, another kind
-        assert memo.fragment("A", "1", False, encode) == "A1=False"
-        assert memo.fragment("A", "1", 0, encode) == "A1=0"  # repr tells False and 0 apart
-        assert encoded == [False, 0]
-        assert memo.block_findings("A", "1", False) == ("rows",)
+        for other in [("B", "1", False), ("A", "2", False), ("A", "1", True), ("A1", "", False), ("", "A1", False)]:
+            assert memo.block_findings(*other) is None, other
+        memo.keep_block_findings("A", "1", True, ("strict",))
+        memo.keep_block_findings("A1", "", False, ("joined",))
+        assert [memo.block_findings(*key) for key in [("A", "1", False), ("A", "1", True), ("A1", "", False)]] == [
+            ("rows",), ("strict",), ("joined",)
+        ]
         assert len(memo) == 3
 
     def test_shared_between_threads(self):
