@@ -23,7 +23,7 @@ from .schema_store import (
     builtin_core_schemas,
     load_schema_dir,
 )
-from .linter import Diagnostic, LintReport, RunMemo, Severity, format_diagnostic, lint_template
+from .linter import Diagnostic, LintReport, Severity, format_diagnostic, lint_template
 from .gateway import (
     ChatMessage,
     GenerationConfig,

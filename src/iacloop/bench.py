@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .gateway import GenerationConfig, make_backend, mix64
-from .linter import RunMemo
+from .gateway import GenerationConfig, check_settings, make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
 from .schema_store import load_store
 
@@ -158,14 +157,15 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     Aborted cells (a backend failure or any other exception from the loop)
     are excluded from totals and listed in ``failures``.  The reduction is a
     deterministic serial pass over cells ordered by (trial, case,
-    generation), whatever the parallelism.  With the synthetic backend the
-    cells share one RunMemo, which lints each distinct resource block once;
-    scripted and http replies are linted whole.  With ``traces_dir`` set,
-    that same pass writes each completed cell's trace.
+    generation), whatever the parallelism.  Every cell lints by block, so
+    the cells share the linter's process-wide cache and each distinct
+    resource block is checked once.  With ``traces_dir`` set, that same pass
+    writes each completed cell's trace.  Raises MissingSetting, before any
+    directory is made or cell runs, when the backend lacks its setting.
     """
+    check_settings(cfg.backend, cfg.script_dir, cfg.api_base_url)
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
-    memo = RunMemo(store) if cfg.backend == "synthetic" else None
     if cfg.traces_dir:  # before any cell runs, so a bad path costs no calls
         Path(cfg.traces_dir).mkdir(parents=True, exist_ok=True)
     loop_cfg = LoopConfig(
@@ -195,7 +195,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         )
         case = cases[case_index]
         try:
-            return run_loop(case, backend, store, loop_cfg, generation_index=generation, memo=memo)
+            return run_loop(case, backend, store, loop_cfg, generation_index=generation, by_block=True)
         except BackendFailure as exc:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others

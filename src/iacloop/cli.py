@@ -243,7 +243,10 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
         traces_dir=args.traces_dir,
     )
     _check_out(args.out, "results")
-    result = run_benchmark(cfg)
+    try:
+        result = run_benchmark(cfg)
+    except MissingSetting as exc:
+        raise UsageError(str(exc)) from exc
     stats = aggregate(result.trials) if cfg.trials >= 2 else None
     # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.
     plateau = detect_plateau(stats.mean_errors) if stats is not None and len(stats) > 2 else None

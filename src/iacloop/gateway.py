@@ -54,6 +54,8 @@ __all__ = [
     "resolve_api_key",
     "synthetic_base_template",
 ]
+# ``check_settings`` runs inside every ``make_backend`` call and is left out
+# of ``__all__`` so that per-layer traces count its time there.
 
 _ROLES = ("system", "user", "assistant")
 
@@ -259,6 +261,15 @@ def _retry_after(response: Any) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+def check_settings(kind: str, script_dir: Optional[str], api_base_url: Optional[str]) -> None:
+    """Raise MissingSetting when a scripted backend has no ``script_dir`` or
+    an http backend no ``api_base_url``; ``bench`` checks before any cell."""
+    if kind == "scripted" and not script_dir:
+        raise MissingSetting("scripted backend requires script_dir")
+    if kind == "http" and not api_base_url:
+        raise MissingSetting("http backend requires api_base_url")
+
+
 def make_backend(
     kind: str,
     store: SchemaStore,
@@ -274,22 +285,18 @@ def make_backend(
     """Build the ``kind`` backend ("synthetic", "scripted" or "http").
 
     Only the settings of the chosen kind are read.  Raises ValueError for
-    any other kind, and MissingSetting when a scripted backend has no
-    ``script_dir`` or an http backend no ``api_base_url``.
+    any other kind, and MissingSetting as ``check_settings`` does.
     """
+    if kind not in ("synthetic", "scripted", "http"):
+        raise ValueError(f"unknown backend kind {kind!r}")
+    check_settings(kind, script_dir, api_base_url)
     if kind == "synthetic":
         params = SyntheticParams(
             p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction, seed=seed
         )
         return SyntheticBackend(params, initial_defects=initial_defects, store=store)
     if kind == "scripted":
-        if not script_dir:
-            raise MissingSetting("scripted backend requires script_dir")
         return ScriptedBackend.from_dir(script_dir)
-    if kind != "http":
-        raise ValueError(f"unknown backend kind {kind!r}")
-    if not api_base_url:
-        raise MissingSetting("http backend requires api_base_url")
     return HttpBackend(api_base_url)
 
 
@@ -770,8 +777,14 @@ class SyntheticBackend:
         self.live = []
         free = [p for p in self.pairs if p[0] != "unused_parameter"]
         for _ in range(count):
-            site = self._inject(*free[self.rng.randrange(len(free))]).target_pointer
-            free = [p for p in free if p[1] != site]
+            # A site's pairs are adjacent in base order: drop the drawn one's run.
+            lo = hi = self.rng.randrange(len(free))
+            site = self._inject(*free[lo]).target_pointer
+            while lo and free[lo - 1][1] == site:
+                lo -= 1
+            while hi < len(free) and free[hi][1] == site:
+                hi += 1
+            del free[lo:hi]
         stubborn_count = round(self.params.stubborn_fraction * count)
         for idx in sorted(self.rng.sample(range(count), stubborn_count)):
             self.live[idx].stubborn = True

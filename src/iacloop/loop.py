@@ -22,7 +22,7 @@ from .gateway import (
     extract_template,
     generate,
 )
-from .linter import LintReport, RunMemo, format_diagnostic, lint_template
+from .linter import LintReport, format_diagnostic, lint_template
 from .schema_store import SchemaStore
 
 __all__ = [
@@ -155,7 +155,7 @@ def run_loop(
     store: SchemaStore,
     cfg: Optional[LoopConfig] = None,
     generation_index: int = 0,
-    memo: Optional[RunMemo] = None,
+    by_block: bool = False,
 ) -> LoopTrace:
     """Run one loop cell: initial generation plus up to max_iterations feedback rounds.
 
@@ -163,7 +163,8 @@ def run_loop(
     is still consumed: counts carry forward from the previous record and the
     next round refeeds the last successfully extracted template.  With
     early_stop on, a report with zero errors and zero warnings is terminal.
-    ``memo`` is passed to ``lint_template``.
+    ``by_block`` is passed to ``lint_template``: on, each resource block
+    is checked once per process, for runs whose blocks recur.
     """
     cfg = cfg if cfg is not None else LoopConfig()
     trace = LoopTrace(case_id=case.id, generation_index=generation_index)
@@ -209,7 +210,7 @@ def run_loop(
             )
             continue
 
-        report = lint_template(document, store, memo=memo)
+        report = lint_template(document, store, by_block=by_block)
         trace.records.append(
             IterationRecord(
                 index=index,

@@ -11,6 +11,7 @@ level deep, without looking up the types of sub-values.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -83,9 +84,12 @@ class ResourceSchema:
         return tuple(p.name for p in self.properties.values() if p.required)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemaStore:
-    """Immutable index of resource schemas; safe to share across lint calls."""
+    """Index of resource schemas, never mutated once built; safe to share
+    across lint calls and threads.  Two stores are equal only when they are
+    the same object, so caches keyed by a store never mix two stores'
+    findings."""
 
     schemas: dict[str, ResourceSchema]
 
@@ -210,7 +214,7 @@ def load_schema_dir(path: str | Path) -> tuple[SchemaStore, SchemaLoadReport]:
 
 def load_store(schemas_dir: Optional[str | Path]) -> SchemaStore:
     """The store under ``schemas_dir``, printing every load error and warning
-    to stderr; the builtin core schemas when no directory is given."""
+    to stderr; the process's one builtin store when no directory is given."""
     if not schemas_dir:
         return builtin_core_schemas()
     store, report = load_schema_dir(schemas_dir)
@@ -274,8 +278,10 @@ _BUILTIN_DOCUMENTS = [
 ]
 
 
+@functools.cache
 def builtin_core_schemas() -> SchemaStore:
-    """Embedded store covering the core EC2/S3 resource types used in fixtures."""
+    """Embedded store covering the core EC2/S3 resource types used in fixtures;
+    built once per process, so every caller shares one store."""
     schemas: dict[str, ResourceSchema] = {}
     for doc in _BUILTIN_DOCUMENTS:
         schema, warnings = parse_schema_document(doc, source="<builtin>")

@@ -22,7 +22,9 @@ from iacloop.bench import (
     run_benchmark,
     write_results,
 )
-from iacloop.loop import LoopTrace
+from iacloop.gateway import GenerationConfig, HttpBackend, ScriptedBackend, SyntheticBackend, SyntheticParams
+from iacloop.loop import LoopConfig, LoopTrace, run_loop
+from iacloop.schema_store import builtin_core_schemas
 
 VPC_PROMPT = (
     "Create a AWS CloudFormation template that deploys a VPC with a pair of "
@@ -167,10 +169,10 @@ class TestRunBenchmark:
         cfg.traces_dir = str(tmp_path / "failing")
         inner = bench.run_loop
 
-        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0, memo=None):
+        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0, by_block=False):
             if generation_index == 1:
                 raise RuntimeError("cell exploded")
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
@@ -192,9 +194,9 @@ class TestRunBenchmark:
         seen = []
         inner = bench.run_loop
 
-        def recording(case, backend, store, loop_cfg, generation_index=0, memo=None):
+        def recording(case, backend, store, loop_cfg, generation_index=0, by_block=False):
             seen.append(loop_cfg.generation.model)
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
 
         monkeypatch.setattr(bench, "run_loop", recording)
         cfg = BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
@@ -202,26 +204,64 @@ class TestRunBenchmark:
         run_benchmark(cfg)
         assert seen == ["gpt-4o-mini", "gpt-4o-mini"]
 
-    def test_only_synthetic_runs_share_a_memo(self, one_case_dir, script_dir, monkeypatch):
+    def test_every_bench_backend_lints_by_block(self, one_case_dir, script_dir, monkeypatch):
         from iacloop import bench
 
         seen = []
         inner = bench.run_loop
 
-        def recording(case, backend, store, loop_cfg, generation_index=0, memo=None):
-            seen.append(memo)
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, memo=memo)
+        def recording(case, backend, store, loop_cfg, generation_index=0, by_block=False):
+            seen.append((type(backend).__name__, by_block))
+            if isinstance(backend, HttpBackend):  # recorded without a request
+                raise RuntimeError("no endpoint in tests")
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
 
         monkeypatch.setattr(bench, "run_loop", recording)
-        run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
-                                      iterations=1, trials=2))
-        assert len(seen) == 4 and seen[0] is not None
-        assert all(memo is seen[0] for memo in seen)
-        seen.clear()
-        run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=1,
-                                      iterations=1, trials=1, backend="scripted",
-                                      script_dir=str(script_dir)))
-        assert seen == [None]
+        for backend, setting in (("synthetic", {}), ("scripted", {"script_dir": str(script_dir)}),
+                                 ("http", {"api_base_url": "http://localhost:9"})):
+            run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
+                                          iterations=1, trials=1, backend=backend, **setting))
+        assert seen == [(kind, True) for kind in ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
+                        for _ in range(2)]
+
+    def test_scripted_bench_under_threads(self, tmp_path):
+        # Every cell replays one script of multi-block templates whose blocks
+        # recur, so threads check and reuse the same blocks in the
+        # process-wide cache at once.  The traces equal a whole-template lint.
+        from iacloop import linter
+
+        script = tmp_path / "script"
+        script.mkdir()
+        backend = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.3, stubborn_fraction=0.25, seed=3),
+                                   initial_defects=40)
+        texts = [backend.initial_generation()] + [backend.synthetic_step() for _ in range(4)]
+        texts[2] = "Fixed:\n```json\n" + texts[2] + "\n```"
+        for i, text in enumerate(texts):
+            (script / f"{i:03d}.txt").write_text(text)
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for i in range(3):
+            (cases / f"case{i}.txt").write_text(f"Create stack {i}")
+        traces = {}
+        for parallelism in (1, 8):
+            linter._block_rows.cache_clear()
+            traces_dir = tmp_path / f"traces-p{parallelism}"
+            cfg = BenchmarkConfig(
+                cases_dir=str(cases), generations_per_case=2, iterations=4, trials=2, backend="scripted",
+                script_dir=str(script), parallelism=parallelism, traces_dir=str(traces_dir),
+            )
+            assert run_benchmark(cfg).completed == 12
+            traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
+        assert len(traces[1]) == 12
+        assert traces[1] == traces[8]
+        loop_cfg = LoopConfig(max_iterations=4, early_stop=False, generation=GenerationConfig(model=cfg.model))
+        for case in load_cases(cases):
+            for generation in range(2):
+                expected = run_loop(case, ScriptedBackend.from_dir(str(script)), builtin_core_schemas(),
+                                    loop_cfg, generation_index=generation, by_block=False)
+                for trial in range(2):
+                    data = json.loads(traces[8][f"trial{trial:02d}_{case.id}_gen{generation}.json"])
+                    assert LoopTrace.from_dict(data) == expected
 
     def test_traces_persisted(self, one_case_dir, script_dir, tmp_path):
         traces_dir = tmp_path / "traces"

@@ -369,6 +369,19 @@ class TestBenchFailsBeforeItsCells:
         assert cells_run == []
         assert not results.exists()
 
+    @pytest.mark.parametrize("backend, setting", [("scripted", "script_dir"), ("http", "api_base_url")])
+    def test_missing_backend_setting_is_a_usage_error(self, tmp_path, capsys, cells_run, backend, setting):
+        traces = tmp_path / "traces"
+        results = tmp_path / "results.json"
+        code = dispatch(_bench_args(
+            tmp_path, "--backend", backend, "--traces-dir", str(traces), "--out", str(results),
+        ))
+        assert code == 1
+        assert f"error: {backend} backend requires {setting}" in capsys.readouterr().err
+        assert cells_run == []
+        assert not traces.exists()
+        assert not results.exists()
+
     def test_traces_dir_that_is_a_file(self, tmp_path, capsys, cells_run):
         traces = tmp_path / "traces"
         traces.write_text("not a directory")
@@ -399,6 +412,36 @@ class TestBenchFailsBeforeItsCells:
         assert code == 0
         assert sorted(cells_run) == ["case0", "case0", "case1", "case1"]
         assert len(list(traces.iterdir())) == 4
+
+
+class TestBlockPath:
+    def test_only_bench_lints_by_block(self, tmp_path, capsys, monkeypatch):
+        # A never-seen template lints faster whole, so lint and loop never
+        # take the block path; bench, whose blocks recur, always does.
+        from iacloop import linter
+
+        checked = []
+        inner = linter._block_rows
+        monkeypatch.setattr(linter, "_block_rows", lambda *key: checked.append(key[2]) or inner(*key))
+        script = tmp_path / "script"
+        script.mkdir()
+        for i, text in enumerate([THREE_ERRORS, ONE_ERROR]):
+            (script / f"{i:03d}.txt").write_text(text)
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "p.txt").write_text("Create a stack")
+        assert dispatch(["lint", str(FIXTURES / "clean.json")]) == 0
+        for backend in ("scripted", "synthetic"):
+            assert dispatch([
+                "loop", "--prompt-file", str(cases / "p.txt"), "--backend", backend,
+                "--script-dir", str(script), "--iterations", "1", "--out", str(tmp_path / "t.json"),
+            ]) == 0
+        assert checked == []
+        assert dispatch([
+            "bench", "--cases", str(cases), "--backend", "scripted", "--script-dir", str(script),
+            "--trials", "1", "--generations", "1", "--iterations", "1", "--out", str(tmp_path / "r.json"),
+        ]) == 0
+        assert checked == ["I", "I"]
 
 
 class TestBenchAndReport:

@@ -1,7 +1,5 @@
 import json
 import random
-import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -16,13 +14,12 @@ from iacloop.gateway import (
 from iacloop.linter import (
     Diagnostic,
     LintReport,
-    RunMemo,
     Severity,
     format_diagnostic,
     lint_template,
 )
 from iacloop.located_json import SourceSpan, parse_located
-from iacloop.schema_store import builtin_core_schemas
+from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
 
 from helpers import oracle_spans, random_document, random_reply
 
@@ -194,12 +191,16 @@ class TestDiagnosticInvariants:
         assert Diagnostic("W2001", "m", SourceSpan(1, 1, 0), "").severity is Severity.WARNING
 
 
-def _assert_block_lint_matches(memo: RunMemo, text: str, strict: bool = False) -> None:
-    """Linting through ``memo`` equals the whole-template lint, cold then warm."""
+def _assert_block_lint_matches(text: str, strict: bool = False, store=None, clear: bool = True) -> None:
+    """Linting by block equals the whole-template lint: cold, after the block
+    cache is cleared (unless ``clear`` is off), then warm."""
+    store = store if store is not None else builtin_core_schemas()
     document = parse_located(text)
-    expected = lint_template(document, memo.store, strict_unknown_types=strict)
+    expected = lint_template(document, store, strict_unknown_types=strict)
+    if clear:
+        linter._block_rows.cache_clear()
     for _ in range(2):
-        assert lint_template(document, memo.store, strict_unknown_types=strict, memo=memo) == expected
+        assert lint_template(document, store, strict_unknown_types=strict, by_block=True) == expected
 
 
 def _layouts(text: str) -> list[str]:
@@ -235,7 +236,6 @@ _AWKWARD = r"""{
 class TestBlockMemo:
     def test_equals_whole_lint_on_synthetic_templates(self):
         store = builtin_core_schemas()
-        memo = RunMemo(store)
         rng = random.Random(6)
         for blocks in (1, 2, 5, 16, 64):
             defects = 10 * blocks  # sizes the template to about ``blocks`` blocks
@@ -249,19 +249,17 @@ class TestBlockMemo:
                 texts = [backend.initial_generation(), backend.synthetic_step()]
                 for text in texts:
                     for layout in _layouts(text):
-                        _assert_block_lint_matches(memo, layout)
+                        _assert_block_lint_matches(layout)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_equals_whole_lint_on_golden_fixtures(self, name):
-        memo = RunMemo(builtin_core_schemas())
         text = (FIXTURE_DIR / f"{name}.json").read_text()
         strict = bool(GOLDEN[name].get("options", {}).get("strict_unknown_types"))
         for layout in _layouts(text):
-            _assert_block_lint_matches(memo, layout, strict)
-            _assert_block_lint_matches(memo, layout, not strict)
+            _assert_block_lint_matches(layout, strict)
+            _assert_block_lint_matches(layout, not strict)
 
     def test_equals_whole_lint_on_random_replies_and_documents(self):
-        memo = RunMemo(builtin_core_schemas())
         rng = random.Random(77)
         linted = 0
         for _ in range(1500):
@@ -269,29 +267,37 @@ class TestBlockMemo:
                 text = extract_template(random_reply(rng)).text
             except NoTemplateFound:
                 continue
-            _assert_block_lint_matches(memo, text)
+            _assert_block_lint_matches(text)
             linted += 1
         for _ in range(300):
-            _assert_block_lint_matches(memo, random_document(rng))
+            _assert_block_lint_matches(random_document(rng))
         assert linted > 500
 
     def test_awkward_ids_and_moved_blocks(self):
-        memo = RunMemo(builtin_core_schemas())
         value = json.loads(_AWKWARD)
         for text in _layouts(_AWKWARD):
-            _assert_block_lint_matches(memo, text, strict=True)
-            _assert_block_lint_matches(memo, text)
-        # Warm blocks found at new lines, columns and byte offsets: a longer
-        # block first, non-ASCII text before them, and a mid-line start.
+            _assert_block_lint_matches(text, strict=True)
+            _assert_block_lint_matches(text)
+        # Blocks found at new lines, columns and byte offsets: a longer block
+        # first, non-ASCII text before them, and a mid-line start.
         resources = value["Resources"]
         moved = {"Resources": {"Pad\u00e9\u00e9": {"Properties": "long " * 9}, **resources}}
+        described = {"Description": "\u732b\u732b", **moved}
         for text in (
             json.dumps(moved, indent=2),
             json.dumps(moved, ensure_ascii=False),
             '{"Description": "\u732b\u732b", "Resources": {"Odd": [1, 2],\n "Same2": '
             + json.dumps(resources["Same2"], indent=3) + "}}",
         ):
-            _assert_block_lint_matches(memo, text)
+            _assert_block_lint_matches(text)
+        # The same block texts, cached from the unmoved template, are hits.
+        for dump in (lambda v: json.dumps(v, separators=(",", ":")),
+                     lambda v: json.dumps(v, ensure_ascii=False, indent=1)):
+            _assert_block_lint_matches(dump(value))
+            misses = linter._block_rows.cache_info().misses
+            for other in (moved, described):
+                _assert_block_lint_matches(dump(other), clear=False)
+            assert linter._block_rows.cache_info().misses == misses + 1  # only the padding block is new
 
     def test_each_distinct_block_is_checked_once(self, monkeypatch):
         calls = []
@@ -302,86 +308,69 @@ class TestBlockMemo:
             return inner(self, logical_id, entry)
 
         monkeypatch.setattr(linter._Linter, "check_resource", counting)
-        memo = RunMemo(builtin_core_schemas())
+        linter._block_rows.cache_clear()
+        store = builtin_core_schemas()
         document = parse_located(_AWKWARD)
-        lint_template(document, memo.store, memo=memo)
+        lint_template(document, store, by_block=True)
         assert len(calls) == 8  # identical blocks under two ids are two blocks
-        lint_template(document, memo.store, memo=memo)
+        lint_template(document, store, by_block=True)
         # The same block texts elsewhere in another template are hits too.
         moved = parse_located('{"Description": "x",\n' + _AWKWARD[1:])
-        lint_template(moved, memo.store, memo=memo)
+        lint_template(moved, store, by_block=True)
         assert len(calls) == 8
-        lint_template(document, memo.store, strict_unknown_types=True, memo=memo)
+        lint_template(document, store, strict_unknown_types=True, by_block=True)
         assert len(calls) == 16
-
-    def test_memo_of_another_store_is_refused(self):
-        memo = RunMemo(builtin_core_schemas())
-        with pytest.raises(ValueError):
-            lint_template(parse_located(_AWKWARD), builtin_core_schemas(), memo=memo)
+        lint_template(document, store)  # the whole-template path neither reads nor fills the cache
+        assert len(calls) == 24
+        assert linter._block_rows.cache_info().currsize == 16
 
     def test_lone_surrogate_before_the_blocks(self):
         # A reply holding "\ud83d" decodes to a text with a lone surrogate;
         # a clean template stays clean and later spans count it as 3 bytes.
         store = builtin_core_schemas()
         clean = '{"Description": "x\ud83d", "Resources": {"B": {"Type": "AWS::S3::Bucket"}}}'
-        memo = RunMemo(store)
         for text in (clean, clean.replace("}}}", '}, "C": 5}}')):
-            _assert_block_lint_matches(memo, text)
-        assert lint_template(parse_located(clean), store, memo=memo).diagnostics == ()
-        (finding,) = lint_template(parse_located(text), store, memo=memo).diagnostics
+            _assert_block_lint_matches(text)
+        assert lint_template(parse_located(clean), store, by_block=True).diagnostics == ()
+        (finding,) = lint_template(parse_located(text), store, by_block=True).diagnostics
         assert finding.span == SourceSpan(1, text.index("5") + 1, text.index("5") + 2)
 
-    def test_capacity_evicts_oldest_first(self):
-        memo = RunMemo(builtin_core_schemas())
-        for i in range(RunMemo.CAPACITY + 2):
-            memo.keep_block_findings(str(i), "{}", False, (i,))
-        assert len(memo) == RunMemo.CAPACITY
-        assert [memo.block_findings(str(i), "{}", False) for i in (0, 1, 2, RunMemo.CAPACITY + 1)] == [
-            None, None, (2,), (RunMemo.CAPACITY + 1,)
-        ]
-        memo.keep_block_findings("2", "{}", False, ("again",))  # a stored key is replaced, nothing evicted
-        assert (len(memo), memo.block_findings("2", "{}", False), memo.block_findings("3", "{}", False)) == (
-            RunMemo.CAPACITY, ("again",), (3,)
-        )
-
     def test_each_key_part_tells_entries_apart(self):
-        # An entry is keyed by logical id, source text and strictness: a key
-        # that differs in any one part misses, and parts never run together.
-        memo = RunMemo(builtin_core_schemas())
-        memo.keep_block_findings("A", "1", False, ("rows",))
-        for other in [("B", "1", False), ("A", "2", False), ("A", "1", True), ("A1", "", False), ("", "A1", False)]:
-            assert memo.block_findings(*other) is None, other
-        memo.keep_block_findings("A", "1", True, ("strict",))
-        memo.keep_block_findings("A1", "", False, ("joined",))
-        assert [memo.block_findings(*key) for key in [("A", "1", False), ("A", "1", True), ("A1", "", False)]] == [
-            ("rows",), ("strict",), ("joined",)
+        # An entry is keyed by store, strictness, logical id and source text:
+        # a key that differs in any one part is checked anew, parts never run
+        # together, and a store whose bucket names are integers never reuses
+        # the builtin store's rows for the same block.
+        builtin = builtin_core_schemas()
+        bucket = builtin.lookup("AWS::S3::Bucket")
+        integer_names = SchemaStore({
+            **builtin.schemas,
+            bucket.type_name: ResourceSchema(
+                bucket.type_name, {**bucket.properties, "BucketName": PropertySpec("BucketName", "integer")}
+            ),
+        })
+        named = '{"Type": "AWS::S3::Bucket", "Properties": {"BucketName": "b"}}'
+        unknown = '{"Type": "AWS::Nope::Thing"}'
+        wrong_name = (named.index('"b"'), "E3012", "'b' is not of type 'integer'", "/Resources/A/Properties/BucketName")
+        not_recognized = "Resource type 'AWS::Nope::Thing' is not recognized"
+        expected = {
+            (builtin, False, "A", named): (),
+            (integer_names, False, "A", named): (wrong_name,),
+            (builtin, False, "A", unknown): (),
+            (builtin, True, "A", unknown): ((9, "E3002", not_recognized, "/Resources/A/Type"),),
+            (builtin, True, "B", unknown): ((9, "E3002", not_recognized, "/Resources/B/Type"),),
+            (builtin, False, "A", "11"): ((0, "E3012", "11 is not of type 'object'", "/Resources/A"),),
+            (builtin, False, "A1", "1"): ((0, "E3012", "1 is not of type 'object'", "/Resources/A1"),),
+        }
+        linter._block_rows.cache_clear()
+        for keys in (list(expected), list(expected)[::-1]):  # cold, then warm in the other order
+            for key in keys:
+                assert linter._block_rows(*key) == expected[key], key
+        info = linter._block_rows.cache_info()
+        assert (info.misses, info.hits) == (len(expected), len(expected))
+        # Through lint_template, interleaving the two stores on one template.
+        template = '{"Resources": {"A": ' + named + "}}"
+        for store in (builtin, integer_names, builtin, integer_names):
+            _assert_block_lint_matches(template, store=store, clear=False)
+        assert [d.code for d in lint_template(parse_located(template), integer_names, by_block=True).diagnostics] == [
+            "E3012"
         ]
-        assert len(memo) == 3
-
-    def test_shared_between_threads(self):
-        memo = RunMemo(builtin_core_schemas())
-        errors = []
-
-        def work(worker: int) -> None:
-            try:
-                for i in range(1500):  # 12,000 keys in all: most are evicted
-                    logical_id = f"{worker}/{i}"
-                    memo.keep_block_findings(logical_id, "{}", False, (i,))
-                    assert memo.block_findings(logical_id, "{}", False) in (None, (i,))
-                    assert len(memo) <= RunMemo.CAPACITY
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(memo) == RunMemo.CAPACITY

@@ -5,8 +5,10 @@ import pytest
 from iacloop.schema_store import (
     PropertySpec,
     SchemaFormatError,
+    SchemaStore,
     builtin_core_schemas,
     load_schema_dir,
+    load_store,
     parse_schema_document,
 )
 
@@ -78,7 +80,8 @@ class TestLoadSchemaDir:
         out = tmp_path / "resaved"
         save_schema_dir(first, out)
         second, report = load_schema_dir(out)
-        assert second == first
+        # Stores compare by identity; the round trip keeps their contents.
+        assert second.schemas == first.schemas
         assert not report.errors and not report.warnings
 
 
@@ -136,6 +139,12 @@ class TestBuiltinStore:
         assert store.lookup("AWS::EC2::Subnet") is not None
         assert store.lookup("AWS::S3::Bucket") is not None
 
+    def test_one_store_per_process(self):
+        # Caches keyed by a store recur across dispatches only if each
+        # dispatch gets the same builtin store; equal contents are not enough.
+        assert load_store(None) is load_store(None) is builtin_core_schemas()
+        assert SchemaStore(builtin_core_schemas().schemas) != builtin_core_schemas()
+
     def test_uncovered_type_absent(self):
         assert builtin_core_schemas().lookup("AWS::Lambda::Function") is None
 
@@ -143,7 +152,7 @@ class TestBuiltinStore:
         store = builtin_core_schemas()
         save_schema_dir(store, tmp_path)
         reloaded, report = load_schema_dir(tmp_path)
-        assert reloaded == store
+        assert reloaded.schemas == store.schemas
         assert not report.errors and not report.warnings
 
 
