@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .gateway import GenerationConfig, check_settings, make_backend, mix64
+from .gateway import GenerationConfig, make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
 from .schema_store import load_store
 
@@ -75,8 +75,6 @@ class BenchmarkConfig:
         for name in ("generations_per_case", "iterations", "trials", "parallelism"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.backend not in ("synthetic", "scripted", "http"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
     def to_dict(self) -> dict:
         # parallelism and traces_dir are execution details, not experiment
@@ -154,18 +152,28 @@ def load_cases(path: str | Path) -> list[BenchmarkCase]:
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Execute trials x cases x generations cells and sum counts per iteration.
 
-    Aborted cells (a backend failure or any other exception from the loop)
-    are excluded from totals and listed in ``failures``.  The reduction is a
-    deterministic serial pass over cells ordered by (trial, case,
-    generation), whatever the parallelism.  Every cell lints by block, so
-    the cells share the linter's process-wide cache and each distinct
-    resource block is checked once.  With ``traces_dir`` set, that same pass
-    writes each completed cell's trace.  Raises MissingSetting, before any
-    directory is made or cell runs, when the backend lacks its setting.
+    ``make_backend`` checks the backend's settings once, before any
+    directory is made or cell runs; each cell builds its backend from its
+    seed alone.  Aborted cells (a backend failure or any other exception
+    from the loop) are excluded from totals and listed in ``failures``.
+    The reduction is a deterministic serial pass over cells ordered by
+    (trial, case, generation), whatever the parallelism.  Every cell lints
+    by block, so the cells share the linter's process-wide cache and each
+    distinct resource block is checked once.  With ``traces_dir`` set, that
+    same pass writes each completed cell's trace.
     """
-    check_settings(cfg.backend, cfg.script_dir, cfg.api_base_url)
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
+    new_backend = make_backend(
+        cfg.backend,
+        store,
+        p_fix=cfg.p_fix,
+        p_spawn=cfg.p_spawn,
+        stubborn_fraction=cfg.stubborn_fraction,
+        initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
+        script_dir=cfg.script_dir,
+        api_base_url=cfg.api_base_url,
+    )
     if cfg.traces_dir:  # before any cell runs, so a bad path costs no calls
         Path(cfg.traces_dir).mkdir(parents=True, exist_ok=True)
     loop_cfg = LoopConfig(
@@ -182,17 +190,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     def run_cell(cell: tuple[int, int, int]):
         trial, case_index, generation = cell
-        backend = make_backend(
-            cfg.backend,
-            store,
-            seed=mix64(cfg.master_seed, trial, case_index, generation),
-            p_fix=cfg.p_fix,
-            p_spawn=cfg.p_spawn,
-            stubborn_fraction=cfg.stubborn_fraction,
-            initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
-            script_dir=cfg.script_dir,
-            api_base_url=cfg.api_base_url,
-        )
+        backend = new_backend(mix64(cfg.master_seed, trial, case_index, generation))
         case = cases[case_index]
         try:
             return run_loop(case, backend, store, loop_cfg, generation_index=generation, by_block=True)

@@ -196,14 +196,13 @@ def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
         backend = make_backend(
             args.backend,
             store,
-            seed=args.seed,
             p_fix=args.p_fix,
             p_spawn=args.p_spawn,
             stubborn_fraction=args.stubborn_fraction,
             initial_defects=args.initial_defects,
             script_dir=args.script_dir or config.get("script_dir"),
             api_base_url=args.api_base or config.get("api_base_url"),
-        )
+        )(args.seed)
     except MissingSetting as exc:
         raise UsageError(str(exc)) from exc
     loop_cfg = LoopConfig(

@@ -22,7 +22,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
 
@@ -54,8 +54,6 @@ __all__ = [
     "resolve_api_key",
     "synthetic_base_template",
 ]
-# ``check_settings`` runs inside every ``make_backend`` call and is left out
-# of ``__all__`` so that per-layer traces count its time there.
 
 _ROLES = ("system", "user", "assistant")
 
@@ -261,50 +259,49 @@ def _retry_after(response: Any) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-def check_settings(kind: str, script_dir: Optional[str], api_base_url: Optional[str]) -> None:
-    """Raise MissingSetting when a scripted backend has no ``script_dir`` or
-    an http backend no ``api_base_url``; ``bench`` checks before any cell."""
-    if kind == "scripted" and not script_dir:
-        raise MissingSetting("scripted backend requires script_dir")
-    if kind == "http" and not api_base_url:
-        raise MissingSetting("http backend requires api_base_url")
-
-
 def make_backend(
     kind: str,
     store: SchemaStore,
     *,
-    seed: int,
     p_fix: float,
     p_spawn: float,
     stubborn_fraction: float,
     initial_defects: int | tuple[int, int],
     script_dir: Optional[str],
     api_base_url: Optional[str],
-) -> Backend:
-    """Build the ``kind`` backend ("synthetic", "scripted" or "http").
+) -> Callable[[int], Backend]:
+    """A ``seed -> Backend`` constructor for the ``kind`` backend
+    ("synthetic", "scripted" or "http"), whose settings are checked here.
 
     Only the settings of the chosen kind are read.  Raises ValueError for
-    any other kind, and MissingSetting as ``check_settings`` does.
+    any other kind or an invalid synthetic setting, MissingSetting when a
+    scripted backend has no ``script_dir`` or an http backend no
+    ``api_base_url``, and FileNotFoundError when the script directory holds
+    no ``*.txt`` file.  A script is read once: each scripted backend replays
+    it from the first response.  Only a synthetic backend reads the seed.
     """
-    if kind not in ("synthetic", "scripted", "http"):
-        raise ValueError(f"unknown backend kind {kind!r}")
-    check_settings(kind, script_dir, api_base_url)
     if kind == "synthetic":
-        params = SyntheticParams(
-            p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction, seed=seed
-        )
-        return SyntheticBackend(params, initial_defects=initial_defects, store=store)
+        params = SyntheticParams(p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction)
+        SyntheticBackend(params, initial_defects=initial_defects, store=store)  # checks the range
+        return lambda seed: SyntheticBackend(replace(params, seed=seed), initial_defects=initial_defects, store=store)
     if kind == "scripted":
-        return ScriptedBackend.from_dir(script_dir)
-    return HttpBackend(api_base_url)
+        if not script_dir:
+            raise MissingSetting("scripted backend requires script_dir")
+        script = ScriptedBackend.from_dir(script_dir)
+        return lambda seed: ScriptedBackend(script.responses)
+    if kind == "http":
+        if not api_base_url:
+            raise MissingSetting("http backend requires api_base_url")
+        return lambda seed: HttpBackend(api_base_url)
+    raise ValueError(f"unknown backend kind {kind!r}")
 
 
 class ScriptedBackend:
-    """Deterministic replay of a fixed response sequence."""
+    """Deterministic replay of a fixed response sequence; backends built
+    over one ``responses`` tuple share it and keep their own cursors."""
 
     def __init__(self, responses: Sequence[str]):
-        self._responses = list(responses)
+        self.responses = tuple(responses)
         self._cursor = 0
 
     @classmethod
@@ -317,9 +314,9 @@ class ScriptedBackend:
         return cls([f.read_text(encoding="utf-8") for f in files])
 
     def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
-        if self._cursor >= len(self._responses):
-            raise ScriptExhausted(f"script exhausted after {len(self._responses)} responses")
-        text = self._responses[self._cursor]
+        if self._cursor >= len(self.responses):
+            raise ScriptExhausted(f"script exhausted after {len(self.responses)} responses")
+        text = self.responses[self._cursor]
         self._cursor += 1
         return text
 

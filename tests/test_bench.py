@@ -2,6 +2,7 @@ import json
 import math
 import random
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -224,10 +225,11 @@ class TestRunBenchmark:
         assert seen == [(kind, True) for kind in ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
                         for _ in range(2)]
 
-    def test_scripted_bench_under_threads(self, tmp_path):
+    def test_scripted_bench_under_threads(self, tmp_path, monkeypatch):
         # Every cell replays one script of multi-block templates whose blocks
         # recur, so threads check and reuse the same blocks in the
         # process-wide cache at once.  The traces equal a whole-template lint.
+        # Each run lists and reads the script's files once, not once per cell.
         from iacloop import linter
 
         script = tmp_path / "script"
@@ -242,15 +244,29 @@ class TestRunBenchmark:
         cases.mkdir()
         for i in range(3):
             (cases / f"case{i}.txt").write_text(f"Create stack {i}")
+        listed, read = [], []
+
+        def counting(method, seen):
+            def wrapper(self, *args, **kwargs):
+                seen.append(self)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Path, "glob", counting(Path.glob, listed))
+        monkeypatch.setattr(Path, "read_text", counting(Path.read_text, read))
         traces = {}
         for parallelism in (1, 8):
             linter._block_rows.cache_clear()
+            listed.clear()
+            read.clear()
             traces_dir = tmp_path / f"traces-p{parallelism}"
             cfg = BenchmarkConfig(
                 cases_dir=str(cases), generations_per_case=2, iterations=4, trials=2, backend="scripted",
                 script_dir=str(script), parallelism=parallelism, traces_dir=str(traces_dir),
             )
             assert run_benchmark(cfg).completed == 12
+            assert listed.count(script) == 1
+            assert sorted(path.name for path in read if path.parent == script) == [f"{i:03d}.txt" for i in range(5)]
             traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert len(traces[1]) == 12
         assert traces[1] == traces[8]

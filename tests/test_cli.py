@@ -358,15 +358,28 @@ def _bench_args(tmp_path, *extra: str) -> list[str]:
 
 
 class TestBenchFailsBeforeItsCells:
-    @pytest.mark.parametrize("low, high", [("10", "5"), ("-3", "-1"), ("-1", "4")])
-    def test_invalid_defect_range(self, tmp_path, capsys, cells_run, low, high):
+    # Every backend setting, not only the defect range, is checked before
+    # the traces directory or results file exists or any cell starts.
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(("--defects-min", "10", "--defects-max", "5"), "initial defects", id="10-5"),
+        pytest.param(("--defects-min", "-3", "--defects-max", "-1"), "initial defects", id="-3--1"),
+        pytest.param(("--defects-min", "-1", "--defects-max", "4"), "initial defects", id="-1-4"),
+        pytest.param(("--p-fix", "1.5"), "p_fix must be in [0, 1], got 1.5", id="p-fix"),
+        pytest.param(("--backend", "scripted", "--script-dir", "{empty}"), "no *.txt response files", id="empty-script"),
+    ])
+    def test_invalid_defect_range(self, tmp_path, capsys, cells_run, extra, message):
+        empty = tmp_path / "script"
+        empty.mkdir()
+        (empty / "notes.md").write_text("not a response")
+        traces = tmp_path / "traces"
         results = tmp_path / "results.json"
         code = dispatch(_bench_args(
-            tmp_path, "--defects-min", low, "--defects-max", high, "--out", str(results),
+            tmp_path, *(arg.format(empty=empty) for arg in extra), "--traces-dir", str(traces), "--out", str(results),
         ))
         assert code == 3
-        assert "initial defects" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert cells_run == []
+        assert not traces.exists()
         assert not results.exists()
 
     @pytest.mark.parametrize("backend, setting", [("scripted", "script_dir"), ("http", "api_base_url")])

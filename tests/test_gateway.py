@@ -61,15 +61,52 @@ class TestGenerate:
 
     def test_make_backend_rejects_unknown_kinds(self):
         # An unknown kind used to fall through to the http backend.
-        settings = dict(seed=1, p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0, initial_defects=4,
+        settings = dict(p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0, initial_defects=4,
                         script_dir=None, api_base_url="http://x")
         for kind in ("Synthetic", "synth", "HTTP", ""):
-            with pytest.raises(ValueError, match=repr(kind)) as caught:
-                make_backend(kind, builtin_core_schemas(), **settings)
-            assert not isinstance(caught.value, MissingSetting)
+            for api_base_url in ("http://x", None):
+                with pytest.raises(ValueError, match=repr(kind)) as caught:
+                    make_backend(kind, builtin_core_schemas(), **dict(settings, api_base_url=api_base_url))
+                assert not isinstance(caught.value, MissingSetting)
         with pytest.raises(MissingSetting):
             make_backend("http", builtin_core_schemas(), **dict(settings, api_base_url=None))
-        assert isinstance(make_backend("http", builtin_core_schemas(), **settings), HttpBackend)
+        new_backend = make_backend("http", builtin_core_schemas(), **settings)
+        first, second = new_backend(1), new_backend(1)
+        assert isinstance(first, HttpBackend) and isinstance(second, HttpBackend)
+        assert first is not second
+        assert first.base_url == second.base_url == "http://x"
+
+    def test_scripted_backends_of_one_constructor_replay_independently(self, tmp_path):
+        (tmp_path / "000.txt").write_text("first")
+        (tmp_path / "001.txt").write_text("second")
+        new_backend = make_backend("scripted", builtin_core_schemas(), p_fix=0.5, p_spawn=0.1,
+                                   stubborn_fraction=0.0, initial_defects=4, script_dir=str(tmp_path),
+                                   api_base_url=None)
+        one, other = new_backend(1), new_backend(1)
+        assert generate(CONVERSATION, CFG, one) == "first"
+        assert generate(CONVERSATION, CFG, one) == "second"
+        with pytest.raises(ScriptExhausted):
+            generate(CONVERSATION, CFG, one)
+        assert generate(CONVERSATION, CFG, other) == "first"
+        assert generate(CONVERSATION, CFG, new_backend(2)) == "first"
+
+    def test_synthetic_constructor_matches_a_direct_backend(self):
+        from iacloop.loop import FEEDBACK_HEADER
+
+        store = builtin_core_schemas()
+        new_backend = make_backend("synthetic", store, p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25,
+                                   initial_defects=(3, 12), script_dir=None, api_base_url=None)
+        feedback = CONVERSATION + [ChatMessage("assistant", "{}"), ChatMessage("user", FEEDBACK_HEADER + "\nE")]
+        texts = set()
+        for seed in (0, 1, 7, mix64(3, 1, 4, 1)):
+            direct = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25, seed=seed),
+                                      initial_defects=(3, 12), store=store)
+            built = new_backend(seed)
+            for conversation in (CONVERSATION, feedback, feedback):
+                text = generate(conversation, CFG, built)
+                assert text == generate(conversation, CFG, direct)
+                texts.add(text)
+        assert len(texts) > 4  # the seeds give different templates
 
     def test_synthetic_deterministic_for_seed(self):
         params = SyntheticParams(p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25, seed=42)
