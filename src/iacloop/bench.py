@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
@@ -154,13 +155,15 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     ``make_backend`` checks the backend's settings once, before any
     directory is made or cell runs; each cell builds its backend from its
-    seed alone.  Aborted cells (a backend failure or any other exception
-    from the loop) are excluded from totals and listed in ``failures``.
-    The reduction is a deterministic serial pass over cells ordered by
-    (trial, case, generation), whatever the parallelism.  Every cell lints
+    seed alone, and a backend with ``close`` is closed when its cell ends.
+    Aborted cells (a backend failure or any other exception from the loop)
+    are excluded from totals and listed in ``failures``.  Outcomes are read
+    in cell order (trial, case, generation), whatever the parallelism, each
+    as soon as its cell and those before it have finished.  Every cell lints
     by block, so the cells share the linter's process-wide cache and each
-    distinct resource block is checked once.  With ``traces_dir`` set, that
-    same pass writes each completed cell's trace.
+    distinct resource block is checked once.  With ``traces_dir`` set, each
+    completed cell's trace goes to ``_trace_writer``'s process, which writes
+    the files while the next cells run.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -198,6 +201,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others
             error, completed = f"{type(exc).__name__}: {exc}", 0
+        finally:
+            if hasattr(backend, "close"):  # an http backend's connection pool
+                backend.close()
         return CellFailure(
             trial_index=trial,
             case_id=case.id,
@@ -206,25 +212,28 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             records_completed=completed,
         )
 
-    if cfg.parallelism == 1:
-        outcomes = [run_cell(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-
     failures: list[CellFailure] = []
     totals = [
         [(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)
     ]
-    for (trial, _, generation), outcome in zip(cells, outcomes):
-        if isinstance(outcome, CellFailure):
-            failures.append(outcome)
-            continue
-        row = totals[trial]
-        for index, (errors, warnings) in enumerate(outcome.counts()):
-            row[index] = (row[index][0] + errors, row[index][1] + warnings)
-        if cfg.traces_dir:
-            outcome.write(Path(cfg.traces_dir) / f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json")
+    # The writer forks before the pool starts a thread: a fork copies no
+    # thread but the caller's, and a lock another thread held stays held.
+    with _trace_writer(cfg.traces_dir) as write:
+        pool = ThreadPoolExecutor(max_workers=cfg.parallelism) if cfg.parallelism > 1 else None
+        try:
+            outcomes = pool.map(run_cell, cells) if pool else map(run_cell, cells)
+            for (trial, _, generation), outcome in zip(cells, outcomes):
+                if isinstance(outcome, CellFailure):
+                    failures.append(outcome)
+                    continue
+                row = totals[trial]
+                for index, (errors, warnings) in enumerate(outcome.counts()):
+                    row[index] = (row[index][0] + errors, row[index][1] + warnings)
+                if write:
+                    write(f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json", outcome.text())
+        finally:
+            if pool:  # on an exception, cells not yet started never start
+                pool.shutdown(cancel_futures=True)
 
     trial_results = [
         TrialResult(trial_index=t, per_iteration_totals=totals[t]) for t in range(cfg.trials)
@@ -232,6 +241,95 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     return BenchmarkResult(
         config=cfg, trials=trial_results, completed=len(cells) - len(failures), failures=failures
     )
+
+
+_TRACE_BATCH = 16  # traces per pipe send: a send per trace wakes the writer once per file
+_PIPE_BYTES = 1 << 20  # Linux's largest pipe without privileges; a batch is about 300 KB
+
+
+@contextmanager
+def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, str], None]]]:
+    """Yield ``write(name, text)``, which hands a trace file to one forked
+    process that writes it under ``directory``; yield None without one.
+
+    Traces go over a one-way pipe in batches, and the process only writes
+    files, so their creation runs on another core while the cells compute.
+    The start method is ``fork`` on purpose: the child re-imports nothing,
+    and it forks before the run starts its thread pool.  On leaving, even
+    by an exception, the pending batch is sent and the process joined.  A
+    file the process could not write raises OSError naming it, at the next
+    send or on leaving.
+    """
+    if not directory:
+        yield None
+        return
+    import fcntl  # POSIX, like fork
+    import multiprocessing  # a run without traces does not pay for it
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    # Room for a few batches, so a send does not wait for the writer to
+    # read: each wait puts this process to sleep and slows its next cells.
+    with suppress(AttributeError, OSError):  # Linux sets a pipe's size; others keep their own
+        fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    failed, report = context.Pipe(duplex=False)
+    writer = context.Process(target=_write_traces, args=(Path(directory), receive, send, report))
+    writer.start()
+    receive.close()
+    report.close()
+    batch: list[tuple[str, str]] = []
+
+    def check() -> None:
+        if failed.poll():  # a report, or the end of a writer that made none
+            try:
+                message = failed.recv()
+            except EOFError:
+                writer.join()
+                if not writer.exitcode:
+                    return
+                message = f"trace writer exited with code {writer.exitcode}"
+            raise OSError(message)
+
+    def write(name: str, text: str) -> None:
+        batch.append((name, text))
+        if len(batch) == _TRACE_BATCH:
+            check()
+            send.send(batch)
+            batch.clear()
+
+    try:
+        yield write
+    finally:
+        try:
+            if batch and writer.is_alive():  # a dead writer's error is the one to raise
+                send.send(batch)
+        finally:
+            send.close()  # the end of the writer's input
+            writer.join()
+    with failed:
+        check()
+
+
+def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None:
+    """The writer process: write each received ``(name, text)`` until its
+    input ends.  It reports the first file it cannot write, then reads and
+    drops the rest, so that the sender never blocks."""
+    send.close()  # the parent's end, inherited; the input ends when the parent closes its own
+    failed = False
+    while True:
+        try:
+            batch = receive.recv()
+        except EOFError:
+            return
+        if failed:
+            continue
+        for name, text in batch:
+            try:
+                (directory / name).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                report.send(f"cannot write trace file: {exc}")
+                failed = True
+                break
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateStats:
@@ -280,19 +378,6 @@ def export_csv(stats: AggregateStats, out_path: str | Path) -> None:
             f"{stats.mean_warnings[i]:.6f},{stats.std_warnings[i]:.6f}"
         )
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_csv(path: str | Path) -> AggregateStats:
-    """Inverse of export_csv (used by round-trip checks and re-plotting)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    stats = AggregateStats([], [], [], [])
-    for line in lines[1:]:
-        _, me, se, mw, sw = line.split(",")
-        stats.mean_errors.append(float(me))
-        stats.std_errors.append(float(se))
-        stats.mean_warnings.append(float(mw))
-        stats.std_warnings.append(float(sw))
-    return stats
 
 
 def export_json(stats: AggregateStats, out_path: str | Path) -> None:

@@ -173,6 +173,10 @@ class HttpBackend:
         self._sleep = sleep
         self.last_retry_count = 0
 
+    def close(self) -> None:
+        """Close the session and its pooled connections."""
+        self._session.close()
+
     def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
         key = self.api_key or resolve_api_key()
         if not key:

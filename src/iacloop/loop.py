@@ -7,8 +7,8 @@ exactly so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -104,10 +104,46 @@ class LoopTrace:
         records = [IterationRecord(**r) for r in data["records"]]
         return cls(**{**data, "records": records})
 
+    def text(self) -> str:
+        """The trace file's text, the bytes of ``json.dumps(self.to_dict(),
+        indent=2) + "\\n"``; the one place that format is built.
+
+        ``json.dumps`` formats indented output in pure Python.  Here the
+        layout is written out, and each string goes through the C escaper
+        that ``json.dumps`` uses, once per distinct string, since a cell's
+        repeated replies share one.
+        """
+        escaped: dict[str, str] = {}
+
+        def quote(text: str) -> str:
+            quoted = escaped.get(text)
+            if quoted is None:
+                quoted = escaped[text] = encode_basestring_ascii(text)
+            return quoted
+
+        items = ",\n".join(
+            "    {\n"
+            f'      "index": {r.index},\n'
+            f'      "error_count": {r.error_count},\n'
+            f'      "warning_count": {r.warning_count},\n'
+            f'      "extraction_failed": {"true" if r.extraction_failed else "false"},\n'
+            f'      "template_text": {quote(r.template_text)},\n'
+            f'      "diagnostics_rendered": {quote(r.diagnostics_rendered)}\n'
+            "    }"
+            for r in self.records
+        )
+        records = f"[\n{items}\n  ]" if items else "[]"
+        return (
+            "{\n"
+            f'  "case_id": {quote(self.case_id)},\n'
+            f'  "generation_index": {self.generation_index},\n'
+            f'  "records": {records}\n'
+            "}\n"
+        )
+
     def write(self, path: str | Path) -> None:
-        """Write the trace file, ``to_dict`` as indented JSON; the one place
-        that format is built."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        """Write the trace file, ``text()``."""
+        Path(path).write_text(self.text(), encoding="utf-8")
 
 
 @dataclass

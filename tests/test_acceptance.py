@@ -17,7 +17,6 @@ from iacloop.bench import (
     detect_plateau,
     export_csv,
     export_svg,
-    read_csv,
     run_benchmark,
     write_results,
 )
@@ -301,14 +300,12 @@ class TestCriterion9ExportRoundTrip:
         )
         csv_path = tmp_path / "stats.csv"
         export_csv(stats, csv_path)
-        reparsed = read_csv(csv_path)
-        for series, back in (
-            (stats.mean_errors, reparsed.mean_errors),
-            (stats.std_errors, reparsed.std_errors),
-            (stats.mean_warnings, reparsed.mean_warnings),
-            (stats.std_warnings, reparsed.std_warnings),
-        ):
-            assert all(abs(a - b) <= 1e-6 for a, b in zip(series, back))
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert header == ["iteration", *vars(stats)]
+        columns = list(zip(*rows))
+        assert [int(i) for i in columns[0]] == list(range(iterations))
+        for series, back in zip(vars(stats).values(), columns[1:], strict=True):
+            assert all(abs(a - float(b)) <= 1e-6 for a, b in zip(series, back, strict=True))
 
         svg_path = tmp_path / "chart.svg"
         export_svg(stats, svg_path)

@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
 import random
+import sys
+import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,7 +23,6 @@ from iacloop.bench import (
     export_json,
     export_svg,
     load_cases,
-    read_csv,
     results_to_dict,
     run_benchmark,
     write_results,
@@ -293,6 +297,86 @@ class TestRunBenchmark:
         assert [r["error_count"] for r in data["records"]] == [3, 1, 0, 0]
 
 
+class TestTraceWriter:
+    """Traces are written by one forked process while the cells run; every
+    way out of a run joins it."""
+
+    @staticmethod
+    def _cases(tmp_path, count):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for i in range(count):
+            (cases / f"case{i}.txt").write_text(f"Create stack {i}")
+        return cases
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_unwritable_trace_exits_3_naming_it(self, tmp_path, capsys, parallelism):
+        from iacloop.cli import dispatch
+
+        # 40 cells, so traces go in several batches around the bad file.
+        cases = self._cases(tmp_path, 2)
+        traces = tmp_path / "traces"
+        blocked = traces / "trial00_case0_gen0.json"
+        blocked.mkdir(parents=True)  # a directory cannot be opened as a file, even by root
+        results = tmp_path / "results.json"
+        code = dispatch(["bench", "--cases", str(cases), "--trials", "2", "--generations", "10",
+                         "--iterations", "2", "--parallel", str(parallelism),
+                         "--traces-dir", str(traces), "--out", str(results)])
+        assert code == 3
+        assert str(blocked) in capsys.readouterr().err
+        assert not results.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_interrupt_keeps_the_traces_of_finished_cells(self, tmp_path, monkeypatch, parallelism):
+        from iacloop import bench
+
+        # 30 cells in (case, generation) order; cell 20 is interrupted,
+        # after one full batch of traces has been sent and with four pending.
+        cases = self._cases(tmp_path, 3)
+        cfg = BenchmarkConfig(cases_dir=str(cases), generations_per_case=10, iterations=3, trials=1,
+                              master_seed=7, parallelism=parallelism, traces_dir=str(tmp_path / "full"))
+        run_benchmark(cfg)
+        inner = bench.run_loop
+
+        def interrupted(case, backend, store, loop_cfg, generation_index=0, by_block=False):
+            if (case.id, generation_index) == ("case2", 0):
+                raise KeyboardInterrupt
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
+
+        monkeypatch.setattr(bench, "run_loop", interrupted)
+        cfg.traces_dir = str(tmp_path / "interrupted")
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(cfg)
+        assert multiprocessing.active_children() == []
+        written = {p.name: p.read_bytes() for p in (tmp_path / "interrupted").iterdir()}
+        finished = [f"trial00_case{c}_gen{g}.json" for c in range(2) for g in range(10)]
+        assert sorted(written) == sorted(finished)
+        assert written == {name: (tmp_path / "full" / name).read_bytes() for name in finished}
+
+    def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
+        from iacloop import bench
+
+        monkeypatch.setattr(bench, "_write_traces", lambda *args: os._exit(7))
+        cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=2,
+                              trials=2, traces_dir=str(tmp_path / "traces"))
+        with pytest.raises(OSError, match="trace writer exited with code 7"):
+            run_benchmark(cfg)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="fork() warns about threads from Python 3.12")
+    def test_writer_forks_before_the_pool_starts_a_thread(self, tmp_path):
+        # CPython warns after the fork, so -W error cannot catch it; recording does.
+        assert threading.active_count() == 1
+        cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=2,
+                              trials=2, parallelism=4, traces_dir=str(tmp_path / "traces"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_benchmark(cfg).completed == 40
+        assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+        assert len(list((tmp_path / "traces").iterdir())) == 40
+
+
 def _naive_mean_std(values):
     n = len(values)
     mean = sum(values) / n
@@ -407,11 +491,13 @@ class TestExport:
         stats = self._stats(11)
         out = tmp_path / "stats.csv"
         export_csv(stats, out)
-        back = read_csv(out)
-        for a, b in zip(stats.mean_errors, back.mean_errors):
-            assert abs(a - b) <= 1e-6
-        for a, b in zip(stats.std_errors, back.std_errors):
-            assert abs(a - b) <= 1e-6
+        _, *rows = out.read_text().splitlines()
+        assert len(rows) == len(stats)
+        for i, row in enumerate(rows):
+            iteration, *values = row.split(",")
+            assert int(iteration) == i
+            expected = (stats.mean_errors[i], stats.std_errors[i], stats.mean_warnings[i], stats.std_warnings[i])
+            assert all(abs(float(v) - e) <= 1e-6 for v, e in zip(values, expected, strict=True))
 
     def test_json_mirrors_stats(self, tmp_path):
         stats = self._stats(5)

@@ -163,6 +163,7 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     server.server_close()
+    thread.join()  # a later test that forks must find no other thread
 
 
 def _completion(text):
@@ -310,6 +311,41 @@ class TestHttpBackend:
         conversation = list(CONVERSATION)
         HttpBackend(base, api_key="k").complete(conversation, CFG)
         assert conversation == CONVERSATION
+
+
+class TestHttpBench:
+    def test_each_cells_session_is_closed(self, stub_server, tmp_path, monkeypatch):
+        # A 12-cell bench (3 cases x 2 generations x 2 trials, 2 turns a
+        # cell) builds one session per cell and closes it when the cell
+        # ends, the failing last cell's too.
+        from iacloop.bench import BenchmarkConfig, run_benchmark
+
+        base, handler = stub_server
+        handler.script += [(200, _completion('{"Resources": {}}'))] * 22 + [(401, {"error": "revoked"})]
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        created, closed = [], []
+
+        class CountingSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(gateway.requests, "Session", CountingSession)
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for i in range(3):
+            (cases / f"case{i}.txt").write_text(f"Create stack {i}")
+        result = run_benchmark(BenchmarkConfig(cases_dir=str(cases), generations_per_case=2, iterations=1,
+                                               trials=2, backend="http", api_base_url=base))
+        assert (result.completed, len(result.failures)) == (11, 1)
+        assert len(handler.requests_seen) == 23
+        assert len(created) == 12
+        assert len(closed) == 12
+        assert {id(s) for s in closed} == {id(s) for s in created}
 
 
 class TestExtractTemplate:

@@ -248,6 +248,28 @@ class TestRunLoop:
         restored = LoopTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
         assert restored == trace
 
+    def test_trace_text_is_indented_json(self, tmp_path):
+        # Scripted replies with a failed extraction and repeats, synthetic
+        # cells, odd strings and no records: text() gives json.dumps's bytes.
+        scripted = run_loop(BenchmarkCase(id="c", prompt="p"),
+                            ScriptedBackend([THREE_ERRORS, "no template", ONE_ERROR, CLEAN, CLEAN]),
+                            STORE, LoopConfig(max_iterations=4))
+        traces = [scripted, LoopTrace(case_id='odd "id"\t\u00e9\U0001f40d', generation_index=12), LoopTrace(
+            case_id="x", generation_index=0,
+            records=[IterationRecord(index=0, error_count=0, warning_count=3, extraction_failed=True,
+                                     template_text="caf\u00e9 \x00\x1f </script> \\ \u2028 \U0001f40d",
+                                     diagnostics_rendered="E1\nW2\r\n")],
+        )]
+        for seed in range(4):
+            backend = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.3, stubborn_fraction=0.25, seed=seed),
+                                       initial_defects=8)
+            traces.append(run_loop(BenchmarkCase(id=f"s{seed}", prompt="p"), backend, STORE,
+                                   LoopConfig(max_iterations=10), generation_index=seed))
+        for trace in traces:
+            assert trace.text() == json.dumps(trace.to_dict(), indent=2) + "\n"
+        scripted.write(tmp_path / "trace.json")
+        assert (tmp_path / "trace.json").read_bytes() == scripted.text().encode()
+
     def test_recorded_rendering_is_what_the_next_turn_feeds(self):
         replies = [THREE_ERRORS, "no template", ONE_ERROR, CLEAN, CLEAN]
         backend = RecordingBackend(ScriptedBackend(replies))
