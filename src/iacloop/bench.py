@@ -155,15 +155,15 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     ``make_backend`` checks the backend's settings once, before any
     directory is made or cell runs; each cell builds its backend from its
-    seed alone, and a backend with ``close`` is closed when its cell ends.
-    Aborted cells (a backend failure or any other exception from the loop)
-    are excluded from totals and listed in ``failures``.  Outcomes are read
-    in cell order (trial, case, generation), whatever the parallelism, each
-    as soon as its cell and those before it have finished.  Every cell lints
-    by block, so the cells share the linter's process-wide cache and each
-    distinct resource block is checked once.  With ``traces_dir`` set, each
-    completed cell's trace goes to ``_trace_writer``'s process, which writes
-    the files while the next cells run.
+    seed alone.  Aborted cells (a backend failure or any other exception
+    from the loop) are excluded from totals and listed in ``failures``.
+    Outcomes are read in cell order (trial, case, generation), whatever the
+    parallelism, each as soon as its cell and those before it have
+    finished.  Every cell lints by block, so the cells share the linter's
+    process-wide cache and each distinct resource block is checked once.
+    With ``traces_dir`` set, each completed cell's trace goes to
+    ``_trace_writer``'s process, which writes the files while the next
+    cells run.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -201,9 +201,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others
             error, completed = f"{type(exc).__name__}: {exc}", 0
-        finally:
-            if hasattr(backend, "close"):  # an http backend's connection pool
-                backend.close()
         return CellFailure(
             trial_index=trial,
             case_id=case.id,

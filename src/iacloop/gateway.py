@@ -22,11 +22,10 @@ import os
 import random
 import re
 import time
+import urllib.parse
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
-
-import requests
 
 from .linter import LintReport
 from .located_json import JsonDocument, escape_pointer_token, parse_located, render_value
@@ -153,31 +152,30 @@ def resolve_api_key() -> Optional[str]:
 class HttpBackend:
     """OpenAI-compatible chat-completions client with retry/backoff.
 
-    Retries 5xx responses, rate limits (429) and transport timeouts up to
-    ``cfg.max_retries`` times with exponential backoff (1s, 2s, 4s, ...); a
-    429 whose ``Retry-After`` header gives delta-seconds waits that long
-    instead, and one that asks for more than ``MAX_RETRY_AFTER_SECONDS`` is
-    a TransportError at once.  Never mutates the conversation it is given.
+    Retries 5xx responses, rate limits (429), timeouts and failed
+    connections up to ``cfg.max_retries`` times with exponential backoff
+    (1s, 2s, 4s, ...); a 429 whose ``Retry-After`` header gives
+    delta-seconds waits that long instead, and one that asks for more than
+    ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.  Each request
+    opens and closes its own connection; the conversation is never mutated.
     """
 
     def __init__(
         self,
         base_url: str,
         api_key: Optional[str] = None,
-        session: Optional[Any] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         self.last_retry_count = 0
 
-    def close(self) -> None:
-        """Close the session and its pooled connections."""
-        self._session.close()
-
     def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
+        import http.client  # only a live run pays for the HTTP client
+        import urllib.error
+        import urllib.request
+
         key = self.api_key or resolve_api_key()
         if not key:
             raise AuthError("no API key configured (set IACLOOP_API_KEY or OPENAI_API_KEY)")
@@ -186,58 +184,54 @@ class HttpBackend:
             "messages": [{"role": m.role, "content": m.content} for m in conversation],
             "temperature": cfg.temperature,
         }
+        data = json.dumps(payload, allow_nan=False).encode()
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        url = f"{self.base_url}/v1/chat/completions"
+        request = urllib.request.Request(f"{self.base_url}/v1/chat/completions", data, headers)
         self.last_retry_count = 0
         attempt = 0
         while True:
-            try:
-                response = self._session.post(
-                    url, json=payload, headers=headers, timeout=cfg.timeout_seconds
-                )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            try:  # the body is read in here, so a read that times out is retried
+                try:
+                    response = urllib.request.urlopen(request, timeout=cfg.timeout_seconds)
+                except urllib.error.HTTPError as error:  # a status outside 2xx; the error is the response
+                    response = error
+                with response:
+                    status, retry_after = response.status, response.headers.get("Retry-After")
+                    text = response.read().decode("utf-8", "replace")
+            except (OSError, http.client.HTTPException) as exc:  # timeouts, refused or dropped connections
                 if attempt >= cfg.max_retries:
                     raise TransportError(f"transport failure after retries: {exc}") from exc
                 self._backoff(attempt)
                 attempt += 1
                 continue
-            if response.status_code == 401:
-                raise AuthError("authentication rejected", status=401, body_excerpt=response.text[:200])
-            if response.status_code == 429 or 500 <= response.status_code < 600:
+            if status == 401:
+                raise AuthError("authentication rejected", status=401, body_excerpt=text[:200])
+            if status == 429 or 500 <= status < 600:
                 if attempt >= cfg.max_retries:
-                    kind = "rate limited" if response.status_code == 429 else "server error"
-                    raise TransportError(
-                        f"{kind} {response.status_code} after retries",
-                        status=response.status_code,
-                        body_excerpt=response.text[:200],
-                    )
-                delay = _retry_after(response)
+                    kind = "rate limited" if status == 429 else "server error"
+                    raise TransportError(f"{kind} {status} after retries", status=status, body_excerpt=text[:200])
+                delay = _retry_after(retry_after) if status == 429 else None
                 if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
                     raise TransportError(
-                        f"rate limited {response.status_code}: Retry-After exceeds "
-                        f"{MAX_RETRY_AFTER_SECONDS:g} s",
-                        status=response.status_code,
-                        body_excerpt=response.text[:200],
+                        f"rate limited {status}: Retry-After exceeds {MAX_RETRY_AFTER_SECONDS:g} s",
+                        status=status,
+                        body_excerpt=text[:200],
                     )
                 self._backoff(attempt, delay)
                 attempt += 1
                 continue
-            if response.status_code != 200:
-                raise TransportError(
-                    f"unexpected status {response.status_code}",
-                    status=response.status_code,
-                    body_excerpt=response.text[:200],
-                )
-            return self._extract_content(response)
+            if status != 200:
+                raise TransportError(f"unexpected status {status}", status=status, body_excerpt=text[:200])
+            return self._extract_content(text)
 
     def _backoff(self, attempt: int, delay: Optional[float] = None) -> None:
         self._sleep(float(2**attempt) if delay is None else delay)
         self.last_retry_count += 1
 
     @staticmethod
-    def _extract_content(response: Any) -> str:
+    def _extract_content(text: str) -> str:
         try:
-            body = response.json()
+            body = json.loads(text)
         except ValueError as exc:
             raise TransportError("response body is not JSON", status=200) from exc
         try:
@@ -254,12 +248,10 @@ class HttpBackend:
 MAX_RETRY_AFTER_SECONDS = 120.0
 
 
-def _retry_after(response: Any) -> Optional[float]:
+def _retry_after(value: Optional[str]) -> Optional[float]:
     """A 429's ``Retry-After`` delay when given in delta-seconds, else None
     (an HTTP-date or a malformed value falls back to the backoff)."""
-    if response.status_code != 429:
-        return None
-    value = (response.headers.get("Retry-After") or "").strip()
+    value = (value or "").strip()
     return float(value) if value.isascii() and value.isdigit() else None
 
 
@@ -278,11 +270,12 @@ def make_backend(
     ("synthetic", "scripted" or "http"), whose settings are checked here.
 
     Only the settings of the chosen kind are read.  Raises ValueError for
-    any other kind or an invalid synthetic setting, MissingSetting when a
-    scripted backend has no ``script_dir`` or an http backend no
-    ``api_base_url``, and FileNotFoundError when the script directory holds
-    no ``*.txt`` file.  A script is read once: each scripted backend replays
-    it from the first response.  Only a synthetic backend reads the seed.
+    any other kind, an invalid synthetic setting or an ``api_base_url``
+    that is not http(s) with a host, MissingSetting when a scripted backend
+    has no ``script_dir`` or an http backend no ``api_base_url``, and
+    FileNotFoundError when the script directory holds no ``*.txt`` file.
+    A script is read once: each scripted backend replays it from the first
+    response.  Only a synthetic backend reads the seed.
     """
     if kind == "synthetic":
         params = SyntheticParams(p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction)
@@ -296,6 +289,9 @@ def make_backend(
     if kind == "http":
         if not api_base_url:
             raise MissingSetting("http backend requires api_base_url")
+        url = urllib.parse.urlsplit(api_base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"api_base_url must be an http or https URL with a host, got {api_base_url!r}")
         return lambda seed: HttpBackend(api_base_url)
     raise ValueError(f"unknown backend kind {kind!r}")
 

@@ -366,6 +366,8 @@ class TestBenchFailsBeforeItsCells:
         pytest.param(("--defects-min", "-1", "--defects-max", "4"), "initial defects", id="-1-4"),
         pytest.param(("--p-fix", "1.5"), "p_fix must be in [0, 1], got 1.5", id="p-fix"),
         pytest.param(("--backend", "scripted", "--script-dir", "{empty}"), "no *.txt response files", id="empty-script"),
+        pytest.param(("--backend", "http", "--api-base", "api.example.com"), "must be an http or https URL",
+                     id="api-base-without-scheme"),
     ])
     def test_invalid_defect_range(self, tmp_path, capsys, cells_run, extra, message):
         empty = tmp_path / "script"
@@ -659,3 +661,13 @@ class TestSharedParser:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=env, timeout=60, check=True)
         assert proc.stdout.strip() == "0"
+
+    def test_import_loads_no_http_client_or_process_pool(self):
+        # Offline commands never pay for these; only a live run or a traced
+        # bench imports them.
+        heavy = ("requests", "urllib.request", "http.client", "ssl", "multiprocessing")
+        probe = f"import sys, iacloop.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import socket
 import statistics
 import sys
 import threading
@@ -9,7 +10,6 @@ import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-import requests
 
 from iacloop.gateway import (
     AuthError,
@@ -158,7 +158,8 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     _StubHandler.script = []
     _StubHandler.requests_seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() return within 10 ms, not the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
@@ -277,17 +278,27 @@ class TestHttpBackend:
         assert "choices" in str(exc_info.value)
 
     def test_timeouts_retry_then_fail(self):
-        class TimeoutSession:
-            calls = 0
+        # The listener's backlog completes each connection, but nothing ever
+        # answers, so every attempt times out waiting for the response.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            base = f"http://127.0.0.1:{silent.getsockname()[1]}"
+            sleeps = []
+            backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+            with pytest.raises(TransportError, match="transport failure after retries"):
+                backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=0.05))
+        assert sleeps == [1.0, 2.0]
+        assert backend.last_retry_count == 2
 
-            def post(self, *args, **kwargs):
-                type(self).calls += 1
-                raise requests.Timeout("too slow")
-
-        backend = HttpBackend("http://unused", api_key="k", session=TimeoutSession(), sleep=lambda s: None)
-        with pytest.raises(TransportError):
-            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=1))
-        assert TimeoutSession.calls == 3
+    def test_refused_connections_retry_then_fail(self):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]  # closed, so nothing listens there
+        sleeps = []
+        backend = HttpBackend(f"http://127.0.0.1:{port}", api_key="k", sleep=sleeps.append)
+        with pytest.raises(TransportError, match="transport failure after retries") as exc_info:
+            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
+        assert isinstance(exc_info.value.__cause__.reason, ConnectionRefusedError)
+        assert exc_info.value.status is None
+        assert sleeps == [1.0, 2.0]
 
     def test_key_from_environment(self, stub_server, monkeypatch):
         base, handler = stub_server
@@ -314,38 +325,28 @@ class TestHttpBackend:
 
 
 class TestHttpBench:
-    def test_each_cells_session_is_closed(self, stub_server, tmp_path, monkeypatch):
+    def test_a_bench_leaves_no_unclosed_socket(self, stub_server, tmp_path, monkeypatch):
         # A 12-cell bench (3 cases x 2 generations x 2 trials, 2 turns a
-        # cell) builds one session per cell and closes it when the cell
-        # ends, the failing last cell's too.
+        # cell) makes 23 requests and leaves no socket open, the failing
+        # last cell's included.
         from iacloop.bench import BenchmarkConfig, run_benchmark
 
         base, handler = stub_server
         handler.script += [(200, _completion('{"Resources": {}}'))] * 22 + [(401, {"error": "revoked"})]
         monkeypatch.setenv("IACLOOP_API_KEY", "k")
-        created, closed = [], []
-
-        class CountingSession(requests.Session):
-            def __init__(self):
-                super().__init__()
-                created.append(self)
-
-            def close(self):
-                closed.append(self)
-                super().close()
-
-        monkeypatch.setattr(gateway.requests, "Session", CountingSession)
         cases = tmp_path / "cases"
         cases.mkdir()
         for i in range(3):
             (cases / f"case{i}.txt").write_text(f"Create stack {i}")
-        result = run_benchmark(BenchmarkConfig(cases_dir=str(cases), generations_per_case=2, iterations=1,
-                                               trials=2, backend="http", api_base_url=base))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            result = run_benchmark(BenchmarkConfig(cases_dir=str(cases), generations_per_case=2, iterations=1,
+                                                   trials=2, backend="http", api_base_url=base))
+            gc.collect()
         assert (result.completed, len(result.failures)) == (11, 1)
+        assert "authentication rejected" in result.failures[0].error
         assert len(handler.requests_seen) == 23
-        assert len(created) == 12
-        assert len(closed) == 12
-        assert {id(s) for s in closed} == {id(s) for s in created}
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestExtractTemplate:
