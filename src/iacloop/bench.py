@@ -141,10 +141,7 @@ def load_cases(path: str | Path) -> list[BenchmarkCase]:
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"cases directory not found: {directory}")
-    cases = [
-        BenchmarkCase(id=f.stem, prompt=f.read_text(encoding="utf-8").strip())
-        for f in sorted(directory.glob("*.txt"))
-    ]
+    cases = [BenchmarkCase.from_file(f) for f in sorted(directory.glob("*.txt"))]
     if not cases:
         raise EmptyDataset(f"no *.txt prompt files under {directory}")
     return cases

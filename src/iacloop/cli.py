@@ -187,11 +187,10 @@ def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
     store = load_store(schemas_dir)
     try:
-        prompt = Path(args.prompt_file).read_text(encoding="utf-8").strip()
+        case = BenchmarkCase.from_file(args.prompt_file)
     except OSError as exc:
         print(f"cannot read prompt file: {exc}", file=sys.stderr)
         return 3
-    case = BenchmarkCase(id=Path(args.prompt_file).stem, prompt=prompt)
     try:
         backend = make_backend(
             args.backend,

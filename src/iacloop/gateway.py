@@ -324,123 +324,45 @@ class ScriptedBackend:
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 _RAW_DECODER = json.JSONDecoder()
 _OBJECT_OPENING_RE = re.compile(r'\{[ \t\n\r]*["}]')
-# A failed decode costs time linear in its offset (the error message counts
-# lines), so a brace scan gives up decoding after this many failures.
+# A failed decode costs time linear in the rest of the text (its error
+# message counts lines), so the object search gives up after this many.
 _MAX_FAILED_DECODES = 8
 
-_BRACE_TOKEN_RE = re.compile(r'[{}"\\]')
-# A brace scan's lexer state: outside strings, inside one, or just after a
-# backslash inside one.
-_OUT, _IN, _ESCAPED = 0, 1, 2
 
+def _largest_object(text: str) -> Optional[str]:
+    """The longest substring that the C decoder reads as one JSON object.
 
-def _merge_lanes(a: Optional[list], b: Optional[list]) -> Optional[list]:
-    """Join two stacks of open scans that are in the same lexer state from
-    here on: groups at equal depth below the top close together."""
-    if a is None or b is None:
-        return b if a is None else a
-    if len(a) < len(b):
-        a, b = b, a
-    for k in range(1, len(b) + 1):
-        if len(a[-k]) < len(b[-k]):
-            a[-k], b[-k] = b[-k], a[-k]
-        a[-k].extend(b[-k])
-    return a
-
-
-def _object_end(text: str, start: int) -> int:
-    """Offset just past the JSON object that starts at ``start``, or -1.
-
-    Hostile nesting makes the C decoder raise RecursionError; that only
-    means the brace scan takes its slow path.
+    Openings are tried left to right, each past the end of the last object
+    read, so every character is read by at most one successful decode; a
+    strictly longer object replaces the best.  Hostile nesting makes the
+    decoder raise RecursionError, which counts as a failed decode.
     """
-    try:
-        return _RAW_DECODER.raw_decode(text, start)[1]
-    except (ValueError, RecursionError):
-        return -1
-
-
-def _largest_balanced_braces(text: str) -> Optional[str]:
-    """The substring a per-"{" scan would pick, found in linear time.
-
-    The reference semantics: scan from each "{" in turn, skipping those
-    inside the best span so far, with a fresh lexer that ignores braces
-    inside double-quoted strings; the first "}" that brings the depth back
-    to zero closes the scan, and a strictly longer span replaces the best.
-
-    A scan's lexer state after any prefix is one of three, so all scans
-    move in at most three lanes, each a stack of groups of scans that open
-    and close together; lanes that reach the same state merge.  A "{" met
-    while no scan is open and past the best span is first tried as a whole
-    JSON object with the C decoder, which jumps over it in one call.
-    """
-    best_start, best_end = -1, -1
-    closes: dict[int, int] = {}
-    pending: list[int] = []  # starts not yet weighed against the best span
-    lanes: list[Optional[list]] = [None, None, None]  # stacks by lexer state
-    pos, n = 0, len(text)
-    decodes_left = _MAX_FAILED_DECODES
-
-    def settle() -> None:
-        nonlocal best_start, best_end
-        for start in pending:
-            end = closes.get(start)
-            if start > best_end and end is not None and end - start > best_end - best_start:
-                best_start, best_end = start, end
-        pending.clear()
-
-    while pos < n:
-        if lanes == [None, None, None]:
-            settle()
-            start = text.find("{", max(pos, best_end + 1))
-            if start < 0:
-                break
-            if decodes_left and _OBJECT_OPENING_RE.match(text, start):
-                end = _object_end(text, start)
-                if end < 0:
-                    decodes_left -= 1
-                elif best_start < 0 or end - 1 - start > best_end - best_start:
-                    best_start, best_end, pos = start, end - 1, end
-                    continue
-            pos = start
-        match = _BRACE_TOKEN_RE.search(text, pos)
-        if match is None:
+    best, pos, failures = "", 0, 0
+    while failures < _MAX_FAILED_DECODES:
+        opening = _OBJECT_OPENING_RE.search(text, pos)
+        if opening is None:
             break
-        at = match.start()
-        if at > pos and lanes[_ESCAPED] is not None:  # an ordinary character ends the escape
-            lanes[_IN] = _merge_lanes(lanes[_IN], lanes[_ESCAPED])
-            lanes[_ESCAPED] = None
-        out, inside, escaped = lanes
-        char = text[at]
-        pos = at + 1
-        if char == "{":
-            pending.append(at)
-            if out is None:
-                out = []
-            out.append([at])
-            lanes = [out, _merge_lanes(inside, escaped), None]
-        elif char == "}":
-            if out:
-                for start in out.pop():
-                    closes[start] = at
-            lanes = [out or None, _merge_lanes(inside, escaped), None]
-        elif char == '"':
-            lanes = [inside, _merge_lanes(out, escaped), None]
-        else:  # backslash
-            lanes = [out, escaped, inside]
-    settle()
-    if best_start < 0:
-        return None
-    return text[best_start : best_end + 1]
+        start = opening.start()
+        try:
+            end = _RAW_DECODER.raw_decode(text, start)[1]
+        except (ValueError, RecursionError):
+            failures += 1
+            pos = start + 1
+            continue
+        if end - start > len(best):
+            best = text[start:end]
+        pos = end
+    return best or None
 
 
 def extract_template(response_text: str) -> JsonDocument:
     """Pull a JSON template out of free-form model output.
 
-    Tries fenced code blocks first, then the largest balanced-brace
-    substring, then the whole text.  Raises NoTemplateFound when nothing
-    parses; the returned document's ``text`` is the exact substring that
-    parsed.
+    Tries fenced code blocks first, then the stripped reply when it starts
+    with "{" and ends with "}", then the longest object the C decoder reads
+    in it (at most ``_MAX_FAILED_DECODES`` failed decodes), then the whole
+    text.  Raises NoTemplateFound when nothing parses; the returned
+    document's ``text`` is the exact substring that parsed.
     """
     for match in _FENCE_RE.finditer(response_text):
         try:
@@ -449,12 +371,12 @@ def extract_template(response_text: str) -> JsonDocument:
             continue
     stripped = response_text.strip(" \t\n\r")
     if stripped[:1] == "{" and stripped[-1:] == "}":
-        # A reply that is one JSON object is its own largest balanced span.
+        # A reply that is one JSON object is its own longest object.
         try:
             return parse_located(stripped)
         except ValueError:
             pass
-    candidate = _largest_balanced_braces(response_text)
+    candidate = _largest_object(response_text)
     if candidate is not None:
         try:
             return parse_located(candidate)

@@ -75,6 +75,16 @@ class BenchmarkCase:
         if not self.prompt:
             raise ValueError("case prompt must be non-empty")
 
+    @classmethod
+    def from_file(cls, path: str | Path) -> "BenchmarkCase":
+        """The case a prompt file holds, id from the filename stem; a
+        ValueError names the file."""
+        path = Path(path)
+        try:
+            return cls(id=path.stem, prompt=path.read_text(encoding="utf-8").strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
 
 @dataclass(kw_only=True)
 class IterationRecord:

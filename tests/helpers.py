@@ -1,6 +1,6 @@
 """Shared test support: a random JSON corpus generator, an independent
 position-tracking tokenizer used as the span oracle, a quadratic
-reference brace scan with a corpus of noisy model replies for it, and a
+reference object search with a corpus of noisy model replies for it, and a
 writer of schema directories.
 
 The span oracle is deliberately written with a different technique from the
@@ -222,45 +222,30 @@ def iter_pointers(value, pointer: str = "") -> Iterator[tuple[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Reference brace scan and a corpus of noisy replies
+# Reference object search and a corpus of noisy replies
 # ---------------------------------------------------------------------------
 
 
-def reference_largest_balanced_braces(text: str) -> Optional[str]:
-    """The straightforward per-"{" scan, quadratic on unclosed runs; the
-    package's linear scan must pick the same substring."""
-    best: Optional[tuple[int, int]] = None
+def reference_largest_object(text: str) -> Optional[str]:
+    """The straightforward search, quadratic on failing openings: try
+    ``raw_decode`` at every "{" left to right, with no failure budget and no
+    opening filter, skip the inside of each object read, and keep the
+    strictly longest.  The package's budgeted search must pick the same
+    substring wherever its budget is not spent."""
+    decoder = json.JSONDecoder()
+    best: Optional[str] = None
+    resume = 0
     for start, ch in enumerate(text):
-        if ch != "{":
+        if ch != "{" or start < resume:
             continue
-        if best is not None and start <= best[1]:
-            continue  # inside a span we already matched
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    if best is None or (i - start) > (best[1] - best[0]):
-                        best = (start, i)
-                    break
-    if best is None:
-        return None
-    return text[best[0] : best[1] + 1]
+        try:
+            end = decoder.raw_decode(text, start)[1]
+        except (ValueError, RecursionError):
+            continue
+        if best is None or end - start > len(best):
+            best = text[start:end]
+        resume = end
+    return best
 
 
 _REPLY_PIECES = (

@@ -320,6 +320,16 @@ class TestLoopCommand:
         assert "trace directory not found" in capsys.readouterr().err
         assert generate_calls == []
 
+    def test_blank_prompt_file_is_named(self, tmp_path, capsys, generate_calls):
+        prompt = tmp_path / "blank.txt"
+        prompt.write_text(" \n\t\n")
+        out = tmp_path / "t.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic", "--out", str(out)])
+        assert code == 3
+        assert f"{prompt}: case prompt must be non-empty" in capsys.readouterr().err
+        assert generate_calls == []
+        assert not out.exists()
+
     def test_out_that_is_a_directory_fails_before_any_call(self, tmp_path, capsys, generate_calls):
         prompt = tmp_path / "p.txt"
         prompt.write_text("Create a vpc")
@@ -393,6 +403,19 @@ class TestBenchFailsBeforeItsCells:
         ))
         assert code == 1
         assert f"error: {backend} backend requires {setting}" in capsys.readouterr().err
+        assert cells_run == []
+        assert not traces.exists()
+        assert not results.exists()
+
+    def test_blank_case_prompt_is_named(self, tmp_path, capsys, cells_run):
+        args = _bench_args(tmp_path)
+        blank = tmp_path / "cases" / "blank.txt"
+        blank.write_text("\n  \n")
+        traces = tmp_path / "traces"
+        results = tmp_path / "results.json"
+        code = dispatch([*args, "--traces-dir", str(traces), "--out", str(results)])
+        assert code == 3
+        assert f"{blank}: case prompt must be non-empty" in capsys.readouterr().err
         assert cells_run == []
         assert not traces.exists()
         assert not results.exists()

@@ -26,7 +26,7 @@ from iacloop.gateway import (
     SyntheticParams,
     TransportError,
     _eligible_pairs,
-    _largest_balanced_braces,
+    _largest_object,
     _site_count,
     _sized_base,
     extract_template,
@@ -40,7 +40,7 @@ from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
 
-from helpers import random_reply, reference_largest_balanced_braces
+from helpers import random_reply, reference_largest_object
 
 CFG = GenerationConfig(max_retries=3, timeout_seconds=5.0)
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
@@ -380,6 +380,10 @@ class TestExtractTemplate:
         for dump in (json.dumps(template), json.dumps(template, indent=2)):
             assert extract_template(dump).value == template
 
+    def test_an_object_after_prose_braces_wins(self):
+        document = extract_template('Here is {the fixed template, as requested}: {"Resources": {}}')
+        assert document.text == '{"Resources": {}}'
+
     def test_source_text_is_parsed_substring(self):
         text = "prefix {\"a\": 1} suffix"
         document = extract_template(text)
@@ -388,28 +392,44 @@ class TestExtractTemplate:
 
 class TestBraceScan:
     def test_matches_reference_on_noisy_replies(self):
+        # These replies reach at most 7 failed decodes, so the budget never
+        # cuts the search short and the reference, which has none, agrees.
         rng = random.Random(4242)
         picked = 0
         for _ in range(2500):
             reply = random_reply(rng)
-            expected = reference_largest_balanced_braces(reply)
-            assert _largest_balanced_braces(reply) == expected, repr(reply)
+            expected = reference_largest_object(reply)
+            assert _largest_object(reply) == expected, repr(reply)
             picked += expected is not None
-        assert picked > 1500
+        assert picked > 2000
 
     def test_hostile_replies_take_linear_time(self):
-        for reply in ("{" * 16384, "x" * 1_000_000 + "{"):
+        for reply, expected in (
+            ("{" * 16384, None),
+            ("x" * 1_000_000 + "{", None),
+            ('{"a":' * 200_000 + "0" + "}" * 200_000, None),
+            ('{"' * 300_000, None),
+            ("{}" * 100_000, "{}"),
+        ):
             started = time.perf_counter()
-            with pytest.raises(NoTemplateFound):
-                extract_template(reply)
-            assert time.perf_counter() - started < 0.5
+            try:
+                text = extract_template(reply).text
+            except NoTemplateFound:
+                text = None
+            assert time.perf_counter() - started < 0.5, reply[:20]
+            assert text == expected, reply[:20]
 
-    def test_brace_inside_a_shorter_valid_object_can_win(self):
-        # {"a": "{"} decodes but is shorter than the first span, so the "{"
-        # inside its string still starts a scan, and that scan wins.
+    def test_a_short_object_beats_a_longer_span_of_prose_braces(self):
+        # The prose span and the brace inside the object's string would win
+        # a longest-balanced-braces rule; neither is an object.
         reply = "{ " + "x" * 16 + ' } {"a": "{"} ' + "y" * 30 + ' " }'
-        assert _largest_balanced_braces(reply) == '{"} ' + "y" * 30 + ' " }'
-        assert reference_largest_balanced_braces(reply) == '{"} ' + "y" * 30 + ' " }'
+        assert extract_template(reply).text == '{"a": "{"}'
+        assert reference_largest_object(reply) == '{"a": "{"}'
+
+    def test_the_budget_allows_seven_failed_decodes(self):
+        assert extract_template('{"a" 1} ' * 7 + '{"Resources": {}}').text == '{"Resources": {}}'
+        with pytest.raises(NoTemplateFound):
+            extract_template('{"a" 1} ' * 8 + '{"Resources": {}}')
 
 
 class TestMix64:
