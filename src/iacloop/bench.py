@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
-from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
+from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
 from .schema_store import load_store
 
 __all__ = [
@@ -159,8 +159,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     finished.  Every cell lints by block, so the cells share the linter's
     process-wide cache and each distinct resource block is checked once.
     With ``traces_dir`` set, each completed cell's trace goes to
-    ``_trace_writer``'s process, which writes the files while the next
-    cells run.
+    ``_trace_writer``'s process, which renders and writes the files while
+    the next cells run.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -224,7 +224,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
                 for index, (errors, warnings) in enumerate(outcome.counts()):
                     row[index] = (row[index][0] + errors, row[index][1] + warnings)
                 if write:
-                    write(f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json", outcome.text())
+                    write(f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json", outcome)
         finally:
             if pool:  # on an exception, cells not yet started never start
                 pool.shutdown(cancel_futures=True)
@@ -238,16 +238,19 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
 
 _TRACE_BATCH = 16  # traces per pipe send: a send per trace wakes the writer once per file
-_PIPE_BYTES = 1 << 20  # Linux's largest pipe without privileges; a batch is about 300 KB
+# Linux's largest pipe without privileges; a batch of pickled traces, whose
+# repeated records share their strings, is about 115 KB.
+_PIPE_BYTES = 1 << 20
 
 
 @contextmanager
-def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, str], None]]]:
-    """Yield ``write(name, text)``, which hands a trace file to one forked
-    process that writes it under ``directory``; yield None without one.
+def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, LoopTrace], None]]]:
+    """Yield ``write(name, trace)``, which hands a finished trace to one
+    forked process that writes its ``text()`` under ``directory``; yield
+    None without one.
 
-    Traces go over a one-way pipe in batches, and the process only writes
-    files, so their creation runs on another core while the cells compute.
+    Traces go over a one-way pipe in batches, and the process renders and
+    writes them, so that work runs on another core while the cells compute.
     The start method is ``fork`` on purpose: the child re-imports nothing,
     and it forks before the run starts its thread pool.  On leaving, even
     by an exception, the pending batch is sent and the process joined.  A
@@ -271,7 +274,7 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
     writer.start()
     receive.close()
     report.close()
-    batch: list[tuple[str, str]] = []
+    batch: list[tuple[str, LoopTrace]] = []
 
     def check() -> None:
         if failed.poll():  # a report, or the end of a writer that made none
@@ -284,8 +287,8 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
                 message = f"trace writer exited with code {writer.exitcode}"
             raise OSError(message)
 
-    def write(name: str, text: str) -> None:
-        batch.append((name, text))
+    def write(name: str, trace: LoopTrace) -> None:
+        batch.append((name, trace))
         if len(batch) == _TRACE_BATCH:
             check()
             send.send(batch)
@@ -305,9 +308,10 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
 
 
 def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None:
-    """The writer process: write each received ``(name, text)`` until its
-    input ends.  It reports the first file it cannot write, then reads and
-    drops the rest, so that the sender never blocks."""
+    """The writer process: write each received ``(name, trace)`` as the
+    trace's ``text()`` until its input ends.  It reports the first file it
+    cannot write, then reads and drops the rest, so that the sender never
+    blocks."""
     send.close()  # the parent's end, inherited; the input ends when the parent closes its own
     failed = False
     while True:
@@ -317,9 +321,9 @@ def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None
             return
         if failed:
             continue
-        for name, text in batch:
+        for name, trace in batch:
             try:
-                (directory / name).write_text(text, encoding="utf-8")
+                (directory / name).write_text(trace.text(), encoding="utf-8")
             except OSError as exc:
                 report.send(f"cannot write trace file: {exc}")
                 failed = True

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -137,6 +137,27 @@ def _check_out(path: str, what: str) -> None:
         raise IsADirectoryError(f"--out names a directory: {out}")
 
 
+def _json_rows(rows: Sequence[tuple[str, str, str, int, int, int, Optional[str]]]) -> str:
+    """The ``--format json`` report of (code, message, severity, line,
+    column, byte_offset, pointer) rows: the bytes of ``json.dumps(..., indent=2)``
+    over one object per row.  ``indent`` makes ``json.dumps`` format in pure
+    Python; here the layout is written out and each string goes through the
+    C escaper that ``json.dumps`` uses."""
+    items = ",\n".join(
+        "  {\n"
+        f'    "code": {encode_basestring_ascii(code)},\n'
+        f'    "message": {encode_basestring_ascii(message)},\n'
+        f'    "severity": {encode_basestring_ascii(severity)},\n'
+        f'    "line": {line},\n'
+        f'    "column": {column},\n'
+        f'    "byte_offset": {byte_offset},\n'
+        f'    "pointer": {"null" if pointer is None else encode_basestring_ascii(pointer)}\n'
+        "  }"
+        for code, message, severity, line, column, byte_offset, pointer in rows
+    )
+    return f"[\n{items}\n]" if items else "[]"
+
+
 def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
     schemas_dir = args.schemas or config.get("schemas_dir")
     store = load_store(schemas_dir)
@@ -149,34 +170,20 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
         document = parse_located(text)
     except JsonSyntaxError as exc:
         # Not part of the rule registry: parse failures surface as E0000 in
-        # the same two-line layout so tooling sees one shape.
+        # the same two-line layout and the same JSON row, so tooling sees
+        # one shape.
+        span = exc.span
         if args.format == "json":
-            print(json.dumps([{
-                "code": "E0000",
-                "message": exc.reason,
-                "severity": "error",
-                "line": exc.span.line,
-                "column": exc.span.column,
-                "pointer": None,
-            }], indent=2))
+            print(_json_rows([("E0000", exc.reason, "error", span.line, span.column, span.byte_offset, None)]))
         else:
-            print(f"E0000 {exc.reason}\nError location - {args.file}:{exc.span.line}:{exc.span.column}")
+            print(f"E0000 {exc.reason}\nError location - {args.file}:{span.line}:{span.column}")
         return 2
     report = lint_template(document, store, strict_unknown_types=args.strict_types)
     if args.format == "json":
-        payload = [
-            {
-                "code": d.code,
-                "message": d.message,
-                "severity": d.severity.value,
-                "line": d.span.line,
-                "column": d.span.column,
-                "byte_offset": d.span.byte_offset,
-                "pointer": d.pointer,
-            }
+        print(_json_rows([
+            (d.code, d.message, d.severity.value, d.span.line, d.span.column, d.span.byte_offset, d.pointer)
             for d in report.diagnostics
-        ]
-        print(json.dumps(payload, indent=2))
+        ]))
     elif report.diagnostics:
         print("\n\n".join(format_diagnostic(d, args.file) for d in report.diagnostics))
     return 2 if report.error_count else 0

@@ -156,6 +156,23 @@ def _matches_primitive(v: Any, primitive: str) -> bool:
     raise ValueError(f"unknown primitive {primitive!r}")
 
 
+def _type_finding(primitive: str, value: Any) -> Optional[tuple[str, str]]:
+    """The (code, message) of a value that cannot be of type ``primitive``:
+    an intrinsic that cannot yield it, or a plain value of another JSON
+    type; None when it can."""
+    name = intrinsic_name(value)
+    if name is not None:
+        if primitive == "string":
+            if name == "Fn::GetAZs":
+                return "E1015", f"{render_value(value)} is not of type 'string'"
+        elif INTRINSIC_FUNCTIONS[name] != primitive:
+            return "E1010", f"{render_value(value)} is not of type '{primitive}'"
+        return None
+    if not _matches_primitive(value, primitive):
+        return "E3012", f"{render_value(value)} is not of type '{primitive}'"
+    return None
+
+
 def _referenced_names(root: Any) -> set[str]:
     """Targets of every {"Ref": name} object anywhere in the value."""
     names: set[str] = set()
@@ -256,35 +273,26 @@ class _Linter:
         for name, value in present.items():
             spec = schema.properties.get(name)
             if spec is not None:
-                self.check_value(spec, value, anchor_pointer + "/" + escape_pointer_token(name))
+                self.check_value(spec, value, anchor_pointer, name)
 
-    def check_value(self, spec: PropertySpec, value: Any, pointer: str) -> None:
-        name = intrinsic_name(value)
-        if name is not None:
-            self.check_intrinsic(name, spec.primitive, value, pointer)
-            return
-        if not _matches_primitive(value, spec.primitive):
-            self.emit("E3012", f"{render_value(value)} is not of type '{spec.primitive}'", pointer)
-            return
-        if spec.primitive == "string" and spec.enum_values is not None:
+    def check_value(self, spec: PropertySpec, value: Any, parent: str, name: str) -> None:
+        """Check property ``name``'s value; its pointer, ``parent`` and the
+        escaped name, is built only for a finding."""
+        finding = _type_finding(spec.primitive, value)
+        if finding is not None:
+            self.emit(*finding, parent + "/" + escape_pointer_token(name))
+        elif spec.enum_values is not None and isinstance(value, str):  # not an intrinsic
             if value not in spec.enum_values:
                 self.emit(
                     "E3030",
                     f"{render_value(value)} is not one of {render_value(list(spec.enum_values))}",
-                    pointer,
+                    parent + "/" + escape_pointer_token(name),
                 )
-        elif spec.primitive == "array" and spec.item_primitive is not None:
-            item_spec = PropertySpec(name=spec.name, primitive=spec.item_primitive)
+        elif spec.item_primitive is not None and isinstance(value, list):
             for i, item in enumerate(value):
-                self.check_value(item_spec, item, f"{pointer}/{i}")
-
-    def check_intrinsic(self, name: str, primitive: str, value: dict, pointer: str) -> None:
-        yields = INTRINSIC_FUNCTIONS[name]
-        if primitive == "string":
-            if name == "Fn::GetAZs":
-                self.emit("E1015", f"{render_value(value)} is not of type 'string'", pointer)
-        elif yields != primitive:
-            self.emit("E1010", f"{render_value(value)} is not of type '{primitive}'", pointer)
+                finding = _type_finding(spec.item_primitive, item)
+                if finding is not None:
+                    self.emit(*finding, f"{parent}/{escape_pointer_token(name)}/{i}")
 
     def check_unused_parameters(self) -> None:
         parameters = self.root.get("Parameters")

@@ -253,24 +253,17 @@ def _skip_ws(text: str, pos: int) -> int:
     return _WS_RE.match(text, pos).end()
 
 
-# An object member's key without escapes, with the colon and the whitespace
-# up to its value; keys with escapes take the scanstring path.
-_PLAIN_KEY_RE = re.compile(r'"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*')
-# What follows a member's value: a comma or the container's closer.
-_AFTER_VALUE_RE = re.compile(r"[ \t\n\r]*([,}\]])[ \t\n\r]*")
+# What follows an opener or a value: the container's closer (group 1), or
+# an optional comma and the whitespace up to the next value, past its key in
+# an object.  Group 2 holds a key without escapes; a key with escapes is left
+# unread, the match ending at its opening quote.  Commas are optional because
+# the text is valid JSON: none follows an opener and one follows each value
+# that is not the last.
+_NEXT_RE = re.compile(r'[ \t\n\r]*(?:([}\]])|,?[ \t\n\r]*(?:"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*)?)')
 # Keys under which a trie node records the pointer whose value starts there
 # and the pointer whose value's end is wanted; pointer tokens are strings, so
 # neither collides with one.
 _HERE, _END = None, 0
-
-
-def _member_key(text: str, pos: int) -> tuple[str, int]:
-    """The key of the object member at ``pos`` and the offset of its value."""
-    key = _PLAIN_KEY_RE.match(text, pos)
-    if key is not None:
-        return key.group(1), key.end()
-    token, pos = scanstring(text, pos + 1)
-    return token, _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
 
 
 def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_end: bool) -> int:
@@ -286,34 +279,35 @@ def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_en
     if here is not None:
         starts[here] = pos
     pending = len(wanted) - (here is not None) - (_END in wanted)
-    opener = text[pos]
-    if not pending or opener not in "{[":
+    if not pending or text[pos] not in "{[":
         return _scan_once(text, pos)[1] if need_end else -1
-    pos = _skip_ws(text, pos + 1)
-    if text[pos] in "}]":
-        return pos + 1
-    index = 0
+    in_object = text[pos] == "{"
+    index = -1
+    pos += 1
     while True:
-        if opener == "[":
-            token = str(index)
+        step = _NEXT_RE.match(text, pos)
+        if step.group(1):
+            return step.end()
+        pos = step.end()
+        if not in_object:
             index += 1
+            token = str(index)
         else:
-            token, pos = _member_key(text, pos)
+            token = step.group(2)
+            if token is None:
+                token, pos = scanstring(text, pos + 1)
+                pos = _skip_ws(text, _skip_ws(text, pos) + 1)  # past the colon
         child = wanted.get(token)
         if child is None:
             pos = _scan_once(text, pos)[1]
-        else:
-            pending -= 1
-            end_of = child.get(_END)
-            pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
-            if end_of is not None:
-                ends[end_of] = pos
-            if not (pending or need_end):
-                return -1
-        after = _AFTER_VALUE_RE.match(text, pos)
-        if after.group(1) != ",":
-            return after.end(1)
-        pos = after.end()
+            continue
+        pending -= 1
+        end_of = child.get(_END)
+        pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
+        if end_of is not None:
+            ends[end_of] = pos
+        if not (pending or need_end):
+            return -1
 
 
 def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()) -> tuple[dict, dict]:
@@ -325,7 +319,8 @@ def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()
     for marker, batch in ((_HERE, pointers), (_END, ends)):
         for pointer in batch:
             node = trie
-            for token in _parse_pointer(pointer):
+            tokens = pointer.split("/")[1:] if pointer[:1] == "/" and "~" not in pointer else _parse_pointer(pointer)
+            for token in tokens:
                 node = node.setdefault(token, {})
             node[marker] = pointer
     starts, stops = {}, {}

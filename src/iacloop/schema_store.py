@@ -73,15 +73,15 @@ class ResourceSchema:
 
     type_name: str
     properties: dict[str, PropertySpec]
+    # The names of the required properties, in property order.
+    required_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segments = self.type_name.split("::")
         if len(segments) != _TYPE_NAME_PATTERN or not all(segments):
             raise ValueError(f"type name must look like AWS::Service::Resource: {self.type_name!r}")
-
-    @property
-    def required_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.properties.values() if p.required)
+        required = tuple(p.name for p in self.properties.values() if p.required)
+        object.__setattr__(self, "required_names", required)
 
 
 @dataclass(frozen=True, eq=False)

@@ -354,6 +354,27 @@ class TestTraceWriter:
         assert sorted(written) == sorted(finished)
         assert written == {name: (tmp_path / "full" / name).read_bytes() for name in finished}
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_the_writer_renders_the_traces(self, tmp_path, monkeypatch, parallelism):
+        # The bench's process hands finished traces over and never builds
+        # their text; the writer's files are those of an unwrapped run.
+        cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=3,
+                              trials=2, master_seed=11, parallelism=parallelism, traces_dir=str(tmp_path / "plain"))
+        run_benchmark(cfg)
+        bench_pid, text = os.getpid(), LoopTrace.text
+
+        def text_outside_the_bench(trace):
+            if os.getpid() == bench_pid:
+                raise AssertionError("trace text built in the bench's process")
+            return text(trace)
+
+        monkeypatch.setattr(LoopTrace, "text", text_outside_the_bench)
+        cfg.traces_dir = str(tmp_path / "wrapped")
+        assert run_benchmark(cfg).completed == 40
+        plain = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
+        assert len(plain) == 40
+        assert {p.name: p.read_bytes() for p in (tmp_path / "wrapped").iterdir()} == plain
+
     def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
         from iacloop import bench
 

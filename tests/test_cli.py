@@ -12,6 +12,9 @@ from iacloop import bench
 from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
+from iacloop.gateway import SyntheticBackend, SyntheticParams
+from iacloop.linter import lint_template
+from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
 
 from helpers import save_schema_dir
@@ -112,6 +115,7 @@ class TestLintCommand:
             "severity": "error",
             "line": 3,
             "column": 3,
+            "byte_offset": 22,
             "pointer": None,
         }]
 
@@ -144,6 +148,98 @@ class TestLintCommand:
 
     def test_missing_file_runtime_failure(self, capsys):
         assert dispatch(["lint", "/no/such/file.json"]) == 3
+
+
+GOLDEN = json.loads((FIXTURES.parent / "lint_golden.json").read_text())
+
+# Messages and pointers that hold quotes, backslashes, control characters,
+# non-ASCII text, "/" and "~", and, from an enum value written as a lone
+# surrogate escape, a lone surrogate.
+AWKWARD_MESSAGES = r"""{
+  "W\u00e9\"ird\\ \u0007\t~/": 1,
+  "Parameters": {"P\"\\\u0001猫": {"Type": "String"}, "a/b~c": {"Type": "String"}},
+  "Resources": {
+    "B\u00e9": {"Type": "AWS::S3::Bucket",
+                 "Properties": {"AccessControl": "\ud83d", "BucketName": ["q\"\\\n\u0000é"]}},
+    "I": {"Type": "AWS::EC2::Instance", "Properties": {"Tenancy": "d\"\\\u001fé\ud83d"}}
+  }
+}"""
+
+
+def _synthetic_8_block_texts() -> dict[str, str]:
+    """A template of 8 synthetic blocks (25 resources) at each defect
+    density, from clean to every injected defect live."""
+    store = builtin_core_schemas()
+    texts = {}
+    for seed, (label, stubborn) in enumerate((("clean", 0.0), ("sparse", 0.05), ("medium", 0.3), ("dense", None))):
+        backend = SyntheticBackend(
+            SyntheticParams(p_fix=1.0, p_spawn=0.0, stubborn_fraction=stubborn or 0.0, seed=seed),
+            initial_defects=83,
+            store=store,
+        )
+        texts[label] = backend.initial_generation()
+        if stubborn is not None:
+            texts[label] = backend.synthetic_step()  # repairs every defect that is not stubborn
+    return texts
+
+
+def _expected_json_report(text: str, strict: bool = False) -> str:
+    """``lint --format json``'s stdout for ``text``, built with ``json.dumps``."""
+    try:
+        document = parse_located(text)
+    except JsonSyntaxError as exc:
+        span = exc.span
+        rows = [{"code": "E0000", "message": exc.reason, "severity": "error", "line": span.line,
+                 "column": span.column, "byte_offset": span.byte_offset, "pointer": None}]
+    else:
+        report = lint_template(document, builtin_core_schemas(), strict_unknown_types=strict)
+        rows = [
+            {"code": d.code, "message": d.message, "severity": d.severity.value, "line": d.span.line,
+             "column": d.span.column, "byte_offset": d.span.byte_offset, "pointer": d.pointer}
+            for d in report.diagnostics
+        ]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+class TestLintJsonBytes:
+    """``lint --format json`` writes the bytes ``json.dumps(rows, indent=2)``
+    would, one row shape for rule findings and E0000."""
+
+    @staticmethod
+    def _assert_bytes(capsys, path: Path, strict: bool = False) -> str:
+        argv = ["lint", str(path), "--format", "json"] + (["--strict-types"] if strict else [])
+        dispatch(argv)
+        out = capsys.readouterr().out
+        assert out == _expected_json_report(path.read_text(encoding="utf-8"), strict), path.name
+        return out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_fixtures(self, capsys, name):
+        strict = bool(GOLDEN[name].get("options", {}).get("strict_unknown_types"))
+        self._assert_bytes(capsys, FIXTURES / f"{name}.json", strict)
+
+    def test_synthetic_templates_at_each_density(self, tmp_path, capsys):
+        counts = []
+        for label, text in _synthetic_8_block_texts().items():
+            path = tmp_path / f"{label}.json"
+            path.write_text(text, encoding="utf-8")
+            counts.append(len(json.loads(self._assert_bytes(capsys, path))))
+        assert counts[0] == 0 and counts[1] < counts[2] < counts[3]
+
+    def test_escaped_and_non_ascii_messages(self, tmp_path, capsys):
+        path = tmp_path / "awkward.json"
+        path.write_text(AWKWARD_MESSAGES, encoding="utf-8")
+        rows = json.loads(self._assert_bytes(capsys, path))
+        assert [row["code"] for row in rows] == ["E1001", "W2001", "W2001", "E3030", "E3012", "E3003", "E3030"]
+        messages = "".join(row["message"] for row in rows)
+        for part in ('"', "\\", "\u0007", "\u0001", "\n", "\u0000", "\u001f", "\u00e9", "\u732b", "\ud83d"):
+            assert part in messages, part
+
+    def test_syntax_error_row(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "Resources": {}\n  "Outputs": {}\n}\n', encoding="utf-8")
+        out = self._assert_bytes(capsys, path)
+        assert '"byte_offset": 22,\n    "pointer": null\n' in out
 
 
 class TestDispatchBasics:

@@ -373,6 +373,65 @@ class TestValueEnds:
             self._assert_ends_decode(text, ends, [p for p in below_root if p not in ends])
 
 
+# Layouts the walk must step through: escaped keys first and later in their
+# objects, "\r", "\t" and "\n" around ":" and ",", empty containers, arrays of
+# objects, and scalars of every type, some holding brackets and quotes.
+_WALK_TEXTS = [
+    r'{"\u0041": 1, "b": {"\"q\"": [2], "c\\d": {"\/": 3}}, "k\u00e9y": {"x": 4, "\n": 5}}',
+    r'[{"\t": {"\"": [0]}}, {"a": 1, "\u0062": [{"\\": 2}]}]',
+    '{\r\n\t"a"\r\n\t:\r\n\t1\r\n\t,\r\n\t"b"\t:\n[\r1\t,\n2\r]\n,\t"c":{"d"\r:\r"e"}\r\n}\r\n',
+    '\n\t[\r\n1\n,\t{\r"x"\n:\t[\r]\n,"y":{}\t}\r,\n[\t]\r]\t\n',
+    '{"e": {}, "f": [], "g": [{}, [], {"h": [{}]}], "i": [ {} , { } ], "j": {"k": { }}}',
+    '[{"a": 1}, {"a": [ ]}, {}, [{"b": {"c": [{"d": 0}]}}]]',
+    " [ ] ",
+    "{ }",
+    '{"s": "x}\\"],{:", "n": -1.5e3, "t": true, "f": false, "z": null, "l": [1, "2", [3], {"m": [-0.0]}]}',
+]
+
+
+class TestWalkAgainstOracle:
+    """``resolve_offsets`` against the tokenizing oracle on layouts picked
+    to reach every path of its member walk."""
+
+    @pytest.mark.parametrize("text", _WALK_TEXTS)
+    def test_starts_match_the_oracle(self, text):
+        expected = oracle_spans(text)
+        pointers = list(expected)
+        spans = lambda batch: {p: (s.line, s.column, s.byte_offset) for p, s in resolve_spans(text, batch).items()}
+        assert spans(pointers) == expected
+        for pointer in pointers:  # each alone, so the walk stops early at it
+            assert spans([pointer]) == {pointer: expected[pointer]}
+        rng = random.Random(text)
+        for _ in range(20):
+            batch = rng.sample(pointers, rng.randint(1, len(pointers)))
+            assert spans(batch) == {p: expected[p] for p in batch}
+
+    @pytest.mark.parametrize("text", _WALK_TEXTS)
+    def test_absent_members_and_indexes(self, text):
+        value = json.loads(text)
+        expected = oracle_spans(text)
+        absent = []
+        for pointer, child in iter_pointers(value):
+            if isinstance(child, dict):
+                absent += [pointer + "/missing", pointer + "/0"]
+            elif isinstance(child, list):
+                absent += [f"{pointer}/{len(child)}", pointer + "/-", pointer + "/00", pointer + "/x"]
+            else:
+                absent += [pointer + "/0", pointer + "/a"]  # a step into a scalar
+        assert not set(absent) & set(expected)
+        starts = resolve_offsets(text, absent + list(expected))[0]
+        assert set(starts) == set(expected)
+        assert resolve_offsets(text, absent)[0] == {}
+
+    @pytest.mark.parametrize("text", _WALK_TEXTS)
+    def test_ends_of_values(self, text):
+        below_root = list(oracle_spans(text))[1:]
+        if below_root:
+            TestValueEnds._assert_ends_decode(text, below_root, [""])
+            for pointer in below_root:
+                TestValueEnds._assert_ends_decode(text, [pointer], [])
+
+
 class TestNodeAt:
     """Single-pointer lookups through resolve_spans."""
 
