@@ -181,8 +181,8 @@ def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
     report = lint_template(document, store, strict_unknown_types=args.strict_types)
     if args.format == "json":
         print(_json_rows([
-            (d.code, d.message, d.severity.value, d.span.line, d.span.column, d.span.byte_offset, d.pointer)
-            for d in report.diagnostics
+            (code, message, "error" if code[0] == "E" else "warning", line, column, byte_offset, pointer)
+            for code, message, (line, column, byte_offset), pointer in report.diagnostics
         ]))
     elif report.diagnostics:
         print("\n\n".join(format_diagnostic(d, args.file) for d in report.diagnostics))

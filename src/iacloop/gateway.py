@@ -721,15 +721,12 @@ class SyntheticBackend:
         follow repairs, so a step that repairs nothing returns the previous
         text.
         """
+        flagged = None
         if report is not None:
-            flagged = {d.diagnostic_key() for d in self.live} & {
-                (diag.code, diag.pointer, diag.message) for diag in report.diagnostics
-            }
-        else:
-            flagged = {d.diagnostic_key() for d in self.live}
+            flagged = {(code, pointer, message) for code, message, _, pointer in report.diagnostics}
         to_repair = []
         for defect in self.live:
-            if defect.stubborn or defect.diagnostic_key() not in flagged:
+            if defect.stubborn or (flagged is not None and defect.diagnostic_key() not in flagged):
                 continue
             if self.rng.random() < self.params.p_fix:
                 to_repair.append(defect)

@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .located_json import (
     JsonDocument,
@@ -75,7 +75,7 @@ INTRINSIC_FUNCTIONS = {
 
 EXPECTED_FORMAT_VERSION = "2010-09-09"
 
-_CODE_RE = re.compile(r"^[EW][0-9]{4}$")
+_CODE_RE = re.compile(r"[EW][0-9]{4}")
 
 
 class Severity(Enum):
@@ -83,24 +83,33 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One coded lint finding with message and source location."""
-
+class _DiagnosticFields(NamedTuple):
     code: str
     message: str
     span: SourceSpan
     pointer: str
 
-    def __post_init__(self) -> None:
-        if not _CODE_RE.match(self.code):
-            raise ValueError(f"diagnostic code must match [EW]dddd: {self.code!r}")
-        if not self.message:
+
+class Diagnostic(_DiagnosticFields):
+    """One coded lint finding with message and source location.
+
+    An immutable tuple of its fields, so it equals and hashes like one.
+    Building one checks the code and the message; ``Diagnostic._make``,
+    which the linter uses for its own findings, and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, code: str, message: str, span: SourceSpan, pointer: str) -> "Diagnostic":
+        if not _CODE_RE.fullmatch(code):
+            raise ValueError(f"diagnostic code must match [EW]dddd: {code!r}")
+        if not message:
             raise ValueError("diagnostic message must be non-empty")
+        return super().__new__(cls, code, message, span, pointer)
 
     @property
     def severity(self) -> Severity:
-        return Severity.ERROR if self.code.startswith("E") else Severity.WARNING
+        return Severity.ERROR if self.code[0] == "E" else Severity.WARNING
 
 
 @dataclass(frozen=True)
@@ -111,11 +120,11 @@ class LintReport:
 
     @property
     def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.ERROR)
+        return sum(1 for d in self.diagnostics if d.code[0] == "E")
 
     @property
     def warning_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is Severity.WARNING)
+        return len(self.diagnostics) - self.error_count
 
     def __len__(self) -> int:
         return len(self.diagnostics)
@@ -123,10 +132,8 @@ class LintReport:
 
 def format_diagnostic(diagnostic: Diagnostic, file_path: str) -> str:
     """Two-line rendering: code + message, then the file:line:column location."""
-    return (
-        f"{diagnostic.code} {diagnostic.message}\n"
-        f"Error location - {file_path}:{diagnostic.span.line}:{diagnostic.span.column}"
-    )
+    code, message, (line, column, _), _ = diagnostic
+    return f"{code} {message}\nError location - {file_path}:{line}:{column}"
 
 
 def intrinsic_name(value: Any) -> Optional[str]:
@@ -154,6 +161,18 @@ def _matches_primitive(v: Any, primitive: str) -> bool:
     if primitive == "array":
         return isinstance(v, list)
     raise ValueError(f"unknown primitive {primitive!r}")
+
+
+# The Python types of plain values that always satisfy a primitive.  A dict
+# may be an intrinsic, and a float is an integer only when it is integral,
+# so neither is listed.
+_SATISFYING_TYPES = {
+    "string": (str,),
+    "boolean": (bool,),
+    "integer": (int,),
+    "number": (int, float),
+    "array": (list,),
+}
 
 
 def _type_finding(primitive: str, value: Any) -> Optional[tuple[str, str]]:
@@ -278,10 +297,12 @@ class _Linter:
     def check_value(self, spec: PropertySpec, value: Any, parent: str, name: str) -> None:
         """Check property ``name``'s value; its pointer, ``parent`` and the
         escaped name, is built only for a finding."""
-        finding = _type_finding(spec.primitive, value)
-        if finding is not None:
-            self.emit(*finding, parent + "/" + escape_pointer_token(name))
-        elif spec.enum_values is not None and isinstance(value, str):  # not an intrinsic
+        if type(value) not in _SATISFYING_TYPES.get(spec.primitive, ()):
+            finding = _type_finding(spec.primitive, value)
+            if finding is not None:
+                self.emit(*finding, parent + "/" + escape_pointer_token(name))
+                return
+        if spec.enum_values is not None and isinstance(value, str):  # not an intrinsic
             if value not in spec.enum_values:
                 self.emit(
                     "E3030",
@@ -362,6 +383,6 @@ def lint_template(
         findings.extend((start + offset, *row) for offset, *row in rows)
     findings.sort(key=lambda finding: finding[:2])  # stable: emission order breaks ties
     spans = _spans_at(text, [offset for offset, *_ in findings])
-    return LintReport(
-        tuple(Diagnostic(code, message, span, pointer) for (_, code, message, pointer), span in zip(findings, spans))
-    )
+    return LintReport(tuple([
+        Diagnostic._make((code, message, span, pointer)) for (_, code, message, pointer), span in zip(findings, spans)
+    ]))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from json.decoder import scanstring
 from json.scanner import make_scanner
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 __all__ = [
     "SourceSpan",
@@ -47,9 +47,10 @@ __all__ = [
 MAX_NESTING_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Position of a value's first character: 1-based line/column, 0-based byte offset."""
+class SourceSpan(NamedTuple):
+    """Position of a value's first character: 1-based line/column, 0-based byte offset.
+
+    An immutable tuple of its fields, so it equals and hashes like one."""
 
     line: int
     column: int
@@ -267,20 +268,19 @@ _HERE, _END = None, 0
 
 
 def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_end: bool) -> int:
-    """Record the offsets of the wanted values inside the value at ``pos``.
+    """Record the offsets of the wanted members of the value at ``pos``.
 
-    ``wanted`` is a trie of pointer tokens.  Only requested members are
-    descended into; siblings are skipped with the C scanner.  A member whose
-    node holds ``_END`` also has the offset just past its value recorded.
-    Returns the offset just past the value when ``need_end`` is set, else -1
-    as soon as everything wanted here is found.
+    ``wanted`` is a trie node with at least one pointer token below it.  Each
+    wanted member's start is recorded in the member loop.  The walk descends
+    only into a member with wanted members of its own; every other value is
+    skipped with the C scanner, and the skip of a wanted one gives its end.
+    A member whose node holds ``_END`` has the offset just past its value
+    recorded.  Returns the offset just past the value when ``need_end`` is
+    set, else -1 as soon as everything wanted here is found.
     """
-    here = wanted.get(_HERE)
-    if here is not None:
-        starts[here] = pos
-    pending = len(wanted) - (here is not None) - (_END in wanted)
-    if not pending or text[pos] not in "{[":
+    if text[pos] not in "{[":
         return _scan_once(text, pos)[1] if need_end else -1
+    pending = len(wanted) - (_HERE in wanted) - (_END in wanted)
     in_object = text[pos] == "{"
     index = -1
     pos += 1
@@ -302,8 +302,13 @@ def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_en
             pos = _scan_once(text, pos)[1]
             continue
         pending -= 1
-        end_of = child.get(_END)
-        pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
+        here, end_of = child.get(_HERE), child.get(_END)
+        if here is not None:
+            starts[here] = pos
+        if len(child) > (here is not None) + (end_of is not None):
+            pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
+        elif need_end or pending or end_of is not None:
+            pos = _scan_once(text, pos)[1]
         if end_of is not None:
             ends[end_of] = pos
         if not (pending or need_end):
@@ -324,7 +329,12 @@ def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()
                 node = node.setdefault(token, {})
             node[marker] = pointer
     starts, stops = {}, {}
-    _locate(text, _skip_ws(text, 0), trie, starts, stops, need_end=False)
+    pos = _skip_ws(text, 0)
+    root = trie.pop(_HERE, None)
+    if root is not None:
+        starts[root] = pos
+    if trie:
+        _locate(text, pos, trie, starts, stops, need_end=False)
     return starts, stops
 
 

@@ -7,7 +7,7 @@ exactly so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -44,6 +44,9 @@ SYSTEM_PROMPT = (
     "You are an expert AWS CloudFormation engineer. "
     "Respond with a single JSON CloudFormation template and no other text."
 )
+
+# Every conversation opens with this one message; a ChatMessage is immutable.
+_SYSTEM_MESSAGE = ChatMessage("system", SYSTEM_PROMPT)
 
 FEEDBACK_HEADER = "Here is a CloudFormation template:\n"
 
@@ -176,7 +179,7 @@ class BackendFailure(RuntimeError):
 
 
 def build_initial_messages(case: BenchmarkCase) -> list[ChatMessage]:
-    return [ChatMessage("system", SYSTEM_PROMPT), ChatMessage("user", case.prompt)]
+    return [_SYSTEM_MESSAGE, ChatMessage("user", case.prompt)]
 
 
 def render_diagnostics(report: LintReport) -> str:
@@ -192,7 +195,7 @@ def build_feedback_messages(prev_template: str, rendered: str) -> list[ChatMessa
     else:
         instruction = _CLEAN_INSTRUCTION
     user = FEEDBACK_HEADER + prev_template + instruction
-    return [ChatMessage("system", SYSTEM_PROMPT), ChatMessage("user", user)]
+    return [_SYSTEM_MESSAGE, ChatMessage("user", user)]
 
 
 def run_loop(
@@ -236,7 +239,17 @@ def run_loop(
         # render are pure functions of the reply, and a failed extraction
         # carries forward that record's counts and rendering, its own.
         if raw == last_raw:
-            trace.records.append(replace(trace.records[-1], index=index))
+            prev = trace.records[-1]
+            trace.records.append(
+                IterationRecord(
+                    index=index,
+                    template_text=prev.template_text,
+                    error_count=prev.error_count,
+                    warning_count=prev.warning_count,
+                    diagnostics_rendered=prev.diagnostics_rendered,
+                    extraction_failed=prev.extraction_failed,
+                )
+            )
             continue
         last_raw = raw
 

@@ -178,7 +178,7 @@ class TestReportCounts:
 
 class TestDiagnosticInvariants:
     def test_code_shape_enforced(self):
-        for bad in ["X1015", "E101", "E10155", "e1015", ""]:
+        for bad in ["X1015", "E101", "E10155", "e1015", "", "E1234\n", " E1234"]:
             with pytest.raises(ValueError):
                 Diagnostic(bad, "m", SourceSpan(1, 1, 0), "")
 
@@ -189,6 +189,62 @@ class TestDiagnosticInvariants:
     def test_severity_from_prefix(self):
         assert Diagnostic("E1015", "m", SourceSpan(1, 1, 0), "").severity is Severity.ERROR
         assert Diagnostic("W2001", "m", SourceSpan(1, 1, 0), "").severity is Severity.WARNING
+
+
+class TestValueTypes:
+    """What callers may rely on in a span and a diagnostic: immutable
+    values that hash, compare and unpack as the tuples of their fields."""
+
+    SPAN = SourceSpan(3, 7, 41)
+    DIAG = Diagnostic("E3012", "m", SourceSpan(3, 7, 41), "/a/b")
+
+    def test_assignment_raises(self):
+        for value, name in [
+            (self.SPAN, "line"), (self.SPAN, "column"), (self.SPAN, "byte_offset"), (self.SPAN, "extra"),
+            (self.DIAG, "code"), (self.DIAG, "message"), (self.DIAG, "span"), (self.DIAG, "pointer"),
+            (self.DIAG, "severity"), (self.DIAG, "extra"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        assert self.SPAN == SourceSpan(3, 7, 41) and self.DIAG.code == "E3012"
+
+    def test_hash_and_compare_by_fields(self):
+        for value, same, other in [
+            (self.SPAN, SourceSpan(3, 7, 41), SourceSpan(3, 7, 42)),
+            (self.DIAG, Diagnostic("E3012", "m", SourceSpan(3, 7, 41), "/a/b"),
+             Diagnostic("E3012", "m", SourceSpan(3, 7, 41), "/a/c")),
+        ]:
+            assert value == same and hash(value) == hash(same)
+            assert value != other
+            assert len({value, same, other}) == 2
+            assert value == tuple(value) and hash(value) == hash(tuple(value))  # equal to a plain tuple
+
+    def test_unpack_in_field_order(self):
+        line, column, byte_offset = self.SPAN
+        assert (line, column, byte_offset) == (self.SPAN.line, self.SPAN.column, self.SPAN.byte_offset) == (3, 7, 41)
+        code, message, span, pointer = self.DIAG
+        assert (code, message, span, pointer) == ("E3012", "m", self.SPAN, "/a/b")
+        assert SourceSpan._fields == ("line", "column", "byte_offset")
+        assert Diagnostic._fields == ("code", "message", "span", "pointer")
+
+    def test_str_of_span_is_line_colon_column(self):
+        assert str(self.SPAN) == "3:7"
+        assert f"{SourceSpan(12, 1, 0)}" == "12:1"
+
+    def test_keyword_construction_is_validated(self):
+        assert Diagnostic(code="W2001", message="m", span=self.SPAN, pointer="") == ("W2001", "m", self.SPAN, "")
+        with pytest.raises(ValueError):
+            Diagnostic(code="E1234\n", message="m", span=self.SPAN, pointer="")
+        with pytest.raises(ValueError):
+            Diagnostic(code="E1234", message="", span=self.SPAN, pointer="")
+
+    def test_linter_builds_the_same_types(self):
+        text = (FIXTURE_DIR / "bad_enum.json").read_text()
+        report = lint_template(parse_located(text), builtin_core_schemas())
+        assert report.diagnostics
+        for d in report.diagnostics:
+            assert type(d) is Diagnostic and type(d.span) is SourceSpan
+            assert d == Diagnostic(*d)
 
 
 def _assert_block_lint_matches(text: str, strict: bool = False, store=None, clear: bool = True) -> None:
