@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
@@ -126,13 +127,14 @@ class AggregateStats:
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateStats":
         """Raises TypeError or ValueError unless ``data`` holds exactly the
-        four fields as lists of numbers of one length."""
+        four fields as lists of one length of numbers from 0 to the largest
+        float (a bool, NaN or Infinity is not one)."""
         stats = cls(**data)
         for column in vars(stats).values():
             if not isinstance(column, list) or len(column) != len(stats.mean_errors) or not all(
-                isinstance(v, (int, float)) for v in column
+                type(v) in (int, float) and 0 <= v <= sys.float_info.max for v in column
             ):
-                raise ValueError("each stats field must be a list of numbers, all of one length")
+                raise ValueError("each stats field must be a list of numbers in [0, max float], all of one length")
         return stats
 
 

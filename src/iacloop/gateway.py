@@ -414,17 +414,18 @@ _WRONG_VALUES = {
 }
 
 _BAD_ENUM_VALUE = "__invalid_enum__"
+_Site = tuple[str, ...]  # a defect site's unescaped JSON-pointer tokens, e.g. ("Parameters", "Stage")
 
 
-def _eligible_pairs(template: dict, store: SchemaStore) -> list[tuple[str, str]]:
-    """(kind, site-pointer) pairs of ``template`` in document order."""
-    pairs: list[tuple[str, str]] = []
+def _eligible_pairs(template: dict, store: SchemaStore) -> list[tuple[str, _Site]]:
+    """(kind, site) pairs of ``template`` in document order."""
+    pairs: list[tuple[str, _Site]] = []
     for name in _TOP_KEY_POOL:
         if name not in template:
-            pairs.append(("unknown_top_key", "/" + name))
+            pairs.append(("unknown_top_key", (name,)))
     for name in _PARAM_POOL:
         if name not in template.get("Parameters", {}):
-            pairs.append(("unused_parameter", "/Parameters/" + name))
+            pairs.append(("unused_parameter", ("Parameters", name)))
     for logical_id, entry in template.get("Resources", {}).items():
         schema = store.lookup(entry.get("Type", ""))
         if schema is None:
@@ -434,23 +435,18 @@ def _eligible_pairs(template: dict, store: SchemaStore) -> list[tuple[str, str]]
             spec = schema.properties.get(prop_name)
             if spec is None:
                 continue
-            pointer = (
-                "/Resources/"
-                + escape_pointer_token(logical_id)
-                + "/Properties/"
-                + escape_pointer_token(prop_name)
-            )
+            site = ("Resources", logical_id, "Properties", prop_name)
             if spec.required:
-                pairs.append(("drop_required", pointer))
-            pairs.append(("wrong_type", pointer))
+                pairs.append(("drop_required", site))
+            pairs.append(("wrong_type", site))
             if spec.primitive == "string" and isinstance(value, str):
-                pairs.append(("bad_intrinsic_getazs", pointer))
+                pairs.append(("bad_intrinsic_getazs", site))
                 if spec.enum_values is not None and value in spec.enum_values:
-                    pairs.append(("bad_enum", pointer))
+                    pairs.append(("bad_enum", site))
     return pairs
 
 
-def _error_site_count(pairs: list[tuple[str, str]]) -> int:
+def _error_site_count(pairs: list[tuple[str, _Site]]) -> int:
     """Distinct sites among ``pairs`` that an error-kind defect can occupy."""
     return len({site for kind, site in pairs if kind != "unused_parameter"})
 
@@ -460,7 +456,7 @@ def _site_count(blocks: int, store: SchemaStore) -> int:
     return _error_site_count(_eligible_pairs(synthetic_base_template(blocks), store))
 
 
-def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple[str, str]]]:
+def _sized_base(defect_count: int, store: SchemaStore) -> tuple[dict, list[tuple[str, _Site]]]:
     """The clean base template with the fewest blocks (at least 1) that
     leaves free error-kind-site headroom for ``defect_count`` defects, and
     its (kind, site) pairs of every kind in document order.
@@ -511,20 +507,11 @@ class SyntheticParams:
 
 @dataclass(eq=False)  # identity: ``live.remove`` drops that very defect
 class DefectSpec:
-    """One live injected defect: what it is, where, and the diagnostic it draws."""
+    """One live injected defect: what it is and where."""
 
     kind: str
-    target_pointer: str
+    site: _Site
     stubborn: bool = False
-    expected_code: str = ""
-    expected_message: str = ""
-    # Where the linter anchors this defect's diagnostic (E3003 points at the
-    # Properties object, not the missing key); defaults to the site itself.
-    expected_pointer: str = ""
-
-    def diagnostic_key(self) -> tuple[str, str, str]:
-        pointer = self.expected_pointer or self.target_pointer
-        return (self.expected_code, pointer, self.expected_message)
 
 
 _BLOCK_TYPES = {"Vpc": "AWS::EC2::VPC", "Subnet": "AWS::EC2::Subnet", "Bucket": "AWS::S3::Bucket",
@@ -621,16 +608,6 @@ def _member_text(key: str, parameters: tuple[str, ...]) -> str:
     return _encode_member("  ", key, _member_value(key, parameters))
 
 
-@functools.lru_cache(maxsize=4096)  # a run's templates share their few hundred sites
-def _property_site(pointer: str) -> tuple[str, str]:
-    """(logical id, property name) of a ``/Resources/<id>/Properties/<name>`` site."""
-    _, _, logical_id, _, prop_name = pointer.split("/")
-    return (
-        logical_id.replace("~1", "/").replace("~0", "~"),
-        prop_name.replace("~1", "/").replace("~0", "~"),
-    )
-
-
 class SyntheticBackend:
     """Offline backend that probabilistically repairs its live defects.
 
@@ -662,7 +639,7 @@ class SyntheticBackend:
         self.store = store if store is not None else builtin_core_schemas()
         self.rng = random.Random(params.seed)
         self.base: dict = {}  # the clean sized template; never mutated
-        self.pairs: list[tuple[str, str]] = []  # the base's (kind, site) pairs, every kind
+        self.pairs: list[tuple[str, _Site]] = []  # the base's (kind, site) pairs, every kind
         self.live: list[DefectSpec] = []  # the ledger, in injection order
         self.text = "{}"  # the rendered template as last serialized (indent=2)
 
@@ -698,7 +675,7 @@ class SyntheticBackend:
         for _ in range(count):
             # A site's pairs are adjacent in base order: drop the drawn one's run.
             lo = hi = self.rng.randrange(len(free))
-            site = self._inject(*free[lo]).target_pointer
+            site = self._inject(*free[lo]).site
             while lo and free[lo - 1][1] == site:
                 lo -= 1
             while hi < len(free) and free[hi][1] == site:
@@ -714,19 +691,19 @@ class SyntheticBackend:
         """One repair round over the tracked template.
 
         A live defect counts as flagged when the report contains its
-        diagnostic; with ``report=None`` every live defect is flagged.  Each
-        flagged non-stubborn defect is repaired with probability ``p_fix``,
-        and each executed repair spawns one fresh defect with probability
-        ``p_spawn`` at a uniformly chosen free site of the base.  Spawns only
-        follow repairs, so a step that repairs nothing returns the previous
-        text.
+        diagnostic (``diagnostic_key``); with ``report=None`` every live
+        defect is flagged.  Each flagged non-stubborn defect is repaired with
+        probability ``p_fix``, and each executed repair spawns one fresh
+        defect with probability ``p_spawn`` at a uniformly chosen free site of
+        the base.  Spawns only follow repairs, so a step that repairs nothing
+        returns the previous text.
         """
         flagged = None
         if report is not None:
             flagged = {(code, pointer, message) for code, message, _, pointer in report.diagnostics}
         to_repair = []
         for defect in self.live:
-            if defect.stubborn or (flagged is not None and defect.diagnostic_key() not in flagged):
+            if defect.stubborn or (flagged is not None and self.diagnostic_key(defect) not in flagged):
                 continue
             if self.rng.random() < self.params.p_fix:
                 to_repair.append(defect)
@@ -769,52 +746,54 @@ class SyntheticBackend:
         sections: dict[str, tuple[str, ...]] = {}
         edits: dict[str, _Edits] = {}
         for defect in self.live:
-            kind, pointer = defect.kind, defect.target_pointer
+            kind, site = defect.kind, defect.site
             if kind == "unknown_top_key":
-                sections[pointer[1:]] = ()
+                sections[site[0]] = ()
             elif kind == "unused_parameter":
-                sections["Parameters"] = sections.get("Parameters", ()) + (pointer.rsplit("/", 1)[1],)
+                sections["Parameters"] = sections.get("Parameters", ()) + (site[1],)
             else:
-                logical_id, prop_name = _property_site(pointer)
-                primitive = self._site_spec(logical_id, prop_name).primitive if kind == "wrong_type" else ""
-                edits[logical_id] = edits.get(logical_id, ()) + ((prop_name, kind, primitive),)
+                primitive = self._site_spec(site).primitive if kind == "wrong_type" else ""
+                edits[site[1]] = edits.get(site[1], ()) + ((site[3], kind, primitive),)
         return sections, edits
 
     # -- defect plumbing -------------------------------------------------------
 
-    def _free_pairs(self) -> list[tuple[str, str]]:
+    def _free_pairs(self) -> list[tuple[str, _Site]]:
         """The base's (kind, site) pairs whose site no live defect occupies;
         at most one live defect may occupy a site."""
-        occupied = {d.target_pointer for d in self.live}
+        occupied = {d.site for d in self.live}
         return [p for p in self.pairs if p[1] not in occupied]
 
-    def _site_spec(self, logical_id: str, prop_name: str) -> Any:
-        """The property schema of a site of the base."""
-        return self.store.lookup(self.base["Resources"][logical_id]["Type"]).properties[prop_name]
+    def _site_spec(self, site: _Site) -> Any:
+        """The property schema of a ``("Resources", id, "Properties", name)`` site of the base."""
+        return self.store.lookup(self.base["Resources"][site[1]]["Type"]).properties[site[3]]
 
-    def _inject(self, kind: str, pointer: str) -> DefectSpec:
+    def _inject(self, kind: str, site: _Site) -> DefectSpec:
         """Add a defect at a free site of the base to the ledger."""
-        anchor = ""  # where the linter anchors the diagnostic, when not at the site
-        if kind == "unknown_top_key":
-            code, message = "E1001", f"Unknown top-level section '{pointer[1:]}'"
-        elif kind == "unused_parameter":
-            code, message = "W2001", f"Parameter '{pointer.rsplit('/', 1)[1]}' is never used"
-        else:
-            logical_id, prop_name = _property_site(pointer)
-            spec = self._site_spec(logical_id, prop_name)
-            if kind == "drop_required":
-                code, message = "E3003", f"Required property '{prop_name}' is missing"
-                anchor = pointer.rsplit("/", 1)[0]
-            elif kind == "wrong_type":
-                bad = render_value(_WRONG_VALUES[spec.primitive])
-                code, message = "E3012", f"{bad} is not of type '{spec.primitive}'"
-            elif kind == "bad_intrinsic_getazs":
-                code, message = "E1015", "{'Fn::GetAZs': ''} is not of type 'string'"
-            elif kind == "bad_enum":
-                enum_rendered = render_value(list(spec.enum_values))
-                code, message = "E3030", f"{render_value(_BAD_ENUM_VALUE)} is not one of {enum_rendered}"
-            else:
-                raise ValueError(f"unknown defect kind {kind!r}")
-        defect = DefectSpec(kind, pointer, expected_code=code, expected_message=message, expected_pointer=anchor)
+        defect = DefectSpec(kind, site)
         self.live.append(defect)
         return defect
+
+    def diagnostic_key(self, defect: DefectSpec) -> tuple[str, str, str]:
+        """The (code, pointer, message) of the one diagnostic the linter
+        reports for a live ``defect``; E3003 points at the Properties object
+        that misses the key, every other code at the site itself."""
+        kind, site = defect.kind, defect.site
+        anchor = site[:-1] if kind == "drop_required" else site
+        pointer = "".join("/" + escape_pointer_token(token) for token in anchor)
+        if kind == "unknown_top_key":
+            return "E1001", pointer, f"Unknown top-level section '{site[0]}'"
+        if kind == "unused_parameter":
+            return "W2001", pointer, f"Parameter '{site[1]}' is never used"
+        if kind == "drop_required":
+            return "E3003", pointer, f"Required property '{site[3]}' is missing"
+        if kind == "bad_intrinsic_getazs":
+            return "E1015", pointer, "{'Fn::GetAZs': ''} is not of type 'string'"
+        spec = self._site_spec(site)
+        if kind == "wrong_type":
+            bad = render_value(_WRONG_VALUES[spec.primitive])
+            return "E3012", pointer, f"{bad} is not of type '{spec.primitive}'"
+        if kind == "bad_enum":
+            enum_rendered = render_value(list(spec.enum_values))
+            return "E3030", pointer, f"{render_value(_BAD_ENUM_VALUE)} is not one of {enum_rendered}"
+        raise ValueError(f"unknown defect kind {kind!r}")

@@ -145,32 +145,15 @@ def intrinsic_name(value: Any) -> Optional[str]:
     return None
 
 
-def _matches_primitive(v: Any, primitive: str) -> bool:
-    if primitive == "string":
-        return isinstance(v, str)
-    if primitive == "boolean":
-        return isinstance(v, bool)
-    if primitive == "integer":
-        if isinstance(v, bool):
-            return False
-        return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    if primitive == "number":
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-    if primitive == "object":
-        return isinstance(v, dict)
-    if primitive == "array":
-        return isinstance(v, list)
-    raise ValueError(f"unknown primitive {primitive!r}")
-
-
 # The Python types of plain values that always satisfy a primitive.  A dict
 # may be an intrinsic, and a float is an integer only when it is integral,
-# so neither is listed.
+# so ``_type_finding`` settles those two cases after the table.
 _SATISFYING_TYPES = {
     "string": (str,),
     "boolean": (bool,),
     "integer": (int,),
     "number": (int, float),
+    "object": (),
     "array": (list,),
 }
 
@@ -179,6 +162,8 @@ def _type_finding(primitive: str, value: Any) -> Optional[tuple[str, str]]:
     """The (code, message) of a value that cannot be of type ``primitive``:
     an intrinsic that cannot yield it, or a plain value of another JSON
     type; None when it can."""
+    if type(value) in _SATISFYING_TYPES[primitive]:
+        return None
     name = intrinsic_name(value)
     if name is not None:
         if primitive == "string":
@@ -187,9 +172,11 @@ def _type_finding(primitive: str, value: Any) -> Optional[tuple[str, str]]:
         elif INTRINSIC_FUNCTIONS[name] != primitive:
             return "E1010", f"{render_value(value)} is not of type '{primitive}'"
         return None
-    if not _matches_primitive(value, primitive):
-        return "E3012", f"{render_value(value)} is not of type '{primitive}'"
-    return None
+    if primitive == "object" and type(value) is dict:  # not an intrinsic
+        return None
+    if primitive == "integer" and type(value) is float and value.is_integer():
+        return None
+    return "E3012", f"{render_value(value)} is not of type '{primitive}'"
 
 
 def _referenced_names(root: Any) -> set[str]:
@@ -297,7 +284,7 @@ class _Linter:
     def check_value(self, spec: PropertySpec, value: Any, parent: str, name: str) -> None:
         """Check property ``name``'s value; its pointer, ``parent`` and the
         escaped name, is built only for a finding."""
-        if type(value) not in _SATISFYING_TYPES.get(spec.primitive, ()):
+        if type(value) not in _SATISFYING_TYPES[spec.primitive]:
             finding = _type_finding(spec.primitive, value)
             if finding is not None:
                 self.emit(*finding, parent + "/" + escape_pointer_token(name))

@@ -684,7 +684,13 @@ class TestBenchAndReport:
         json.dumps({"stats": {"mean_errors": 1, "std_errors": 0, "mean_warnings": 0, "std_warnings": 0}}),
         json.dumps({"stats": {"mean_errors": [1], "std_errors": [0, 0], "mean_warnings": [0], "std_warnings": [0]}}),
         json.dumps({"stats": {"mean_errors": ["x"], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
-    ], ids=["list", "not_json", "missing_fields", "scalar_fields", "unequal_lengths", "non_numbers"])
+        json.dumps({"stats": {"mean_errors": [True], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+        json.dumps({"stats": {"mean_errors": [1], "std_errors": [float("nan")], "mean_warnings": [0], "std_warnings": [0]}}),
+        json.dumps({"stats": {"mean_errors": [float("inf")], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+        json.dumps({"stats": {"mean_errors": [-5], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+        json.dumps({"stats": {"mean_errors": [10**400], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+    ], ids=["list", "not_json", "missing_fields", "scalar_fields", "unequal_lengths", "non_numbers",
+            "bool", "nan", "infinity", "negative", "beyond_float"])
     def test_report_on_malformed_results_exits_3(self, tmp_path, capsys, text):
         results = tmp_path / "results.json"
         results.write_text(text)

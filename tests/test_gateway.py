@@ -452,6 +452,11 @@ def _lint_text(text):
     return lint_template(parse_located(text), builtin_core_schemas())
 
 
+# The rule code each defect kind draws.
+_KIND_CODES = {"drop_required": "E3003", "wrong_type": "E3012", "bad_intrinsic_getazs": "E1015",
+               "unknown_top_key": "E1001", "unused_parameter": "W2001", "bad_enum": "E3030"}
+
+
 def _clear_text_caches():
     for cache in (gateway._block_text, gateway._property_text, gateway._member_text):
         cache.cache_clear()
@@ -543,11 +548,34 @@ class TestSyntheticBackend:
             defect = backend._inject(kind, site)
             report = _lint_text(json.dumps(backend.render()))
             assert len(report.diagnostics) == 1, kind
-            assert report.diagnostics[0].code == defect.expected_code
-            assert (report.diagnostics[0].code, report.diagnostics[0].pointer,
-                    report.diagnostics[0].message) == defect.diagnostic_key()
+            code, message, _, pointer = report.diagnostics[0]
+            assert code == _KIND_CODES[kind]
+            assert (code, pointer, message) == backend.diagnostic_key(defect)
             backend.live.remove(defect)
         assert seen_kinds == set(DEFECT_KINDS)
+
+    def test_diagnostic_key_escapes_site_tokens(self):
+        # Logical ids holding "/" and "~" (and a literal "~1", which must
+        # escape to "~01", not back to "/"): each kind's defect on such a
+        # block draws exactly the diagnostic ``diagnostic_key`` derives.
+        base = synthetic_base_template(1)
+        renamed = {lid: f"{lid}/a~1b~" for lid in base["Resources"]}
+        resources = {renamed[lid]: entry for lid, entry in base["Resources"].items()}
+        resources[renamed["Subnet0"]]["Properties"]["VpcId"] = {"Ref": renamed["Vpc"]}
+        for kind in DEFECT_KINDS:
+            backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
+            backend.base = {**base, "Resources": resources}
+            backend.pairs = _eligible_pairs(backend.base, backend.store)
+            assert _lint_text(json.dumps(backend.render())).diagnostics == ()
+            pairs = [p for p in backend.pairs if p[0] == kind]
+            assert pairs, kind
+            for pair in pairs:
+                defect = backend._inject(*pair)
+                (code, message, _, pointer), = _lint_text(json.dumps(backend.render())).diagnostics
+                assert (code, pointer, message) == backend.diagnostic_key(defect), pair
+                if pair[1][0] == "Resources":
+                    assert "~1a~01b~0/Properties" in pointer, pointer
+                backend.live.remove(defect)
 
     def test_full_repair_restores_the_base_bytes(self):
         # Two dropped properties of one resource used to come back in another
@@ -640,7 +668,7 @@ class TestSyntheticLedger:
                 report = lint_template(parse_located(text), store)
                 keys = {(d.code, d.pointer, d.message) for d in report.diagnostics}
                 for defect in backend.live:
-                    assert defect.diagnostic_key() in keys, (seed, defect)
+                    assert backend.diagnostic_key(defect) in keys, (seed, defect)
                 warnings = sum(1 for d in backend.live if d.kind == "unused_parameter")
                 assert (report.error_count, report.warning_count) == (
                     len(backend.live) - warnings,
@@ -665,7 +693,7 @@ class TestSyntheticLedger:
             def checked():
                 nonlocal draws
                 draws += 1
-                occupied = {d.target_pointer for d in backend.live}
+                occupied = {d.site for d in backend.live}
                 fresh = [p for p in _eligible_pairs(backend.render(), store) if p[1] not in occupied]
                 pairs = inner()
                 assert pairs == fresh, seed
@@ -743,7 +771,7 @@ class TestSyntheticLedger:
         for store in (builtin, custom, builtin, custom):
             backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=0.0), initial_defects=0, store=store)
             backend.initial_generation()
-            backend._inject("wrong_type", "/Resources/Bucket0/Properties/BucketName")
+            backend._inject("wrong_type", ("Resources", "Bucket0", "Properties", "BucketName"))
             texts.append(backend._serialize())
             assert texts[-1] == json.dumps(backend.render(), indent=2)
         assert texts[0] == texts[2] != texts[1] == texts[3]

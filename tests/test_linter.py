@@ -126,6 +126,30 @@ class TestLintBasics:
             report = lint_template(parse_located(text), store)
             assert isinstance(report, LintReport)
 
+    @pytest.mark.parametrize("primitive, value, code", [
+        ("integer", 3, None), ("integer", 3.0, None), ("integer", 3.5, "E3012"), ("integer", True, "E3012"),
+        ("integer", "3", "E3012"), ("integer", {"Ref": "X"}, "E1010"),
+        ("number", 3, None), ("number", 3.5, None), ("number", False, "E3012"),
+        ("boolean", True, None), ("boolean", 1, "E3012"),
+        ("string", "s", None), ("string", 1, "E3012"), ("string", {"Ref": "X"}, None),
+        ("string", {"Fn::GetAZs": ""}, "E1015"),
+        ("object", {}, None), ("object", {"a": 1}, None), ("object", {"Ref": "X", "a": 1}, None),
+        ("object", {"Ref": "X"}, "E1010"), ("object", [], "E3012"), ("object", "s", "E3012"),
+        ("array", [], None), ("array", {"Fn::GetAZs": ""}, None), ("array", {"Ref": "X"}, "E1010"),
+        ("array", "s", "E3012"),
+    ])
+    def test_which_values_satisfy_a_primitive(self, primitive, value, code):
+        # As a property and as an array's item: a plain dict is an object, an
+        # integral float an integer, a bool never a number.
+        properties = {"Value": PropertySpec("Value", primitive),
+                      "Items": PropertySpec("Items", "array", item_primitive=primitive)}
+        store = SchemaStore({"AWS::Test::Widget": ResourceSchema("AWS::Test::Widget", properties)})
+        for name, member, pointers in (("Value", value, ["/Value"]), ("Items", [value, value], ["/Items/0", "/Items/1"])):
+            template = {"Resources": {"W": {"Type": "AWS::Test::Widget", "Properties": {name: member}}}}
+            report = lint_template(parse_located(json.dumps(template)), store)
+            expected = [] if code is None else [(code, "/Resources/W/Properties" + p) for p in pointers]
+            assert [(d.code, d.pointer) for d in report.diagnostics] == expected, name
+
 
 class TestFormatDiagnostic:
     def _diag(self, code="E1015", message="{'Fn::GetAZs': ''} is not of type 'string'",
