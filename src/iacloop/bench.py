@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
@@ -195,7 +195,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         backend = new_backend(mix64(cfg.master_seed, trial, case_index, generation))
         case = cases[case_index]
         try:
-            return run_loop(case, backend, store, loop_cfg, generation_index=generation, by_block=True)
+            return run_loop(case, backend, store, loop_cfg, generation_index=generation)
         except BackendFailure as exc:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others
@@ -239,44 +239,32 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     )
 
 
-_TRACE_BATCH = 16  # traces per pipe send: a send per trace wakes the writer once per file
-# Linux's largest pipe without privileges; a batch of pickled traces, whose
-# repeated records share their strings, is about 115 KB.
-_PIPE_BYTES = 1 << 20
-
-
 @contextmanager
 def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, LoopTrace], None]]]:
     """Yield ``write(name, trace)``, which hands a finished trace to one
     forked process that writes its ``text()`` under ``directory``; yield
     None without one.
 
-    Traces go over a one-way pipe in batches, and the process renders and
-    writes them, so that work runs on another core while the cells compute.
-    The start method is ``fork`` on purpose: the child re-imports nothing,
-    and it forks before the run starts its thread pool.  On leaving, even
-    by an exception, the pending batch is sent and the process joined.  A
-    file the process could not write raises OSError naming it, at the next
-    send or on leaving.
+    Each trace goes over a one-way pipe as it finishes, and the process
+    renders and writes it, so that work runs on another core while the
+    cells compute.  The start method is ``fork`` on purpose: the child
+    re-imports nothing, and it forks before the run starts its thread pool.
+    On leaving, even by an exception, the process is joined.  A file the
+    process could not write raises OSError naming it, at the next write or
+    on leaving; so does a process that died.
     """
     if not directory:
         yield None
         return
-    import fcntl  # POSIX, like fork
     import multiprocessing  # a run without traces does not pay for it
 
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
-    # Room for a few batches, so a send does not wait for the writer to
-    # read: each wait puts this process to sleep and slows its next cells.
-    with suppress(AttributeError, OSError):  # Linux sets a pipe's size; others keep their own
-        fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     failed, report = context.Pipe(duplex=False)
     writer = context.Process(target=_write_traces, args=(Path(directory), receive, send, report))
     writer.start()
     receive.close()
     report.close()
-    batch: list[tuple[str, LoopTrace]] = []
 
     def check() -> None:
         if failed.poll():  # a report, or the end of a writer that made none
@@ -290,21 +278,19 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
             raise OSError(message)
 
     def write(name: str, trace: LoopTrace) -> None:
-        batch.append((name, trace))
-        if len(batch) == _TRACE_BATCH:
+        check()
+        try:
+            send.send((name, trace))
+        except BrokenPipeError:  # the writer ended after the poll; once joined, check() raises its error
+            writer.join()
             check()
-            send.send(batch)
-            batch.clear()
+            raise
 
     try:
         yield write
     finally:
-        try:
-            if batch and writer.is_alive():  # a dead writer's error is the one to raise
-                send.send(batch)
-        finally:
-            send.close()  # the end of the writer's input
-            writer.join()
+        send.close()  # the end of the writer's input
+        writer.join()
     with failed:
         check()
 
@@ -318,18 +304,16 @@ def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None
     failed = False
     while True:
         try:
-            batch = receive.recv()
+            name, trace = receive.recv()
         except EOFError:
             return
         if failed:
             continue
-        for name, trace in batch:
-            try:
-                (directory / name).write_text(trace.text(), encoding="utf-8")
-            except OSError as exc:
-                report.send(f"cannot write trace file: {exc}")
-                failed = True
-                break
+        try:
+            (directory / name).write_text(trace.text(), encoding="utf-8")
+        except OSError as exc:
+            report.send(f"cannot write trace file: {exc}")
+            failed = True
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateStats:

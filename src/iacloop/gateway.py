@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from .linter import LintReport
-from .located_json import JsonDocument, escape_pointer_token, parse_located, render_value
+from .located_json import JsonDocument, escape_controls, escape_pointer_token, parse_located, render_value
 from .schema_store import SchemaStore, builtin_core_schemas
 
 __all__ = [
@@ -84,12 +84,12 @@ class GenerationConfig:
 
 
 class TransportError(RuntimeError):
-    """HTTP transport or response-shape failure."""
+    """HTTP transport or response-shape failure; ``body``, when given, is the
+    response's, and its first 200 characters end the message."""
 
-    def __init__(self, message: str, status: Optional[int] = None, body_excerpt: str = ""):
-        super().__init__(message)
+    def __init__(self, message: str, status: Optional[int] = None, body: str = ""):
+        super().__init__(f"{message}: {body[:200]}" if body else message)
         self.status = status
-        self.body_excerpt = body_excerpt
 
 
 class AuthError(TransportError):
@@ -205,23 +205,23 @@ class HttpBackend:
                 attempt += 1
                 continue
             if status == 401:
-                raise AuthError("authentication rejected", status=401, body_excerpt=text[:200])
+                raise AuthError("authentication rejected", status=401, body=text)
             if status == 429 or 500 <= status < 600:
                 if attempt >= cfg.max_retries:
                     kind = "rate limited" if status == 429 else "server error"
-                    raise TransportError(f"{kind} {status} after retries", status=status, body_excerpt=text[:200])
+                    raise TransportError(f"{kind} {status} after retries", status=status, body=text)
                 delay = _retry_after(retry_after) if status == 429 else None
                 if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
                     raise TransportError(
                         f"rate limited {status}: Retry-After exceeds {MAX_RETRY_AFTER_SECONDS:g} s",
                         status=status,
-                        body_excerpt=text[:200],
+                        body=text,
                     )
                 self._backoff(attempt, delay)
                 attempt += 1
                 continue
             if status != 200:
-                raise TransportError(f"unexpected status {status}", status=status, body_excerpt=text[:200])
+                raise TransportError(f"unexpected status {status}", status=status, body=text)
             return self._extract_content(text)
 
     def _backoff(self, attempt: int, delay: Optional[float] = None) -> None:
@@ -782,11 +782,11 @@ class SyntheticBackend:
         anchor = site[:-1] if kind == "drop_required" else site
         pointer = "".join("/" + escape_pointer_token(token) for token in anchor)
         if kind == "unknown_top_key":
-            return "E1001", pointer, f"Unknown top-level section '{site[0]}'"
+            return "E1001", pointer, f"Unknown top-level section '{escape_controls(site[0])}'"
         if kind == "unused_parameter":
-            return "W2001", pointer, f"Parameter '{site[1]}' is never used"
+            return "W2001", pointer, f"Parameter '{escape_controls(site[1])}' is never used"
         if kind == "drop_required":
-            return "E3003", pointer, f"Required property '{site[3]}' is missing"
+            return "E3003", pointer, f"Required property '{escape_controls(site[3])}' is missing"
         if kind == "bad_intrinsic_getazs":
             return "E1015", pointer, "{'Fn::GetAZs': ''} is not of type 'string'"
         spec = self._site_spec(site)

@@ -33,6 +33,7 @@ from .located_json import (
     JsonDocument,
     SourceSpan,
     _spans_at,
+    escape_controls,
     escape_pointer_token,
     render_value,
     resolve_offsets,
@@ -221,7 +222,7 @@ class _Linter:
             if key not in TOP_LEVEL_SECTIONS:
                 self.emit(
                     "E1001",
-                    f"Unknown top-level section '{key}'",
+                    f"Unknown top-level section '{escape_controls(key)}'",
                     "/" + escape_pointer_token(key),
                 )
 
@@ -250,7 +251,7 @@ class _Linter:
             self.emit("E3012", f"{render_value(entry)} is not of type 'object'", pointer)
             return
         if "Type" not in entry:
-            self.emit("E3001", f"Resource '{logical_id}' is missing required key 'Type'", pointer)
+            self.emit("E3001", f"Resource '{escape_controls(logical_id)}' is missing required key 'Type'", pointer)
             return
         type_name = entry["Type"]
         if not isinstance(type_name, str):
@@ -261,7 +262,7 @@ class _Linter:
             if self.strict:
                 self.emit(
                     "E3002",
-                    f"Resource type '{type_name}' is not recognized",
+                    f"Resource type '{escape_controls(type_name)}' is not recognized",
                     pointer + "/Type",
                 )
             return
@@ -275,7 +276,7 @@ class _Linter:
             present, anchor_pointer = {}, pointer
         for name in schema.required_names:
             if name not in present:
-                self.emit("E3003", f"Required property '{name}' is missing", anchor_pointer)
+                self.emit("E3003", f"Required property '{escape_controls(name)}' is missing", anchor_pointer)
         for name, value in present.items():
             spec = schema.properties.get(name)
             if spec is not None:
@@ -311,7 +312,7 @@ class _Linter:
             if name not in referenced:
                 self.emit(
                     "W2001",
-                    f"Parameter '{name}' is never used",
+                    f"Parameter '{escape_controls(name)}' is never used",
                     "/Parameters/" + escape_pointer_token(name),
                 )
 

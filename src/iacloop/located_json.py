@@ -39,8 +39,10 @@ __all__ = [
     "escape_pointer_token",
 ]
 # ``resolve_offsets`` runs inside ``linter.lint_template`` and is left out of
-# ``__all__`` so that per-layer traces count its time there; ``resolve_spans``,
-# which the tests use as their span oracle, is left out as before.
+# ``__all__`` so that per-layer traces count its time there; so is
+# ``escape_controls``, whose time counts in the messages that quote a name.
+# ``resolve_spans``, which the tests use as their span oracle, is left out as
+# before.
 
 # Most containers open at once.  Hostile nesting is a JsonSyntaxError at the
 # offending bracket, never a RecursionError from the decoder.
@@ -351,8 +353,21 @@ def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[Sour
     return {pointer: spans.get(pointer) for pointer in pointers}
 
 
+_CONTROL = re.compile("[\x00-\x1f\x7f]")
+
+
+def escape_controls(text: str) -> str:
+    """``text`` with each control character (U+0000-U+001F, U+007F) escaped
+    the way ``repr`` does (``\\n``, ``\\t``, ``\\x1b``), so a message that
+    quotes it stays on one line."""
+    if text.isprintable():  # the common case, tested in C
+        return text
+    return _CONTROL.sub(lambda match: repr(match.group())[1:-1], text)
+
+
 def render_value(value: Any) -> str:
-    """Single-quoted rendering of a plain JSON value, lint-message style."""
+    """Single-quoted rendering of a plain JSON value, lint-message style;
+    control characters are escaped."""
     if value is True:
         return "True"
     if value is False:
@@ -360,7 +375,7 @@ def render_value(value: Any) -> str:
     if value is None:
         return "None"
     if isinstance(value, str):
-        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+        return "'" + escape_controls(value.replace("\\", "\\\\").replace("'", "\\'")) + "'"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -7,7 +7,7 @@ exactly so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -204,7 +204,6 @@ def run_loop(
     store: SchemaStore,
     cfg: Optional[LoopConfig] = None,
     generation_index: int = 0,
-    by_block: bool = False,
 ) -> LoopTrace:
     """Run one loop cell: initial generation plus up to max_iterations feedback rounds.
 
@@ -212,8 +211,8 @@ def run_loop(
     is still consumed: counts carry forward from the previous record and the
     next round refeeds the last successfully extracted template.  With
     early_stop on, a report with zero errors and zero warnings is terminal.
-    ``by_block`` is passed to ``lint_template``: on, each resource block
-    is checked once per process, for runs whose blocks recur.
+    Templates are linted by block: a cell's turns resend mostly the same
+    blocks, and each is checked once per process.
     """
     cfg = cfg if cfg is not None else LoopConfig()
     trace = LoopTrace(case_id=case.id, generation_index=generation_index)
@@ -239,17 +238,7 @@ def run_loop(
         # render are pure functions of the reply, and a failed extraction
         # carries forward that record's counts and rendering, its own.
         if raw == last_raw:
-            prev = trace.records[-1]
-            trace.records.append(
-                IterationRecord(
-                    index=index,
-                    template_text=prev.template_text,
-                    error_count=prev.error_count,
-                    warning_count=prev.warning_count,
-                    diagnostics_rendered=prev.diagnostics_rendered,
-                    extraction_failed=prev.extraction_failed,
-                )
-            )
+            trace.records.append(replace(trace.records[-1], index=index))
             continue
         last_raw = raw
 
@@ -269,7 +258,7 @@ def run_loop(
             )
             continue
 
-        report = lint_template(document, store, by_block=by_block)
+        report = lint_template(document, store, by_block=True)
         trace.records.append(
             IterationRecord(
                 index=index,

@@ -174,10 +174,10 @@ class TestRunBenchmark:
         cfg.traces_dir = str(tmp_path / "failing")
         inner = bench.run_loop
 
-        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0, by_block=False):
+        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0):
             if generation_index == 1:
                 raise RuntimeError("cell exploded")
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
@@ -199,9 +199,9 @@ class TestRunBenchmark:
         seen = []
         inner = bench.run_loop
 
-        def recording(case, backend, store, loop_cfg, generation_index=0, by_block=False):
+        def recording(case, backend, store, loop_cfg, generation_index=0):
             seen.append(loop_cfg.generation.model)
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
 
         monkeypatch.setattr(bench, "run_loop", recording)
         cfg = BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
@@ -210,31 +210,38 @@ class TestRunBenchmark:
         assert seen == ["gpt-4o-mini", "gpt-4o-mini"]
 
     def test_every_bench_backend_lints_by_block(self, one_case_dir, script_dir, monkeypatch):
-        from iacloop import bench
+        from iacloop import bench, loop
 
-        seen = []
-        inner = bench.run_loop
+        backends, seen = [], []
+        inner_loop, inner_lint = bench.run_loop, loop.lint_template
 
-        def recording(case, backend, store, loop_cfg, generation_index=0, by_block=False):
-            seen.append((type(backend).__name__, by_block))
-            if isinstance(backend, HttpBackend):  # recorded without a request
-                raise RuntimeError("no endpoint in tests")
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
+        def recording_loop(case, backend, store, loop_cfg, generation_index=0):
+            backends.append(type(backend).__name__)
+            return inner_loop(case, backend, store, loop_cfg, generation_index=generation_index)
 
-        monkeypatch.setattr(bench, "run_loop", recording)
+        def recording_lint(document, store, by_block=False):
+            seen.append((backends[-1], by_block))
+            return inner_lint(document, store, by_block=by_block)
+
+        monkeypatch.setattr(bench, "run_loop", recording_loop)
+        monkeypatch.setattr(loop, "lint_template", recording_lint)
+        # An http cell's replies come without a request.
+        monkeypatch.setattr(HttpBackend, "complete", lambda self, conversation, cfg: '{"Resources": {}}')
+        kinds = ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
         for backend, setting in (("synthetic", {}), ("scripted", {"script_dir": str(script_dir)}),
                                  ("http", {"api_base_url": "http://localhost:9"})):
-            run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
-                                          iterations=1, trials=1, backend=backend, **setting))
-        assert seen == [(kind, True) for kind in ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
-                        for _ in range(2)]
+            result = run_benchmark(BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
+                                                   iterations=1, trials=1, backend=backend, **setting))
+            assert result.completed == 2
+        assert backends == [kind for kind in kinds for _ in range(2)]
+        assert sorted(set(seen)) == sorted((kind, True) for kind in kinds)
 
     def test_scripted_bench_under_threads(self, tmp_path, monkeypatch):
         # Every cell replays one script of multi-block templates whose blocks
         # recur, so threads check and reuse the same blocks in the
         # process-wide cache at once.  The traces equal a whole-template lint.
         # Each run lists and reads the script's files once, not once per cell.
-        from iacloop import linter
+        from iacloop import linter, loop
 
         script = tmp_path / "script"
         script.mkdir()
@@ -275,10 +282,12 @@ class TestRunBenchmark:
         assert len(traces[1]) == 12
         assert traces[1] == traces[8]
         loop_cfg = LoopConfig(max_iterations=4, early_stop=False, generation=GenerationConfig(model=cfg.model))
+        lint_whole = linter.lint_template
+        monkeypatch.setattr(loop, "lint_template", lambda document, store, by_block: lint_whole(document, store))
         for case in load_cases(cases):
             for generation in range(2):
                 expected = run_loop(case, ScriptedBackend.from_dir(str(script)), builtin_core_schemas(),
-                                    loop_cfg, generation_index=generation, by_block=False)
+                                    loop_cfg, generation_index=generation)
                 for trial in range(2):
                     data = json.loads(traces[8][f"trial{trial:02d}_{case.id}_gen{generation}.json"])
                     assert LoopTrace.from_dict(data) == expected
@@ -313,7 +322,7 @@ class TestTraceWriter:
     def test_unwritable_trace_exits_3_naming_it(self, tmp_path, capsys, parallelism):
         from iacloop.cli import dispatch
 
-        # 40 cells, so traces go in several batches around the bad file.
+        # 40 cells, so many traces are sent after the bad file.
         cases = self._cases(tmp_path, 2)
         traces = tmp_path / "traces"
         blocked = traces / "trial00_case0_gen0.json"
@@ -332,17 +341,17 @@ class TestTraceWriter:
         from iacloop import bench
 
         # 30 cells in (case, generation) order; cell 20 is interrupted,
-        # after one full batch of traces has been sent and with four pending.
+        # after the traces of the 20 before it have been sent.
         cases = self._cases(tmp_path, 3)
         cfg = BenchmarkConfig(cases_dir=str(cases), generations_per_case=10, iterations=3, trials=1,
                               master_seed=7, parallelism=parallelism, traces_dir=str(tmp_path / "full"))
         run_benchmark(cfg)
         inner = bench.run_loop
 
-        def interrupted(case, backend, store, loop_cfg, generation_index=0, by_block=False):
+        def interrupted(case, backend, store, loop_cfg, generation_index=0):
             if (case.id, generation_index) == ("case2", 0):
                 raise KeyboardInterrupt
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index, by_block=by_block)
+            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
 
         monkeypatch.setattr(bench, "run_loop", interrupted)
         cfg.traces_dir = str(tmp_path / "interrupted")
@@ -383,6 +392,33 @@ class TestTraceWriter:
                               trials=2, traces_dir=str(tmp_path / "traces"))
         with pytest.raises(OSError, match="trace writer exited with code 7"):
             run_benchmark(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_a_writer_that_dies_after_the_poll_fails_the_run(self, tmp_path, monkeypatch):
+        # The writer has exited, yet the poll before the first send reports
+        # nothing, so that send meets a closed pipe: the writer's own error
+        # is raised, not the BrokenPipeError.
+        from multiprocessing.connection import Connection
+
+        from iacloop import bench
+
+        monkeypatch.setattr(bench, "_write_traces", lambda *args: os._exit(7))
+        poll, polls = Connection.poll, []
+
+        def poll_after_the_writer_exits(self, timeout=0.0):
+            polls.append(self)
+            if len(polls) > 1:
+                return poll(self, timeout)
+            for child in multiprocessing.active_children():
+                child.join()
+            return False
+
+        monkeypatch.setattr(Connection, "poll", poll_after_the_writer_exits)
+        cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 1)), generations_per_case=1, iterations=1,
+                              trials=1, traces_dir=str(tmp_path / "traces"))
+        with pytest.raises(OSError, match="trace writer exited with code 7"):
+            run_benchmark(cfg)
+        assert len(polls) == 2
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(sys.version_info < (3, 12), reason="fork() warns about threads from Python 3.12")

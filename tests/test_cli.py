@@ -157,7 +157,7 @@ GOLDEN = json.loads((FIXTURES.parent / "lint_golden.json").read_text())
 # surrogate escape, a lone surrogate.
 AWKWARD_MESSAGES = r"""{
   "W\u00e9\"ird\\ \u0007\t~/": 1,
-  "Parameters": {"P\"\\\u0001猫": {"Type": "String"}, "a/b~c": {"Type": "String"}},
+  "Parameters": {"P\"\\\u0001猫": {"Type": "String"}, "a/b~c\n\u0000\u001f": {"Type": "String"}},
   "Resources": {
     "B\u00e9": {"Type": "AWS::S3::Bucket",
                  "Properties": {"AccessControl": "\ud83d", "BucketName": ["q\"\\\n\u0000é"]}},
@@ -232,8 +232,13 @@ class TestLintJsonBytes:
         rows = json.loads(self._assert_bytes(capsys, path))
         assert [row["code"] for row in rows] == ["E1001", "W2001", "W2001", "E3030", "E3012", "E3003", "E3030"]
         messages = "".join(row["message"] for row in rows)
-        for part in ('"', "\\", "\u0007", "\u0001", "\n", "\u0000", "\u001f", "\u00e9", "\u732b", "\ud83d"):
+        for part in ('"', "\\", "\\x07", "\\t", "\\x01", "\\n", "\\x00", "\\x1f", "\u00e9", "\u732b", "\ud83d"):
             assert part in messages, part
+        # Messages escape control characters as repr does; pointers keep them.
+        assert [c for c in messages if c < " " or c == "\x7f"] == []
+        pointers = "".join(row["pointer"] for row in rows)
+        for part in ("\u0007", "\t", "\u0001", "\n", "\u0000", "\u001f"):
+            assert part in pointers, part
 
     def test_syntax_error_row(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -549,9 +554,10 @@ class TestBenchFailsBeforeItsCells:
 
 
 class TestBlockPath:
-    def test_only_bench_lints_by_block(self, tmp_path, capsys, monkeypatch):
-        # A never-seen template lints faster whole, so lint and loop never
-        # take the block path; bench, whose blocks recur, always does.
+    def test_loop_and_bench_lint_by_block(self, tmp_path, capsys, monkeypatch):
+        # A never-seen file lints faster whole, so lint never takes the
+        # block path; a loop's turns resend mostly the same blocks, so loop
+        # and bench always do.
         from iacloop import linter
 
         checked = []
@@ -565,12 +571,20 @@ class TestBlockPath:
         cases.mkdir()
         (cases / "p.txt").write_text("Create a stack")
         assert dispatch(["lint", str(FIXTURES / "clean.json")]) == 0
+        assert checked == []
+        trace = tmp_path / "t.json"
         for backend in ("scripted", "synthetic"):
+            checked.clear()
             assert dispatch([
                 "loop", "--prompt-file", str(cases / "p.txt"), "--backend", backend,
-                "--script-dir", str(script), "--iterations", "1", "--out", str(tmp_path / "t.json"),
+                "--script-dir", str(script), "--iterations", "1", "--out", str(trace),
             ]) == 0
-        assert checked == []
+            texts = [record["template_text"] for record in json.loads(trace.read_text())["records"]]
+            # Each turn whose reply is new checks each of its blocks.
+            linted = [text for i, text in enumerate(texts) if i == 0 or text != texts[i - 1]]
+            assert checked == [logical_id for text in linted for logical_id in json.loads(text)["Resources"]]
+            assert checked
+        checked.clear()
         assert dispatch([
             "bench", "--cases", str(cases), "--backend", "scripted", "--script-dir", str(script),
             "--trials", "1", "--generations", "1", "--iterations", "1", "--out", str(tmp_path / "r.json"),

@@ -349,6 +349,25 @@ class TestHttpBench:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+    def test_an_error_status_records_the_body(self, stub_server, tmp_path, monkeypatch):
+        # The endpoint's reason, not just its status, reaches the failure.
+        from iacloop.bench import BenchmarkConfig, run_benchmark
+
+        base, handler = stub_server
+        error = {"error": {"message": "Unsupported value: 'temperature' does not support 0.0", "type": "invalid"}}
+        handler.script.append((400, error))
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "case.txt").write_text("Create a stack")
+        result = run_benchmark(BenchmarkConfig(cases_dir=str(cases), generations_per_case=1, iterations=1,
+                                               trials=1, backend="http", api_base_url=base))
+        assert (result.completed, len(result.failures)) == (0, 1)
+        assert result.failures[0].error == (
+            "backend failed at iteration 0: unexpected status 400: " + json.dumps(error)
+        )
+
+
 class TestExtractTemplate:
     def test_fenced_block(self):
         document = extract_template("Here you go:\n```json\n{}\n```")
@@ -576,6 +595,20 @@ class TestSyntheticBackend:
                 if pair[1][0] == "Resources":
                     assert "~1a~01b~0/Properties" in pointer, pointer
                 backend.live.remove(defect)
+
+    @pytest.mark.parametrize("kind, site, message", [
+        ("unknown_top_key", ("Ex\ttra",), "Unknown top-level section 'Ex\\ttra'"),
+        ("unused_parameter", ("Parameters", "P\nQ"), "Parameter 'P\\nQ' is never used"),
+    ], ids=["unknown_top_key", "unused_parameter"])
+    def test_diagnostic_key_escapes_control_characters(self, kind, site, message):
+        # A name that holds a control character draws the escaped message
+        # the linter reports, so the defect counts as flagged.
+        backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
+        backend.base = synthetic_base_template(1)
+        defect = backend._inject(kind, site)
+        (code, reported, _, pointer), = _lint_text(json.dumps(backend.render())).diagnostics
+        assert (code, pointer, reported) == backend.diagnostic_key(defect)
+        assert reported == message
 
     def test_full_repair_restores_the_base_bytes(self):
         # Two dropped properties of one resource used to come back in another

@@ -176,6 +176,41 @@ class TestFormatDiagnostic:
         assert all(line == line.rstrip() for line in lines)
 
 
+class TestControlCharacters:
+    """A control character in a quoted name or value is escaped as ``repr``
+    escapes it, so each diagnostic keeps its two-line layout, in the report
+    and in the feedback the loop sends."""
+
+    BUCKET = {"B": {"Type": "AWS::S3::Bucket"}}
+
+    @pytest.mark.parametrize("code, template, message", [
+        ("E3030", {"Resources": {"B": {"Type": "AWS::S3::Bucket", "Properties": {"AccessControl": "Pri\nvate"}}}},
+         "'Pri\\nvate' is not one of ['Private', 'PublicRead', 'PublicReadWrite', 'AuthenticatedRead']"),
+        ("E1001", {"Ex\ttra": {}, "Resources": BUCKET}, "Unknown top-level section 'Ex\\ttra'"),
+        ("W2001", {"Parameters": {"P\nQ": {"Type": "String"}}, "Resources": BUCKET}, "Parameter 'P\\nQ' is never used"),
+        ("E3001", {"Resources": {"B\nX": {"Properties": {}}}}, "Resource 'B\\nX' is missing required key 'Type'"),
+        ("E3002", {"Resources": {"B": {"Type": "AWS::\r\x1b::\x7f"}}},
+         "Resource type 'AWS::\\r\\x1b::\\x7f' is not recognized"),
+    ], ids=["E3030", "E1001", "W2001", "E3001", "E3002"])
+    def test_message_keeps_two_lines(self, code, template, message):
+        for by_block in (False, True):
+            report = lint_template(parse_located(json.dumps(template)), builtin_core_schemas(),
+                                   strict_unknown_types=True, by_block=by_block)
+            (diagnostic,) = report.diagnostics
+            assert (diagnostic.code, diagnostic.message) == (code, message)
+            assert len(format_diagnostic(diagnostic, "t.json").split("\n")) == 2
+
+    def test_required_name_from_a_schema_keeps_two_lines(self):
+        # E3003 quotes a name from the schema store, which a --schemas
+        # directory supplies.
+        widget = ResourceSchema("AWS::Test::Widget", {"Na\nme": PropertySpec("Na\nme", "string", required=True)})
+        store = SchemaStore({"AWS::Test::Widget": widget})
+        text = json.dumps({"Resources": {"W": {"Type": "AWS::Test::Widget", "Properties": {}}}})
+        for by_block in (False, True):
+            (diagnostic,) = lint_template(parse_located(text), store, by_block=by_block).diagnostics
+            assert (diagnostic.code, diagnostic.message) == ("E3003", "Required property 'Na\\nme' is missing")
+
+
 class TestReportCounts:
     def _report(self, codes):
         diags = tuple(

@@ -66,6 +66,9 @@ BENCH_DIGESTS = {
 }
 LOOP_TRACE_DIGEST = "e94fa61772157cbf04f4aaee870a9d4bfd7fb922b8f50d05065c55824034d0b4"
 LOOP_PROMPTS_DIGEST = "28bae178b4f3bec51130c180a0e882422579c1f171b3135a499dcd8bf2144882"
+# ``iacloop loop --backend synthetic --seed 7 --iterations 10``, recorded
+# while the loop still linted whole templates.
+SYNTHETIC_LOOP_TRACE_DIGEST = "8fb7605d218ff9f8382c5d493f225b61e931647116043723f9bbaaa4d0091f9f"
 # The bench digests cover 6-10 defects; this one covers a 600-defect template
 # (58 blocks), where injection and spawning draw from long free-site lists.
 DENSE_SYNTHETIC_DIGEST = "c17a5495d7b45fabe64473a34e3173f8b200ffef8ec76a7e51040ccb3036b824"
@@ -115,6 +118,19 @@ def loop_trace_digest(work: Path) -> str:
     return _sha256(out.read_bytes())
 
 
+def synthetic_loop_trace_digest(work: Path) -> str:
+    """Digest of the trace ``iacloop loop`` writes for a seed-7 synthetic cell."""
+    prompt = work / "cell.txt"
+    prompt.write_text("Create an S3 bucket and an EC2 instance.\n", encoding="utf-8")
+    out = work / "trace.json"
+    code = dispatch([
+        "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+        "--seed", "7", "--iterations", "10", "--out", str(out),
+    ])
+    assert code == 0
+    return _sha256(out.read_bytes())
+
+
 class _RecordingBackend:
     def __init__(self, inner):
         self.inner = inner
@@ -142,6 +158,13 @@ def test_scripted_loop_trace_matches_pinned_digest(tmp_path, capsys):
     assert loop_trace_digest(tmp_path) == LOOP_TRACE_DIGEST
     assert capsys.readouterr().out == (
         "cell: 6 records (0e/0w, 3e/1w, 3e/1w, 0e/1w, 0e/0w, 0e/0w)\n"
+    )
+
+
+def test_synthetic_loop_trace_matches_pinned_digest(tmp_path, capsys):
+    assert synthetic_loop_trace_digest(tmp_path) == SYNTHETIC_LOOP_TRACE_DIGEST
+    assert capsys.readouterr().out == (
+        "cell: 11 records (8e/0w, 4e/0w, 3e/1w, 3e/0w, 3e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w)\n"
     )
 
 
