@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 lint errors present
 (lint subcommand only), 3 runtime failure.  Flags win over the --config file,
-which wins over defaults.  The argument parser is built on the first
+which wins over defaults; ``BenchmarkConfig`` owns the defaults of the flags
+``loop`` and ``bench`` share.  The argument parser is built on the first
 ``dispatch`` and shared by every later call in the process; each call parses
 into a fresh namespace and nothing mutates the parser.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +31,7 @@ from .bench import (
     write_results,
 )
 from .gateway import GenerationConfig, MissingSetting, make_backend
-from .linter import format_diagnostic, lint_template
+from .linter import Diagnostic, format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
 from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
 from .schema_store import load_store
@@ -54,44 +56,40 @@ def _build_parser() -> _Parser:
 
     lint = sub.add_parser("lint", help="lint one template file")
     lint.add_argument("file")
-    lint.add_argument("--schemas", help="schema directory (builtin store when absent)")
+    lint.add_argument("--schemas", dest="schemas_dir", help="schema directory (builtin store when absent)")
     lint.add_argument("--strict-types", action="store_true", help="unknown resource types are errors")
     lint.add_argument("--format", choices=("text", "json"), default="text")
 
-    loop = sub.add_parser("loop", help="run one feedback-loop cell")
+    # The flags loop and bench share.  A flag that sets a BenchmarkConfig field
+    # stores under its name, with no default: BenchmarkConfig owns the defaults.
+    run = _Parser(add_help=False)
+    run.add_argument("--iterations", type=int)
+    run.add_argument("--seed", dest="master_seed", type=int)
+    run.add_argument("--schemas", dest="schemas_dir")
+    run.add_argument("--script-dir", help="scripted backend response directory")
+    run.add_argument("--api-base", dest="api_base_url", help="http backend base URL")
+    run.add_argument("--p-fix", type=float)
+    run.add_argument("--p-spawn", type=float)
+    run.add_argument("--stubborn-fraction", type=float)
+
+    loop = sub.add_parser("loop", parents=[run], help="run one feedback-loop cell")
     loop.add_argument("--prompt-file", required=True)
     loop.add_argument("--backend", choices=("http", "scripted", "synthetic"), required=True)
-    loop.add_argument("--iterations", type=int, default=10)
     loop.add_argument("--early-stop", action="store_true")
     loop.add_argument("--out", required=True, help="trace JSON output path")
-    loop.add_argument("--schemas")
-    loop.add_argument("--script-dir", help="scripted backend response directory")
-    loop.add_argument("--seed", type=int, default=0)
-    loop.add_argument("--p-fix", type=float, default=0.55)
-    loop.add_argument("--p-spawn", type=float, default=0.15)
-    loop.add_argument("--stubborn-fraction", type=float, default=0.25)
     loop.add_argument("--initial-defects", type=int, default=8)
-    loop.add_argument("--api-base", help="http backend base URL")
-    loop.add_argument("--model", default="gpt-4o")
+    loop.add_argument("--model")
     loop.add_argument("--temperature", type=float, default=0.0)
 
-    bench = sub.add_parser("bench", help="run the full benchmark protocol")
-    bench.add_argument("--cases", required=True, help="directory of *.txt prompt files")
-    bench.add_argument("--backend", choices=("synthetic", "scripted", "http"), default="synthetic")
-    bench.add_argument("--trials", type=int, default=6)
-    bench.add_argument("--generations", type=int, default=5)
-    bench.add_argument("--iterations", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
+    bench = sub.add_parser("bench", parents=[run], help="run the full benchmark protocol")
+    bench.add_argument("--cases", dest="cases_dir", required=True, help="directory of *.txt prompt files")
+    bench.add_argument("--backend", choices=("synthetic", "scripted", "http"))
+    bench.add_argument("--trials", type=int)
+    bench.add_argument("--generations", dest="generations_per_case", type=int)
     bench.add_argument("--out", required=True, help="results JSON output path")
-    bench.add_argument("--parallel", type=int, default=1)
-    bench.add_argument("--schemas")
-    bench.add_argument("--script-dir")
-    bench.add_argument("--api-base")
-    bench.add_argument("--p-fix", type=float, default=0.55)
-    bench.add_argument("--p-spawn", type=float, default=0.15)
-    bench.add_argument("--stubborn-fraction", type=float, default=0.25)
-    bench.add_argument("--defects-min", type=int, default=6)
-    bench.add_argument("--defects-max", type=int, default=10)
+    bench.add_argument("--parallel", dest="parallelism", type=int)
+    bench.add_argument("--defects-min", dest="initial_defects_min", type=int)
+    bench.add_argument("--defects-max", dest="initial_defects_max", type=int)
     bench.add_argument("--traces-dir", help="persist per-cell traces here")
 
     report = sub.add_parser("report", help="export charts and tables from results JSON")
@@ -112,8 +110,8 @@ def _load_config_file(path: Optional[str]) -> dict:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = parse_located(text).value
     except JsonSyntaxError as exc:
@@ -126,6 +124,15 @@ def _load_config_file(path: Optional[str]) -> dict:
         if not isinstance(value, str):
             raise UsageError(f"config file {path}: {key} must be a string")
     return data
+
+
+# Each BenchmarkConfig field and its default (MISSING for cases_dir).
+_BENCH_DEFAULTS = {f.name: f.default for f in fields(BenchmarkConfig)}
+
+
+def _given_fields(args: argparse.Namespace) -> dict:
+    """The BenchmarkConfig fields that a flag or the config file set."""
+    return {name: value for name, value in vars(args).items() if name in _BENCH_DEFAULTS and value is not None}
 
 
 def _check_out(path: str, what: str) -> None:
@@ -158,63 +165,56 @@ def _json_rows(rows: Sequence[tuple[str, str, str, int, int, int, Optional[str]]
     return f"[\n{items}\n]" if items else "[]"
 
 
-def _cmd_lint(args: argparse.Namespace, config: dict) -> int:
-    schemas_dir = args.schemas or config.get("schemas_dir")
-    store = load_store(schemas_dir)
+def _cmd_lint(args: argparse.Namespace) -> int:
+    store = load_store(args.schemas_dir)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 3
     try:
         document = parse_located(text)
     except JsonSyntaxError as exc:
-        # Not part of the rule registry: parse failures surface as E0000 in
-        # the same two-line layout and the same JSON row, so tooling sees
-        # one shape.
-        span = exc.span
-        if args.format == "json":
-            print(_json_rows([("E0000", exc.reason, "error", span.line, span.column, span.byte_offset, None)]))
-        else:
-            print(f"E0000 {exc.reason}\nError location - {args.file}:{span.line}:{span.column}")
-        return 2
-    report = lint_template(document, store, strict_unknown_types=args.strict_types)
+        # Not part of the rule registry: a parse failure is an E0000 finding,
+        # in the same two-line layout and the same JSON row (pointer null), so
+        # tooling sees one shape.
+        diagnostics, errors = [Diagnostic("E0000", exc.reason, exc.span, None)], 1
+    else:
+        report = lint_template(document, store, strict_unknown_types=args.strict_types)
+        diagnostics, errors = report.diagnostics, report.error_count
     if args.format == "json":
         print(_json_rows([
             (code, message, "error" if code[0] == "E" else "warning", line, column, byte_offset, pointer)
-            for code, message, (line, column, byte_offset), pointer in report.diagnostics
+            for code, message, (line, column, byte_offset), pointer in diagnostics
         ]))
-    elif report.diagnostics:
-        print("\n\n".join(format_diagnostic(d, args.file) for d in report.diagnostics))
-    return 2 if report.error_count else 0
+    elif diagnostics:
+        print("\n\n".join(format_diagnostic(d, args.file) for d in diagnostics))
+    return 2 if errors else 0
 
 
-def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
+def _cmd_loop(args: argparse.Namespace) -> int:
     _check_out(args.out, "trace")
-    schemas_dir = args.schemas or config.get("schemas_dir")
-    store = load_store(schemas_dir)
+    settings = {**_BENCH_DEFAULTS, **_given_fields(args)}
+    store = load_store(args.schemas_dir)
     try:
         case = BenchmarkCase.from_file(args.prompt_file)
     except OSError as exc:
         print(f"cannot read prompt file: {exc}", file=sys.stderr)
         return 3
-    try:
-        backend = make_backend(
-            args.backend,
-            store,
-            p_fix=args.p_fix,
-            p_spawn=args.p_spawn,
-            stubborn_fraction=args.stubborn_fraction,
-            initial_defects=args.initial_defects,
-            script_dir=args.script_dir or config.get("script_dir"),
-            api_base_url=args.api_base or config.get("api_base_url"),
-        )(args.seed)
-    except MissingSetting as exc:
-        raise UsageError(str(exc)) from exc
+    backend = make_backend(
+        args.backend,
+        store,
+        p_fix=settings["p_fix"],
+        p_spawn=settings["p_spawn"],
+        stubborn_fraction=settings["stubborn_fraction"],
+        initial_defects=args.initial_defects,
+        script_dir=args.script_dir,
+        api_base_url=args.api_base_url,
+    )(settings["master_seed"])
     loop_cfg = LoopConfig(
-        max_iterations=args.iterations,
+        max_iterations=settings["iterations"],
         early_stop=args.early_stop,
-        generation=GenerationConfig(model=args.model, temperature=args.temperature),
+        generation=GenerationConfig(model=settings["model"], temperature=args.temperature),
     )
     try:
         trace = run_loop(case, backend, store, loop_cfg)
@@ -228,30 +228,10 @@ def _cmd_loop(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    cfg = BenchmarkConfig(
-        cases_dir=args.cases,
-        generations_per_case=args.generations,
-        iterations=args.iterations,
-        trials=args.trials,
-        master_seed=args.seed,
-        backend=args.backend,
-        parallelism=args.parallel,
-        p_fix=args.p_fix,
-        p_spawn=args.p_spawn,
-        stubborn_fraction=args.stubborn_fraction,
-        initial_defects_min=args.defects_min,
-        initial_defects_max=args.defects_max,
-        script_dir=args.script_dir or config.get("script_dir"),
-        api_base_url=args.api_base or config.get("api_base_url"),
-        schemas_dir=args.schemas or config.get("schemas_dir"),
-        traces_dir=args.traces_dir,
-    )
+def _cmd_bench(args: argparse.Namespace) -> int:
+    cfg = BenchmarkConfig(**_given_fields(args))
     _check_out(args.out, "results")
-    try:
-        result = run_benchmark(cfg)
-    except MissingSetting as exc:
-        raise UsageError(str(exc)) from exc
+    result = run_benchmark(cfg)
     stats = aggregate(result.trials) if cfg.trials >= 2 else None
     # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.
     plateau = detect_plateau(stats.mean_errors) if stats is not None and len(stats) > 2 else None
@@ -265,7 +245,7 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace, config: dict) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     try:
         data = read_results(args.results_in)
         if not isinstance(data, dict):
@@ -315,8 +295,11 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     try:
         config = _load_config_file(args.config)
-        return _COMMANDS[args.command](args, config)
-    except UsageError as exc:
+        for key in _CONFIG_KEYS:
+            if not getattr(args, key, None):
+                setattr(args, key, config.get(key))
+        return _COMMANDS[args.command](args)
+    except (UsageError, MissingSetting) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

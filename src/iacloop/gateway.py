@@ -311,7 +311,13 @@ class ScriptedBackend:
         files = sorted(directory.glob("*.txt"))
         if not files:
             raise FileNotFoundError(f"no *.txt response files under {directory}")
-        return cls([f.read_text(encoding="utf-8") for f in files])
+        responses = []
+        for file in files:
+            try:
+                responses.append(file.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{file}: {exc}") from None
+        return cls(responses)
 
     def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
         if self._cursor >= len(self.responses):

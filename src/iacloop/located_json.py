@@ -326,8 +326,7 @@ def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()
     for marker, batch in ((_HERE, pointers), (_END, ends)):
         for pointer in batch:
             node = trie
-            tokens = pointer.split("/")[1:] if pointer[:1] == "/" and "~" not in pointer else _parse_pointer(pointer)
-            for token in tokens:
+            for token in _parse_pointer(pointer):
                 node = node.setdefault(token, {})
             node[marker] = pointer
     starts, stops = {}, {}

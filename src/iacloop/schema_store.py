@@ -64,7 +64,7 @@ class PropertySpec:
             if self.primitive != "array":
                 raise ValueError(f"items only apply to array properties ({self.name!r})")
             if self.item_primitive not in PRIMITIVES:
-                raise ValueError(f"unknown item primitive for property {self.name!r}")
+                raise ValueError(f"unknown item primitive {self.item_primitive!r} for property {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,9 @@ _KNOWN_PROP_KEYS = {"type", "enum", "items"}
 def parse_schema_document(doc: object, source: str = "<memory>") -> tuple[ResourceSchema, list[str]]:
     """Validate one schema document; returns the schema and keyword warnings.
 
-    Raises SchemaFormatError when the document cannot be accepted at all.
+    Checks the document's JSON shape here; ``PropertySpec`` and
+    ``ResourceSchema`` check the values.  Raises SchemaFormatError, naming
+    ``source``, when the document cannot be accepted at all.
     """
     warnings: list[str] = []
     if not isinstance(doc, dict):
@@ -140,41 +142,25 @@ def parse_schema_document(doc: object, source: str = "<memory>") -> tuple[Resour
     if missing:
         raise SchemaFormatError(source, f"'required' names unknown properties: {sorted(missing)}")
 
-    specs: dict[str, PropertySpec] = {}
     for name, entry in raw_props.items():
         if not isinstance(entry, dict):
             raise SchemaFormatError(source, f"property {name!r} must be an object")
-        primitive = entry.get("type")
-        if primitive not in PRIMITIVES:
-            raise SchemaFormatError(source, f"property {name!r} has invalid type {primitive!r}")
-        enum_values = None
-        if "enum" in entry:
-            enum = entry["enum"]
-            if not isinstance(enum, list) or not all(isinstance(v, str) for v in enum):
-                raise SchemaFormatError(source, f"property {name!r} enum must be an array of strings")
-            if primitive != "string":
-                raise SchemaFormatError(source, f"property {name!r} enum only applies to strings")
-            enum_values = tuple(enum)
-        item_primitive = None
-        if "items" in entry:
-            items = entry["items"]
-            if primitive != "array":
-                raise SchemaFormatError(source, f"property {name!r} items only apply to arrays")
-            if not isinstance(items, dict) or items.get("type") not in PRIMITIVES:
-                raise SchemaFormatError(source, f"property {name!r} has invalid items type")
-            item_primitive = items["type"]
+        enum = entry.get("enum")
+        if "enum" in entry and not (isinstance(enum, list) and all(isinstance(v, str) for v in enum)):
+            raise SchemaFormatError(source, f"property {name!r} enum must be an array of strings")
+        items = entry.get("items")
+        if "items" in entry and not (isinstance(items, dict) and isinstance(items.get("type"), str)):
+            raise SchemaFormatError(source, f"property {name!r} items must be an object with a string 'type'")
         for key in entry:
             if key not in _KNOWN_PROP_KEYS:
                 warnings.append(f"{source}: ignored unsupported keyword {key!r} on property {name!r}")
-        specs[name] = PropertySpec(
-            name=name,
-            primitive=primitive,
-            required=name in required,
-            enum_values=enum_values,
-            item_primitive=item_primitive,
-        )
 
     try:
+        specs = {name: PropertySpec(
+            name=name, primitive=entry.get("type"), required=name in required,
+            enum_values=tuple(entry["enum"]) if "enum" in entry else None,
+            item_primitive=entry["items"]["type"] if "items" in entry else None,
+        ) for name, entry in raw_props.items()}
         schema = ResourceSchema(type_name=type_name, properties=specs)
     except ValueError as exc:
         raise SchemaFormatError(source, str(exc)) from exc

@@ -12,7 +12,7 @@ from iacloop import bench
 from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
-from iacloop.gateway import SyntheticBackend, SyntheticParams
+from iacloop.gateway import MissingSetting, SyntheticBackend, SyntheticParams
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
@@ -149,6 +149,12 @@ class TestLintCommand:
     def test_missing_file_runtime_failure(self, capsys):
         assert dispatch(["lint", "/no/such/file.json"]) == 3
 
+    def test_not_utf8_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        assert dispatch(["lint", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"cannot read {bad}: 'utf-8' codec")
+
 
 GOLDEN = json.loads((FIXTURES.parent / "lint_golden.json").read_text())
 
@@ -247,6 +253,10 @@ class TestLintJsonBytes:
         assert '"byte_offset": 22,\n    "pointer": null\n' in out
 
 
+# A --config file's settings, which name no real directory or endpoint.
+FILE_SETTINGS = {"schemas_dir": "file-schemas", "script_dir": "file-script", "api_base_url": "file-url"}
+
+
 class TestDispatchBasics:
     def test_unknown_subcommand_usage_error(self, capsys):
         code = dispatch(["frobnicate"])
@@ -302,20 +312,39 @@ class TestDispatchBasics:
         assert dispatch(["--config", str(config), "lint", str(template)]) == 2
 
     @pytest.mark.parametrize("key", ["schemas_dir", "script_dir", "api_base_url"])
-    @pytest.mark.parametrize("command", ["lint", "loop"])
+    @pytest.mark.parametrize("command", ["lint", "loop", "bench"])
     def test_config_setting_that_is_not_a_string(self, tmp_path, capsys, key, command):
         assert dispatch(_config_argv(tmp_path, {key: 5}, command)) == 1
         assert f"{key} must be a string" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["lint", "loop"])
+    @pytest.mark.parametrize("command", ["lint", "loop", "bench"])
     def test_unknown_config_key(self, tmp_path, capsys, generate_calls, command):
         assert dispatch(_config_argv(tmp_path, {"schema_dir": str(tmp_path)}, command)) == 1
         assert "unknown key 'schema_dir'" in capsys.readouterr().err
         assert generate_calls == []
 
+    @pytest.mark.parametrize("flags, expected", [
+        pytest.param([], FILE_SETTINGS, id="file"),
+        pytest.param(["--schemas", "flag-schemas", "--script-dir", "flag-script", "--api-base", "flag-url"],
+                     {"schemas_dir": "flag-schemas", "script_dir": "flag-script", "api_base_url": "flag-url"},
+                     id="flags-beat-the-file"),
+        pytest.param(["--schemas", "", "--script-dir", "", "--api-base", ""], FILE_SETTINGS, id="empty-flags"),
+    ])
+    @pytest.mark.parametrize("command", ["loop", "bench"])
+    def test_config_file_fills_what_the_flags_left_empty(self, tmp_path, capsys, settings_seen, command, flags,
+                                                         expected):
+        assert dispatch([*_config_argv(tmp_path, FILE_SETTINGS, command), *flags]) == 1
+        assert settings_seen == expected
+
+    def test_not_utf8_config_file_is_named(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xff")
+        assert dispatch(["--config", str(config), "lint", str(FIXTURES / "clean.json")]) == 1
+        assert f"error: cannot read config file {config}: 'utf-8' codec" in capsys.readouterr().err
+
 
 def _config_argv(tmp_path, config: dict, command: str) -> list[str]:
-    """``iacloop --config <file holding config> lint|loop ...`` on valid inputs."""
+    """``iacloop --config <file holding config> lint|loop|bench ...`` on valid inputs."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     prompt = tmp_path / "p.txt"
@@ -324,8 +353,33 @@ def _config_argv(tmp_path, config: dict, command: str) -> list[str]:
         "lint": ["lint", str(FIXTURES / "clean.json")],
         "loop": ["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
                  "--out", str(tmp_path / "t.json")],
+        "bench": [*_bench_args(tmp_path), "--out", str(tmp_path / "r.json")],
     }[command]
     return ["--config", str(path), *argv]
+
+
+@pytest.fixture
+def settings_seen(monkeypatch):
+    """The schemas_dir, script_dir and api_base_url that a loop or bench run
+    hands on; the run stops there with a usage error."""
+    seen = {}
+
+    def load_store(schemas_dir):
+        seen["schemas_dir"] = schemas_dir
+        return builtin_core_schemas()
+
+    def make_backend(kind, store, *, script_dir, api_base_url, **synthetic):
+        seen.update(script_dir=script_dir, api_base_url=api_base_url)
+        raise MissingSetting("stopped")
+
+    def run_benchmark(cfg):
+        seen.update(schemas_dir=cfg.schemas_dir, script_dir=cfg.script_dir, api_base_url=cfg.api_base_url)
+        raise MissingSetting("stopped")
+
+    monkeypatch.setattr(cli, "load_store", load_store)
+    monkeypatch.setattr(cli, "make_backend", make_backend)
+    monkeypatch.setattr(cli, "run_benchmark", run_benchmark)
+    return seen
 
 
 @pytest.fixture
@@ -388,6 +442,46 @@ class TestLoopCommand:
             assert code == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_not_utf8_script_file_is_named(self, tmp_path, capsys, generate_calls):
+        script = tmp_path / "script"
+        script.mkdir()
+        (script / "000.txt").write_text(CLEAN)
+        (script / "001.txt").write_bytes(b"\xff")
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a bucket stack")
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "scripted",
+            "--script-dir", str(script), "--out", str(tmp_path / "t.json"),
+        ])
+        assert code == 3
+        assert f"runtime failure: {script / '001.txt'}: 'utf-8' codec" in capsys.readouterr().err
+        assert generate_calls == []
+
+    def test_defaults_are_benchmark_config_defaults(self, tmp_path, capsys, monkeypatch):
+        seen = {}
+        inner_backend, inner_loop = cli.make_backend, cli.run_loop
+
+        def make_backend(kind, store, **settings):
+            seen.update(settings)
+            return lambda seed: seen.update(seed=seed) or inner_backend(kind, store, **settings)(seed)
+
+        def run_loop(case, backend, store, cfg):
+            seen.update(iterations=cfg.max_iterations, model=cfg.generation.model)
+            return inner_loop(case, backend, store, cfg)
+
+        monkeypatch.setattr(cli, "make_backend", make_backend)
+        monkeypatch.setattr(cli, "run_loop", run_loop)
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        assert dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
+                         "--out", str(tmp_path / "t.json")]) == 0
+        defaults = bench.BenchmarkConfig(cases_dir="")
+        assert seen == {
+            "p_fix": defaults.p_fix, "p_spawn": defaults.p_spawn, "stubborn_fraction": defaults.stubborn_fraction,
+            "initial_defects": 8, "script_dir": None, "api_base_url": None, "seed": defaults.master_seed,
+            "iterations": defaults.iterations, "model": defaults.model,
+        }
 
     def test_missing_script_dir_usage_error(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"
@@ -593,6 +687,16 @@ class TestBlockPath:
 
 
 class TestBenchAndReport:
+    def test_defaults_are_benchmark_config_defaults(self, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "vpc.txt").write_text("Create a vpc")
+        out = tmp_path / "r.json"
+        assert dispatch(["bench", "--cases", str(cases), "--out", str(out)]) == 0
+        recorded = json.loads(out.read_text())
+        assert recorded["config"] == bench.BenchmarkConfig(cases_dir=str(cases)).to_dict()
+        assert len(recorded["trials"]) == 6
+
     def test_end_to_end(self, tmp_path, capsys):
         cases = tmp_path / "cases"
         cases.mkdir()

@@ -109,6 +109,51 @@ class TestParseSchemaDocument:
         with pytest.raises(SchemaFormatError):
             parse_schema_document(doc)
 
+    @pytest.mark.parametrize("entry", [
+        pytest.param("string", id="property-not-an-object"),
+        pytest.param(None, id="null-property"),
+        pytest.param({}, id="no-type"),
+        pytest.param({"type": None}, id="null-type"),
+        pytest.param({"type": "strng"}, id="bad-type"),
+        pytest.param({"type": 5}, id="non-string-type"),
+        pytest.param({"type": "string", "enum": None}, id="null-enum"),
+        pytest.param({"type": "string", "enum": "a"}, id="string-enum"),
+        pytest.param({"type": "string", "enum": ["a", 1]}, id="non-string-enum-value"),
+        pytest.param({"type": "boolean", "enum": ["x"]}, id="enum-on-boolean"),
+        pytest.param({"type": "integer", "enum": None}, id="null-enum-on-integer"),
+        pytest.param({"type": "array", "items": None}, id="null-items"),
+        pytest.param({"type": "array", "items": "string"}, id="string-items"),
+        pytest.param({"type": "array", "items": {}}, id="items-without-type"),
+        pytest.param({"type": "array", "items": {"type": None}}, id="null-item-type"),
+        pytest.param({"type": "array", "items": {"type": "strng"}}, id="bad-item-type"),
+        pytest.param({"type": "array", "items": {"type": 5}}, id="non-string-item-type"),
+        pytest.param({"type": "string", "items": {"type": "string"}}, id="items-on-string"),
+        pytest.param({"type": "string", "items": None}, id="null-items-on-string"),
+    ])
+    def test_rejected_property_names_file_and_property(self, tmp_path, entry):
+        doc = {"typeName": "AWS::A::B", "properties": {"Ok": {"type": "string"}, "Bad": entry}, "required": []}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        store, report = load_schema_dir(tmp_path)
+        assert len(store) == 0
+        [error] = report.errors
+        assert isinstance(error, SchemaFormatError)
+        assert error.source == "bad.json"
+        assert "'Bad'" in error.detail
+        assert str(error).startswith("bad.json: ")
+
+    @pytest.mark.parametrize("entry", [
+        {"type": "string", "enum": []},
+        {"type": "string", "enum": ["a", "b"]},
+        {"type": "array"},
+        {"type": "array", "items": {"type": "object", "pattern": "x"}},
+        {"type": "object", "description": "extra"},
+    ])
+    def test_accepted_property(self, entry):
+        doc = {"typeName": "AWS::A::B", "properties": {"P": entry}, "required": ["P"]}
+        schema, _ = parse_schema_document(doc, source="ok.json")
+        assert schema.properties["P"].primitive == entry["type"]
+        assert schema.required_names == ("P",)
+
     def test_bad_type_name(self):
         doc = {"typeName": "NotAType", "properties": {}, "required": []}
         with pytest.raises(SchemaFormatError):
