@@ -42,7 +42,6 @@ from .loop import (
     BackendFailure,
     BenchmarkCase,
     IterationRecord,
-    LoopConfig,
     LoopTrace,
     build_feedback_messages,
     build_initial_messages,

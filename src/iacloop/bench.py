@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
-from .loop import BackendFailure, BenchmarkCase, LoopConfig, LoopTrace, run_loop
+from .loop import BackendFailure, BenchmarkCase, LoopTrace, run_loop
 from .schema_store import load_store
 
 __all__ = [
@@ -69,7 +69,7 @@ class BenchmarkConfig:
     script_dir: Optional[str] = None
     # http backend
     api_base_url: Optional[str] = None
-    model: str = "gpt-4o"
+    model: str = GenerationConfig.model
     schemas_dir: Optional[str] = None
     traces_dir: Optional[str] = None
 
@@ -175,14 +175,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
         script_dir=cfg.script_dir,
         api_base_url=cfg.api_base_url,
+        generation=GenerationConfig(model=cfg.model),
     )
     if cfg.traces_dir:  # before any cell runs, so a bad path costs no calls
         Path(cfg.traces_dir).mkdir(parents=True, exist_ok=True)
-    loop_cfg = LoopConfig(
-        max_iterations=cfg.iterations,
-        early_stop=False,
-        generation=GenerationConfig(model=cfg.model),
-    )
     cells = [
         (trial, case_index, generation)
         for trial in range(cfg.trials)
@@ -195,7 +191,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         backend = new_backend(mix64(cfg.master_seed, trial, case_index, generation))
         case = cases[case_index]
         try:
-            return run_loop(case, backend, store, loop_cfg, generation_index=generation)
+            return run_loop(case, backend, store, max_iterations=cfg.iterations, generation_index=generation)
         except BackendFailure as exc:
             error, completed = str(exc), len(exc.trace.records)
         except Exception as exc:  # one cell's fault must not lose the others

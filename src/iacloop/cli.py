@@ -33,7 +33,7 @@ from .bench import (
 from .gateway import GenerationConfig, MissingSetting, make_backend
 from .linter import Diagnostic, format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
-from .loop import BackendFailure, BenchmarkCase, LoopConfig, run_loop
+from .loop import BackendFailure, BenchmarkCase, run_loop
 from .schema_store import load_store
 
 __all__ = ["dispatch", "main"]
@@ -68,6 +68,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--schemas", dest="schemas_dir")
     run.add_argument("--script-dir", help="scripted backend response directory")
     run.add_argument("--api-base", dest="api_base_url", help="http backend base URL")
+    run.add_argument("--model", help="http backend model name")
     run.add_argument("--p-fix", type=float)
     run.add_argument("--p-spawn", type=float)
     run.add_argument("--stubborn-fraction", type=float)
@@ -78,8 +79,7 @@ def _build_parser() -> _Parser:
     loop.add_argument("--early-stop", action="store_true")
     loop.add_argument("--out", required=True, help="trace JSON output path")
     loop.add_argument("--initial-defects", type=int, default=8)
-    loop.add_argument("--model")
-    loop.add_argument("--temperature", type=float, default=0.0)
+    loop.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
 
     bench = sub.add_parser("bench", parents=[run], help="run the full benchmark protocol")
     bench.add_argument("--cases", dest="cases_dir", required=True, help="directory of *.txt prompt files")
@@ -210,14 +210,10 @@ def _cmd_loop(args: argparse.Namespace) -> int:
         initial_defects=args.initial_defects,
         script_dir=args.script_dir,
         api_base_url=args.api_base_url,
-    )(settings["master_seed"])
-    loop_cfg = LoopConfig(
-        max_iterations=settings["iterations"],
-        early_stop=args.early_stop,
         generation=GenerationConfig(model=settings["model"], temperature=args.temperature),
-    )
+    )(settings["master_seed"])
     try:
-        trace = run_loop(case, backend, store, loop_cfg)
+        trace = run_loop(case, backend, store, max_iterations=settings["iterations"], early_stop=args.early_stop)
     except BackendFailure as exc:
         exc.trace.write(args.out)
         print(f"backend failure: {exc}", file=sys.stderr)

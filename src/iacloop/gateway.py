@@ -77,10 +77,13 @@ class GenerationConfig:
     timeout_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
+        # No request can carry NaN or infinity; NaN fails every comparison.
+        if not self.model:
+            raise ValueError("model must be non-empty")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout_seconds < math.inf:
+            raise ValueError(f"timeout_seconds must be finite and positive, got {self.timeout_seconds}")
 
 
 class TransportError(RuntimeError):
@@ -109,16 +112,16 @@ class MissingSetting(ValueError):
 
 
 class Backend(Protocol):
-    def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str: ...
+    def complete(self, conversation: Sequence[ChatMessage]) -> str: ...
 
 
-def generate(conversation: Sequence[ChatMessage], cfg: GenerationConfig, backend: Backend) -> str:
+def generate(conversation: Sequence[ChatMessage], backend: Backend) -> str:
     """Run one completion through the given backend."""
     if not conversation:
         raise ValueError("conversation must be non-empty")
     if conversation[0].role != "system":
         raise ValueError("first message must have the system role")
-    return backend.complete(conversation, cfg)
+    return backend.complete(conversation)
 
 
 _MASK64 = (1 << 64) - 1
@@ -153,25 +156,28 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry/backoff.
 
     Retries 5xx responses, rate limits (429), timeouts and failed
-    connections up to ``cfg.max_retries`` times with exponential backoff
-    (1s, 2s, 4s, ...); a 429 whose ``Retry-After`` header gives
+    connections up to ``generation.max_retries`` times with exponential
+    backoff (1s, 2s, 4s, ...); a 429 whose ``Retry-After`` header gives
     delta-seconds waits that long instead, and one that asks for more than
     ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.  Each request
-    opens and closes its own connection; the conversation is never mutated.
+    sends ``generation``'s model and temperature and opens and closes its
+    own connection; the conversation is never mutated.
     """
 
     def __init__(
         self,
         base_url: str,
+        generation: GenerationConfig,
         api_key: Optional[str] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
+        self.generation = generation
         self.api_key = api_key
         self._sleep = sleep
         self.last_retry_count = 0
 
-    def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
+    def complete(self, conversation: Sequence[ChatMessage]) -> str:
         import http.client  # only a live run pays for the HTTP client
         import urllib.error
         import urllib.request
@@ -180,9 +186,9 @@ class HttpBackend:
         if not key:
             raise AuthError("no API key configured (set IACLOOP_API_KEY or OPENAI_API_KEY)")
         payload = {
-            "model": cfg.model,
+            "model": self.generation.model,
             "messages": [{"role": m.role, "content": m.content} for m in conversation],
-            "temperature": cfg.temperature,
+            "temperature": self.generation.temperature,
         }
         data = json.dumps(payload, allow_nan=False).encode()
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
@@ -192,14 +198,14 @@ class HttpBackend:
         while True:
             try:  # the body is read in here, so a read that times out is retried
                 try:
-                    response = urllib.request.urlopen(request, timeout=cfg.timeout_seconds)
+                    response = urllib.request.urlopen(request, timeout=self.generation.timeout_seconds)
                 except urllib.error.HTTPError as error:  # a status outside 2xx; the error is the response
                     response = error
                 with response:
                     status, retry_after = response.status, response.headers.get("Retry-After")
                     text = response.read().decode("utf-8", "replace")
             except (OSError, http.client.HTTPException) as exc:  # timeouts, refused or dropped connections
-                if attempt >= cfg.max_retries:
+                if attempt >= self.generation.max_retries:
                     raise TransportError(f"transport failure after retries: {exc}") from exc
                 self._backoff(attempt)
                 attempt += 1
@@ -207,7 +213,7 @@ class HttpBackend:
             if status == 401:
                 raise AuthError("authentication rejected", status=401, body=text)
             if status == 429 or 500 <= status < 600:
-                if attempt >= cfg.max_retries:
+                if attempt >= self.generation.max_retries:
                     kind = "rate limited" if status == 429 else "server error"
                     raise TransportError(f"{kind} {status} after retries", status=status, body=text)
                 delay = _retry_after(retry_after) if status == 429 else None
@@ -265,6 +271,7 @@ def make_backend(
     initial_defects: int | tuple[int, int],
     script_dir: Optional[str],
     api_base_url: Optional[str],
+    generation: GenerationConfig,
 ) -> Callable[[int], Backend]:
     """A ``seed -> Backend`` constructor for the ``kind`` backend
     ("synthetic", "scripted" or "http"), whose settings are checked here.
@@ -292,7 +299,7 @@ def make_backend(
         url = urllib.parse.urlsplit(api_base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"api_base_url must be an http or https URL with a host, got {api_base_url!r}")
-        return lambda seed: HttpBackend(api_base_url)
+        return lambda seed: HttpBackend(api_base_url, generation)
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
@@ -319,7 +326,7 @@ class ScriptedBackend:
                 raise ValueError(f"{file}: {exc}") from None
         return cls(responses)
 
-    def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
+    def complete(self, conversation: Sequence[ChatMessage]) -> str:
         if self._cursor >= len(self.responses):
             raise ScriptExhausted(f"script exhausted after {len(self.responses)} responses")
         text = self.responses[self._cursor]
@@ -651,7 +658,7 @@ class SyntheticBackend:
 
     # -- backend interface ---------------------------------------------------
 
-    def complete(self, conversation: Sequence[ChatMessage], cfg: GenerationConfig) -> str:
+    def complete(self, conversation: Sequence[ChatMessage]) -> str:
         """Initial generation for a fresh prompt, one repair step for feedback.
 
         A feedback turn neither parses nor lints: the linter flags every live
@@ -723,21 +730,10 @@ class SyntheticBackend:
             self.text = self._serialize()
         return self.text
 
-    def render(self) -> dict:
-        """The base with every live defect applied in ledger order.
-
-        Injected sections and ``Parameters`` follow the base's members in
-        ledger order.  Blocks that no defect touches are the base's own
-        objects, so the result must not be mutated.  The backend's text is
-        ``json.dumps(render(), indent=2)``.
-        """
-        sections, edits = self._ledger_edits()
-        resources = {lid: _edit_block(block, edits.get(lid, ())) for lid, block in self.base["Resources"].items()}
-        injected = {key: _member_value(key, names) for key, names in sections.items()}
-        return {**self.base, "Resources": resources, **injected}
-
     def _serialize(self) -> str:
-        """``json.dumps(self.render(), indent=2)``, joined from cached texts."""
+        """The ``indent=2`` dump of the base with every live defect applied
+        in ledger order, injected sections and ``Parameters`` after the
+        base's members, joined from cached texts."""
         sections, edits = self._ledger_edits()
         # Edits of distinct properties commute, so sorted edits key one text.
         blocks = [_block_text(lid, tuple(sorted(edits.get(lid, ())))) for lid in self.base["Resources"]]

@@ -15,7 +15,6 @@ from typing import Optional
 from .gateway import (
     Backend,
     ChatMessage,
-    GenerationConfig,
     NoTemplateFound,
     ScriptExhausted,
     TransportError,
@@ -32,7 +31,6 @@ __all__ = [
     "BenchmarkCase",
     "IterationRecord",
     "LoopTrace",
-    "LoopConfig",
     "BackendFailure",
     "build_initial_messages",
     "build_feedback_messages",
@@ -159,17 +157,6 @@ class LoopTrace:
         Path(path).write_text(self.text(), encoding="utf-8")
 
 
-@dataclass
-class LoopConfig:
-    max_iterations: int = 10
-    early_stop: bool = False
-    generation: GenerationConfig = field(default_factory=GenerationConfig)
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
 class BackendFailure(RuntimeError):
     """The backend failed mid-cell; the partial trace is preserved."""
 
@@ -202,24 +189,28 @@ def run_loop(
     case: BenchmarkCase,
     backend: Backend,
     store: SchemaStore,
-    cfg: Optional[LoopConfig] = None,
+    *,
+    max_iterations: int,
+    early_stop: bool = False,
     generation_index: int = 0,
 ) -> LoopTrace:
     """Run one loop cell: initial generation plus up to max_iterations feedback rounds.
 
-    Record 0 is the initial generation.  On extraction failure the iteration
-    is still consumed: counts carry forward from the previous record and the
-    next round refeeds the last successfully extracted template.  With
+    Raises ValueError unless ``max_iterations`` is at least 1.  Record 0 is
+    the initial generation.  On extraction failure the iteration is still
+    consumed: counts carry forward from the previous record and the next
+    round refeeds the last successfully extracted template.  With
     early_stop on, a report with zero errors and zero warnings is terminal.
     Templates are linted by block: a cell's turns resend mostly the same
     blocks, and each is checked once per process.
     """
-    cfg = cfg if cfg is not None else LoopConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     trace = LoopTrace(case_id=case.id, generation_index=generation_index)
     last_template: Optional[str] = None
     last_raw: Optional[str] = None
 
-    for index in range(cfg.max_iterations + 1):
+    for index in range(max_iterations + 1):
         if last_template is None:
             # Initial generation; also re-prompts from scratch when no
             # template has ever been extracted.
@@ -230,7 +221,7 @@ def run_loop(
             messages = build_feedback_messages(last_template, rendered)
 
         try:
-            raw = generate(messages, cfg.generation, backend)
+            raw = generate(messages, backend)
         except (TransportError, ScriptExhausted) as exc:
             raise BackendFailure(f"backend failed at iteration {index}: {exc}", trace) from exc
 
@@ -269,7 +260,7 @@ def run_loop(
             )
         )
         last_template = document.text
-        if cfg.early_stop and report.error_count == 0 and report.warning_count == 0:
+        if early_stop and report.error_count == 0 and report.warning_count == 0:
             break
 
     return trace

@@ -1,7 +1,7 @@
 """Shared test support: a random JSON corpus generator, an independent
 position-tracking tokenizer used as the span oracle, a quadratic
-reference object search with a corpus of noisy model replies for it, and a
-writer of schema directories.
+reference object search with a corpus of noisy model replies for it, a
+writer of schema directories, and the synthetic backend's template as a dict.
 
 The span oracle is deliberately written with a different technique from the
 package (a regex token scan over character indices instead of the C decoder
@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 from typing import Iterator, Optional
 
+from iacloop.gateway import SyntheticBackend, _edit_block, _member_value
 from iacloop.schema_store import ResourceSchema, SchemaStore
 
 
@@ -303,3 +304,22 @@ def save_schema_dir(store: SchemaStore, path: str | Path) -> None:
     for schema in store.schemas.values():
         target = directory / (schema.type_name.lower().replace("::", "-") + ".json")
         target.write_text(json.dumps(schema_document(schema), indent=2) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The synthetic backend's template as a dict
+# ---------------------------------------------------------------------------
+
+
+def render(backend: SyntheticBackend) -> dict:
+    """The backend's base with every live defect applied in ledger order.
+
+    Injected sections and ``Parameters`` follow the base's members in
+    ledger order.  Blocks that no defect touches are the base's own
+    objects, so the result must not be mutated.  The backend's text is
+    ``json.dumps(render(backend), indent=2)``.
+    """
+    sections, edits = backend._ledger_edits()
+    resources = {lid: _edit_block(block, edits.get(lid, ())) for lid, block in backend.base["Resources"].items()}
+    injected = {key: _member_value(key, names) for key, names in sections.items()}
+    return {**backend.base, "Resources": resources, **injected}

@@ -23,7 +23,7 @@ from iacloop.bench import (
 from iacloop.gateway import ScriptedBackend, SyntheticBackend, SyntheticParams
 from iacloop.linter import format_diagnostic, lint_template
 from iacloop.located_json import parse_located, resolve_spans
-from iacloop.loop import BenchmarkCase, LoopConfig, run_loop
+from iacloop.loop import BenchmarkCase, run_loop
 from iacloop.schema_store import builtin_core_schemas
 
 from helpers import iter_pointers, random_document
@@ -123,12 +123,12 @@ class TestCriterion3LoopDeterminism:
         case = BenchmarkCase(id="cell", prompt="Create the stack")
 
         backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN])
-        stopped = run_loop(case, backend, STORE, LoopConfig(max_iterations=10, early_stop=True))
+        stopped = run_loop(case, backend, STORE, max_iterations=10, early_stop=True)
         assert len(stopped.records) == 3
         assert stopped.counts() == [(3, 0), (1, 0), (0, 0)]
 
         padded = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN] + [CLEAN] * 8)
-        full = run_loop(case, padded, STORE, LoopConfig(max_iterations=10, early_stop=False))
+        full = run_loop(case, padded, STORE, max_iterations=10)
         assert len(full.records) == 11
         assert full.counts() == [(3, 0), (1, 0)] + [(0, 0)] * 9
         _announce(3, "scripted [3,1,0] loop: 3 records with early stop, 11 without")
@@ -144,7 +144,7 @@ class TestCriterion4ExponentialDecayLaw:
         for seed in range(seeds):
             params = SyntheticParams(p_fix=0.5, p_spawn=0.0, stubborn_fraction=0.0, seed=seed)
             backend = SyntheticBackend(params, initial_defects=n0)
-            trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=iterations))
+            trace = run_loop(case, backend, STORE, max_iterations=iterations)
             for record in trace.records:
                 sums[record.index] += record.error_count
                 squares[record.index] += record.error_count**2

@@ -27,8 +27,8 @@ from iacloop.bench import (
     run_benchmark,
     write_results,
 )
-from iacloop.gateway import GenerationConfig, HttpBackend, ScriptedBackend, SyntheticBackend, SyntheticParams
-from iacloop.loop import LoopConfig, LoopTrace, run_loop
+from iacloop.gateway import HttpBackend, ScriptedBackend, SyntheticBackend, SyntheticParams
+from iacloop.loop import LoopTrace, run_loop
 from iacloop.schema_store import builtin_core_schemas
 
 VPC_PROMPT = (
@@ -174,10 +174,10 @@ class TestRunBenchmark:
         cfg.traces_dir = str(tmp_path / "failing")
         inner = bench.run_loop
 
-        def failing_second_generation(case, backend, store, loop_cfg, generation_index=0):
-            if generation_index == 1:
+        def failing_second_generation(case, backend, store, **settings):
+            if settings["generation_index"] == 1:
                 raise RuntimeError("cell exploded")
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+            return inner(case, backend, store, **settings)
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
@@ -193,31 +193,15 @@ class TestRunBenchmark:
         assert len(written) == 4
         assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "failing", cfg)
 
-    def test_model_reaches_the_loop_config(self, one_case_dir, monkeypatch):
-        from iacloop import bench
-
-        seen = []
-        inner = bench.run_loop
-
-        def recording(case, backend, store, loop_cfg, generation_index=0):
-            seen.append(loop_cfg.generation.model)
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
-
-        monkeypatch.setattr(bench, "run_loop", recording)
-        cfg = BenchmarkConfig(cases_dir=str(one_case_dir), generations_per_case=2,
-                              iterations=1, trials=1, model="gpt-4o-mini")
-        run_benchmark(cfg)
-        assert seen == ["gpt-4o-mini", "gpt-4o-mini"]
-
     def test_every_bench_backend_lints_by_block(self, one_case_dir, script_dir, monkeypatch):
         from iacloop import bench, loop
 
         backends, seen = [], []
         inner_loop, inner_lint = bench.run_loop, loop.lint_template
 
-        def recording_loop(case, backend, store, loop_cfg, generation_index=0):
+        def recording_loop(case, backend, store, **settings):
             backends.append(type(backend).__name__)
-            return inner_loop(case, backend, store, loop_cfg, generation_index=generation_index)
+            return inner_loop(case, backend, store, **settings)
 
         def recording_lint(document, store, by_block=False):
             seen.append((backends[-1], by_block))
@@ -226,7 +210,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "run_loop", recording_loop)
         monkeypatch.setattr(loop, "lint_template", recording_lint)
         # An http cell's replies come without a request.
-        monkeypatch.setattr(HttpBackend, "complete", lambda self, conversation, cfg: '{"Resources": {}}')
+        monkeypatch.setattr(HttpBackend, "complete", lambda self, conversation: '{"Resources": {}}')
         kinds = ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
         for backend, setting in (("synthetic", {}), ("scripted", {"script_dir": str(script_dir)}),
                                  ("http", {"api_base_url": "http://localhost:9"})):
@@ -281,13 +265,12 @@ class TestRunBenchmark:
             traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert len(traces[1]) == 12
         assert traces[1] == traces[8]
-        loop_cfg = LoopConfig(max_iterations=4, early_stop=False, generation=GenerationConfig(model=cfg.model))
         lint_whole = linter.lint_template
         monkeypatch.setattr(loop, "lint_template", lambda document, store, by_block: lint_whole(document, store))
         for case in load_cases(cases):
             for generation in range(2):
                 expected = run_loop(case, ScriptedBackend.from_dir(str(script)), builtin_core_schemas(),
-                                    loop_cfg, generation_index=generation)
+                                    max_iterations=4, generation_index=generation)
                 for trial in range(2):
                     data = json.loads(traces[8][f"trial{trial:02d}_{case.id}_gen{generation}.json"])
                     assert LoopTrace.from_dict(data) == expected
@@ -348,10 +331,10 @@ class TestTraceWriter:
         run_benchmark(cfg)
         inner = bench.run_loop
 
-        def interrupted(case, backend, store, loop_cfg, generation_index=0):
-            if (case.id, generation_index) == ("case2", 0):
+        def interrupted(case, backend, store, **settings):
+            if (case.id, settings["generation_index"]) == ("case2", 0):
                 raise KeyboardInterrupt
-            return inner(case, backend, store, loop_cfg, generation_index=generation_index)
+            return inner(case, backend, store, **settings)
 
         monkeypatch.setattr(bench, "run_loop", interrupted)
         cfg.traces_dir = str(tmp_path / "interrupted")

@@ -12,7 +12,7 @@ from iacloop import bench
 from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
-from iacloop.gateway import MissingSetting, SyntheticBackend, SyntheticParams
+from iacloop.gateway import GenerationConfig, MissingSetting, SyntheticBackend, SyntheticParams
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
@@ -273,9 +273,10 @@ class TestDispatchBasics:
     def test_help_lists_interface_flags(self, capsys):
         expectations = {
             "lint": ["--schemas", "--strict-types", "--format"],
-            "loop": ["--prompt-file", "--backend", "--iterations", "--early-stop", "--out"],
+            "loop": ["--prompt-file", "--backend", "--iterations", "--early-stop", "--out", "--model",
+                     "--temperature"],
             "bench": ["--cases", "--backend", "--trials", "--generations", "--iterations",
-                      "--seed", "--out", "--parallel"],
+                      "--seed", "--out", "--parallel", "--model"],
             "report": ["--in", "--csv", "--svg"],
         }
         for command, flags in expectations.items():
@@ -466,9 +467,9 @@ class TestLoopCommand:
             seen.update(settings)
             return lambda seed: seen.update(seed=seed) or inner_backend(kind, store, **settings)(seed)
 
-        def run_loop(case, backend, store, cfg):
-            seen.update(iterations=cfg.max_iterations, model=cfg.generation.model)
-            return inner_loop(case, backend, store, cfg)
+        def run_loop(case, backend, store, **settings):
+            seen.update(settings)
+            return inner_loop(case, backend, store, **settings)
 
         monkeypatch.setattr(cli, "make_backend", make_backend)
         monkeypatch.setattr(cli, "run_loop", run_loop)
@@ -479,9 +480,27 @@ class TestLoopCommand:
         defaults = bench.BenchmarkConfig(cases_dir="")
         assert seen == {
             "p_fix": defaults.p_fix, "p_spawn": defaults.p_spawn, "stubborn_fraction": defaults.stubborn_fraction,
-            "initial_defects": 8, "script_dir": None, "api_base_url": None, "seed": defaults.master_seed,
-            "iterations": defaults.iterations, "model": defaults.model,
+            "initial_defects": 8, "script_dir": None, "api_base_url": None, "generation": GenerationConfig(),
+            "seed": defaults.master_seed, "max_iterations": defaults.iterations, "early_stop": False,
         }
+        assert defaults.model == GenerationConfig().model
+
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(("--temperature", "nan"), "temperature must be finite and >= 0, got nan", id="temperature-nan"),
+        pytest.param(("--temperature", "inf"), "temperature must be finite and >= 0, got inf", id="temperature-inf"),
+        pytest.param(("--temperature", "-1"), "temperature must be finite and >= 0, got -1.0", id="temperature-neg"),
+        pytest.param(("--model", ""), "model must be non-empty", id="empty-model"),
+        pytest.param(("--iterations", "0"), "max_iterations must be >= 1", id="no-iteration"),
+    ])
+    def test_settings_are_checked_before_any_call(self, tmp_path, capsys, generate_calls, extra, message):
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "t.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic", *extra, "--out", str(out)])
+        assert code == 3
+        assert f"runtime failure: {message}" in capsys.readouterr().err
+        assert generate_calls == []
+        assert not out.exists()
 
     def test_missing_script_dir_usage_error(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"
@@ -573,6 +592,7 @@ class TestBenchFailsBeforeItsCells:
         pytest.param(("--backend", "scripted", "--script-dir", "{empty}"), "no *.txt response files", id="empty-script"),
         pytest.param(("--backend", "http", "--api-base", "api.example.com"), "must be an http or https URL",
                      id="api-base-without-scheme"),
+        pytest.param(("--model", ""), "model must be non-empty", id="empty-model"),
     ])
     def test_invalid_defect_range(self, tmp_path, capsys, cells_run, extra, message):
         empty = tmp_path / "script"

@@ -40,29 +40,30 @@ from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
 
-from helpers import random_reply, reference_largest_object
+from helpers import random_reply, reference_largest_object, render
 
 CFG = GenerationConfig(max_retries=3, timeout_seconds=5.0)
+TWO_RETRIES = GenerationConfig(max_retries=2, timeout_seconds=5)
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
 
 
 class TestGenerate:
     def test_scripted_replay_order(self):
         backend = ScriptedBackend(["s1", "s2"])
-        assert generate(CONVERSATION, CFG, backend) == "s1"
-        assert generate(CONVERSATION, CFG, backend) == "s2"
+        assert generate(CONVERSATION, backend) == "s1"
+        assert generate(CONVERSATION, backend) == "s2"
 
     def test_script_exhausted(self):
         backend = ScriptedBackend(["s1", "s2"])
-        generate(CONVERSATION, CFG, backend)
-        generate(CONVERSATION, CFG, backend)
+        generate(CONVERSATION, backend)
+        generate(CONVERSATION, backend)
         with pytest.raises(ScriptExhausted):
-            generate(CONVERSATION, CFG, backend)
+            generate(CONVERSATION, backend)
 
     def test_make_backend_rejects_unknown_kinds(self):
         # An unknown kind used to fall through to the http backend.
         settings = dict(p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0, initial_defects=4,
-                        script_dir=None, api_base_url="http://x")
+                        script_dir=None, api_base_url="http://x", generation=CFG)
         for kind in ("Synthetic", "synth", "HTTP", ""):
             for api_base_url in ("http://x", None):
                 with pytest.raises(ValueError, match=repr(kind)) as caught:
@@ -75,27 +76,29 @@ class TestGenerate:
         assert isinstance(first, HttpBackend) and isinstance(second, HttpBackend)
         assert first is not second
         assert first.base_url == second.base_url == "http://x"
+        assert first.generation is second.generation is CFG
 
     def test_scripted_backends_of_one_constructor_replay_independently(self, tmp_path):
         (tmp_path / "000.txt").write_text("first")
         (tmp_path / "001.txt").write_text("second")
         new_backend = make_backend("scripted", builtin_core_schemas(), p_fix=0.5, p_spawn=0.1,
                                    stubborn_fraction=0.0, initial_defects=4, script_dir=str(tmp_path),
-                                   api_base_url=None)
+                                   api_base_url=None, generation=CFG)
         one, other = new_backend(1), new_backend(1)
-        assert generate(CONVERSATION, CFG, one) == "first"
-        assert generate(CONVERSATION, CFG, one) == "second"
+        assert generate(CONVERSATION, one) == "first"
+        assert generate(CONVERSATION, one) == "second"
         with pytest.raises(ScriptExhausted):
-            generate(CONVERSATION, CFG, one)
-        assert generate(CONVERSATION, CFG, other) == "first"
-        assert generate(CONVERSATION, CFG, new_backend(2)) == "first"
+            generate(CONVERSATION, one)
+        assert generate(CONVERSATION, other) == "first"
+        assert generate(CONVERSATION, new_backend(2)) == "first"
 
     def test_synthetic_constructor_matches_a_direct_backend(self):
         from iacloop.loop import FEEDBACK_HEADER
 
         store = builtin_core_schemas()
         new_backend = make_backend("synthetic", store, p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25,
-                                   initial_defects=(3, 12), script_dir=None, api_base_url=None)
+                                   initial_defects=(3, 12), script_dir=None, api_base_url=None,
+                                   generation=CFG)
         feedback = CONVERSATION + [ChatMessage("assistant", "{}"), ChatMessage("user", FEEDBACK_HEADER + "\nE")]
         texts = set()
         for seed in (0, 1, 7, mix64(3, 1, 4, 1)):
@@ -103,30 +106,30 @@ class TestGenerate:
                                       initial_defects=(3, 12), store=store)
             built = new_backend(seed)
             for conversation in (CONVERSATION, feedback, feedback):
-                text = generate(conversation, CFG, built)
-                assert text == generate(conversation, CFG, direct)
+                text = generate(conversation, built)
+                assert text == generate(conversation, direct)
                 texts.add(text)
         assert len(texts) > 4  # the seeds give different templates
 
     def test_synthetic_deterministic_for_seed(self):
         params = SyntheticParams(p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25, seed=42)
-        first = generate(CONVERSATION, CFG, SyntheticBackend(params, initial_defects=8))
-        second = generate(CONVERSATION, CFG, SyntheticBackend(params, initial_defects=8))
+        first = generate(CONVERSATION, SyntheticBackend(params, initial_defects=8))
+        second = generate(CONVERSATION, SyntheticBackend(params, initial_defects=8))
         assert first == second
 
     def test_conversation_validated(self):
         backend = ScriptedBackend(["x"])
         with pytest.raises(ValueError):
-            generate([], CFG, backend)
+            generate([], backend)
         with pytest.raises(ValueError):
-            generate([ChatMessage("user", "hi")], CFG, backend)
+            generate([ChatMessage("user", "hi")], backend)
 
     def test_scripted_from_dir(self, tmp_path):
         (tmp_path / "000.txt").write_text("first")
         (tmp_path / "001.txt").write_text("second")
         backend = ScriptedBackend.from_dir(tmp_path)
-        assert generate(CONVERSATION, CFG, backend) == "first"
-        assert generate(CONVERSATION, CFG, backend) == "second"
+        assert generate(CONVERSATION, backend) == "first"
+        assert generate(CONVERSATION, backend) == "second"
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -175,8 +178,8 @@ class TestHttpBackend:
     def test_wire_format_and_parse(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
-        backend = HttpBackend(base, api_key="k-test")
-        assert backend.complete(CONVERSATION, CFG) == "X"
+        backend = HttpBackend(base, CFG, api_key="k-test")
+        assert backend.complete(CONVERSATION) == "X"
         seen = handler.requests_seen[0]
         assert seen["path"] == "/v1/chat/completions"
         assert seen["auth"] == "Bearer k-test"
@@ -192,9 +195,9 @@ class TestHttpBackend:
         handler.script += [(200, _completion("X"))] * 3
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            backend = HttpBackend(base, api_key="k")
+            backend = HttpBackend(base, CFG, api_key="k")
             for _ in range(3):
-                assert backend.complete(CONVERSATION, CFG) == "X"
+                assert backend.complete(CONVERSATION) == "X"
             del backend
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -203,17 +206,17 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(500, {"err": 1}), (500, {"err": 2}), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
-        assert backend.complete(CONVERSATION, CFG) == "X"
+        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION) == "X"
         assert backend.last_retry_count == 2
         assert sleeps == [1.0, 2.0]
 
     def test_retry_budget_exhausted(self, stub_server):
         base, handler = stub_server
         handler.script += [(503, {})] * 3
-        backend = HttpBackend(base, api_key="k", sleep=lambda s: None)
+        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=lambda s: None)
         with pytest.raises(TransportError) as exc_info:
-            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
+            backend.complete(CONVERSATION)
         assert exc_info.value.status == 503
 
     def test_rate_limit_honours_retry_after_seconds(self, stub_server):
@@ -225,8 +228,8 @@ class TestHttpBackend:
             (200, _completion("X")),
         ]
         sleeps = []
-        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
-        assert backend.complete(CONVERSATION, CFG) == "X"
+        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION) == "X"
         # Seconds are honoured; no header or an HTTP-date takes the backoff.
         assert sleeps == [7.0, 2.0, 4.0]
         assert backend.last_retry_count == 3
@@ -235,9 +238,9 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {"error": "slow down"}, ("Retry-After", "0"))] * 3
         sleeps = []
-        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
-            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
+            backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
         assert "rate limited" in str(exc_info.value)
         assert sleeps == [0.0, 0.0]
@@ -247,9 +250,9 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", value)), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
-            backend.complete(CONVERSATION, CFG)
+            backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
         assert "Retry-After exceeds 120 s" in str(exc_info.value)
         assert sleeps == []
@@ -258,23 +261,23 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", "120")), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
-        assert backend.complete(CONVERSATION, CFG) == "X"
+        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [MAX_RETRY_AFTER_SECONDS] == [120.0]
 
     def test_auth_error_on_401(self, stub_server):
         base, handler = stub_server
         handler.script.append((401, {"error": "bad key"}))
-        backend = HttpBackend(base, api_key="nope")
+        backend = HttpBackend(base, CFG, api_key="nope")
         with pytest.raises(AuthError):
-            backend.complete(CONVERSATION, CFG)
+            backend.complete(CONVERSATION)
 
     def test_malformed_body_names_missing_field(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, {"nothing": []}))
-        backend = HttpBackend(base, api_key="k")
+        backend = HttpBackend(base, CFG, api_key="k")
         with pytest.raises(TransportError) as exc_info:
-            backend.complete(CONVERSATION, CFG)
+            backend.complete(CONVERSATION)
         assert "choices" in str(exc_info.value)
 
     def test_timeouts_retry_then_fail(self):
@@ -283,9 +286,10 @@ class TestHttpBackend:
         with socket.create_server(("127.0.0.1", 0)) as silent:
             base = f"http://127.0.0.1:{silent.getsockname()[1]}"
             sleeps = []
-            backend = HttpBackend(base, api_key="k", sleep=sleeps.append)
+            generation = GenerationConfig(max_retries=2, timeout_seconds=0.05)
+            backend = HttpBackend(base, generation, api_key="k", sleep=sleeps.append)
             with pytest.raises(TransportError, match="transport failure after retries"):
-                backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=0.05))
+                backend.complete(CONVERSATION)
         assert sleeps == [1.0, 2.0]
         assert backend.last_retry_count == 2
 
@@ -293,9 +297,9 @@ class TestHttpBackend:
         with socket.create_server(("127.0.0.1", 0)) as probe:
             port = probe.getsockname()[1]  # closed, so nothing listens there
         sleeps = []
-        backend = HttpBackend(f"http://127.0.0.1:{port}", api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(f"http://127.0.0.1:{port}", TWO_RETRIES, api_key="k", sleep=sleeps.append)
         with pytest.raises(TransportError, match="transport failure after retries") as exc_info:
-            backend.complete(CONVERSATION, GenerationConfig(max_retries=2, timeout_seconds=5))
+            backend.complete(CONVERSATION)
         assert isinstance(exc_info.value.__cause__.reason, ConnectionRefusedError)
         assert exc_info.value.status is None
         assert sleeps == [1.0, 2.0]
@@ -305,22 +309,22 @@ class TestHttpBackend:
         handler.script.append((200, _completion("ok")))
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         monkeypatch.setenv("IACLOOP_API_KEY", "env-key")
-        backend = HttpBackend(base)
-        assert backend.complete(CONVERSATION, CFG) == "ok"
+        backend = HttpBackend(base, CFG)
+        assert backend.complete(CONVERSATION) == "ok"
         assert handler.requests_seen[0]["auth"] == "Bearer env-key"
 
     def test_missing_key_is_auth_error(self, monkeypatch):
         monkeypatch.delenv("IACLOOP_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend = HttpBackend("http://unused")
+        backend = HttpBackend("http://unused", CFG)
         with pytest.raises(AuthError):
-            backend.complete(CONVERSATION, CFG)
+            backend.complete(CONVERSATION)
 
     def test_conversation_not_mutated(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
         conversation = list(CONVERSATION)
-        HttpBackend(base, api_key="k").complete(conversation, CFG)
+        HttpBackend(base, CFG, api_key="k").complete(conversation)
         assert conversation == CONVERSATION
 
 
@@ -366,6 +370,85 @@ class TestHttpBench:
         assert result.failures[0].error == (
             "backend failed at iteration 0: unexpected status 400: " + json.dumps(error)
         )
+
+    @staticmethod
+    def _bench(base, tmp_path, *extra):
+        """Run a 2-cell http bench of 2 turns a cell through the command
+        line; returns its exit code and results."""
+        from iacloop.cli import dispatch
+
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "case.txt").write_text("Create a stack")
+        out = tmp_path / "results.json"
+        code = dispatch(["bench", "--cases", str(cases), "--backend", "http", "--api-base", base, "--trials", "1",
+                         "--generations", "2", "--iterations", "1", *extra, "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_bench_model_reaches_every_request_and_the_results(self, stub_server, tmp_path, monkeypatch):
+        base, handler = stub_server
+        handler.script += [(200, _completion('{"Resources": {}}'))] * 4
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        code, results = self._bench(base, tmp_path, "--model", "m")
+        assert code == 0
+        assert [seen["body"]["model"] for seen in handler.requests_seen] == ["m"] * 4
+        assert results["config"]["model"] == "m"
+
+    def test_bench_without_a_model_records_the_generation_default(self, stub_server, tmp_path, monkeypatch):
+        base, handler = stub_server
+        handler.script += [(200, _completion('{"Resources": {}}'))] * 4
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        code, results = self._bench(base, tmp_path)
+        assert code == 0
+        assert [seen["body"]["model"] for seen in handler.requests_seen] == [GenerationConfig().model] * 4
+        assert results["config"]["model"] == GenerationConfig().model
+
+    def test_loop_model_and_temperature_reach_every_request(self, stub_server, tmp_path, monkeypatch):
+        from iacloop.cli import dispatch
+
+        base, handler = stub_server
+        handler.script += [(200, _completion('{"Resources": {}}'))] * 2
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a stack")
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "http", "--api-base", base, "--model", "m",
+                         "--temperature", "0.5", "--iterations", "1", "--out", str(tmp_path / "t.json")])
+        assert code == 0
+        sent = [(seen["body"]["model"], seen["body"]["temperature"]) for seen in handler.requests_seen]
+        assert sent == [("m", 0.5)] * 2
+
+    def test_loop_rejects_an_infinite_temperature_before_any_request(self, stub_server, tmp_path, monkeypatch,
+                                                                     capsys):
+        # The request could not carry it: JSON has no infinity.
+        from iacloop.cli import dispatch
+
+        base, handler = stub_server
+        handler.script.append((200, _completion('{"Resources": {}}')))
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a stack")
+        out = tmp_path / "t.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "http", "--api-base", base,
+                         "--temperature", "inf", "--out", str(out)])
+        assert code == 3
+        assert "runtime failure: temperature must be finite and >= 0, got inf" in capsys.readouterr().err
+        assert handler.requests_seen == []
+        assert not out.exists()
+
+
+class TestGenerationConfig:
+    @pytest.mark.parametrize("setting, value", [
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("temperature", -1.0),
+        ("timeout_seconds", float("nan")),
+        ("timeout_seconds", float("inf")),
+        ("timeout_seconds", 0.0),
+        ("model", ""),
+    ])
+    def test_rejects_what_no_request_can_carry(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            GenerationConfig(**{setting: value})
 
 
 class TestExtractTemplate:
@@ -549,11 +632,11 @@ class TestSyntheticBackend:
             pairs = [p for p in backend._free_pairs() if p[0] == kind]
             assert pairs, kind
             defect = backend._inject(*pairs[0])
-            assert json.dumps(backend.render(), indent=2) != original
+            assert json.dumps(render(backend), indent=2) != original
             # Rendering shares untouched blocks but never writes into the base.
             assert json.dumps(backend.base, indent=2) == original
             backend.live.remove(defect)
-            assert json.dumps(backend.render(), indent=2) == original
+            assert json.dumps(render(backend), indent=2) == original
 
     def test_each_defect_yields_exactly_one_diagnostic(self):
         backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
@@ -565,7 +648,7 @@ class TestSyntheticBackend:
                 continue
             seen_kinds.add(kind)
             defect = backend._inject(kind, site)
-            report = _lint_text(json.dumps(backend.render()))
+            report = _lint_text(json.dumps(render(backend)))
             assert len(report.diagnostics) == 1, kind
             code, message, _, pointer = report.diagnostics[0]
             assert code == _KIND_CODES[kind]
@@ -585,12 +668,12 @@ class TestSyntheticBackend:
             backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
             backend.base = {**base, "Resources": resources}
             backend.pairs = _eligible_pairs(backend.base, backend.store)
-            assert _lint_text(json.dumps(backend.render())).diagnostics == ()
+            assert _lint_text(json.dumps(render(backend))).diagnostics == ()
             pairs = [p for p in backend.pairs if p[0] == kind]
             assert pairs, kind
             for pair in pairs:
                 defect = backend._inject(*pair)
-                (code, message, _, pointer), = _lint_text(json.dumps(backend.render())).diagnostics
+                (code, message, _, pointer), = _lint_text(json.dumps(render(backend))).diagnostics
                 assert (code, pointer, message) == backend.diagnostic_key(defect), pair
                 if pair[1][0] == "Resources":
                     assert "~1a~01b~0/Properties" in pointer, pointer
@@ -606,7 +689,7 @@ class TestSyntheticBackend:
         backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
         backend.base = synthetic_base_template(1)
         defect = backend._inject(kind, site)
-        (code, reported, _, pointer), = _lint_text(json.dumps(backend.render())).diagnostics
+        (code, reported, _, pointer), = _lint_text(json.dumps(render(backend))).diagnostics
         assert (code, pointer, reported) == backend.diagnostic_key(defect)
         assert reported == message
 
@@ -708,7 +791,7 @@ class TestSyntheticLedger:
                     warnings,
                 ), seed
                 text = backend.synthetic_step()
-                assert text == json.dumps(backend.render(), indent=2), seed
+                assert text == json.dumps(render(backend), indent=2), seed
 
     def test_spawn_candidates_equal_a_fresh_enumeration(self):
         # Spawns filter the base's pairs instead of enumerating the rendered
@@ -727,7 +810,7 @@ class TestSyntheticLedger:
                 nonlocal draws
                 draws += 1
                 occupied = {d.site for d in backend.live}
-                fresh = [p for p in _eligible_pairs(backend.render(), store) if p[1] not in occupied]
+                fresh = [p for p in _eligible_pairs(render(backend), store) if p[1] not in occupied]
                 pairs = inner()
                 assert pairs == fresh, seed
                 return pairs
@@ -751,9 +834,9 @@ class TestSyntheticLedger:
                 backend = SyntheticBackend(params, initial_defects=(6, 10), store=store)
                 text = backend.initial_generation()
                 for _ in range(11):
-                    assert text == json.dumps(backend.render(), indent=2), (seed, cache)
+                    assert text == json.dumps(render(backend), indent=2), (seed, cache)
                     text = backend.synthetic_step()
-                assert text == json.dumps(backend.render(), indent=2), (seed, cache)
+                assert text == json.dumps(render(backend), indent=2), (seed, cache)
             assert gateway._block_text.cache_info().hits > 0
 
     def test_shared_cache_under_threads(self):
@@ -770,7 +853,7 @@ class TestSyntheticLedger:
                     backend = SyntheticBackend(params, initial_defects=(6, 80), store=store)
                     text = backend.initial_generation()
                     for _ in range(4):
-                        assert text == json.dumps(backend.render(), indent=2), seed
+                        assert text == json.dumps(render(backend), indent=2), seed
                         text = backend.synthetic_step()
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -806,7 +889,7 @@ class TestSyntheticLedger:
             backend.initial_generation()
             backend._inject("wrong_type", ("Resources", "Bucket0", "Properties", "BucketName"))
             texts.append(backend._serialize())
-            assert texts[-1] == json.dumps(backend.render(), indent=2)
+            assert texts[-1] == json.dumps(render(backend), indent=2)
         assert texts[0] == texts[2] != texts[1] == texts[3]
         assert '"BucketName": 12345' in texts[0] and '"BucketName": "twelve"' in texts[1]
         # The same, interleaved over seeded runs of both stores.
@@ -816,7 +899,7 @@ class TestSyntheticLedger:
             texts = [backend.initial_generation() for backend in backends]
             for _ in range(8):
                 for backend, text in zip(backends, texts):
-                    assert text == json.dumps(backend.render(), indent=2), seed
+                    assert text == json.dumps(render(backend), indent=2), seed
                 texts = [backend.synthetic_step() for backend in backends]
 
     def test_feedback_turn_matches_step_on_lint_report(self):
@@ -826,10 +909,10 @@ class TestSyntheticLedger:
         params = SyntheticParams(p_fix=0.55, p_spawn=0.9, stubborn_fraction=0.25, seed=21)
         via_complete = SyntheticBackend(params, initial_defects=10)
         via_report = SyntheticBackend(params, initial_defects=10)
-        assert via_complete.complete(CONVERSATION, CFG) == via_report.initial_generation()
+        assert via_complete.complete(CONVERSATION) == via_report.initial_generation()
         for _ in range(10):
             expected = via_report.synthetic_step(_lint_text(via_report.text))
-            assert via_complete.complete(feedback, CFG) == expected
+            assert via_complete.complete(feedback) == expected
 
 
 class TestTemplateSizing:

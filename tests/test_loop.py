@@ -20,7 +20,6 @@ from iacloop.loop import (
     BackendFailure,
     BenchmarkCase,
     IterationRecord,
-    LoopConfig,
     LoopTrace,
     build_feedback_messages,
     build_initial_messages,
@@ -71,9 +70,9 @@ class RecordingBackend:
         self.inner = inner
         self.conversations = []
 
-    def complete(self, conversation, cfg):
+    def complete(self, conversation):
         self.conversations.append(list(conversation))
-        return self.inner.complete(conversation, cfg)
+        return self.inner.complete(conversation)
 
 
 class TestBuildInitialMessages:
@@ -172,7 +171,7 @@ class TestRunLoop:
     def test_early_stop_trace(self):
         backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN])
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=10, early_stop=True))
+        trace = run_loop(case, backend, STORE, max_iterations=10, early_stop=True)
         assert len(trace.records) == 3
         assert trace.counts() == [(3, 0), (1, 0), (0, 0)]
         assert [r.index for r in trace.records] == [0, 1, 2]
@@ -181,14 +180,14 @@ class TestRunLoop:
         script = [THREE_ERRORS, ONE_ERROR, CLEAN] + [CLEAN] * 8
         backend = ScriptedBackend(script)
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=10, early_stop=False))
+        trace = run_loop(case, backend, STORE, max_iterations=10)
         assert len(trace.records) == 11
         assert trace.counts() == [(3, 0), (1, 0)] + [(0, 0)] * 9
 
     def test_clean_turns_still_query_backend(self):
         backend = RecordingBackend(ScriptedBackend([CLEAN, CLEAN, CLEAN]))
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=2, early_stop=False))
+        trace = run_loop(case, backend, STORE, max_iterations=2)
         assert len(trace.records) == 3
         assert len(backend.conversations) == 3
         # follow-up turns refeed the template even though the report is clean
@@ -197,7 +196,7 @@ class TestRunLoop:
     def test_extraction_failure_carries_counts_forward(self):
         backend = ScriptedBackend([THREE_ERRORS, "I cannot help with that.", ONE_ERROR])
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=2))
+        trace = run_loop(case, backend, STORE, max_iterations=2)
         assert [r.extraction_failed for r in trace.records] == [False, True, False]
         assert trace.counts() == [(3, 0), (3, 0), (1, 0)]
         assert trace.records[1].template_text == "I cannot help with that."
@@ -208,14 +207,14 @@ class TestRunLoop:
             ScriptedBackend([THREE_ERRORS, "nope", ONE_ERROR])
         )
         case = BenchmarkCase(id="c", prompt="p")
-        run_loop(case, backend, STORE, LoopConfig(max_iterations=2))
+        run_loop(case, backend, STORE, max_iterations=2)
         # turn after the failed extraction still refeeds the three-error template
         assert THREE_ERRORS in backend.conversations[2][1].content
 
     def test_initial_extraction_failure_restarts_prompt(self):
         backend = RecordingBackend(ScriptedBackend(["no template here", ONE_ERROR]))
         case = BenchmarkCase(id="c", prompt="the prompt")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=1))
+        trace = run_loop(case, backend, STORE, max_iterations=1)
         assert trace.counts() == [(0, 0), (1, 0)]
         assert trace.records[0].extraction_failed
         assert backend.conversations[1][1].content == "the prompt"
@@ -224,14 +223,14 @@ class TestRunLoop:
         backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR])
         case = BenchmarkCase(id="c", prompt="p")
         with pytest.raises(BackendFailure) as exc_info:
-            run_loop(case, backend, STORE, LoopConfig(max_iterations=5))
+            run_loop(case, backend, STORE, max_iterations=5)
         assert exc_info.value.trace.counts() == [(3, 0), (1, 0)]
 
     def test_counts_match_independent_relint(self):
         params = SyntheticParams(p_fix=0.5, p_spawn=0.3, stubborn_fraction=0.25, seed=77)
         backend = SyntheticBackend(params, initial_defects=10)
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=6))
+        trace = run_loop(case, backend, STORE, max_iterations=6)
         for record in trace.records:
             if record.extraction_failed:
                 continue
@@ -244,7 +243,7 @@ class TestRunLoop:
     def test_trace_roundtrips_through_json(self):
         backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN])
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=2))
+        trace = run_loop(case, backend, STORE, max_iterations=2)
         restored = LoopTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
         assert restored == trace
 
@@ -253,7 +252,7 @@ class TestRunLoop:
         # cells, odd strings and no records: text() gives json.dumps's bytes.
         scripted = run_loop(BenchmarkCase(id="c", prompt="p"),
                             ScriptedBackend([THREE_ERRORS, "no template", ONE_ERROR, CLEAN, CLEAN]),
-                            STORE, LoopConfig(max_iterations=4))
+                            STORE, max_iterations=4)
         traces = [scripted, LoopTrace(case_id='odd "id"\t\u00e9\U0001f40d', generation_index=12), LoopTrace(
             case_id="x", generation_index=0,
             records=[IterationRecord(index=0, error_count=0, warning_count=3, extraction_failed=True,
@@ -264,7 +263,7 @@ class TestRunLoop:
             backend = SyntheticBackend(SyntheticParams(p_fix=0.5, p_spawn=0.3, stubborn_fraction=0.25, seed=seed),
                                        initial_defects=8)
             traces.append(run_loop(BenchmarkCase(id=f"s{seed}", prompt="p"), backend, STORE,
-                                   LoopConfig(max_iterations=10), generation_index=seed))
+                                   max_iterations=10, generation_index=seed))
         for trace in traces:
             assert trace.text() == json.dumps(trace.to_dict(), indent=2) + "\n"
         scripted.write(tmp_path / "trace.json")
@@ -274,7 +273,7 @@ class TestRunLoop:
         replies = [THREE_ERRORS, "no template", ONE_ERROR, CLEAN, CLEAN]
         backend = RecordingBackend(ScriptedBackend(replies))
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=4))
+        trace = run_loop(case, backend, STORE, max_iterations=4)
         for record, sent in zip(trace.records, backend.conversations[1:]):
             template = THREE_ERRORS if record.extraction_failed else record.template_text
             assert sent == build_feedback_messages(template, record.diagnostics_rendered)
@@ -330,7 +329,7 @@ class TestRunLoop:
         monkeypatch.setattr(iacloop.loop, "lint_template", counting("lint", lint_template))
         backend = RecordingBackend(ScriptedBackend(replies))
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=len(replies) - 1))
+        trace = run_loop(case, backend, STORE, max_iterations=len(replies) - 1)
         assert trace.records == expected
         assert trace.counts() == [(0, 0), (0, 0)] + [(3, 0)] * 4 + [(0, 0)] * 2
         # One extraction per run of equal replies, one lint per extracted run.
@@ -344,8 +343,15 @@ class TestRunLoop:
     def test_records_capped_by_max_iterations(self):
         backend = ScriptedBackend([THREE_ERRORS] * 4)
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=3))
+        trace = run_loop(case, backend, STORE, max_iterations=3)
         assert len(trace.records) == 4
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_fewer_than_one_iteration_is_rejected_before_any_call(self, iterations):
+        backend = RecordingBackend(ScriptedBackend([CLEAN]))
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            run_loop(BenchmarkCase(id="c", prompt="p"), backend, STORE, max_iterations=iterations)
+        assert backend.conversations == []
 
 
 class TestSyntheticDecayThroughLoop:
@@ -357,7 +363,7 @@ class TestSyntheticDecayThroughLoop:
         for seed in range(seeds):
             params = SyntheticParams(p_fix=0.5, p_spawn=0.0, stubborn_fraction=0.0, seed=seed)
             backend = SyntheticBackend(params, initial_defects=n0)
-            trace = run_loop(case, backend, STORE, LoopConfig(max_iterations=iterations))
+            trace = run_loop(case, backend, STORE, max_iterations=iterations)
             for record in trace.records:
                 sums[record.index] += record.error_count
                 squares[record.index] += record.error_count**2

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from iacloop.cli import dispatch
 from iacloop.gateway import ScriptedBackend, SyntheticBackend, SyntheticParams
-from iacloop.loop import BenchmarkCase, LoopConfig, run_loop
+from iacloop.loop import BenchmarkCase, run_loop
 from iacloop.schema_store import builtin_core_schemas
 
 CASES = Path(__file__).resolve().parents[1] / "benchmarks" / "cases"
@@ -136,16 +136,16 @@ class _RecordingBackend:
         self.inner = inner
         self.conversations = []
 
-    def complete(self, conversation, cfg):
+    def complete(self, conversation):
         self.conversations.append([[m.role, m.content] for m in conversation])
-        return self.inner.complete(conversation, cfg)
+        return self.inner.complete(conversation)
 
 
 def loop_prompts_digest() -> str:
     """Digest of every conversation the loop sends for the scripted replies."""
     backend = _RecordingBackend(ScriptedBackend(REPLIES))
     case = BenchmarkCase(id="cell", prompt="Create an S3 bucket and an EC2 instance.")
-    run_loop(case, backend, builtin_core_schemas(), LoopConfig(max_iterations=len(REPLIES) - 1))
+    run_loop(case, backend, builtin_core_schemas(), max_iterations=len(REPLIES) - 1)
     return _sha256(json.dumps(backend.conversations).encode("utf-8"))
 
 
