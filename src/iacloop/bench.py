@@ -161,8 +161,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     finished.  Every cell lints by block, so the cells share the linter's
     process-wide cache and each distinct resource block is checked once.
     With ``traces_dir`` set, each completed cell's trace goes to
-    ``_trace_writer``'s process, which renders and writes the files while
-    the next cells run.
+    ``_trace_writer``'s process, which writes each with ``LoopTrace.write``
+    while the next cells run; a file it cannot write stops it, and the run
+    raises OSError naming that file, at the next send or at its end.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -238,16 +239,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 @contextmanager
 def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, LoopTrace], None]]]:
     """Yield ``write(name, trace)``, which hands a finished trace to one
-    forked process that writes its ``text()`` under ``directory``; yield
-    None without one.
+    forked process that writes it under ``directory``; yield None without
+    one.
 
     Each trace goes over a one-way pipe as it finishes, and the process
     renders and writes it, so that work runs on another core while the
     cells compute.  The start method is ``fork`` on purpose: the child
     re-imports nothing, and it forks before the run starts its thread pool.
-    On leaving, even by an exception, the process is joined.  A file the
-    process could not write raises OSError naming it, at the next write or
-    on leaving; so does a process that died.
+    On leaving, even by an exception, the process is joined.  The process
+    stops at the first file it cannot write; the next send, or leaving,
+    then raises OSError with its report, or with its exit code when it
+    died without one.
     """
     if not directory:
         yield None
@@ -262,24 +264,22 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
     receive.close()
     report.close()
 
-    def check() -> None:
-        if failed.poll():  # a report, or the end of a writer that made none
+    def join() -> None:
+        writer.join()
+        with failed:
             try:
-                message = failed.recv()
+                message = failed.recv()  # the report, or EOF: the writer's end closed when it exited
             except EOFError:
-                writer.join()
                 if not writer.exitcode:
                     return
                 message = f"trace writer exited with code {writer.exitcode}"
-            raise OSError(message)
+        raise OSError(message)
 
     def write(name: str, trace: LoopTrace) -> None:
-        check()
         try:
             send.send((name, trace))
-        except BrokenPipeError:  # the writer ended after the poll; once joined, check() raises its error
-            writer.join()
-            check()
+        except BrokenPipeError:  # the writer has stopped
+            join()
             raise
 
     try:
@@ -287,29 +287,24 @@ def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, 
     finally:
         send.close()  # the end of the writer's input
         writer.join()
-    with failed:
-        check()
+    join()
 
 
 def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None:
-    """The writer process: write each received ``(name, trace)`` as the
-    trace's ``text()`` until its input ends.  It reports the first file it
-    cannot write, then reads and drops the rest, so that the sender never
-    blocks."""
+    """The writer process: write each received ``(name, trace)`` with
+    ``LoopTrace.write`` until its input ends.  At the first file it cannot
+    write, it reports that file and exits."""
     send.close()  # the parent's end, inherited; the input ends when the parent closes its own
-    failed = False
     while True:
         try:
             name, trace = receive.recv()
         except EOFError:
             return
-        if failed:
-            continue
         try:
-            (directory / name).write_text(trace.text(), encoding="utf-8")
+            trace.write(directory / name)
         except OSError as exc:
             report.send(f"cannot write trace file: {exc}")
-            failed = True
+            return
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateStats:

@@ -156,10 +156,11 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry/backoff.
 
     Retries 5xx responses, rate limits (429), timeouts and failed
-    connections up to ``generation.max_retries`` times with exponential
-    backoff (1s, 2s, 4s, ...); a 429 whose ``Retry-After`` header gives
-    delta-seconds waits that long instead, and one that asks for more than
-    ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.  Each request
+    connections, from one budget of ``generation.max_retries`` retries,
+    with exponential backoff (1s, 2s, 4s, ...); a 429 whose ``Retry-After``
+    header gives delta-seconds waits that long instead, and one that asks
+    for more than ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.
+    Once the budget is spent, the last failure is raised "after retries".  Each request
     sends ``generation``'s model and temperature and opens and closes its
     own connection; the conversation is never mutated.
     """
@@ -194,8 +195,8 @@ class HttpBackend:
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         request = urllib.request.Request(f"{self.base_url}/v1/chat/completions", data, headers)
         self.last_retry_count = 0
-        attempt = 0
-        while True:
+        for attempt in range(self.generation.max_retries + 1):
+            delay = None
             try:  # the body is read in here, so a read that times out is retried
                 try:
                     response = urllib.request.urlopen(request, timeout=self.generation.timeout_seconds)
@@ -205,34 +206,28 @@ class HttpBackend:
                     status, retry_after = response.status, response.headers.get("Retry-After")
                     text = response.read().decode("utf-8", "replace")
             except (OSError, http.client.HTTPException) as exc:  # timeouts, refused or dropped connections
-                if attempt >= self.generation.max_retries:
-                    raise TransportError(f"transport failure after retries: {exc}") from exc
-                self._backoff(attempt)
-                attempt += 1
-                continue
-            if status == 401:
-                raise AuthError("authentication rejected", status=401, body=text)
-            if status == 429 or 500 <= status < 600:
-                if attempt >= self.generation.max_retries:
-                    kind = "rate limited" if status == 429 else "server error"
-                    raise TransportError(f"{kind} {status} after retries", status=status, body=text)
+                failure = TransportError(f"transport failure after retries: {exc}")
+                failure.__cause__ = exc
+            else:
+                if status == 200:
+                    return self._extract_content(text)
+                if status == 401:
+                    raise AuthError("authentication rejected", status=401, body=text)
+                if status != 429 and not 500 <= status < 600:
+                    raise TransportError(f"unexpected status {status}", status=status, body=text)
+                kind = "rate limited" if status == 429 else "server error"
+                failure = TransportError(f"{kind} {status} after retries", status=status, body=text)
                 delay = _retry_after(retry_after) if status == 429 else None
-                if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
-                    raise TransportError(
-                        f"rate limited {status}: Retry-After exceeds {MAX_RETRY_AFTER_SECONDS:g} s",
-                        status=status,
-                        body=text,
-                    )
-                self._backoff(attempt, delay)
-                attempt += 1
-                continue
-            if status != 200:
-                raise TransportError(f"unexpected status {status}", status=status, body=text)
-            return self._extract_content(text)
-
-    def _backoff(self, attempt: int, delay: Optional[float] = None) -> None:
-        self._sleep(float(2**attempt) if delay is None else delay)
-        self.last_retry_count += 1
+            if attempt == self.generation.max_retries:  # so the last attempt returns or raises
+                raise failure
+            if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
+                raise TransportError(
+                    f"rate limited {status}: Retry-After exceeds {MAX_RETRY_AFTER_SECONDS:g} s",
+                    status=status,
+                    body=text,
+                )
+            self._sleep(float(2**attempt) if delay is None else delay)
+            self.last_retry_count += 1
 
     @staticmethod
     def _extract_content(text: str) -> str:

@@ -352,13 +352,14 @@ def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[Sour
     return {pointer: spans.get(pointer) for pointer in pointers}
 
 
-_CONTROL = re.compile("[\x00-\x1f\x7f]")
+_CONTROL = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")
 
 
 def escape_controls(text: str) -> str:
-    """``text`` with each control character (U+0000-U+001F, U+007F) escaped
-    the way ``repr`` does (``\\n``, ``\\t``, ``\\x1b``), so a message that
-    quotes it stays on one line."""
+    """``text`` with each control character (U+0000-U+001F, U+007F) and
+    each lone surrogate (U+D800-U+DFFF) escaped the way ``repr`` does
+    (``\\n``, ``\\t``, ``\\x1b``, ``\\ud83d``), so a message that quotes it
+    stays on one line and can be encoded as UTF-8."""
     if text.isprintable():  # the common case, tested in C
         return text
     return _CONTROL.sub(lambda match: repr(match.group())[1:-1], text)
@@ -366,7 +367,7 @@ def escape_controls(text: str) -> str:
 
 def render_value(value: Any) -> str:
     """Single-quoted rendering of a plain JSON value, lint-message style;
-    control characters are escaped."""
+    control characters and lone surrogates are escaped."""
     if value is True:
         return "True"
     if value is False:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -155,14 +156,27 @@ class TestLintCommand:
         assert dispatch(["lint", str(bad)]) == 3
         assert capsys.readouterr().err.startswith(f"cannot read {bad}: 'utf-8' codec")
 
+    def test_lone_surrogates_are_escaped_in_text_output(self, tmp_path, monkeypatch):
+        # Valid JSON whose escapes decode to lone surrogates, which no UTF-8
+        # stream can write raw; the messages quote them escaped.
+        path = tmp_path / "surrogates.json"
+        path.write_text(r'{"Resources": {"B": {"Type": "AWS::S3::Bucket", "Properties": '
+                        r'{"AccessControl": "\ud83d"}}}, "X\ud800": 1}', encoding="utf-8")
+        out = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8", write_through=True))
+        assert dispatch(["lint", str(path)]) == 2
+        text = out.getvalue().decode("utf-8")
+        assert text.startswith("E3030 '\\ud83d' is not one of ['Private', ")
+        assert "\nE1001 Unknown top-level section 'X\\ud800'\n" in text
+
 
 GOLDEN = json.loads((FIXTURES.parent / "lint_golden.json").read_text())
 
 # Messages and pointers that hold quotes, backslashes, control characters,
-# non-ASCII text, "/" and "~", and, from an enum value written as a lone
-# surrogate escape, a lone surrogate.
+# non-ASCII text, "/" and "~", and, from a key and enum values written as
+# lone surrogate escapes, lone surrogates.
 AWKWARD_MESSAGES = r"""{
-  "W\u00e9\"ird\\ \u0007\t~/": 1,
+  "W\u00e9\"ird\\ \u0007\t~/\ud800": 1,
   "Parameters": {"P\"\\\u0001猫": {"Type": "String"}, "a/b~c\n\u0000\u001f": {"Type": "String"}},
   "Resources": {
     "B\u00e9": {"Type": "AWS::S3::Bucket",
@@ -238,12 +252,14 @@ class TestLintJsonBytes:
         rows = json.loads(self._assert_bytes(capsys, path))
         assert [row["code"] for row in rows] == ["E1001", "W2001", "W2001", "E3030", "E3012", "E3003", "E3030"]
         messages = "".join(row["message"] for row in rows)
-        for part in ('"', "\\", "\\x07", "\\t", "\\x01", "\\n", "\\x00", "\\x1f", "\u00e9", "\u732b", "\ud83d"):
+        for part in ('"', "\\", "\\x07", "\\t", "\\x01", "\\n", "\\x00", "\\x1f", "\u00e9", "\u732b", "\\ud83d",
+                     "\\ud800"):
             assert part in messages, part
-        # Messages escape control characters as repr does; pointers keep them.
-        assert [c for c in messages if c < " " or c == "\x7f"] == []
+        # Messages escape control characters and lone surrogates as repr
+        # does; pointers keep them.
+        assert [c for c in messages if c < " " or c == "\x7f" or "\ud800" <= c <= "\udfff"] == []
         pointers = "".join(row["pointer"] for row in rows)
-        for part in ("\u0007", "\t", "\u0001", "\n", "\u0000", "\u001f"):
+        for part in ("\u0007", "\t", "\u0001", "\n", "\u0000", "\u001f", "\ud800"):
             assert part in pointers, part
 
     def test_syntax_error_row(self, tmp_path, capsys):

@@ -265,6 +265,26 @@ class TestHttpBackend:
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [MAX_RETRY_AFTER_SECONDS] == [120.0]
 
+    def test_spent_budget_wins_over_a_long_retry_after(self, stub_server):
+        # On the last attempt there is no wait to refuse: the budget is spent.
+        base, handler = stub_server
+        handler.script += [(503, {}), (503, {}), (429, {}, ("Retry-After", "3600"))]
+        sleeps = []
+        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        with pytest.raises(TransportError, match="rate limited 429 after retries") as exc_info:
+            backend.complete(CONVERSATION)
+        assert exc_info.value.status == 429
+        assert sleeps == [1.0, 2.0]
+
+    def test_one_budget_covers_every_kind_of_failure(self, stub_server):
+        base, handler = stub_server
+        handler.script += [(503, {}), (429, {}, ("Retry-After", "5")), (200, _completion("X"))]
+        sleeps = []
+        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        assert backend.complete(CONVERSATION) == "X"
+        assert sleeps == [1.0, 5.0]
+        assert backend.last_retry_count == 2
+
     def test_auth_error_on_401(self, stub_server):
         base, handler = stub_server
         handler.script.append((401, {"error": "bad key"}))
