@@ -172,7 +172,7 @@ class HttpBackend:
         api_key: Optional[str] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self.base_url = base_url.rstrip("/")
+        self.base_url = base_url.rstrip("/").removesuffix("/v1")  # SDKs spell the base URL with its /v1
         self.generation = generation
         self.api_key = api_key
         self._sleep = sleep

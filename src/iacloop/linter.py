@@ -12,7 +12,7 @@ Rules (E-codes are errors, W-codes warnings):
     E3003  required property absent from Properties
     E3012  property value's JSON type does not match the schema primitive
     E3030  string property value not in the allowed enum
-    W2001  Parameters entry never referenced by any {"Ref": name}
+    W2001  Parameters entry never referenced by a {"Ref": name} or a ${name} in Fn::Sub
     W1020  AWSTemplateFormatVersion present but not "2010-09-09"
 
 Linting never fails: malformed regions yield diagnostics.  Message templates
@@ -77,6 +77,8 @@ INTRINSIC_FUNCTIONS = {
 EXPECTED_FORMAT_VERSION = "2010-09-09"
 
 _CODE_RE = re.compile(r"[EW][0-9]{4}")
+# A variable in an Fn::Sub string; "${!Name}" is the literal "${Name}".
+_SUB_VARIABLE_RE = re.compile(r"\$\{([^!}][^}]*)\}")
 
 
 class Severity(Enum):
@@ -181,14 +183,23 @@ def _type_finding(primitive: str, value: Any) -> Optional[tuple[str, str]]:
 
 
 def _referenced_names(root: Any) -> set[str]:
-    """Targets of every {"Ref": name} object anywhere in the value."""
+    """Targets of every {"Ref": name} object anywhere in the value, and the
+    variables of every Fn::Sub string, in its string form or as the first
+    element of its [string, variable map] form, except those the map defines."""
     names: set[str] = set()
     stack = [root]
     while stack:
         value = stack.pop()
         if isinstance(value, dict):
-            if intrinsic_name(value) == "Ref" and isinstance(value["Ref"], str):
+            name = intrinsic_name(value)
+            if name == "Ref" and isinstance(value["Ref"], str):
                 names.add(value["Ref"])
+            elif name == "Fn::Sub":
+                template, variables = value[name], {}
+                if isinstance(template, list) and len(template) == 2 and isinstance(template[1], dict):
+                    template, variables = template
+                if isinstance(template, str):
+                    names.update(set(_SUB_VARIABLE_RE.findall(template)).difference(variables))
             stack.extend(value.values())
         elif isinstance(value, list):
             stack.extend(value)
@@ -328,8 +339,8 @@ def _block_rows(store: SchemaStore, strict: bool, logical_id: str, source: str) 
     block = _Linter(None, store, strict)
     block.check_resource(logical_id, json.loads(source))
     cut = len("/Resources/" + escape_pointer_token(logical_id))
-    starts = resolve_offsets(source, {pointer[cut:] for *_, pointer in block.findings})[0]
-    return tuple((starts[pointer[cut:]], code, message, pointer) for code, message, pointer in block.findings)
+    found = resolve_offsets(source, {pointer[cut:] for *_, pointer in block.findings})
+    return tuple((found[pointer[cut:]][0], code, message, pointer) for code, message, pointer in block.findings)
 
 
 def lint_template(
@@ -342,11 +353,11 @@ def lint_template(
     """Apply the full rule registry to a parsed template.
 
     The rules read the plain value; each finding is then located by the
-    character offset of its pointer's value, found in one walk over the
-    text, and all offsets become spans in one pass.  With
+    character offset at which its pointer's value starts, found in one walk
+    over the text, and all offsets become spans in one pass.  With
     ``strict_unknown_types`` a resource type the store does not hold is an
-    error (E3002).  With ``by_block``, the walk also finds where each
-    resource block ends, and each block is checked through a process-wide
+    error (E3002).  With ``by_block``, the same walk gives each resource
+    block's start and end, and each block is checked through a process-wide
     cache keyed by the store's identity, the strictness, its logical id and
     its source text, so a block that recurs in any template is not checked
     again; its cached offsets are relative to the block's start.  The report
@@ -363,11 +374,11 @@ def lint_template(
         for logical_id, entry in resources.items():
             linter.check_resource(logical_id, entry)
     text = document.text
-    starts, ends = resolve_offsets(text, {pointer for *_, pointer in linter.findings}.union(blocks), blocks)
-    findings = [(starts[pointer], code, message, pointer) for code, message, pointer in linter.findings]
+    found = resolve_offsets(text, {pointer for *_, pointer in linter.findings}.union(blocks))
+    findings = [(found[pointer][0], code, message, pointer) for code, message, pointer in linter.findings]
     for prefix, logical_id in blocks.items():
-        start = starts[prefix]
-        rows = _block_rows(store, strict_unknown_types, logical_id, text[start : ends[prefix]])
+        start, end = found[prefix]
+        rows = _block_rows(store, strict_unknown_types, logical_id, text[start:end])
         findings.extend((start + offset, *row) for offset, *row in rows)
     findings.sort(key=lambda finding: finding[:2])  # stable: emission order breaks ties
     spans = _spans_at(text, [offset for offset, *_ in findings])

@@ -9,11 +9,11 @@ instead of silently keeping the last value, which keeps lint results
 deterministic, and at most ``MAX_NESTING_DEPTH`` containers may be open at once.
 
 Positions are computed only where they are asked for: ``resolve_offsets`` maps
-a batch of JSON pointers to the character offsets of their values in one walk
-over the text, and ``_spans_at`` turns ascending offsets into spans in one
-pass; ``resolve_spans`` does both.  Lines and columns are 1-based.  Columns
-count characters, byte offsets count UTF-8 bytes, so multi-byte text still
-yields human-meaningful positions.
+a batch of JSON pointers to the character offsets at which their values start
+and end, in one walk over the text, and ``_spans_at`` turns ascending offsets
+into spans in one pass; ``resolve_spans`` does both.  Lines and columns are
+1-based.  Columns count characters, byte offsets count UTF-8 bytes, so
+multi-byte text still yields human-meaningful positions.
 """
 
 from __future__ import annotations
@@ -263,26 +263,22 @@ def _skip_ws(text: str, pos: int) -> int:
 # the text is valid JSON: none follows an opener and one follows each value
 # that is not the last.
 _NEXT_RE = re.compile(r'[ \t\n\r]*(?:([}\]])|,?[ \t\n\r]*(?:"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*)?)')
-# Keys under which a trie node records the pointer whose value starts there
-# and the pointer whose value's end is wanted; pointer tokens are strings, so
-# neither collides with one.
-_HERE, _END = None, 0
+# The key under which a trie node records the pointer whose value is there;
+# pointer tokens are strings, so it never collides with one.
+_HERE = None
 
 
-def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_end: bool) -> int:
-    """Record the offsets of the wanted members of the value at ``pos``.
+def _locate(text: str, pos: int, wanted: dict, found: dict) -> int:
+    """Record ``(start, end)`` of each wanted member of the value at ``pos``
+    in ``found``, and return the offset just past the value.
 
-    ``wanted`` is a trie node with at least one pointer token below it.  Each
-    wanted member's start is recorded in the member loop.  The walk descends
-    only into a member with wanted members of its own; every other value is
-    skipped with the C scanner, and the skip of a wanted one gives its end.
-    A member whose node holds ``_END`` has the offset just past its value
-    recorded.  Returns the offset just past the value when ``need_end`` is
-    set, else -1 as soon as everything wanted here is found.
+    ``wanted`` is a trie node with at least one pointer token below it.  The
+    walk descends only into a member with wanted members of its own; every
+    other value is skipped with the C scanner, and that skip gives a wanted
+    leaf's end.
     """
     if text[pos] not in "{[":
-        return _scan_once(text, pos)[1] if need_end else -1
-    pending = len(wanted) - (_HERE in wanted) - (_END in wanted)
+        return _scan_once(text, pos)[1]
     in_object = text[pos] == "{"
     index = -1
     pos += 1
@@ -303,40 +299,31 @@ def _locate(text: str, pos: int, wanted: dict, starts: dict, ends: dict, need_en
         if child is None:
             pos = _scan_once(text, pos)[1]
             continue
-        pending -= 1
-        here, end_of = child.get(_HERE), child.get(_END)
+        here = child.get(_HERE)
+        end = _locate(text, pos, child, found) if len(child) > (here is not None) else _scan_once(text, pos)[1]
         if here is not None:
-            starts[here] = pos
-        if len(child) > (here is not None) + (end_of is not None):
-            pos = _locate(text, pos, child, starts, ends, need_end or pending > 0 or end_of is not None)
-        elif need_end or pending or end_of is not None:
-            pos = _scan_once(text, pos)[1]
-        if end_of is not None:
-            ends[end_of] = pos
-        if not (pending or need_end):
-            return -1
+            found[here] = (pos, end)
+        pos = end
 
 
-def resolve_offsets(text: str, pointers: Iterable[str], ends: Iterable[str] = ()) -> tuple[dict, dict]:
-    """Character offsets at which the values that RFC 6901 ``pointers`` name
-    in valid JSON ``text`` start, and just past which the values that
-    ``ends`` name (below the root) end, found in one walk.  A pointer that
-    names no value is absent from the result."""
+def resolve_offsets(text: str, pointers: Iterable[str]) -> dict[str, tuple[int, int]]:
+    """Map each RFC 6901 pointer in ``pointers`` that names a value in valid
+    JSON ``text`` to the character offsets ``(start, end)`` of that value,
+    found in one walk.  A pointer that names no value is absent."""
     trie: dict = {}
-    for marker, batch in ((_HERE, pointers), (_END, ends)):
-        for pointer in batch:
-            node = trie
-            for token in _parse_pointer(pointer):
-                node = node.setdefault(token, {})
-            node[marker] = pointer
-    starts, stops = {}, {}
+    for pointer in pointers:
+        node = trie
+        for token in _parse_pointer(pointer):
+            node = node.setdefault(token, {})
+        node[_HERE] = pointer
+    found = {}
     pos = _skip_ws(text, 0)
     root = trie.pop(_HERE, None)
-    if root is not None:
-        starts[root] = pos
+    if root is not None:  # valid JSON text is its value and whitespace
+        found[root] = (pos, len(text.rstrip(" \t\n\r")))
     if trie:
-        _locate(text, pos, trie, starts, stops, need_end=False)
-    return starts, stops
+        _locate(text, pos, trie, found)
+    return found
 
 
 def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[SourceSpan]]:
@@ -347,8 +334,8 @@ def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[Sour
     scalar) maps to None.
     """
     pointers = list(pointers)
-    located = sorted(resolve_offsets(text, pointers)[0].items(), key=lambda item: item[1])
-    spans = dict(zip((p for p, _ in located), _spans_at(text, [o for _, o in located])))
+    located = sorted(resolve_offsets(text, pointers).items(), key=lambda item: item[1])
+    spans = dict(zip((p for p, _ in located), _spans_at(text, [start for _, (start, _) in located])))
     return {pointer: spans.get(pointer) for pointer in pointers}
 
 

@@ -202,6 +202,17 @@ class TestHttpBackend:
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_base_url_may_end_in_v1(self, stub_server, monkeypatch):
+        # The OpenAI SDK, vLLM and Ollama document their base URLs with /v1.
+        base, handler = stub_server
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        for spelling in (base + "/v1", base + "/v1/"):
+            handler.script.append((200, _completion("X")))
+            backend = make_backend("http", builtin_core_schemas(), p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0,
+                                   initial_defects=4, script_dir=None, api_base_url=spelling, generation=CFG)(0)
+            assert backend.complete(CONVERSATION) == "X"
+        assert [seen["path"] for seen in handler.requests_seen] == ["/v1/chat/completions"] * 2
+
     def test_retries_5xx_with_backoff(self, stub_server):
         base, handler = stub_server
         handler.script += [(500, {"err": 1}), (500, {"err": 2}), (200, _completion("X"))]

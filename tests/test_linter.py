@@ -126,6 +126,22 @@ class TestLintBasics:
             report = lint_template(parse_located(text), store)
             assert isinstance(report, LintReport)
 
+    @pytest.mark.parametrize("bucket_name, unused", [
+        ({"Fn::Sub": "artifacts-${Stage}"}, []),
+        ({"Fn::Sub": ["artifacts-${Stage}", {}]}, []),
+        ({"Fn::Sub": ["${Name}", {"Name": {"Ref": "Stage"}}]}, []),
+        ({"Fn::Sub": "artifacts-${!Stage}"}, ["Stage"]),  # a literal "${Stage}"
+        ({"Fn::Sub": ["artifacts-${Stage}", {"Stage": "x"}]}, ["Stage"]),  # the map's Stage
+    ], ids=["string", "list", "ref-in-map", "literal", "shadowed"])
+    def test_fn_sub_variables_use_parameters(self, bucket_name, unused):
+        template = {
+            "Parameters": {"Stage": {"Type": "String"}},
+            "Resources": {"B": {"Type": "AWS::S3::Bucket", "Properties": {"BucketName": bucket_name}}},
+        }
+        for by_block in (False, True):
+            report = lint_template(parse_located(json.dumps(template)), builtin_core_schemas(), by_block=by_block)
+            assert [d.message for d in report.diagnostics] == [f"Parameter '{n}' is never used" for n in unused]
+
     @pytest.mark.parametrize("primitive, value, code", [
         ("integer", 3, None), ("integer", 3.0, None), ("integer", 3.5, "E3012"), ("integer", True, "E3012"),
         ("integer", "3", "E3012"), ("integer", {"Ref": "X"}, "E1010"),

@@ -338,39 +338,44 @@ def _block_templates() -> list[str]:
 
 
 class TestValueEnds:
-    """``resolve_offsets`` records where each value named in ``ends`` ends:
-    where the stdlib decoder stops reading it."""
+    """``resolve_offsets`` gives each value it finds its start and the
+    offset just past it, where the stdlib decoder stops reading it, and the
+    same offsets whatever else is asked for in the batch."""
 
     @staticmethod
-    def _assert_ends_decode(text: str, ends: list[str], others: list[str]) -> None:
+    def _assert_offsets_decode(text: str, values: dict, absent: list[str], rng: random.Random) -> None:
         decoder = json.JSONDecoder()
-        starts, stops = resolve_offsets(text, ends + others, ends)
-        assert set(stops) == set(ends)
-        for pointer in ends:
-            assert stops[pointer] == decoder.raw_decode(text, starts[pointer])[1], (pointer, text)
-        # Ends asked for alone, and beside the starts of other values only.
-        assert resolve_offsets(text, (), ends)[1] == stops
-        assert resolve_offsets(text, others, ends)[1] == stops
+        pointers = list(values)
+        found = resolve_offsets(text, pointers + absent)
+        assert set(found) == set(pointers)
+        for pointer, (start, end) in found.items():
+            assert decoder.raw_decode(text, start) == (values[pointer], end), (pointer, text)
+        for pointer in pointers + absent:  # each alone
+            assert resolve_offsets(text, [pointer]) == {p: found[p] for p in [pointer] if p in found}
+        for _ in range(10):
+            batch = rng.sample(pointers + absent, rng.randint(1, len(pointers) + len(absent)))
+            assert resolve_offsets(text, batch) == {p: found[p] for p in batch if p in found}
+        assert resolve_offsets(text, absent) == {}
 
     def test_resource_block_ends(self):
         templates = _block_templates()
         assert len(templates) > 60
+        rng = random.Random(11)
         for text in templates:
-            value = json.loads(text)
-            blocks = ["/Resources/" + escape_pointer_token(logical_id) for logical_id in value["Resources"]]
-            everything = [pointer for pointer, _ in iter_pointers(value)]
-            self._assert_ends_decode(text, blocks, [])
-            self._assert_ends_decode(text, blocks, everything)
-            self._assert_ends_decode(text, blocks, [p for p in everything if not p.startswith("/Resources")])
+            values = dict(iter_pointers(json.loads(text)))
+            blocks = {p: v for p, v in values.items() if p.count("/") == 2 and p.startswith("/Resources/")}
+            absent = ["/Resources/missing", "/Resources/0", "/Outputs/missing/x"]
+            self._assert_offsets_decode(text, blocks, absent, rng)
+            self._assert_offsets_decode(text, values, absent, rng)
 
     def test_random_document_ends(self):
         rng = random.Random(12)
         for _ in range(200):
-            text = random_document(rng)
-            below_root = [pointer for pointer, _ in iter_pointers(json.loads(text))][1:]
-            self._assert_ends_decode(text, below_root, [""])
-            ends = rng.sample(below_root, len(below_root) // 3)
-            self._assert_ends_decode(text, ends, [p for p in below_root if p not in ends])
+            document = random_document(rng)
+            for text in (document, " \r\n\t" + document.strip(" \t\n\r") + "\n\t\r "):
+                values = dict(iter_pointers(json.loads(text)))
+                absent = [p + "/missing" for p in list(values)[::3]]
+                self._assert_offsets_decode(text, values, absent, rng)
 
 
 # Layouts the walk must step through: escaped keys first and later in their
@@ -399,7 +404,7 @@ class TestWalkAgainstOracle:
         pointers = list(expected)
         spans = lambda batch: {p: (s.line, s.column, s.byte_offset) for p, s in resolve_spans(text, batch).items()}
         assert spans(pointers) == expected
-        for pointer in pointers:  # each alone, so the walk stops early at it
+        for pointer in pointers:  # each alone
             assert spans([pointer]) == {pointer: expected[pointer]}
         rng = random.Random(text)
         for _ in range(20):
@@ -419,17 +424,14 @@ class TestWalkAgainstOracle:
             else:
                 absent += [pointer + "/0", pointer + "/a"]  # a step into a scalar
         assert not set(absent) & set(expected)
-        starts = resolve_offsets(text, absent + list(expected))[0]
-        assert set(starts) == set(expected)
-        assert resolve_offsets(text, absent)[0] == {}
+        assert set(resolve_offsets(text, absent + list(expected))) == set(expected)
+        assert resolve_offsets(text, absent) == {}
 
     @pytest.mark.parametrize("text", _WALK_TEXTS)
     def test_ends_of_values(self, text):
-        below_root = list(oracle_spans(text))[1:]
-        if below_root:
-            TestValueEnds._assert_ends_decode(text, below_root, [""])
-            for pointer in below_root:
-                TestValueEnds._assert_ends_decode(text, [pointer], [])
+        values = dict(iter_pointers(json.loads(text)))
+        assert list(values) == list(oracle_spans(text))
+        TestValueEnds._assert_offsets_decode(text, values, [p + "/missing" for p in values], random.Random(text))
 
 
 class TestNodeAt:
