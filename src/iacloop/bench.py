@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from .gateway import GenerationConfig, make_backend, mix64
+from .located_json import parse_located
 from .loop import BackendFailure, BenchmarkCase, LoopTrace, run_loop
 from .schema_store import load_store
 
@@ -471,4 +472,4 @@ def write_results(
 
 
 def read_results(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return parse_located(Path(path).read_text(encoding="utf-8")).value

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
 
-from .linter import LintReport
-from .located_json import JsonDocument, escape_controls, escape_pointer_token, parse_located, render_value
+from .linter import LintReport, lint_template
+from .located_json import JsonDocument, parse_located
 from .schema_store import SchemaStore, builtin_core_schemas
 
 __all__ = [
@@ -232,7 +232,7 @@ class HttpBackend:
     @staticmethod
     def _extract_content(text: str) -> str:
         try:
-            body = json.loads(text)
+            body = parse_located(text).value
         except ValueError as exc:
             raise TransportError("response body is not JSON", status=200) from exc
         try:
@@ -329,7 +329,7 @@ class ScriptedBackend:
         return text
 
 
-_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _RAW_DECODER = json.JSONDecoder()
 _OBJECT_OPENING_RE = re.compile(r'\{[ \t\n\r]*["}]')
 # A failed decode costs time linear in the rest of the text (its error
@@ -706,9 +706,7 @@ class SyntheticBackend:
         the base.  Spawns only follow repairs, so a step that repairs nothing
         returns the previous text.
         """
-        flagged = None
-        if report is not None:
-            flagged = {(code, pointer, message) for code, message, _, pointer in report.diagnostics}
+        flagged = None if report is None else _keys(report)
         to_repair = []
         for defect in self.live:
             if defect.stubborn or (flagged is not None and self.diagnostic_key(defect) not in flagged):
@@ -729,20 +727,20 @@ class SyntheticBackend:
         """The ``indent=2`` dump of the base with every live defect applied
         in ledger order, injected sections and ``Parameters`` after the
         base's members, joined from cached texts."""
-        sections, edits = self._ledger_edits()
+        sections, edits = self._ledger_edits(self.live)
         # Edits of distinct properties commute, so sorted edits key one text.
         blocks = [_block_text(lid, tuple(sorted(edits.get(lid, ())))) for lid in self.base["Resources"]]
         resources = '  "Resources": ' + _object_text("  ", blocks)
         members = [resources if key == "Resources" else _member_text(key, ()) for key in self.base]
         return _object_text("", members + [_member_text(key, names) for key, names in sections.items()])
 
-    def _ledger_edits(self) -> tuple[dict[str, tuple[str, ...]], dict[str, _Edits]]:
-        """What the ledger changes in the base, in ledger order: each injected
+    def _ledger_edits(self, ledger: Sequence[DefectSpec]) -> tuple[dict[str, tuple[str, ...]], dict[str, _Edits]]:
+        """What ``ledger`` changes in the base, in ledger order: each injected
         top-level key with the parameter names it declares (``Parameters``
         sits at its first parameter), and the edits of each edited block."""
         sections: dict[str, tuple[str, ...]] = {}
         edits: dict[str, _Edits] = {}
-        for defect in self.live:
+        for defect in ledger:
             kind, site = defect.kind, defect.site
             if kind == "unknown_top_key":
                 sections[site[0]] = ()
@@ -752,6 +750,13 @@ class SyntheticBackend:
                 primitive = self._site_spec(site).primitive if kind == "wrong_type" else ""
                 edits[site[1]] = edits.get(site[1], ()) + ((site[3], kind, primitive),)
         return sections, edits
+
+    def _render(self, ledger: Sequence[DefectSpec]) -> dict:
+        """The base with ``ledger`` applied; blocks it leaves alone are the base's own objects."""
+        sections, edits = self._ledger_edits(ledger)
+        resources = {lid: _edit_block(block, edits.get(lid, ())) for lid, block in self.base["Resources"].items()}
+        injected = {key: _member_value(key, names) for key, names in sections.items()}
+        return {**self.base, "Resources": resources, **injected}
 
     # -- defect plumbing -------------------------------------------------------
 
@@ -772,25 +777,16 @@ class SyntheticBackend:
         return defect
 
     def diagnostic_key(self, defect: DefectSpec) -> tuple[str, str, str]:
-        """The (code, pointer, message) of the one diagnostic the linter
-        reports for a live ``defect``; E3003 points at the Properties object
-        that misses the key, every other code at the site itself."""
-        kind, site = defect.kind, defect.site
-        anchor = site[:-1] if kind == "drop_required" else site
-        pointer = "".join("/" + escape_pointer_token(token) for token in anchor)
-        if kind == "unknown_top_key":
-            return "E1001", pointer, f"Unknown top-level section '{escape_controls(site[0])}'"
-        if kind == "unused_parameter":
-            return "W2001", pointer, f"Parameter '{escape_controls(site[1])}' is never used"
-        if kind == "drop_required":
-            return "E3003", pointer, f"Required property '{escape_controls(site[3])}' is missing"
-        if kind == "bad_intrinsic_getazs":
-            return "E1015", pointer, "{'Fn::GetAZs': ''} is not of type 'string'"
-        spec = self._site_spec(site)
-        if kind == "wrong_type":
-            bad = render_value(_WRONG_VALUES[spec.primitive])
-            return "E3012", pointer, f"{bad} is not of type '{spec.primitive}'"
-        if kind == "bad_enum":
-            enum_rendered = render_value(list(spec.enum_values))
-            return "E3030", pointer, f"{render_value(_BAD_ENUM_VALUE)} is not one of {enum_rendered}"
-        raise ValueError(f"unknown defect kind {kind!r}")
+        """The (code, pointer, message) of the one diagnostic that
+        ``lint_template``, with the backend's store, reports for the base
+        with only ``defect`` applied and not for the base alone."""
+        with_defect, alone = (
+            _keys(lint_template(parse_located(json.dumps(self._render(ledger))), self.store)) for ledger in ([defect], [])
+        )
+        (key,) = with_defect - alone
+        return key
+
+
+def _keys(report: LintReport) -> set[tuple[str, str, str]]:
+    """The (code, pointer, message) of each of ``report``'s diagnostics."""
+    return {(code, pointer, message) for code, message, _, pointer in report.diagnostics}

@@ -12,11 +12,12 @@ level deep, without looking up the types of sub-values.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+from .located_json import parse_located
 
 __all__ = [
     "PRIMITIVES",
@@ -180,7 +181,7 @@ def load_schema_dir(path: str | Path) -> tuple[SchemaStore, SchemaLoadReport]:
     schemas: dict[str, ResourceSchema] = {}
     for file in sorted(directory.glob("*.json")):
         try:
-            doc = json.loads(file.read_text(encoding="utf-8"))
+            doc = parse_located(file.read_text(encoding="utf-8")).value
         except (OSError, ValueError) as exc:
             report.errors.append(SchemaFormatError(file.name, f"unreadable schema document: {exc}"))
             continue

@@ -16,7 +16,7 @@ import re
 from pathlib import Path
 from typing import Iterator, Optional
 
-from iacloop.gateway import SyntheticBackend, _edit_block, _member_value
+from iacloop.gateway import SyntheticBackend
 from iacloop.schema_store import ResourceSchema, SchemaStore
 
 
@@ -312,14 +312,7 @@ def save_schema_dir(store: SchemaStore, path: str | Path) -> None:
 
 
 def render(backend: SyntheticBackend) -> dict:
-    """The backend's base with every live defect applied in ledger order.
-
-    Injected sections and ``Parameters`` follow the base's members in
-    ledger order.  Blocks that no defect touches are the base's own
-    objects, so the result must not be mutated.  The backend's text is
-    ``json.dumps(render(backend), indent=2)``.
-    """
-    sections, edits = backend._ledger_edits()
-    resources = {lid: _edit_block(block, edits.get(lid, ())) for lid, block in backend.base["Resources"].items()}
-    injected = {key: _member_value(key, names) for key, names in sections.items()}
-    return {**backend.base, "Resources": resources, **injected}
+    """The backend's base with every live defect applied in ledger order;
+    the backend's text is ``json.dumps(render(backend), indent=2)``.
+    Untouched blocks are the base's own objects: do not mutate the result."""
+    return backend._render(backend.live)

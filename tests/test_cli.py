@@ -821,7 +821,7 @@ class TestBenchAndReport:
         assert "2 cells completed, 0 failed" in captured.out
         assert captured.err.splitlines() == [
             "schema load: broken.json: unreadable schema document: "
-            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            "Expecting property name enclosed in double quotes at 1:2",
             "schema load: widget.json: ignored unsupported keyword 'minimum' on property 'Size'",
         ]
 
@@ -843,8 +843,11 @@ class TestBenchAndReport:
         json.dumps({"stats": {"mean_errors": [float("inf")], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
         json.dumps({"stats": {"mean_errors": [-5], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
         json.dumps({"stats": {"mean_errors": [10**400], "std_errors": [0], "mean_warnings": [0], "std_warnings": [0]}}),
+        "[" * 100_000 + "]" * 100_000,
+        '{"stats": %s, "stats": %s}' % ((json.dumps({"mean_errors": [1], "std_errors": [0], "mean_warnings": [0],
+                                                     "std_warnings": [0]}),) * 2),
     ], ids=["list", "not_json", "missing_fields", "scalar_fields", "unequal_lengths", "non_numbers",
-            "bool", "nan", "infinity", "negative", "beyond_float"])
+            "bool", "nan", "infinity", "negative", "beyond_float", "deep", "duplicate_key"])
     def test_report_on_malformed_results_exits_3(self, tmp_path, capsys, text):
         results = tmp_path / "results.json"
         results.write_text(text)

@@ -14,6 +14,7 @@ import pytest
 from iacloop.gateway import (
     AuthError,
     ChatMessage,
+    DefectSpec,
     DEFECT_KINDS,
     GenerationConfig,
     HttpBackend,
@@ -311,6 +312,12 @@ class TestHttpBackend:
             backend.complete(CONVERSATION)
         assert "choices" in str(exc_info.value)
 
+    @pytest.mark.parametrize("body", ["not json", "[" * 100_000 + "]" * 100_000, '{"choices": [], "choices": []}'],
+                             ids=["not_json", "deep", "duplicate_key"])
+    def test_a_body_that_is_not_json_is_a_transport_error(self, body):
+        with pytest.raises(TransportError, match="response body is not JSON"):
+            HttpBackend._extract_content(body)
+
     def test_timeouts_retry_then_fail(self):
         # The listener's backlog completes each connection, but nothing ever
         # answers, so every attempt times out waiting for the response.
@@ -508,6 +515,24 @@ class TestExtractTemplate:
         text = "```\nnot json\n```\nthen\n```json\n{\"a\": 1}\n```"
         assert extract_template(text).value == {"a": 1}
 
+    @pytest.mark.parametrize("reply", [
+        "````json\n{\"a\": 1}\n````",
+        "```json\r\n{\"a\": 1}\r\n```",
+    ], ids=["four_backticks", "crlf"])
+    def test_fence_variants(self, reply):
+        assert extract_template(reply).value == {"a": 1}
+
+    @pytest.mark.parametrize("unit", ["`", "```a", "{", '{"', "["])
+    def test_hostile_fence_replies_take_linear_time(self, unit):
+        # An info string may not hold a backtick, so a fence opening is
+        # rejected at the first backtick past it instead of backtracking
+        # over every later backtick run (37 s for 240,000 backticks).
+        reply = unit * (240_000 // len(unit))
+        started = time.perf_counter()
+        with pytest.raises(NoTemplateFound):
+            extract_template(reply)
+        assert time.perf_counter() - started < 0.5
+
     def test_roundtrip_of_serialized_template(self):
         template = synthetic_base_template(2)
         for dump in (json.dumps(template), json.dumps(template, indent=2)):
@@ -585,9 +610,54 @@ def _lint_text(text):
     return lint_template(parse_located(text), builtin_core_schemas())
 
 
-# The rule code each defect kind draws.
-_KIND_CODES = {"drop_required": "E3003", "wrong_type": "E3012", "bad_intrinsic_getazs": "E1015",
-               "unknown_top_key": "E1001", "unused_parameter": "W2001", "bad_enum": "E3030"}
+def _vpc(name):
+    return ("Resources", "Vpc", "Properties", name)
+
+
+# The (code, pointer, message) each defect draws on the 2-block base, written
+# out by hand: every kind, and wrong_type for each primitive the base holds.
+_PINNED_KEYS = [
+    ("unknown_top_key", ("Extras",), ("E1001", "/Extras", "Unknown top-level section 'Extras'")),
+    ("unused_parameter", ("Parameters", "Stage"), ("W2001", "/Parameters/Stage", "Parameter 'Stage' is never used")),
+    ("drop_required", _vpc("CidrBlock"),
+     ("E3003", "/Resources/Vpc/Properties", "Required property 'CidrBlock' is missing")),
+    ("wrong_type", _vpc("CidrBlock"),
+     ("E3012", "/Resources/Vpc/Properties/CidrBlock", "12345 is not of type 'string'")),
+    ("wrong_type", _vpc("EnableDnsSupport"),
+     ("E3012", "/Resources/Vpc/Properties/EnableDnsSupport", "'yes' is not of type 'boolean'")),
+    ("wrong_type", ("Resources", "Bucket1", "Properties", "Tags"),
+     ("E3012", "/Resources/Bucket1/Properties/Tags", "'not-an-array' is not of type 'array'")),
+    ("bad_intrinsic_getazs", _vpc("CidrBlock"),
+     ("E1015", "/Resources/Vpc/Properties/CidrBlock", "{'Fn::GetAZs': ''} is not of type 'string'")),
+    ("bad_enum", _vpc("InstanceTenancy"),
+     ("E3030", "/Resources/Vpc/Properties/InstanceTenancy",
+      "'__invalid_enum__' is not one of ['default', 'dedicated']")),
+    ("bad_enum", ("Resources", "Bucket0", "Properties", "AccessControl"),
+     ("E3030", "/Resources/Bucket0/Properties/AccessControl",
+      "'__invalid_enum__' is not one of ['Private', 'PublicRead', 'PublicReadWrite', 'AuthenticatedRead']")),
+]
+
+# The same on a base whose logical ids are renamed to "<id>/a~1b~": "/" escapes
+# to "~1", "~" to "~0", and a literal "~1" to "~01", not back to "/".
+_ESCAPED_KEYS = [
+    ("drop_required", ("Resources", "Subnet0/a~1b~", "Properties", "VpcId"),
+     ("E3003", "/Resources/Subnet0~1a~01b~0/Properties", "Required property 'VpcId' is missing")),
+    ("wrong_type", ("Resources", "Instance0/a~1b~", "Properties", "Monitoring"),
+     ("E3012", "/Resources/Instance0~1a~01b~0/Properties/Monitoring", "'yes' is not of type 'boolean'")),
+    ("bad_intrinsic_getazs", ("Resources", "Bucket0/a~1b~", "Properties", "BucketName"),
+     ("E1015", "/Resources/Bucket0~1a~01b~0/Properties/BucketName", "{'Fn::GetAZs': ''} is not of type 'string'")),
+    ("bad_enum", ("Resources", "Instance0/a~1b~", "Properties", "Tenancy"),
+     ("E3030", "/Resources/Instance0~1a~01b~0/Properties/Tenancy",
+      "'__invalid_enum__' is not one of ['default', 'dedicated', 'host']")),
+]
+
+
+def _pinned_backend(base, store=None):
+    backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1, store=store)
+    backend.base = base
+    backend.pairs = _eligible_pairs(base, backend.store)
+    return backend
+
 
 
 def _clear_text_caches():
@@ -643,12 +713,14 @@ class TestSyntheticBackend:
         )
         before = backend.initial_generation()
         report = _lint_text(before)
+        serialized = []
+        monkeypatch.setattr(SyntheticBackend, "_serialize", lambda self: serialized.append(self))
+        # Nothing repaired means nothing spawned: the step reuses its text.
+        assert backend.synthetic_step(report) is before  # encodes only to ask the linter for keys
         dumps = []
         monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: dumps.append(args))
-        # Nothing repaired means nothing spawned: the step reuses its text.
-        assert backend.synthetic_step(report) is before
         assert backend.synthetic_step() is before
-        assert dumps == []
+        assert (serialized, dumps) == ([], [])
 
     def test_step_before_initial_generation(self):
         backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=1.0, seed=5))
@@ -670,36 +742,26 @@ class TestSyntheticBackend:
             assert json.dumps(render(backend), indent=2) == original
 
     def test_each_defect_yields_exactly_one_diagnostic(self):
-        backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
-        backend.base = synthetic_base_template(2)
-        backend.pairs = _eligible_pairs(backend.base, backend.store)
-        seen_kinds = set()
-        for kind, site in backend.pairs:
-            if kind in seen_kinds:
-                continue
-            seen_kinds.add(kind)
+        backend = _pinned_backend(synthetic_base_template(2))
+        for kind, site, key in _PINNED_KEYS:
+            assert (kind, site) in backend.pairs, (kind, site)
             defect = backend._inject(kind, site)
-            report = _lint_text(json.dumps(render(backend)))
-            assert len(report.diagnostics) == 1, kind
-            code, message, _, pointer = report.diagnostics[0]
-            assert code == _KIND_CODES[kind]
-            assert (code, pointer, message) == backend.diagnostic_key(defect)
+            (code, message, _, pointer), = _lint_text(json.dumps(render(backend))).diagnostics
+            assert (code, pointer, message) == key == backend.diagnostic_key(defect)
             backend.live.remove(defect)
-        assert seen_kinds == set(DEFECT_KINDS)
+        assert {kind for kind, _, _ in _PINNED_KEYS} == set(DEFECT_KINDS)
 
     def test_diagnostic_key_escapes_site_tokens(self):
-        # Logical ids holding "/" and "~" (and a literal "~1", which must
-        # escape to "~01", not back to "/"): each kind's defect on such a
-        # block draws exactly the diagnostic ``diagnostic_key`` derives.
+        # Logical ids holding "/" and "~": each kind's defect at every site
+        # of such a base draws exactly one diagnostic, its key, and the
+        # pinned sites draw the pinned keys.
         base = synthetic_base_template(1)
         renamed = {lid: f"{lid}/a~1b~" for lid in base["Resources"]}
         resources = {renamed[lid]: entry for lid, entry in base["Resources"].items()}
         resources[renamed["Subnet0"]]["Properties"]["VpcId"] = {"Ref": renamed["Vpc"]}
+        backend = _pinned_backend({**base, "Resources": resources})
+        assert _lint_text(json.dumps(render(backend))).diagnostics == ()
         for kind in DEFECT_KINDS:
-            backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
-            backend.base = {**base, "Resources": resources}
-            backend.pairs = _eligible_pairs(backend.base, backend.store)
-            assert _lint_text(json.dumps(render(backend))).diagnostics == ()
             pairs = [p for p in backend.pairs if p[0] == kind]
             assert pairs, kind
             for pair in pairs:
@@ -709,20 +771,39 @@ class TestSyntheticBackend:
                 if pair[1][0] == "Resources":
                     assert "~1a~01b~0/Properties" in pointer, pointer
                 backend.live.remove(defect)
+        for kind, site, key in _ESCAPED_KEYS:
+            assert (kind, site) in backend.pairs, (kind, site)
+            assert backend.diagnostic_key(DefectSpec(kind, site)) == key
 
-    @pytest.mark.parametrize("kind, site, message", [
-        ("unknown_top_key", ("Ex\ttra",), "Unknown top-level section 'Ex\\ttra'"),
-        ("unused_parameter", ("Parameters", "P\nQ"), "Parameter 'P\\nQ' is never used"),
+    @pytest.mark.parametrize("kind, site, key", [
+        ("unknown_top_key", ("Ex\ttra",), ("E1001", "/Ex\ttra", "Unknown top-level section 'Ex\\ttra'")),
+        ("unused_parameter", ("Parameters", "P\nQ"), ("W2001", "/Parameters/P\nQ", "Parameter 'P\\nQ' is never used")),
     ], ids=["unknown_top_key", "unused_parameter"])
-    def test_diagnostic_key_escapes_control_characters(self, kind, site, message):
+    def test_diagnostic_key_escapes_control_characters(self, kind, site, key):
         # A name that holds a control character draws the escaped message
-        # the linter reports, so the defect counts as flagged.
-        backend = SyntheticBackend(SyntheticParams(p_fix=1, p_spawn=0, seed=1), initial_defects=1)
-        backend.base = synthetic_base_template(1)
+        # the linter reports, so the defect counts as flagged; the pointer
+        # keeps the raw character.
+        backend = _pinned_backend(synthetic_base_template(1))
         defect = backend._inject(kind, site)
-        (code, reported, _, pointer), = _lint_text(json.dumps(render(backend))).diagnostics
-        assert (code, pointer, reported) == backend.diagnostic_key(defect)
-        assert reported == message
+        (code, message, _, pointer), = _lint_text(json.dumps(render(backend))).diagnostics
+        assert (code, pointer, message) == key == backend.diagnostic_key(defect)
+
+    def test_diagnostic_key_ignores_what_the_base_draws(self):
+        # Under this store the base misses a required VPC property, so it
+        # draws an E3003 of its own at the pointer a dropped CidrBlock draws
+        # one; each defect's key is still its own diagnostic.
+        builtin = builtin_core_schemas()
+        vpc = builtin.lookup("AWS::EC2::VPC")
+        properties = {**vpc.properties, "Ipv4NetmaskLength": PropertySpec("Ipv4NetmaskLength", "integer", required=True)}
+        store = SchemaStore({**builtin.schemas, vpc.type_name: ResourceSchema(vpc.type_name, properties)})
+        backend = _pinned_backend(synthetic_base_template(2), store)
+        base_key = ("E3003", "/Resources/Vpc/Properties", "Required property 'Ipv4NetmaskLength' is missing")
+        assert gateway._keys(lint_template(parse_located(json.dumps(backend.base)), store)) == {base_key}
+        for kind, site, key in _PINNED_KEYS:
+            defect = backend._inject(kind, site)
+            drawn = gateway._keys(lint_template(parse_located(json.dumps(render(backend))), store))
+            assert drawn == {base_key, key} and backend.diagnostic_key(defect) == key, (kind, site)
+            backend.live.remove(defect)
 
     def test_full_repair_restores_the_base_bytes(self):
         # Two dropped properties of one resource used to come back in another

@@ -58,6 +58,16 @@ class TestLoadSchemaDir:
         assert len(report.errors) == 1
         assert len(store) == 0
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"typeName": "AWS::X::Y", "typeName": "AWS::X::Z"}'],
+                             ids=["deep", "duplicate_key"])
+    def test_undecodable_file_reported_and_skipped(self, tmp_path, text):
+        (tmp_path / "bad.json").write_text(text)
+        (tmp_path / "good.json").write_text(json.dumps(EC2_DOC))
+        store, report = load_schema_dir(tmp_path)
+        assert [err.source for err in report.errors] == ["bad.json"]
+        assert "unreadable schema document" in report.errors[0].detail
+        assert report.loaded == ["AWS::EC2::Instance"]
+
     def test_unsupported_keywords_warn(self, tmp_path):
         doc = dict(EC2_DOC)
         doc["description"] = "extra"
