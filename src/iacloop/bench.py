@@ -11,19 +11,18 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from .gateway import GenerationConfig, make_backend, mix64
+from .gateway import make_backend, mix64
 from .located_json import parse_located
 from .loop import BackendFailure, BenchmarkCase, LoopTrace, run_loop
 from .schema_store import load_store
+from .settings import BenchmarkConfig, GenerationConfig
 
 __all__ = [
-    "BenchmarkConfig",
     "TrialResult",
     "CellFailure",
     "BenchmarkResult",
@@ -49,45 +48,6 @@ class EmptyDataset(ValueError):
 
 class LengthMismatch(ValueError):
     """Trial series have unequal lengths."""
-
-
-@dataclass
-class BenchmarkConfig:
-    cases_dir: str
-    generations_per_case: int = 5
-    iterations: int = 10
-    trials: int = 6
-    master_seed: int = 0
-    backend: str = "synthetic"
-    parallelism: int = 1
-    # synthetic backend
-    p_fix: float = 0.55
-    p_spawn: float = 0.15
-    stubborn_fraction: float = 0.25
-    initial_defects_min: int = 6
-    initial_defects_max: int = 10
-    # scripted backend
-    script_dir: Optional[str] = None
-    # http backend
-    api_base_url: Optional[str] = None
-    model: str = GenerationConfig.model
-    schemas_dir: Optional[str] = None
-    traces_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        for name in ("generations_per_case", "iterations", "trials", "parallelism"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        # parallelism and traces_dir are execution details, not experiment
-        # parameters; leaving them out keeps results files byte-identical
-        # across schedules and output locations.
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("parallelism", "traces_dir")
-        }
 
 
 @dataclass
@@ -213,7 +173,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     # The writer forks before the pool starts a thread: a fork copies no
     # thread but the caller's, and a lock another thread held stays held.
     with _trace_writer(cfg.traces_dir) as write:
-        pool = ThreadPoolExecutor(max_workers=cfg.parallelism) if cfg.parallelism > 1 else None
+        pool = None
+        if cfg.parallelism > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a serial run does not pay for it
+
+            pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
         try:
             outcomes = pool.map(run_cell, cells) if pool else map(run_cell, cells)
             for (trial, _, generation), outcome in zip(cells, outcomes):

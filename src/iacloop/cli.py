@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 usage or configuration error, 2 lint errors present
 which wins over defaults; ``BenchmarkConfig`` owns the defaults of the flags
 ``loop`` and ``bench`` share.  The argument parser is built on the first
 ``dispatch`` and shared by every later call in the process; each call parses
-into a fresh namespace and nothing mutates the parser.
+into a fresh namespace and nothing mutates the parser.  Importing this module
+loads only the settings and what ``lint`` runs (the linter, the JSON decoder
+and the schema store); ``loop``, ``bench`` and ``report`` import the backends,
+the loop and the benchmark harness when they run.
 """
 
 from __future__ import annotations
@@ -18,23 +21,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bench import (
-    BenchmarkConfig,
-    aggregate,
-    detect_plateau,
-    export_csv,
-    export_json,
-    export_svg,
-    AggregateStats,
-    read_results,
-    run_benchmark,
-    write_results,
-)
-from .gateway import GenerationConfig, MissingSetting, make_backend
 from .linter import Diagnostic, format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
-from .loop import BackendFailure, BenchmarkCase, run_loop
 from .schema_store import load_store
+from .settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
 __all__ = ["dispatch", "main"]
 
@@ -193,6 +183,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_loop(args: argparse.Namespace) -> int:
+    from .gateway import make_backend
+    from .loop import BackendFailure, BenchmarkCase, run_loop
+
     _check_out(args.out, "trace")
     settings = {**_BENCH_DEFAULTS, **_given_fields(args)}
     store = load_store(args.schemas_dir)
@@ -225,6 +218,8 @@ def _cmd_loop(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import aggregate, detect_plateau, run_benchmark, write_results
+
     cfg = BenchmarkConfig(**_given_fields(args))
     _check_out(args.out, "results")
     result = run_benchmark(cfg)
@@ -242,6 +237,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .bench import AggregateStats, export_csv, export_json, export_svg, read_results
+
     try:
         data = read_results(args.results_in)
         if not isinstance(data, dict):

@@ -30,15 +30,14 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 from .linter import LintReport, lint_template
 from .located_json import JsonDocument, parse_located
 from .schema_store import SchemaStore, builtin_core_schemas
+from .settings import GenerationConfig, MissingSetting
 
 __all__ = [
     "ChatMessage",
-    "GenerationConfig",
     "TransportError",
     "AuthError",
     "ScriptExhausted",
     "NoTemplateFound",
-    "MissingSetting",
     "Backend",
     "generate",
     "make_backend",
@@ -69,23 +68,6 @@ class ChatMessage:
             raise ValueError("chat message content must be non-empty")
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    model: str = "gpt-4o"
-    temperature: float = 0.0
-    max_retries: int = 3
-    timeout_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        # No request can carry NaN or infinity; NaN fails every comparison.
-        if not self.model:
-            raise ValueError("model must be non-empty")
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not 0 < self.timeout_seconds < math.inf:
-            raise ValueError(f"timeout_seconds must be finite and positive, got {self.timeout_seconds}")
-
-
 class TransportError(RuntimeError):
     """HTTP transport or response-shape failure; ``body``, when given, is the
     response's, and its first 200 characters end the message."""
@@ -105,10 +87,6 @@ class ScriptExhausted(RuntimeError):
 
 class NoTemplateFound(ValueError):
     """No parseable JSON template could be extracted from a model response."""
-
-
-class MissingSetting(ValueError):
-    """The chosen backend kind lacks a setting it cannot run without."""
 
 
 class Backend(Protocol):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from iacloop.bench import (
     AggregateStats,
-    BenchmarkConfig,
     TrialResult,
     aggregate,
     detect_plateau,
@@ -25,6 +24,7 @@ from iacloop.linter import format_diagnostic, lint_template
 from iacloop.located_json import parse_located, resolve_spans
 from iacloop.loop import BenchmarkCase, run_loop
 from iacloop.schema_store import builtin_core_schemas
+from iacloop.settings import BenchmarkConfig
 
 from helpers import iter_pointers, random_document
 

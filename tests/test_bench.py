@@ -13,7 +13,6 @@ import pytest
 
 from iacloop.bench import (
     AggregateStats,
-    BenchmarkConfig,
     EmptyDataset,
     LengthMismatch,
     TrialResult,
@@ -30,6 +29,7 @@ from iacloop.bench import (
 from iacloop.gateway import HttpBackend, ScriptedBackend, SyntheticBackend, SyntheticParams
 from iacloop.loop import LoopTrace, run_loop
 from iacloop.schema_store import builtin_core_schemas
+from iacloop.settings import BenchmarkConfig
 
 VPC_PROMPT = (
     "Create a AWS CloudFormation template that deploys a VPC with a pair of "

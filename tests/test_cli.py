@@ -13,10 +13,12 @@ from iacloop import bench
 from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
-from iacloop.gateway import GenerationConfig, MissingSetting, SyntheticBackend, SyntheticParams
+from iacloop import gateway
+from iacloop.gateway import SyntheticBackend, SyntheticParams
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
+from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
 from helpers import save_schema_dir
 
@@ -394,8 +396,8 @@ def settings_seen(monkeypatch):
         raise MissingSetting("stopped")
 
     monkeypatch.setattr(cli, "load_store", load_store)
-    monkeypatch.setattr(cli, "make_backend", make_backend)
-    monkeypatch.setattr(cli, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(gateway, "make_backend", make_backend)
+    monkeypatch.setattr(bench, "run_benchmark", run_benchmark)
     return seen
 
 
@@ -477,7 +479,7 @@ class TestLoopCommand:
 
     def test_defaults_are_benchmark_config_defaults(self, tmp_path, capsys, monkeypatch):
         seen = {}
-        inner_backend, inner_loop = cli.make_backend, cli.run_loop
+        inner_backend, inner_loop = gateway.make_backend, loop_module.run_loop
 
         def make_backend(kind, store, **settings):
             seen.update(settings)
@@ -487,13 +489,13 @@ class TestLoopCommand:
             seen.update(settings)
             return inner_loop(case, backend, store, **settings)
 
-        monkeypatch.setattr(cli, "make_backend", make_backend)
-        monkeypatch.setattr(cli, "run_loop", run_loop)
+        monkeypatch.setattr(gateway, "make_backend", make_backend)
+        monkeypatch.setattr(loop_module, "run_loop", run_loop)
         prompt = tmp_path / "p.txt"
         prompt.write_text("Create a vpc")
         assert dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
                          "--out", str(tmp_path / "t.json")]) == 0
-        defaults = bench.BenchmarkConfig(cases_dir="")
+        defaults = BenchmarkConfig(cases_dir="")
         assert seen == {
             "p_fix": defaults.p_fix, "p_spawn": defaults.p_spawn, "stubborn_fraction": defaults.stubborn_fraction,
             "initial_defects": 8, "script_dir": None, "api_base_url": None, "generation": GenerationConfig(),
@@ -730,7 +732,7 @@ class TestBenchAndReport:
         out = tmp_path / "r.json"
         assert dispatch(["bench", "--cases", str(cases), "--out", str(out)]) == 0
         recorded = json.loads(out.read_text())
-        assert recorded["config"] == bench.BenchmarkConfig(cases_dir=str(cases)).to_dict()
+        assert recorded["config"] == BenchmarkConfig(cases_dir=str(cases)).to_dict()
         assert len(recorded["trials"]) == 6
 
     def test_end_to_end(self, tmp_path, capsys):
@@ -947,9 +949,51 @@ class TestSharedParser:
     def test_import_loads_no_http_client_or_process_pool(self):
         # Offline commands never pay for these; only a live run or a traced
         # bench imports them.
-        heavy = ("requests", "urllib.request", "http.client", "ssl", "multiprocessing")
-        probe = f"import sys, iacloop.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=60, check=True)
-        assert proc.stdout.strip() == "[]"
+        heavy = {"requests", "urllib.request", "http.client", "ssl", "multiprocessing"}
+        assert heavy & _modules_after("import iacloop.cli") == set()
+
+
+class TestImportStructure:
+    """Each command loads the modules it runs and no others."""
+
+    # What lint never runs: the backends, the loop, the harness and the
+    # pools that a bench or a traced bench starts.
+    NOT_FOR_LINT = {"iacloop.bench", "iacloop.gateway", "iacloop.loop", "concurrent.futures", "multiprocessing"}
+
+    def test_package_import_loads_no_module(self):
+        assert {m for m in _modules_after("import iacloop") if m.startswith("iacloop.")} == set()
+
+    @pytest.mark.parametrize("code", [
+        pytest.param("from iacloop import cli\n"
+                     f"assert cli.dispatch(['lint', {str(FIXTURES / 'missing_required.json')!r}]) == 2",
+                     id="dispatch"),
+        pytest.param("import runpy\n"
+                     f"sys.argv[1:] = ['lint', {str(FIXTURES / 'missing_required.json')!r}]\n"
+                     "try:\n"
+                     "    runpy.run_module('iacloop', run_name='__main__', alter_sys=True)\n"
+                     "except SystemExit as exc:\n"
+                     "    assert exc.code == 2",
+                     id="python-m"),
+    ])
+    def test_lint_loads_only_the_linter(self, code):
+        loaded = _modules_after(code)
+        assert {m for m in loaded if m.startswith("iacloop.")} - {"iacloop.__main__"} == {
+            "iacloop.cli", "iacloop.settings", "iacloop.linter", "iacloop.located_json", "iacloop.schema_store",
+        }
+        assert self.NOT_FOR_LINT & loaded == set()
+
+    def test_bench_import_loads_no_thread_pool(self):
+        # A serial bench never starts one; --parallel > 1 imports it.
+        loaded = _modules_after("import iacloop.bench")
+        assert "iacloop.bench" in loaded
+        assert "concurrent.futures" not in loaded
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` once a fresh interpreter, with this
+    package on its path, has run ``code`` (which sees ``sys``)."""
+    probe = "import sys\n" + code + "\nprint(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return set(proc.stdout.splitlines()[-1].split())

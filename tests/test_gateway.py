@@ -16,10 +16,8 @@ from iacloop.gateway import (
     ChatMessage,
     DefectSpec,
     DEFECT_KINDS,
-    GenerationConfig,
     HttpBackend,
     MAX_RETRY_AFTER_SECONDS,
-    MissingSetting,
     NoTemplateFound,
     ScriptedBackend,
     ScriptExhausted,
@@ -40,6 +38,7 @@ from iacloop import gateway
 from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
+from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
 from helpers import random_reply, reference_largest_object, render
 
@@ -371,7 +370,7 @@ class TestHttpBench:
         # A 12-cell bench (3 cases x 2 generations x 2 trials, 2 turns a
         # cell) makes 23 requests and leaves no socket open, the failing
         # last cell's included.
-        from iacloop.bench import BenchmarkConfig, run_benchmark
+        from iacloop.bench import run_benchmark
 
         base, handler = stub_server
         handler.script += [(200, _completion('{"Resources": {}}'))] * 22 + [(401, {"error": "revoked"})]
@@ -393,7 +392,7 @@ class TestHttpBench:
 
     def test_an_error_status_records_the_body(self, stub_server, tmp_path, monkeypatch):
         # The endpoint's reason, not just its status, reaches the failure.
-        from iacloop.bench import BenchmarkConfig, run_benchmark
+        from iacloop.bench import run_benchmark
 
         base, handler = stub_server
         error = {"error": {"message": "Unsupported value: 'temperature' does not support 0.0", "type": "invalid"}}
