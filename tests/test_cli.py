@@ -940,17 +940,16 @@ class TestSharedParser:
         assert "usage: iacloop" in outputs[0]
 
     def test_import_does_not_build_the_parser(self):
-        probe = "import iacloop.cli as c; print(c._build_parser.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=60, check=True)
-        assert proc.stdout.strip() == "0"
+        assert _fresh("import iacloop.cli as c\nprint(c._build_parser.cache_info().currsize)") == "0"
 
     def test_import_loads_no_http_client_or_process_pool(self):
         # Offline commands never pay for these; only a live run or a traced
-        # bench imports them.
+        # bench imports them. bench imports gateway and loop, which hold the
+        # lazy imports, so the probe reaches every module of the package.
         heavy = {"requests", "urllib.request", "http.client", "ssl", "multiprocessing"}
-        assert heavy & _modules_after("import iacloop.cli") == set()
+        loaded = _modules_after("import iacloop.cli, iacloop.bench")
+        assert {"iacloop.gateway", "iacloop.loop"} <= loaded
+        assert heavy & loaded == set()
 
 
 class TestImportStructure:
@@ -989,11 +988,15 @@ class TestImportStructure:
         assert "concurrent.futures" not in loaded
 
 
-def _modules_after(code: str) -> set[str]:
-    """The names in ``sys.modules`` once a fresh interpreter, with this
-    package on its path, has run ``code`` (which sees ``sys``)."""
-    probe = "import sys\n" + code + "\nprint(' '.join(sorted(sys.modules)))"
+def _fresh(code: str) -> str:
+    """The last line that ``code`` prints when a fresh interpreter, with this
+    package on its path, runs it (``sys`` is already imported)."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` once a fresh interpreter has run ``code``."""
+    return set(_fresh(code + "\nprint(' '.join(sorted(sys.modules)))").split())
