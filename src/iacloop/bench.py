@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .gateway import make_backend, mix64
 from .located_json import parse_located
-from .loop import BackendFailure, BenchmarkCase, LoopTrace, run_loop
+from .loop import BackendFailure, BenchmarkCase, run_loop
 from .schema_store import load_store
 from .settings import BenchmarkConfig, GenerationConfig
 
@@ -121,10 +122,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     parallelism, each as soon as its cell and those before it have
     finished.  Every cell lints by block, so the cells share the linter's
     process-wide cache and each distinct resource block is checked once.
-    With ``traces_dir`` set, each completed cell's trace goes to
-    ``_trace_writer``'s process, which writes each with ``LoopTrace.write``
-    while the next cells run; a file it cannot write stops it, and the run
-    raises OSError naming that file, at the next send or at its end.
+    With ``traces_dir`` set, each completed cell's ``LoopTrace.text`` is
+    rendered as its outcome is read and handed to ``_trace_writer``'s
+    thread, which writes the file while the next cells run; a file that
+    cannot be written stops the run with the OSError that names it.
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
@@ -139,8 +140,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         api_base_url=cfg.api_base_url,
         generation=GenerationConfig(model=cfg.model),
     )
-    if cfg.traces_dir:  # before any cell runs, so a bad path costs no calls
-        Path(cfg.traces_dir).mkdir(parents=True, exist_ok=True)
+    traces = Path(cfg.traces_dir) if cfg.traces_dir else None
+    if traces:  # before any cell runs, so a bad path costs no calls
+        traces.mkdir(parents=True, exist_ok=True)
     cells = [
         (trial, case_index, generation)
         for trial in range(cfg.trials)
@@ -170,9 +172,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     totals = [
         [(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)
     ]
-    # The writer forks before the pool starts a thread: a fork copies no
-    # thread but the caller's, and a lock another thread held stays held.
-    with _trace_writer(cfg.traces_dir) as write:
+    with _trace_writer(traces) as write:
         pool = None
         if cfg.parallelism > 1:
             from concurrent.futures import ThreadPoolExecutor  # a serial run does not pay for it
@@ -188,7 +188,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
                 for index, (errors, warnings) in enumerate(outcome.counts()):
                     row[index] = (row[index][0] + errors, row[index][1] + warnings)
                 if write:
-                    write(f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json", outcome)
+                    write(f"trial{trial:02d}_{outcome.case_id}_gen{generation}.json", outcome.text().encode())
         finally:
             if pool:  # on an exception, cells not yet started never start
                 pool.shutdown(cancel_futures=True)
@@ -202,74 +202,53 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
 
 @contextmanager
-def _trace_writer(directory: Optional[str]) -> Iterator[Optional[Callable[[str, LoopTrace], None]]]:
-    """Yield ``write(name, trace)``, which hands a finished trace to one
-    forked process that writes it under ``directory``; yield None without
-    one.
+def _trace_writer(directory: Optional[Path]) -> Iterator[Optional[Callable[[str, bytes], None]]]:
+    """Yield ``write(name, data)``, which queues a file's bytes for one
+    thread that writes them under ``directory``, in the order given; yield
+    None without ``directory``.
 
-    Each trace goes over a one-way pipe as it finishes, and the process
-    renders and writes it, so that work runs on another core while the
-    cells compute.  The start method is ``fork`` on purpose: the child
-    re-imports nothing, and it forks before the run starts its thread pool.
-    On leaving, even by an exception, the process is joined.  The process
-    stops at the first file it cannot write; the next send, or leaving,
-    then raises OSError with its report, or with its exit code when it
-    died without one.
+    Creating a file can block for half a millisecond on some file systems.
+    The thread waits there, with the interpreter lock released, while the
+    cells compute.  At most ``_QUEUED_FILES`` wait, so a slow disk holds the
+    cells back instead of filling memory.  The thread stops writing at the
+    first file it cannot write; the next ``write``, or leaving, raises that
+    error.  Leaving, even by an exception, first writes every file queued.
     """
     if not directory:
         yield None
         return
-    import multiprocessing  # a run without traces does not pay for it
+    import queue
 
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    failed, report = context.Pipe(duplex=False)
-    writer = context.Process(target=_write_traces, args=(Path(directory), receive, send, report))
+    pending: queue.Queue = queue.Queue(_QUEUED_FILES)
+    failed: list[Exception] = []
+
+    def drain() -> None:
+        for path, data in iter(pending.get, None):
+            if not failed:  # after a failure, only empty the queue
+                try:
+                    path.write_bytes(data)
+                except Exception as exc:  # raised in the run's thread; the queue is still emptied
+                    failed.append(exc)
+
+    def write(name: str, data: bytes) -> None:
+        if failed:
+            raise failed[0]
+        pending.put((directory / name, data))
+
+    # A daemon: should an interrupt stop ``put(None)`` below, the interpreter
+    # must not wait at exit for a thread that is never told to stop.
+    writer = threading.Thread(target=drain, name="iacloop-trace-writer", daemon=True)
     writer.start()
-    receive.close()
-    report.close()
-
-    def join() -> None:
-        writer.join()
-        with failed:
-            try:
-                message = failed.recv()  # the report, or EOF: the writer's end closed when it exited
-            except EOFError:
-                if not writer.exitcode:
-                    return
-                message = f"trace writer exited with code {writer.exitcode}"
-        raise OSError(message)
-
-    def write(name: str, trace: LoopTrace) -> None:
-        try:
-            send.send((name, trace))
-        except BrokenPipeError:  # the writer has stopped
-            join()
-            raise
-
     try:
         yield write
     finally:
-        send.close()  # the end of the writer's input
+        pending.put(None)
         writer.join()
-    join()
+    if failed:
+        raise failed[0]
 
 
-def _write_traces(directory: Path, receive: Any, send: Any, report: Any) -> None:
-    """The writer process: write each received ``(name, trace)`` with
-    ``LoopTrace.write`` until its input ends.  At the first file it cannot
-    write, it reports that file and exits."""
-    send.close()  # the parent's end, inherited; the input ends when the parent closes its own
-    while True:
-        try:
-            name, trace = receive.recv()
-        except EOFError:
-            return
-        try:
-            trace.write(directory / name)
-        except OSError as exc:
-            report.send(f"cannot write trace file: {exc}")
-            return
+_QUEUED_FILES = 8  # about 150 KB of trace text
 
 
 def aggregate(trials: list[TrialResult]) -> AggregateStats:

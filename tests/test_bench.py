@@ -1,11 +1,8 @@
 import json
 import math
-import multiprocessing
-import os
 import random
-import sys
 import threading
-import warnings
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -290,8 +287,9 @@ class TestRunBenchmark:
 
 
 class TestTraceWriter:
-    """Traces are written by one forked process while the cells run; every
-    way out of a run joins it."""
+    """One thread of the bench's own process writes each completed cell's
+    trace, in cell order; every way out of a run joins it, and a run that
+    stops leaves the files of the cells before it."""
 
     @staticmethod
     def _cases(tmp_path, count):
@@ -305,7 +303,7 @@ class TestTraceWriter:
     def test_unwritable_trace_exits_3_naming_it(self, tmp_path, capsys, parallelism):
         from iacloop.cli import dispatch
 
-        # 40 cells, so many traces are sent after the bad file.
+        # 40 cells, so many traces are queued after the bad file.
         cases = self._cases(tmp_path, 2)
         traces = tmp_path / "traces"
         blocked = traces / "trial00_case0_gen0.json"
@@ -317,7 +315,7 @@ class TestTraceWriter:
         assert code == 3
         assert str(blocked) in capsys.readouterr().err
         assert not results.exists()
-        assert multiprocessing.active_children() == []
+        assert not _writer_threads()
         # The writer stops at its first failure: it writes nothing after it.
         assert list(traces.iterdir()) == [blocked]
 
@@ -326,7 +324,7 @@ class TestTraceWriter:
         from iacloop import bench
 
         # 30 cells in (case, generation) order; cell 20 is interrupted,
-        # after the traces of the 20 before it have been sent.
+        # after the traces of the 20 before it have been queued.
         cases = self._cases(tmp_path, 3)
         cfg = BenchmarkConfig(cases_dir=str(cases), generations_per_case=10, iterations=3, trials=1,
                               master_seed=7, parallelism=parallelism, traces_dir=str(tmp_path / "full"))
@@ -342,54 +340,80 @@ class TestTraceWriter:
         cfg.traces_dir = str(tmp_path / "interrupted")
         with pytest.raises(KeyboardInterrupt):
             run_benchmark(cfg)
-        assert multiprocessing.active_children() == []
+        assert not _writer_threads()
         written = {p.name: p.read_bytes() for p in (tmp_path / "interrupted").iterdir()}
         finished = [f"trial00_case{c}_gen{g}.json" for c in range(2) for g in range(10)]
         assert sorted(written) == sorted(finished)
         assert written == {name: (tmp_path / "full" / name).read_bytes() for name in finished}
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_the_writer_renders_the_traces(self, tmp_path, monkeypatch, parallelism):
-        # The bench's process hands finished traces over and never builds
-        # their text; the writer's files are those of an unwrapped run.
-        cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=3,
-                              trials=2, master_seed=11, parallelism=parallelism, traces_dir=str(tmp_path / "plain"))
-        run_benchmark(cfg)
-        bench_pid, text = os.getpid(), LoopTrace.text
+    def test_a_writer_error_of_any_kind_fails_the_run(self, tmp_path, monkeypatch):
+        # The writer keeps emptying its queue after a failure, so 40 traces
+        # behind a queue of 8 cannot leave the run waiting on a full queue.
+        def broken(path, data):
+            raise RuntimeError("disk on fire")
 
-        def text_outside_the_bench(trace):
-            if os.getpid() == bench_pid:
-                raise AssertionError("trace text built in the bench's process")
-            return text(trace)
-
-        monkeypatch.setattr(LoopTrace, "text", text_outside_the_bench)
-        cfg.traces_dir = str(tmp_path / "wrapped")
-        assert run_benchmark(cfg).completed == 40
-        plain = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
-        assert len(plain) == 40
-        assert {p.name: p.read_bytes() for p in (tmp_path / "wrapped").iterdir()} == plain
-
-    def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
-        from iacloop import bench
-
-        monkeypatch.setattr(bench, "_write_traces", lambda *args: os._exit(7))
+        monkeypatch.setattr(Path, "write_bytes", broken)
         cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=2,
                               trials=2, traces_dir=str(tmp_path / "traces"))
-        with pytest.raises(OSError, match="trace writer exited with code 7"):
-            run_benchmark(cfg)
-        assert multiprocessing.active_children() == []
+        raised = []
 
-    @pytest.mark.skipif(sys.version_info < (3, 12), reason="fork() warns about threads from Python 3.12")
-    def test_writer_forks_before_the_pool_starts_a_thread(self, tmp_path):
-        # CPython warns after the fork, so -W error cannot catch it; recording does.
-        assert threading.active_count() == 1
+        def run():
+            try:
+                run_benchmark(cfg)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        runner = threading.Thread(target=run, daemon=True)  # a hung run must not hold up the interpreter's exit
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert raised == ["disk on fire"]
+        assert not _writer_threads()
+        assert list((tmp_path / "traces").iterdir()) == []
+
+    def test_a_slow_disk_holds_the_cells_back(self, tmp_path, monkeypatch):
+        # While the writer is stuck on the first file, the next 8 wait in its
+        # queue and the cell after them waits to join them: no more traces
+        # pile up in memory.
+        from iacloop import bench
+
+        release = threading.Event()
+        write_bytes = Path.write_bytes
+
+        def stuck(path, data):
+            release.wait(timeout=60)
+            return write_bytes(path, data)
+
+        started = []
+        inner = bench.run_loop
+
+        def counted(case, backend, store, **settings):
+            started.append(case.id)
+            return inner(case, backend, store, **settings)
+
+        monkeypatch.setattr(Path, "write_bytes", stuck)
+        monkeypatch.setattr(bench, "run_loop", counted)
         cfg = BenchmarkConfig(cases_dir=str(self._cases(tmp_path, 2)), generations_per_case=10, iterations=2,
-                              trials=2, parallelism=4, traces_dir=str(tmp_path / "traces"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run_benchmark(cfg).completed == 40
-        assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+                              trials=2, traces_dir=str(tmp_path / "traces"))
+        result = []
+        runner = threading.Thread(target=lambda: result.append(run_benchmark(cfg)), daemon=True)
+        runner.start()
+        try:
+            deadline = time.monotonic() + 30
+            while len(started) < 10 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            assert len(started) == 1 + bench._QUEUED_FILES + 1
+        finally:
+            release.set()
+            runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert result[0].completed == 40
         assert len(list((tmp_path / "traces").iterdir())) == 40
+
+
+def _writer_threads():
+    return [t for t in threading.enumerate() if t.name == "iacloop-trace-writer"]
 
 
 def _naive_mean_std(values):

@@ -943,9 +943,11 @@ class TestSharedParser:
         assert _fresh("import iacloop.cli as c\nprint(c._build_parser.cache_info().currsize)") == "0"
 
     def test_import_loads_no_http_client_or_process_pool(self):
-        # Offline commands never pay for these; only a live run or a traced
-        # bench imports them. bench imports gateway and loop, which hold the
-        # lazy imports, so the probe reaches every module of the package.
+        # Offline commands never pay for these; only a live run imports an
+        # HTTP client, and no command imports multiprocessing (a traced
+        # bench writes its traces from a thread of its own process). bench
+        # imports gateway and loop, which hold the lazy imports, so the probe
+        # reaches every module of the package.
         heavy = {"requests", "urllib.request", "http.client", "ssl", "multiprocessing"}
         loaded = _modules_after("import iacloop.cli, iacloop.bench")
         assert {"iacloop.gateway", "iacloop.loop"} <= loaded
@@ -986,6 +988,26 @@ class TestImportStructure:
         loaded = _modules_after("import iacloop.bench")
         assert "iacloop.bench" in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_traced_bench_starts_no_process(self, tmp_path, parallelism):
+        # A thread of the bench's own process writes each trace: nothing
+        # forks, and neither the writer nor the cell pool loads a process
+        # module.
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "vpc.txt").write_text("Create a VPC")
+        argv = ["bench", "--cases", str(cases), "--trials", "2", "--generations", "2", "--iterations", "2",
+                "--parallel", str(parallelism), "--traces-dir", str(tmp_path / "traces"),
+                "--out", str(tmp_path / "results.json")]
+        loaded = _modules_after("import os\n"
+                                "forks = []\n"
+                                "os.register_at_fork(before=lambda: forks.append(1))\n"
+                                "from iacloop import cli\n"
+                                f"assert cli.dispatch({argv!r}) == 0\n"
+                                "assert forks == []")
+        assert {"multiprocessing", "subprocess", "_posixsubprocess"} & loaded == set()
+        assert len(list((tmp_path / "traces").iterdir())) == 4
 
 
 def _fresh(code: str) -> str:
