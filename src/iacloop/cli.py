@@ -173,10 +173,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         report = lint_template(document, store, strict_unknown_types=args.strict_types)
         diagnostics, errors = report.diagnostics, report.error_count
     if args.format == "json":
-        print(_json_rows([
-            (code, message, "error" if code[0] == "E" else "warning", line, column, byte_offset, pointer)
-            for code, message, (line, column, byte_offset), pointer in diagnostics
-        ]))
+        print(_json_rows([(d.code, d.message, d.severity, *d.span, d.pointer) for d in diagnostics]))
     elif diagnostics:
         print("\n\n".join(format_diagnostic(d, args.file) for d in diagnostics))
     return 2 if errors else 0

@@ -400,7 +400,7 @@ _WRONG_VALUES = {
 }
 
 _BAD_ENUM_VALUE = "__invalid_enum__"
-_Site = tuple[str, ...]  # a defect site's unescaped JSON-pointer tokens, e.g. ("Parameters", "Stage")
+_Site = tuple[str, ...]  # a defect site as a path that resolve_offsets takes, e.g. ("Parameters", "Stage")
 
 
 def _eligible_pairs(template: dict, store: SchemaStore) -> list[tuple[str, _Site]]:

@@ -26,7 +26,6 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, NamedTuple, Optional
 
 from .located_json import (
@@ -34,14 +33,13 @@ from .located_json import (
     SourceSpan,
     _spans_at,
     escape_controls,
-    escape_pointer_token,
+    pointer_text,
     render_value,
     resolve_offsets,
 )
 from .schema_store import PropertySpec, SchemaStore
 
 __all__ = [
-    "Severity",
     "Diagnostic",
     "LintReport",
     "lint_template",
@@ -81,11 +79,6 @@ _CODE_RE = re.compile(r"[EW][0-9]{4}")
 _SUB_VARIABLE_RE = re.compile(r"\$\{([^!}][^}]*)\}")
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 class _DiagnosticFields(NamedTuple):
     code: str
     message: str
@@ -111,8 +104,9 @@ class Diagnostic(_DiagnosticFields):
         return super().__new__(cls, code, message, span, pointer)
 
     @property
-    def severity(self) -> Severity:
-        return Severity.ERROR if self.code[0] == "E" else Severity.WARNING
+    def severity(self) -> str:
+        """``"error"`` for an E-code, ``"warning"`` for a W-code."""
+        return "error" if self.code[0] == "E" else "warning"
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ class LintReport:
 
     @property
     def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.code[0] == "E")
+        return sum(1 for d in self.diagnostics if d.severity == "error")
 
     @property
     def warning_count(self) -> int:
@@ -211,16 +205,16 @@ class _Linter:
         self.root = root
         self.store = store
         self.strict = strict_unknown_types
-        self.findings: list[tuple[str, str, str]] = []  # (code, message, pointer)
+        self.findings: list[tuple[str, str, tuple[str, ...]]] = []  # (code, message, path)
 
-    def emit(self, code: str, message: str, pointer: str) -> None:
-        self.findings.append((code, message, pointer))
+    def emit(self, code: str, message: str, path: tuple[str, ...]) -> None:
+        self.findings.append((code, message, path))
 
     def run(self) -> dict:
         """Apply the whole-template rules; returns the resource blocks, {}
         when there are none to check.  The caller checks each block."""
         if not isinstance(self.root, dict):
-            self.emit("E0001", "Template root is not of type 'object'", "")
+            self.emit("E0001", "Template root is not of type 'object'", ())
             return {}
         self.check_sections()
         self.check_format_version()
@@ -231,11 +225,7 @@ class _Linter:
     def check_sections(self) -> None:
         for key in self.root:
             if key not in TOP_LEVEL_SECTIONS:
-                self.emit(
-                    "E1001",
-                    f"Unknown top-level section '{escape_controls(key)}'",
-                    "/" + escape_pointer_token(key),
-                )
+                self.emit("E1001", f"Unknown top-level section '{escape_controls(key)}'", (key,))
 
     def check_format_version(self) -> None:
         version = self.root.get("AWSTemplateFormatVersion", EXPECTED_FORMAT_VERSION)
@@ -243,30 +233,30 @@ class _Linter:
             self.emit(
                 "W1020",
                 f"{render_value(version)} is not a valid AWSTemplateFormatVersion",
-                "/AWSTemplateFormatVersion",
+                ("AWSTemplateFormatVersion",),
             )
 
     def check_resources(self) -> dict:
         if "Resources" not in self.root:
-            self.emit("E1002", "Template is missing a 'Resources' section", "")
+            self.emit("E1002", "Template is missing a 'Resources' section", ())
             return {}
         resources = self.root["Resources"]
         if not isinstance(resources, dict) or not resources:
-            self.emit("E1002", "'Resources' section must be a non-empty object", "/Resources")
+            self.emit("E1002", "'Resources' section must be a non-empty object", ("Resources",))
             return {}
         return resources
 
     def check_resource(self, logical_id: str, entry: Any) -> None:
-        pointer = "/Resources/" + escape_pointer_token(logical_id)
+        path = ("Resources", logical_id)
         if not isinstance(entry, dict):
-            self.emit("E3012", f"{render_value(entry)} is not of type 'object'", pointer)
+            self.emit("E3012", f"{render_value(entry)} is not of type 'object'", path)
             return
         if "Type" not in entry:
-            self.emit("E3001", f"Resource '{escape_controls(logical_id)}' is missing required key 'Type'", pointer)
+            self.emit("E3001", f"Resource '{escape_controls(logical_id)}' is missing required key 'Type'", path)
             return
         type_name = entry["Type"]
         if not isinstance(type_name, str):
-            self.emit("E3012", f"{render_value(type_name)} is not of type 'string'", pointer + "/Type")
+            self.emit("E3012", f"{render_value(type_name)} is not of type 'string'", (*path, "Type"))
             return
         schema = self.store.lookup(type_name)
         if schema is None:
@@ -274,45 +264,45 @@ class _Linter:
                 self.emit(
                     "E3002",
                     f"Resource type '{escape_controls(type_name)}' is not recognized",
-                    pointer + "/Type",
+                    (*path, "Type"),
                 )
             return
-        self.check_resource_properties(schema, entry, pointer)
+        self.check_resource_properties(schema, entry, path)
 
-    def check_resource_properties(self, schema, entry: dict, pointer: str) -> None:
+    def check_resource_properties(self, schema, entry: dict, path: tuple[str, ...]) -> None:
         present = entry.get("Properties", {})
-        anchor_pointer = pointer + "/Properties" if "Properties" in entry else pointer
+        anchor = (*path, "Properties") if "Properties" in entry else path
         if not isinstance(present, dict):
-            self.emit("E3012", f"{render_value(present)} is not of type 'object'", anchor_pointer)
-            present, anchor_pointer = {}, pointer
+            self.emit("E3012", f"{render_value(present)} is not of type 'object'", anchor)
+            present, anchor = {}, path
         for name in schema.required_names:
             if name not in present:
-                self.emit("E3003", f"Required property '{escape_controls(name)}' is missing", anchor_pointer)
+                self.emit("E3003", f"Required property '{escape_controls(name)}' is missing", anchor)
         for name, value in present.items():
             spec = schema.properties.get(name)
             if spec is not None:
-                self.check_value(spec, value, anchor_pointer, name)
+                self.check_value(spec, value, anchor, name)
 
-    def check_value(self, spec: PropertySpec, value: Any, parent: str, name: str) -> None:
-        """Check property ``name``'s value; its pointer, ``parent`` and the
-        escaped name, is built only for a finding."""
+    def check_value(self, spec: PropertySpec, value: Any, parent: tuple[str, ...], name: str) -> None:
+        """Check property ``name``'s value; its path, ``parent`` and the
+        name, is built only for a finding."""
         if type(value) not in _SATISFYING_TYPES[spec.primitive]:
             finding = _type_finding(spec.primitive, value)
             if finding is not None:
-                self.emit(*finding, parent + "/" + escape_pointer_token(name))
+                self.emit(*finding, (*parent, name))
                 return
         if spec.enum_values is not None and isinstance(value, str):  # not an intrinsic
             if value not in spec.enum_values:
                 self.emit(
                     "E3030",
                     f"{render_value(value)} is not one of {render_value(list(spec.enum_values))}",
-                    parent + "/" + escape_pointer_token(name),
+                    (*parent, name),
                 )
         elif spec.item_primitive is not None and isinstance(value, list):
             for i, item in enumerate(value):
                 finding = _type_finding(spec.item_primitive, item)
                 if finding is not None:
-                    self.emit(*finding, f"{parent}/{escape_pointer_token(name)}/{i}")
+                    self.emit(*finding, (*parent, name, str(i)))
 
     def check_unused_parameters(self) -> None:
         parameters = self.root.get("Parameters")
@@ -321,11 +311,7 @@ class _Linter:
         referenced = _referenced_names(self.root)
         for name in parameters:
             if name not in referenced:
-                self.emit(
-                    "W2001",
-                    f"Parameter '{escape_controls(name)}' is never used",
-                    "/Parameters/" + escape_pointer_token(name),
-                )
+                self.emit("W2001", f"Parameter '{escape_controls(name)}' is never used", ("Parameters", name))
 
 
 # A paper-scale bench holds 357-371 distinct blocks (seeds 0-3): 512 evicts none.
@@ -334,13 +320,12 @@ def _block_rows(store: SchemaStore, strict: bool, logical_id: str, source: str) 
     """A resource block's findings as rows (offset in ``source``, code,
     message, pointer), checked once per distinct (store, strictness,
     logical id, source text) in the process.  The block is decoded from its
-    own source, and each finding is located in it by its pointer without
-    the block's prefix."""
+    own source, and each finding is located in it by its path without the
+    block's ``("Resources", logical_id)``."""
     block = _Linter(None, store, strict)
     block.check_resource(logical_id, json.loads(source))
-    cut = len("/Resources/" + escape_pointer_token(logical_id))
-    found = resolve_offsets(source, {pointer[cut:] for *_, pointer in block.findings})
-    return tuple((found[pointer[cut:]][0], code, message, pointer) for code, message, pointer in block.findings)
+    found = resolve_offsets(source, {path[2:] for *_, path in block.findings})
+    return tuple((found[path[2:]][0], code, message, pointer_text(path)) for code, message, path in block.findings)
 
 
 def lint_template(
@@ -353,8 +338,9 @@ def lint_template(
     """Apply the full rule registry to a parsed template.
 
     The rules read the plain value; each finding is then located by the
-    character offset at which its pointer's value starts, found in one walk
-    over the text, and all offsets become spans in one pass.  With
+    character offset at which its path's value starts, found in one walk
+    over the text, and all offsets become spans in one pass; a finding's
+    pointer text is written from its path once.  With
     ``strict_unknown_types`` a resource type the store does not hold is an
     error (E3002).  With ``by_block``, the same walk gives each resource
     block's start and end, and each block is checked through a process-wide
@@ -367,18 +353,16 @@ def lint_template(
     """
     linter = _Linter(document.value, store, strict_unknown_types)
     resources = linter.run()
-    blocks: dict[str, str] = {}  # pointer -> logical id of each block checked through the cache
-    if by_block:
-        blocks = {"/Resources/" + escape_pointer_token(logical_id): logical_id for logical_id in resources}
-    else:
+    if not by_block:
         for logical_id, entry in resources.items():
             linter.check_resource(logical_id, entry)
+    blocks = [("Resources", logical_id) for logical_id in resources] if by_block else []  # checked through the cache
     text = document.text
-    found = resolve_offsets(text, {pointer for *_, pointer in linter.findings}.union(blocks))
-    findings = [(found[pointer][0], code, message, pointer) for code, message, pointer in linter.findings]
-    for prefix, logical_id in blocks.items():
-        start, end = found[prefix]
-        rows = _block_rows(store, strict_unknown_types, logical_id, text[start:end])
+    found = resolve_offsets(text, {path for *_, path in linter.findings}.union(blocks))
+    findings = [(found[path][0], code, message, pointer_text(path)) for code, message, path in linter.findings]
+    for path in blocks:
+        start, end = found[path]
+        rows = _block_rows(store, strict_unknown_types, path[1], text[start:end])
         findings.extend((start + offset, *row) for offset, *row in rows)
     findings.sort(key=lambda finding: finding[:2])  # stable: emission order breaks ties
     spans = _spans_at(text, [offset for offset, *_ in findings])

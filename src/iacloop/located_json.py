@@ -9,9 +9,10 @@ instead of silently keeping the last value, which keeps lint results
 deterministic, and at most ``MAX_NESTING_DEPTH`` containers may be open at once.
 
 Positions are computed only where they are asked for: ``resolve_offsets`` maps
-a batch of JSON pointers to the character offsets at which their values start
-and end, in one walk over the text, and ``_spans_at`` turns ascending offsets
-into spans in one pass; ``resolve_spans`` does both.  Lines and columns are
+a batch of paths, each a tuple of a value's unescaped JSON-pointer tokens from
+the root, to the character offsets at which their values start and end, in one
+walk over the text, and ``_spans_at`` turns ascending offsets into spans in one
+pass; ``resolve_spans`` does both.  Lines and columns are
 1-based.  Columns count characters, byte offsets count UTF-8 bytes, so
 multi-byte text still yields human-meaningful positions.
 """
@@ -32,15 +33,15 @@ __all__ = [
     "JsonDocument",
     "JsonSyntaxError",
     "DuplicateKeyError",
-    "MalformedPointerError",
     "MAX_NESTING_DEPTH",
     "parse_located",
     "render_value",
     "escape_pointer_token",
 ]
-# ``resolve_offsets`` runs inside ``linter.lint_template`` and is left out of
-# ``__all__`` so that per-layer traces count its time there; so is
-# ``escape_controls``, whose time counts in the messages that quote a name.
+# ``resolve_offsets`` and ``pointer_text`` run inside ``linter.lint_template``
+# and are left out of ``__all__`` so that per-layer traces count their time
+# there; so is ``escape_controls``, whose time counts in the messages that
+# quote a name.
 # ``resolve_spans``, which the tests use as their span oracle, is left out as
 # before.
 
@@ -87,12 +88,16 @@ class DuplicateKeyError(JsonSyntaxError):
         self.key = key
 
 
-class MalformedPointerError(ValueError):
-    """JSON pointer text does not follow RFC 6901 syntax."""
-
-
 def escape_pointer_token(token: str) -> str:
     return token.replace("~", "~0").replace("/", "~1")
+
+
+def pointer_text(path: tuple[str, ...]) -> str:
+    """The RFC 6901 text of a path of unescaped tokens; ``()`` is ``""``."""
+    text = "/".join(path)
+    if "~" in text or text.count("/") >= len(path):  # a token holds "~" or "/", or the path is ()
+        return "".join("/" + escape_pointer_token(token) for token in path)
+    return "/" + text
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +244,6 @@ def _spans_at(text: str, offsets: list[int]) -> list[SourceSpan]:
     return spans
 
 
-def _parse_pointer(pointer: str) -> list[str]:
-    if pointer == "":
-        return []
-    if not pointer.startswith("/"):
-        raise MalformedPointerError(f"pointer must start with '/': {pointer!r}")
-    tokens = pointer.split("/")[1:]
-    if "~" not in pointer:
-        return tokens
-    if re.search(r"~(?![01])", pointer):
-        raise MalformedPointerError(f"invalid '~' escape in pointer: {pointer!r}")
-    return [raw.replace("~1", "/").replace("~0", "~") for raw in tokens]
-
-
 def _skip_ws(text: str, pos: int) -> int:
     return _WS_RE.match(text, pos).end()
 
@@ -263,8 +255,8 @@ def _skip_ws(text: str, pos: int) -> int:
 # the text is valid JSON: none follows an opener and one follows each value
 # that is not the last.
 _NEXT_RE = re.compile(r'[ \t\n\r]*(?:([}\]])|,?[ \t\n\r]*(?:"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*)?)')
-# The key under which a trie node records the pointer whose value is there;
-# pointer tokens are strings, so it never collides with one.
+# The key under which a trie node records the path whose value is there;
+# path tokens are strings, so it never collides with one.
 _HERE = None
 
 
@@ -272,7 +264,7 @@ def _locate(text: str, pos: int, wanted: dict, found: dict) -> int:
     """Record ``(start, end)`` of each wanted member of the value at ``pos``
     in ``found``, and return the offset just past the value.
 
-    ``wanted`` is a trie node with at least one pointer token below it.  The
+    ``wanted`` is a trie node with at least one path token below it.  The
     walk descends only into a member with wanted members of its own; every
     other value is skipped with the C scanner, and that skip gives a wanted
     leaf's end.
@@ -306,16 +298,17 @@ def _locate(text: str, pos: int, wanted: dict, found: dict) -> int:
         pos = end
 
 
-def resolve_offsets(text: str, pointers: Iterable[str]) -> dict[str, tuple[int, int]]:
-    """Map each RFC 6901 pointer in ``pointers`` that names a value in valid
-    JSON ``text`` to the character offsets ``(start, end)`` of that value,
-    found in one walk.  A pointer that names no value is absent."""
+def resolve_offsets(text: str, paths: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], tuple[int, int]]:
+    """Map each path in ``paths`` that names a value in valid JSON ``text``
+    to the character offsets ``(start, end)`` of that value, found in one
+    walk.  A path is a tuple of unescaped pointer tokens, a list index as
+    ``str(i)``, the root as ``()``; a path that names no value is absent."""
     trie: dict = {}
-    for pointer in pointers:
+    for path in paths:
         node = trie
-        for token in _parse_pointer(pointer):
+        for token in path:
             node = node.setdefault(token, {})
-        node[_HERE] = pointer
+        node[_HERE] = path
     found = {}
     pos = _skip_ws(text, 0)
     root = trie.pop(_HERE, None)
@@ -326,17 +319,18 @@ def resolve_offsets(text: str, pointers: Iterable[str]) -> dict[str, tuple[int, 
     return found
 
 
-def resolve_spans(text: str, pointers: Iterable[str]) -> dict[str, Optional[SourceSpan]]:
-    """Spans of the values that RFC 6901 ``pointers`` name in valid JSON ``text``.
+def resolve_spans(text: str, paths: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], Optional[SourceSpan]]:
+    """Spans of the values that ``paths`` (as ``resolve_offsets`` takes
+    them) name in valid JSON ``text``.
 
-    One walk over the text serves the whole batch.  A pointer that names no
+    One walk over the text serves the whole batch.  A path that names no
     value (missing key, index out of range or not canonical, step into a
     scalar) maps to None.
     """
-    pointers = list(pointers)
-    located = sorted(resolve_offsets(text, pointers).items(), key=lambda item: item[1])
+    paths = list(paths)
+    located = sorted(resolve_offsets(text, paths).items(), key=lambda item: item[1])
     spans = dict(zip((p for p, _ in located), _spans_at(text, [start for _, (start, _) in located])))
-    return {pointer: spans.get(pointer) for pointer in pointers}
+    return {path: spans.get(path) for path in paths}
 
 
 _CONTROL = re.compile("[\x00-\x1f\x7f\ud800-\udfff]")

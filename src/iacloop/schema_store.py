@@ -104,9 +104,8 @@ class SchemaStore:
 
 @dataclass
 class SchemaLoadReport:
-    """What a directory load produced: stored types, per-file errors, keyword warnings."""
+    """What a directory load produced: per-file errors and keyword warnings."""
 
-    loaded: list[str] = field(default_factory=list)
     errors: list[SchemaFormatError] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -195,7 +194,6 @@ def load_schema_dir(path: str | Path) -> tuple[SchemaStore, SchemaLoadReport]:
             report.errors.append(SchemaFormatError(file.name, f"duplicate schema for {schema.type_name}"))
             continue
         schemas[schema.type_name] = schema
-        report.loaded.append(schema.type_name)
     return SchemaStore(schemas=schemas), report
 
 

@@ -139,12 +139,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _escape(token: str) -> str:
-    return token.replace("~", "~0").replace("/", "~1")
+JsonPath = tuple[str, ...]  # a value's unescaped JSON-pointer tokens from the root; an index as str(i)
 
 
-def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
-    """Map json-pointer -> (line, column, byte_offset) of each value start.
+def pointer_of(path: JsonPath) -> str:
+    """The RFC 6901 text of ``path``, each token escaped on its own."""
+    return "".join("/" + token.replace("~", "~0").replace("/", "~1") for token in path)
+
+
+def oracle_spans(text: str) -> dict[JsonPath, tuple[int, int, int]]:
+    """Map path -> (line, column, byte_offset) of each value start.
 
     Assumes the text is valid JSON (validate with json.loads first).
     """
@@ -166,13 +170,13 @@ def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
         byte_offset = len(prefix.encode("utf-8"))
         return line, column, byte_offset
 
-    spans: dict[str, tuple[int, int, int]] = {}
+    spans: dict[JsonPath, tuple[int, int, int]] = {}
     cursor = 0
 
-    def parse_value(pointer: str) -> None:
+    def parse_value(path: JsonPath) -> None:
         nonlocal cursor
         kind, start, lexeme = tokens[cursor]
-        spans[pointer] = position(start)
+        spans[path] = position(start)
         if kind in ("string", "number", "keyword"):
             cursor += 1
             return
@@ -185,7 +189,7 @@ def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
                 key_token = tokens[cursor]
                 key = json.loads(key_token[2])
                 cursor += 2  # key, colon
-                parse_value(pointer + "/" + _escape(key))
+                parse_value((*path, key))
                 if tokens[cursor][2] == ",":
                     cursor += 1
                     continue
@@ -198,7 +202,7 @@ def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
                 return
             index = 0
             while True:
-                parse_value(f"{pointer}/{index}")
+                parse_value((*path, str(index)))
                 index += 1
                 if tokens[cursor][2] == ",":
                     cursor += 1
@@ -207,19 +211,19 @@ def oracle_spans(text: str) -> dict[str, tuple[int, int, int]]:
                 return
         raise ValueError(f"oracle parse error at token {tokens[cursor]}")
 
-    parse_value("")
+    parse_value(())
     return spans
 
 
-def iter_pointers(value, pointer: str = "") -> Iterator[tuple[str, object]]:
-    """Yield (json-pointer, value) for every value in document order."""
-    yield pointer, value
+def iter_pointers(value, path: JsonPath = ()) -> Iterator[tuple[JsonPath, object]]:
+    """Yield (path, value) for every value in document order."""
+    yield path, value
     if isinstance(value, dict):
         for key, child in value.items():
-            yield from iter_pointers(child, pointer + "/" + _escape(key))
+            yield from iter_pointers(child, (*path, key))
     elif isinstance(value, list):
         for i, child in enumerate(value):
-            yield from iter_pointers(child, f"{pointer}/{i}")
+            yield from iter_pointers(child, (*path, str(i)))
 
 
 # ---------------------------------------------------------------------------

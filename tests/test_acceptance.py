@@ -70,8 +70,8 @@ class TestCriterion1PinnedMessageReproduction:
             )
 
         probe = build(1)
-        pointer = "/Resources/Instance/Properties/AvailabilityZone"
-        return build(1 + (4575 - resolve_spans(probe, [pointer])[pointer].column))
+        path = ("Resources", "Instance", "Properties", "AvailabilityZone")
+        return build(1 + (4575 - resolve_spans(probe, [path])[path].column))
 
     def test_byte_exact_error_message(self):
         started = time.monotonic()

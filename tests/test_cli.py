@@ -20,7 +20,7 @@ from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
 from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
-from helpers import save_schema_dir
+from helpers import oracle_spans, pointer_of, save_schema_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -216,7 +216,7 @@ def _expected_json_report(text: str, strict: bool = False) -> str:
     else:
         report = lint_template(document, builtin_core_schemas(), strict_unknown_types=strict)
         rows = [
-            {"code": d.code, "message": d.message, "severity": d.severity.value, "line": d.span.line,
+            {"code": d.code, "message": d.message, "severity": d.severity, "line": d.span.line,
              "column": d.span.column, "byte_offset": d.span.byte_offset, "pointer": d.pointer}
             for d in report.diagnostics
         ]
@@ -263,6 +263,37 @@ class TestLintJsonBytes:
         pointers = "".join(row["pointer"] for row in rows)
         for part in ("\u0007", "\t", "\u0001", "\n", "\u0000", "\u001f", "\ud800"):
             assert part in pointers, part
+
+    def test_escaped_pointers(self, tmp_path, capsys):
+        # Written outside the fixture directory, which the benchmark lints.
+        text = json.dumps({
+            "a/b~c": 1,
+            "Parameters": {"a/b~c": {"Type": "String"}, "p~1": {"Type": "String"}},
+            "Resources": {
+                "x/y~1": {"Type": "AWS::EC2::Instance", "Properties": {
+                    "ImageId": "ami-1", "we/ird~0": 1, "Monitoring": "yes", "SecurityGroupIds": ["sg", 5]}},
+                "s/3": {"Type": "AWS::S3::Bucket", "Properties": {"AccessControl": "Nope"}},
+                "~": {"Type": "AWS::EC2::VPC", "Properties": {"CidrBlock": 5}},
+            },
+        }, indent=2)
+        path = tmp_path / "escaped.json"
+        path.write_text(text, encoding="utf-8")
+        rows = json.loads(self._assert_bytes(capsys, path))
+        assert [(row["code"], row["pointer"]) for row in rows] == [
+            ("E1001", "/a~1b~0c"),
+            ("W2001", "/Parameters/a~1b~0c"),
+            ("W2001", "/Parameters/p~01"),
+            ("E3012", "/Resources/x~1y~01/Properties/Monitoring"),
+            ("E3012", "/Resources/x~1y~01/Properties/SecurityGroupIds/1"),
+            ("E3030", "/Resources/s~13/Properties/AccessControl"),
+            ("E3012", "/Resources/~0/Properties/CidrBlock"),
+        ]
+        spans = {pointer_of(path): span for path, span in oracle_spans(text).items()}
+        assert [spans[row["pointer"]] for row in rows] == [(row["line"], row["column"], row["byte_offset"]) for row in rows]
+        document = parse_located(text)
+        whole = lint_template(document, builtin_core_schemas())
+        assert lint_template(document, builtin_core_schemas(), by_block=True) == whole
+        assert [d.pointer for d in whole.diagnostics] == [row["pointer"] for row in rows]
 
     def test_syntax_error_row(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -9,16 +9,16 @@ from iacloop.located_json import (
     MAX_NESTING_DEPTH,
     DuplicateKeyError,
     JsonSyntaxError,
-    MalformedPointerError,
     SourceSpan,
     parse_located,
     escape_pointer_token,
+    pointer_text,
     render_value,
     resolve_offsets,
     resolve_spans,
 )
 
-from helpers import iter_pointers, oracle_spans, random_document, random_value, render_random_layout
+from helpers import iter_pointers, oracle_spans, pointer_of, random_document, random_value, render_random_layout
 
 EXAMPLE_TEMPLATE = """{"AWSTemplateFormatVersion": "2010-09-09",
 "Resources": {
@@ -33,15 +33,15 @@ EXAMPLE_TEMPLATE = """{"AWSTemplateFormatVersion": "2010-09-09",
 }"""
 
 
-def span_of(text: str, pointer: str):
-    return resolve_spans(text, [pointer])[pointer]
+def span_of(text: str, path: tuple[str, ...]):
+    return resolve_spans(text, [path])[path]
 
 
 class TestParseLocated:
     def test_empty_object(self):
         document = parse_located("{}")
         assert document.value == {}
-        assert span_of("{}", "") == SourceSpan(1, 1, 0)
+        assert span_of("{}", ()) == SourceSpan(1, 1, 0)
 
     def test_example_template_key_order(self):
         document = parse_located(EXAMPLE_TEMPLATE)
@@ -50,8 +50,8 @@ class TestParseLocated:
 
     def test_nested_value_span_matches_oracle(self):
         text = '{"a": [1, {"b": true}]}'
-        line, column, byte_offset = oracle_spans(text)["/a/1/b"]
-        assert span_of(text, "/a/1/b") == SourceSpan(line, column, byte_offset)
+        line, column, byte_offset = oracle_spans(text)[("a", "1", "b")]
+        assert span_of(text, ("a", "1", "b")) == SourceSpan(line, column, byte_offset)
 
     def test_roundtrip_equals_reference_parse(self):
         rng = random.Random(1234)
@@ -180,7 +180,7 @@ class TestParseLocated:
         text = json.loads(r'"{\"a\": \"x\ud83d\", \"b\": 5}"')
         assert "\ud83d" in text
         offset = text.index("5")
-        assert span_of(parse_located(text).text, "/b") == SourceSpan(1, offset + 1, offset + 2)
+        assert span_of(parse_located(text).text, ("b",)) == SourceSpan(1, offset + 1, offset + 2)
         with pytest.raises(DuplicateKeyError):
             parse_located(text[:-1] + ", \"b\": 6}")
         deep = "[" * (MAX_NESTING_DEPTH + 1) + '"\ud83d"' + "]" * (MAX_NESTING_DEPTH + 1)
@@ -214,11 +214,11 @@ class TestParseLocated:
     def test_number_text_preserved(self):
         text = '{"n": 1.50e1}'
         assert parse_located(text).value["n"] == 15.0
-        assert text[span_of(text, "/n").byte_offset :].startswith("1.50e1")
+        assert text[span_of(text, ("n",)).byte_offset :].startswith("1.50e1")
 
     def test_multibyte_columns_count_characters(self):
         # Two 3-byte characters before the value: byte and char positions split.
-        span = span_of('{"猫犬": 1}', "/猫犬")
+        span = span_of('{"猫犬": 1}', ("猫犬",))
         assert span.column == 8
         assert span.byte_offset == 11
 
@@ -305,12 +305,12 @@ class TestSpanSoundness:
         for _ in range(40):
             text = random_document(rng)
             pointers = [p for p, _ in iter_pointers(json.loads(text))]
-            pointers += [p + "/missing" for p in pointers[::3]]
+            pointers += [(*p, "missing") for p in pointers[::3]]
             batch = resolve_spans(text, rng.sample(pointers, len(pointers)))
             assert batch == {p: span_of(text, p) for p in pointers}
 
 
-# Resource ids that are non-ASCII, hold "~" and "/" (escaped in pointers) or
+# Resource ids that are non-ASCII, hold "~" and "/" (escaped in pointer text) or
 # are written with \u escapes, and blocks of every JSON type with odd spacing.
 _AWKWARD_BLOCKS = r"""{"Description": "caf\u00e9 猫", "Resources": {
   "Café": {"Type": "AWS::EC2::Instance", "Properties": {"ImageId": 7}},
@@ -363,8 +363,8 @@ class TestValueEnds:
         rng = random.Random(11)
         for text in templates:
             values = dict(iter_pointers(json.loads(text)))
-            blocks = {p: v for p, v in values.items() if p.count("/") == 2 and p.startswith("/Resources/")}
-            absent = ["/Resources/missing", "/Resources/0", "/Outputs/missing/x"]
+            blocks = {p: v for p, v in values.items() if len(p) == 2 and p[0] == "Resources"}
+            absent = [("Resources", "missing"), ("Resources", "0"), ("Outputs", "missing", "x")]
             self._assert_offsets_decode(text, blocks, absent, rng)
             self._assert_offsets_decode(text, values, absent, rng)
 
@@ -374,7 +374,7 @@ class TestValueEnds:
             document = random_document(rng)
             for text in (document, " \r\n\t" + document.strip(" \t\n\r") + "\n\t\r "):
                 values = dict(iter_pointers(json.loads(text)))
-                absent = [p + "/missing" for p in list(values)[::3]]
+                absent = [(*p, "missing") for p in list(values)[::3]]
                 self._assert_offsets_decode(text, values, absent, rng)
 
 
@@ -416,13 +416,13 @@ class TestWalkAgainstOracle:
         value = json.loads(text)
         expected = oracle_spans(text)
         absent = []
-        for pointer, child in iter_pointers(value):
+        for path, child in iter_pointers(value):
             if isinstance(child, dict):
-                absent += [pointer + "/missing", pointer + "/0"]
+                absent += [(*path, "missing"), (*path, "0")]
             elif isinstance(child, list):
-                absent += [f"{pointer}/{len(child)}", pointer + "/-", pointer + "/00", pointer + "/x"]
+                absent += [(*path, str(len(child))), (*path, "-"), (*path, "00"), (*path, "x")]
             else:
-                absent += [pointer + "/0", pointer + "/a"]  # a step into a scalar
+                absent += [(*path, "0"), (*path, "a")]  # a step into a scalar
         assert not set(absent) & set(expected)
         assert set(resolve_offsets(text, absent + list(expected))) == set(expected)
         assert resolve_offsets(text, absent) == {}
@@ -431,37 +431,53 @@ class TestWalkAgainstOracle:
     def test_ends_of_values(self, text):
         values = dict(iter_pointers(json.loads(text)))
         assert list(values) == list(oracle_spans(text))
-        TestValueEnds._assert_offsets_decode(text, values, [p + "/missing" for p in values], random.Random(text))
+        TestValueEnds._assert_offsets_decode(text, values, [(*p, "missing") for p in values], random.Random(text))
 
 
 class TestNodeAt:
-    """Single-pointer lookups through resolve_spans."""
+    """Single-path lookups through resolve_spans."""
 
     def test_empty_pointer_is_root(self):
-        assert span_of("{}", "") == SourceSpan(1, 1, 0)
-        assert span_of("\n  []", "") == SourceSpan(2, 3, 3)
+        assert span_of("{}", ()) == SourceSpan(1, 1, 0)
+        assert span_of("\n  []", ()) == SourceSpan(2, 3, 3)
 
     def test_example_template_type_lookup(self):
-        span = span_of(EXAMPLE_TEMPLATE, "/Resources/MyEC2Instance/Type")
+        span = span_of(EXAMPLE_TEMPLATE, ("Resources", "MyEC2Instance", "Type"))
         assert EXAMPLE_TEMPLATE[span.byte_offset :].startswith('"AWS::EC2::Instance"')
         assert (span.line, span.column) == (4, 13)
 
     def test_array_index(self):
-        assert span_of('{"a":[10,20]}', "/a/1") == SourceSpan(1, 10, 9)
+        assert span_of('{"a":[10,20]}', ("a", "1")) == SourceSpan(1, 10, 9)
 
     def test_missing_steps_absent(self):
         text = '{"a":[10,20]}'
-        assert resolve_spans(text, ["/b", "/a/2", "/a/-", "/a/01", "/a/0/x"]) == {
-            "/b": None, "/a/2": None, "/a/-": None, "/a/01": None, "/a/0/x": None,
-        }
+        absent = [("b",), ("a", "2"), ("a", "-"), ("a", "01"), ("a", "0", "x")]
+        assert resolve_spans(text, absent) == dict.fromkeys(absent)
 
     def test_escaped_tokens(self):
-        assert span_of('{"a/b": {"c~d": 5}}', "/a~1b/c~0d") == SourceSpan(1, 17, 16)
+        # Tokens are unescaped: "~1" names a key that holds "~1", not "/".
+        text = '{"a/b": {"c~d": 5}, "~1": 6, "/": 7}'
+        assert span_of(text, ("a/b", "c~d")) == SourceSpan(1, 17, 16)
+        assert span_of(text, ("~1",)) == SourceSpan(1, 27, 26)
+        assert span_of(text, ("/",)) == SourceSpan(1, 35, 34)
 
-    def test_malformed_pointers(self):
-        for pointer in ["a", "/~2", "/~", "x/y"]:
-            with pytest.raises(MalformedPointerError):
-                resolve_spans("{}", [pointer])
+
+class TestPointerText:
+    def test_examples(self):
+        assert pointer_text(()) == ""
+        assert pointer_text(("",)) == "/"
+        assert pointer_text(("", "")) == "//"
+        assert pointer_text(("a", "")) == "/a/"
+        assert pointer_text(("Resources", "x/y~1", "Properties", "Monitoring")) == "/Resources/x~1y~01/Properties/Monitoring"
+        assert pointer_text(("Parameters", "a/b~c")) == "/Parameters/a~1b~0c"
+        assert pointer_text(("a", "0")) == "/a/0"
+
+    def test_matches_escaping_each_token(self):
+        rng = random.Random(13)
+        alphabet = ["a", "b", "~", "/", "0", "1", "", "猫"]
+        for _ in range(2000):
+            path = tuple("".join(rng.choices(alphabet, k=rng.randint(0, 4))) for _ in range(rng.randint(0, 5)))
+            assert pointer_text(path) == pointer_of(path) == "".join("/" + escape_pointer_token(t) for t in path), path
 
 
 class TestRenderFragment:

@@ -38,7 +38,7 @@ class TestLoadSchemaDir:
         assert schema.properties["InstanceType"].primitive == "string"
         assert schema.properties["ImageId"].required
         assert not schema.properties["InstanceType"].required
-        assert report.loaded == ["AWS::EC2::Instance"]
+        assert list(store.schemas) == ["AWS::EC2::Instance"]
 
     def test_invalid_primitive_reported_and_skipped(self, tmp_path):
         doc = {"typeName": "AWS::X::Y", "properties": {"P": {"type": "strng"}}, "required": []}
@@ -66,7 +66,7 @@ class TestLoadSchemaDir:
         store, report = load_schema_dir(tmp_path)
         assert [err.source for err in report.errors] == ["bad.json"]
         assert "unreadable schema document" in report.errors[0].detail
-        assert report.loaded == ["AWS::EC2::Instance"]
+        assert list(store.schemas) == ["AWS::EC2::Instance"]
 
     def test_unsupported_keywords_warn(self, tmp_path):
         doc = dict(EC2_DOC)
