@@ -24,7 +24,6 @@ from .schema_store import load_store
 from .settings import BenchmarkConfig, GenerationConfig
 
 __all__ = [
-    "TrialResult",
     "CellFailure",
     "BenchmarkResult",
     "AggregateStats",
@@ -52,12 +51,6 @@ class LengthMismatch(ValueError):
 
 
 @dataclass
-class TrialResult:
-    trial_index: int
-    per_iteration_totals: list[tuple[int, int]]
-
-
-@dataclass
 class CellFailure:
     trial_index: int
     case_id: str
@@ -69,7 +62,7 @@ class CellFailure:
 @dataclass
 class BenchmarkResult:
     config: BenchmarkConfig
-    trials: list[TrialResult]
+    trials: list[list[tuple[int, int]]]  # per trial, (errors, warnings) totals per iteration
     completed: int  # cells that ran to the end; their counts make the totals
     failures: list[CellFailure] = field(default_factory=list)
 
@@ -169,9 +162,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         )
 
     failures: list[CellFailure] = []
-    totals = [
-        [(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)
-    ]
+    totals = [[(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)]
     with _trace_writer(traces) as write:
         pool = None
         if cfg.parallelism > 1:
@@ -193,11 +184,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             if pool:  # on an exception, cells not yet started never start
                 pool.shutdown(cancel_futures=True)
 
-    trial_results = [
-        TrialResult(trial_index=t, per_iteration_totals=totals[t]) for t in range(cfg.trials)
-    ]
     return BenchmarkResult(
-        config=cfg, trials=trial_results, completed=len(cells) - len(failures), failures=failures
+        config=cfg, trials=totals, completed=len(cells) - len(failures), failures=failures
     )
 
 
@@ -251,18 +239,18 @@ def _trace_writer(directory: Optional[Path]) -> Iterator[Optional[Callable[[str,
 _QUEUED_FILES = 8  # about 150 KB of trace text
 
 
-def aggregate(trials: list[TrialResult]) -> AggregateStats:
-    """Per-iteration mean and sample std of the trial totals."""
+def aggregate(trials: list[list[tuple[int, int]]]) -> AggregateStats:
+    """Per-iteration mean and sample std of the trials' (errors, warnings) totals."""
     if len(trials) < 2:
         raise ValueError("aggregate requires at least 2 trials")
-    length = len(trials[0].per_iteration_totals)
-    if any(len(t.per_iteration_totals) != length for t in trials):
+    length = len(trials[0])
+    if any(len(t) != length for t in trials):
         raise LengthMismatch("trials have unequal iteration counts")
     n = len(trials)
     stats = AggregateStats([], [], [], [])
     for i in range(length):
-        errors = [t.per_iteration_totals[i][0] for t in trials]
-        warnings = [t.per_iteration_totals[i][1] for t in trials]
+        errors = [t[i][0] for t in trials]
+        warnings = [t[i][1] for t in trials]
         for values, means, stds in (
             (errors, stats.mean_errors, stats.std_errors),
             (warnings, stats.mean_warnings, stats.std_warnings),
@@ -397,7 +385,7 @@ def results_to_dict(
 ) -> dict:
     return {
         "config": result.config.to_dict(),
-        "trials": [vars(t) for t in result.trials],
+        "trials": [{"trial_index": t, "per_iteration_totals": row} for t, row in enumerate(result.trials)],
         "stats": vars(stats) if stats is not None else None,
         "plateau_index": plateau_index,
         "failures": [vars(f) for f in result.failures],

@@ -123,9 +123,6 @@ class LintReport:
     def warning_count(self) -> int:
         return len(self.diagnostics) - self.error_count
 
-    def __len__(self) -> int:
-        return len(self.diagnostics)
-
 
 def format_diagnostic(diagnostic: Diagnostic, file_path: str) -> str:
     """Two-line rendering: code + message, then the file:line:column location."""

@@ -87,15 +87,19 @@ class BenchmarkCase:
             raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(kw_only=True)
+# Frozen: a repeated reply's turn holds the record object of the turn before.
+@dataclass(frozen=True, kw_only=True)
 class IterationRecord:
-    index: int
     error_count: int
     warning_count: int
     extraction_failed: bool = False
     template_text: str
     # Exactly the diagnostics text the next turn feeds back ("" when clean).
     diagnostics_rendered: str
+
+
+# What a failed extraction carries forward when no record precedes it.
+_NO_RECORD = IterationRecord(error_count=0, warning_count=0, template_text="", diagnostics_rendered="")
 
 
 @dataclass
@@ -108,11 +112,16 @@ class LoopTrace:
         return [(r.error_count, r.warning_count) for r in self.records]
 
     def to_dict(self) -> dict:
-        return {**vars(self), "records": [vars(r) for r in self.records]}
+        """The trace as JSON data; each record's ``"index"`` is its position."""
+        return {**vars(self), "records": [{"index": i, **vars(r)} for i, r in enumerate(self.records)]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoopTrace":
-        records = [IterationRecord(**r) for r in data["records"]]
+        """Raises ValueError unless the records' indexes count from 0."""
+        rows = data["records"]
+        if [r["index"] for r in rows] != list(range(len(rows))):
+            raise ValueError("record indexes must count from 0")
+        records = [IterationRecord(**{k: v for k, v in r.items() if k != "index"}) for r in rows]
         return cls(**{**data, "records": records})
 
     def text(self) -> str:
@@ -134,14 +143,14 @@ class LoopTrace:
 
         items = ",\n".join(
             "    {\n"
-            f'      "index": {r.index},\n'
+            f'      "index": {i},\n'
             f'      "error_count": {r.error_count},\n'
             f'      "warning_count": {r.warning_count},\n'
             f'      "extraction_failed": {"true" if r.extraction_failed else "false"},\n'
             f'      "template_text": {quote(r.template_text)},\n'
             f'      "diagnostics_rendered": {quote(r.diagnostics_rendered)}\n'
             "    }"
-            for r in self.records
+            for i, r in enumerate(self.records)
         )
         records = f"[\n{items}\n  ]" if items else "[]"
         return (
@@ -225,34 +234,24 @@ def run_loop(
         except (TransportError, ScriptExhausted) as exc:
             raise BackendFailure(f"backend failed at iteration {index}: {exc}", trace) from exc
 
-        # A repeated reply repeats the previous record: extract, lint and
-        # render are pure functions of the reply, and a failed extraction
-        # carries forward that record's counts and rendering, its own.
+        # A repeated reply's turn holds the previous record itself: extract,
+        # lint and render are pure functions of the reply, and a failed
+        # extraction carries forward that record's counts and rendering, its own.
         if raw == last_raw:
-            trace.records.append(replace(trace.records[-1], index=index))
+            trace.records.append(trace.records[-1])
             continue
         last_raw = raw
 
         try:
             document = extract_template(raw)
         except NoTemplateFound:
-            prev = trace.records[-1] if trace.records else None
-            trace.records.append(
-                IterationRecord(
-                    index=index,
-                    template_text=raw,
-                    error_count=prev.error_count if prev else 0,
-                    warning_count=prev.warning_count if prev else 0,
-                    diagnostics_rendered=prev.diagnostics_rendered if prev else "",
-                    extraction_failed=True,
-                )
-            )
+            previous = trace.records[-1] if trace.records else _NO_RECORD
+            trace.records.append(replace(previous, template_text=raw, extraction_failed=True))
             continue
 
         report = lint_template(document, store, by_block=True)
         trace.records.append(
             IterationRecord(
-                index=index,
                 template_text=document.text,
                 error_count=report.error_count,
                 warning_count=report.warning_count,

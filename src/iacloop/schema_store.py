@@ -98,9 +98,6 @@ class SchemaStore:
         """Case-sensitive exact-match retrieval; None when absent."""
         return self.schemas.get(type_name)
 
-    def __len__(self) -> int:
-        return len(self.schemas)
-
 
 @dataclass
 class SchemaLoadReport:

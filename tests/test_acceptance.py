@@ -11,7 +11,6 @@ from pathlib import Path
 
 from iacloop.bench import (
     AggregateStats,
-    TrialResult,
     aggregate,
     detect_plateau,
     export_csv,
@@ -145,9 +144,9 @@ class TestCriterion4ExponentialDecayLaw:
             params = SyntheticParams(p_fix=0.5, p_spawn=0.0, stubborn_fraction=0.0, seed=seed)
             backend = SyntheticBackend(params, initial_defects=n0)
             trace = run_loop(case, backend, STORE, max_iterations=iterations)
-            for record in trace.records:
-                sums[record.index] += record.error_count
-                squares[record.index] += record.error_count**2
+            for index, record in enumerate(trace.records):
+                sums[index] += record.error_count
+                squares[index] += record.error_count**2
         details = []
         for t in range(iterations + 1):
             mean = sums[t] / seeds
@@ -220,17 +219,16 @@ class TestCriterion6AggregationOracle:
         for _ in range(100):
             length = rng.randint(1, 12)
             trials = [
-                TrialResult(t, [(rng.randint(0, 2000), rng.randint(0, 400))
-                                for _ in range(length)])
-                for t in range(rng.randint(2, 8))
+                [(rng.randint(0, 2000), rng.randint(0, 400)) for _ in range(length)]
+                for _ in range(rng.randint(2, 8))
             ]
             stats = aggregate(trials)
-            for i in range(len(trials[0].per_iteration_totals)):
+            for i in range(len(trials[0])):
                 for pick, means, stds in (
                     (0, stats.mean_errors, stats.std_errors),
                     (1, stats.mean_warnings, stats.std_warnings),
                 ):
-                    mean, std = naive([t.per_iteration_totals[i][pick] for t in trials])
+                    mean, std = naive([t[i][pick] for t in trials])
                     assert math.isclose(means[i], mean, rel_tol=1e-12, abs_tol=1e-12)
                     assert math.isclose(stds[i], std, rel_tol=1e-12, abs_tol=1e-12)
         _announce(6, "aggregate equals two-pass mean/std oracle to 1e-12 on 100 random trial sets")

@@ -12,7 +12,6 @@ from iacloop.bench import (
     AggregateStats,
     EmptyDataset,
     LengthMismatch,
-    TrialResult,
     aggregate,
     detect_plateau,
     export_csv,
@@ -55,9 +54,9 @@ def resum_traces(directory, cfg):
     totals = [[(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)]
     for path in directory.iterdir():
         trial = int(path.name[len("trial"):].split("_", 1)[0])
-        for record in LoopTrace.from_dict(json.loads(path.read_text())).records:
-            e, w = totals[trial][record.index]
-            totals[trial][record.index] = (e + record.error_count, w + record.warning_count)
+        for index, record in enumerate(LoopTrace.from_dict(json.loads(path.read_text())).records):
+            e, w = totals[trial][index]
+            totals[trial][index] = (e + record.error_count, w + record.warning_count)
     return totals
 
 
@@ -107,7 +106,7 @@ class TestRunBenchmark:
             trials=1, backend="scripted", script_dir=str(script_dir),
         )
         result = run_benchmark(cfg)
-        assert result.trials[0].per_iteration_totals == [(3, 0), (1, 0), (0, 0), (0, 0)]
+        assert result.trials[0] == [(3, 0), (1, 0), (0, 0), (0, 0)]
 
     def test_two_identical_cells_double(self, one_case_dir, script_dir):
         cfg = BenchmarkConfig(
@@ -115,7 +114,7 @@ class TestRunBenchmark:
             trials=1, backend="scripted", script_dir=str(script_dir),
         )
         result = run_benchmark(cfg)
-        assert result.trials[0].per_iteration_totals == [(6, 0), (2, 0), (0, 0), (0, 0)]
+        assert result.trials[0] == [(6, 0), (2, 0), (0, 0), (0, 0)]
 
     def test_totals_additivity_over_traces(self, one_case_dir, tmp_path):
         cfg = BenchmarkConfig(
@@ -124,7 +123,7 @@ class TestRunBenchmark:
         )
         result = run_benchmark(cfg)
         assert result.completed == 6
-        assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "traces", cfg)
+        assert result.trials == resum_traces(tmp_path / "traces", cfg)
 
     def test_deterministic_across_parallelism(self, tmp_path, one_case_dir):
         # Threads share the process-wide text cache, so the traces are
@@ -158,7 +157,7 @@ class TestRunBenchmark:
         result = run_benchmark(cfg)
         assert len(result.failures) == 1
         assert result.failures[0].records_completed == 1
-        assert result.trials[0].per_iteration_totals == [(0, 0)] * 4
+        assert result.trials[0] == [(0, 0)] * 4
 
     def test_unexpected_cell_error_listed_not_fatal(self, one_case_dir, tmp_path, monkeypatch):
         from iacloop import bench
@@ -188,7 +187,7 @@ class TestRunBenchmark:
             p.name: p.read_bytes() for p in (tmp_path / "expected").iterdir() if not p.name.endswith("_gen1.json")
         }
         assert len(written) == 4
-        assert [t.per_iteration_totals for t in result.trials] == resum_traces(tmp_path / "failing", cfg)
+        assert result.trials == resum_traces(tmp_path / "failing", cfg)
 
     def test_every_bench_backend_lints_by_block(self, one_case_dir, script_dir, monkeypatch):
         from iacloop import bench, loop
@@ -428,8 +427,8 @@ def _naive_mean_std(values):
 class TestAggregate:
     def test_forced_arithmetic(self):
         trials = [
-            TrialResult(0, [(10, 2)]),
-            TrialResult(1, [(12, 4)]),
+            [(10, 2)],
+            [(12, 4)],
         ]
         stats = aggregate(trials)
         assert stats.mean_errors == [11.0]
@@ -437,7 +436,7 @@ class TestAggregate:
         assert stats.mean_warnings == [3.0]
 
     def test_identical_trials_zero_std(self):
-        trials = [TrialResult(i, [(5, 1), (3, 0)]) for i in range(4)]
+        trials = [[(5, 1), (3, 0)] for _ in range(4)]
         stats = aggregate(trials)
         assert stats.std_errors == [0.0, 0.0]
         assert stats.std_warnings == [0.0, 0.0]
@@ -447,12 +446,12 @@ class TestAggregate:
         for _ in range(20):
             length = rng.randint(1, 12)
             trials = [
-                TrialResult(t, [(rng.randint(0, 500), rng.randint(0, 100)) for _ in range(length)])
-                for t in range(6)
+                [(rng.randint(0, 500), rng.randint(0, 100)) for _ in range(length)]
+                for _ in range(6)
             ]
             stats = aggregate(trials)
             for i in range(length):
-                mean, std = _naive_mean_std([t.per_iteration_totals[i][0] for t in trials])
+                mean, std = _naive_mean_std([t[i][0] for t in trials])
                 assert math.isclose(stats.mean_errors[i], mean, rel_tol=1e-12, abs_tol=1e-12)
                 assert math.isclose(stats.std_errors[i], std, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -467,25 +466,25 @@ class TestAggregate:
         for square in squares:
             running += square
         assert running != math.fsum(squares)  # the case the test is about
-        stats = aggregate([TrialResult(t, [(v, 0)]) for t, v in enumerate(totals)])
+        stats = aggregate([[(v, 0)] for v in totals])
         assert stats.std_errors == [math.sqrt(math.fsum(squares) / 5)]
         assert repr(stats.std_errors[0]) == "2.065591117977289"
 
     def test_length_mismatch(self):
-        trials = [TrialResult(0, [(1, 1)]), TrialResult(1, [(1, 1), (2, 2)])]
+        trials = [[(1, 1)], [(1, 1), (2, 2)]]
         with pytest.raises(LengthMismatch):
             aggregate(trials)
 
     def test_two_trials_minimum(self):
         with pytest.raises(ValueError):
-            aggregate([TrialResult(0, [(1, 1)])])
+            aggregate([[(1, 1)]])
 
     def test_mean_within_min_max(self):
         rng = random.Random(3)
-        trials = [TrialResult(t, [(rng.randint(0, 50), 0) for _ in range(5)]) for t in range(6)]
+        trials = [[(rng.randint(0, 50), 0) for _ in range(5)] for _ in range(6)]
         stats = aggregate(trials)
         for i in range(5):
-            values = [t.per_iteration_totals[i][0] for t in trials]
+            values = [t[i][0] for t in trials]
             assert min(values) <= stats.mean_errors[i] <= max(values)
 
 
@@ -585,5 +584,5 @@ class TestResultsFile:
         payload = results_to_dict(result, stats, detect_plateau(stats.mean_errors))
         assert set(payload) == {"config", "trials", "stats", "plateau_index", "failures"}
         assert payload["config"]["master_seed"] == 1
-        assert len(payload["trials"]) == 2
+        assert [t["trial_index"] for t in payload["trials"]] == [0, 1]
         assert len(payload["trials"][0]["per_iteration_totals"]) == 3

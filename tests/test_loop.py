@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -174,7 +175,7 @@ class TestRunLoop:
         trace = run_loop(case, backend, STORE, max_iterations=10, early_stop=True)
         assert len(trace.records) == 3
         assert trace.counts() == [(3, 0), (1, 0), (0, 0)]
-        assert [r.index for r in trace.records] == [0, 1, 2]
+        assert [r["index"] for r in trace.to_dict()["records"]] == [0, 1, 2]
 
     def test_unconditional_rounds_padded_clean(self):
         script = [THREE_ERRORS, ONE_ERROR, CLEAN] + [CLEAN] * 8
@@ -241,11 +242,26 @@ class TestRunLoop:
             )
 
     def test_trace_roundtrips_through_json(self):
-        backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN])
+        backend = ScriptedBackend([THREE_ERRORS, "no template", ONE_ERROR, ONE_ERROR, CLEAN])
         case = BenchmarkCase(id="c", prompt="p")
-        trace = run_loop(case, backend, STORE, max_iterations=2)
+        trace = run_loop(case, backend, STORE, max_iterations=4)
         restored = LoopTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
         assert restored == trace
+
+    @pytest.mark.parametrize("indexes", [[1, 0], [0, 2]])
+    def test_from_dict_rejects_indexes_not_counting_from_zero(self, indexes):
+        backend = ScriptedBackend([THREE_ERRORS, ONE_ERROR, CLEAN])
+        data = run_loop(BenchmarkCase(id="c", prompt="p"), backend, STORE, max_iterations=2).to_dict()
+        data["records"] = [{**record, "index": index} for record, index in zip(data["records"], indexes)]
+        with pytest.raises(ValueError, match="record indexes must count from 0"):
+            LoopTrace.from_dict(data)
+
+    def test_records_are_frozen(self):
+        trace = run_loop(BenchmarkCase(id="c", prompt="p"), ScriptedBackend([THREE_ERRORS, THREE_ERRORS]),
+                         STORE, max_iterations=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.records[1].error_count = 0
+        assert trace.counts() == [(3, 0), (3, 0)]
 
     def test_trace_text_is_indented_json(self, tmp_path):
         # Scripted replies with a failed extraction and repeats, synthetic
@@ -255,7 +271,7 @@ class TestRunLoop:
                             STORE, max_iterations=4)
         traces = [scripted, LoopTrace(case_id='odd "id"\t\u00e9\U0001f40d', generation_index=12), LoopTrace(
             case_id="x", generation_index=0,
-            records=[IterationRecord(index=0, error_count=0, warning_count=3, extraction_failed=True,
+            records=[IterationRecord(error_count=0, warning_count=3, extraction_failed=True,
                                      template_text="caf\u00e9 \x00\x1f </script> \\ \u2028 \U0001f40d",
                                      diagnostics_rendered="E1\nW2\r\n")],
         )]
@@ -294,13 +310,12 @@ class TestRunLoop:
         # Each record built directly from its own reply; a failed extraction
         # carries forward the counts and rendering of the record before it.
         expected = []
-        for index, raw in enumerate(replies):
+        for raw in replies:
             try:
                 document = extract_template(raw)
             except NoTemplateFound:
                 prev = expected[-1] if expected else None
                 expected.append(IterationRecord(
-                    index=index,
                     template_text=raw,
                     error_count=prev.error_count if prev else 0,
                     warning_count=prev.warning_count if prev else 0,
@@ -310,7 +325,6 @@ class TestRunLoop:
                 continue
             report = lint_template(document, STORE)
             expected.append(IterationRecord(
-                index=index,
                 template_text=document.text,
                 error_count=report.error_count,
                 warning_count=report.warning_count,
@@ -331,6 +345,9 @@ class TestRunLoop:
         case = BenchmarkCase(id="c", prompt="p")
         trace = run_loop(case, backend, STORE, max_iterations=len(replies) - 1)
         assert trace.records == expected
+        # A repeated reply's turn holds the very record of the turn before.
+        assert [trace.records[i] is trace.records[i - 1] for i in range(1, len(replies))] == [
+            replies[i] == replies[i - 1] for i in range(1, len(replies))]
         assert trace.counts() == [(0, 0), (0, 0)] + [(3, 0)] * 4 + [(0, 0)] * 2
         # One extraction per run of equal replies, one lint per extracted run.
         assert calls == {"extract": 4, "lint": 2}
@@ -364,9 +381,9 @@ class TestSyntheticDecayThroughLoop:
             params = SyntheticParams(p_fix=0.5, p_spawn=0.0, stubborn_fraction=0.0, seed=seed)
             backend = SyntheticBackend(params, initial_defects=n0)
             trace = run_loop(case, backend, STORE, max_iterations=iterations)
-            for record in trace.records:
-                sums[record.index] += record.error_count
-                squares[record.index] += record.error_count**2
+            for index, record in enumerate(trace.records):
+                sums[index] += record.error_count
+                squares[index] += record.error_count**2
         for t in range(iterations + 1):
             mean = sums[t] / seeds
             variance = max(squares[t] / seeds - mean**2, 0.0)

@@ -27,7 +27,7 @@ EC2_DOC = {
 class TestLoadSchemaDir:
     def test_empty_directory(self, tmp_path):
         store, report = load_schema_dir(tmp_path)
-        assert len(store) == 0
+        assert store.schemas == {}
         assert not report.errors
 
     def test_single_file(self, tmp_path):
@@ -56,7 +56,7 @@ class TestLoadSchemaDir:
         (tmp_path / "broken.json").write_text("{not json")
         store, report = load_schema_dir(tmp_path)
         assert len(report.errors) == 1
-        assert len(store) == 0
+        assert store.schemas == {}
 
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"typeName": "AWS::X::Y", "typeName": "AWS::X::Z"}'],
                              ids=["deep", "duplicate_key"])
@@ -144,7 +144,7 @@ class TestParseSchemaDocument:
         doc = {"typeName": "AWS::A::B", "properties": {"Ok": {"type": "string"}, "Bad": entry}, "required": []}
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         store, report = load_schema_dir(tmp_path)
-        assert len(store) == 0
+        assert store.schemas == {}
         [error] = report.errors
         assert isinstance(error, SchemaFormatError)
         assert error.source == "bad.json"
