@@ -5,10 +5,14 @@ Exit codes: 0 success, 1 usage or configuration error, 2 lint errors present
 which wins over defaults; ``BenchmarkConfig`` owns the defaults of the flags
 ``loop`` and ``bench`` share.  The argument parser is built on the first
 ``dispatch`` and shared by every later call in the process; each call parses
-into a fresh namespace and nothing mutates the parser.  Importing this module
-loads only the settings and what ``lint`` runs (the linter, the JSON decoder
-and the schema store); ``loop``, ``bench`` and ``report`` import the backends,
-the loop and the benchmark harness when they run.
+into a fresh namespace and nothing mutates the parser.  An argv that starts
+with a command is parsed once, by that command's parser; any other (``--config``
+or ``--help`` first, an unknown word, none) goes through the top-level parser.
+A usage error prints the usage of the parser that rejected the arguments.
+Importing this module loads only the settings and what ``lint`` runs (the
+linter, the JSON decoder and the schema store); ``loop``, ``bench`` and
+``report`` import the backends, the loop and the benchmark harness when they
+run.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ __all__ = ["dispatch", "main"]
 
 
 class UsageError(Exception):
-    pass
+    def __init__(self, message: str, parser: Optional[argparse.ArgumentParser] = None) -> None:
+        super().__init__(message)
+        self.parser = parser  # the parser that rejected the arguments, if one did
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise UsageError(message, self)
 
 
 @functools.cache
@@ -43,6 +49,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="iacloop", description="CloudFormation lint-driven repair loop tools")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # each command's parser, by name
 
     lint = sub.add_parser("lint", help="lint one template file")
     lint.add_argument("file")
@@ -168,15 +175,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # Not part of the rule registry: a parse failure is an E0000 finding,
         # in the same two-line layout and the same JSON row (pointer null), so
         # tooling sees one shape.
-        diagnostics, errors = [Diagnostic("E0000", exc.reason, exc.span, None)], 1
+        diagnostics = (Diagnostic("E0000", exc.reason, exc.span, None),)
     else:
-        report = lint_template(document, store, strict_unknown_types=args.strict_types)
-        diagnostics, errors = report.diagnostics, report.error_count
+        diagnostics = lint_template(document, store, strict_unknown_types=args.strict_types).diagnostics
+    severities = [d.severity for d in diagnostics]
     if args.format == "json":
-        print(_json_rows([(d.code, d.message, d.severity, *d.span, d.pointer) for d in diagnostics]))
+        print(_json_rows([
+            (code, message, severity, *span, pointer)
+            for (code, message, span, pointer), severity in zip(diagnostics, severities)
+        ]))
     elif diagnostics:
         print("\n\n".join(format_diagnostic(d, args.file) for d in diagnostics))
-    return 2 if errors else 0
+    return 2 if "error" in severities else 0
 
 
 def _cmd_loop(args: argparse.Namespace) -> int:
@@ -236,6 +246,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench import AggregateStats, export_csv, export_json, export_svg, read_results
 
+    if not (args.csv or args.svg or args.json_out):
+        raise UsageError("report requires at least one of --csv, --svg, --json")
     try:
         data = read_results(args.results_in)
         if not isinstance(data, dict):
@@ -256,8 +268,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.json_out:
         export_json(stats, args.json_out)
         wrote.append(args.json_out)
-    if not wrote:
-        raise UsageError("report requires at least one of --csv, --svg, --json")
     print("wrote " + ", ".join(wrote))
     return 0
 
@@ -272,11 +282,15 @@ _COMMANDS = {
 
 def dispatch(argv: Sequence[str]) -> int:
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(list(argv))
+        if command is None:
+            args = parser.parse_args(list(argv))
+        else:  # the namespace the top-level parse would give, in one pass
+            args = command.parse_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1

@@ -321,7 +321,7 @@ def _block_rows(store: SchemaStore, strict: bool, logical_id: str, source: str) 
     block's ``("Resources", logical_id)``."""
     block = _Linter(None, store, strict)
     block.check_resource(logical_id, json.loads(source))
-    found = resolve_offsets(source, {path[2:] for *_, path in block.findings})
+    found = resolve_offsets(source, {path[2:] for _, _, path in block.findings})
     return tuple((found[path[2:]][0], code, message, pointer_text(path)) for code, message, path in block.findings)
 
 
@@ -355,14 +355,14 @@ def lint_template(
             linter.check_resource(logical_id, entry)
     blocks = [("Resources", logical_id) for logical_id in resources] if by_block else []  # checked through the cache
     text = document.text
-    found = resolve_offsets(text, {path for *_, path in linter.findings}.union(blocks))
+    found = resolve_offsets(text, {path for _, _, path in linter.findings}.union(blocks))
     findings = [(found[path][0], code, message, pointer_text(path)) for code, message, path in linter.findings]
     for path in blocks:
         start, end = found[path]
         rows = _block_rows(store, strict_unknown_types, path[1], text[start:end])
-        findings.extend((start + offset, *row) for offset, *row in rows)
+        findings.extend((start + offset, code, message, pointer) for offset, code, message, pointer in rows)
     findings.sort(key=lambda finding: finding[:2])  # stable: emission order breaks ties
-    spans = _spans_at(text, [offset for offset, *_ in findings])
+    spans = _spans_at(text, [offset for offset, _, _, _ in findings])
     return LintReport(tuple([
         Diagnostic._make((code, message, span, pointer)) for (_, code, message, pointer), span in zip(findings, spans)
     ]))

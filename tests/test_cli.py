@@ -302,6 +302,52 @@ class TestLintJsonBytes:
         assert '"byte_offset": 22,\n    "pointer": null\n' in out
 
 
+def _expected_text_report(path: Path, strict: bool = False) -> tuple[int, str]:
+    """``lint``'s exit code and text stdout for the file at ``path``: each
+    finding's code and message, then its file:line:column, the findings
+    separated by blank lines."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        document = parse_located(text)
+    except JsonSyntaxError as exc:
+        rows = [("E0000", exc.reason, exc.span)]
+    else:
+        report = lint_template(document, builtin_core_schemas(), strict_unknown_types=strict)
+        rows = [(d.code, d.message, d.span) for d in report.diagnostics]
+    blocks = [f"{code} {message}\nError location - {path}:{span.line}:{span.column}" for code, message, span in rows]
+    code = 2 if any(code.startswith("E") for code, _, _ in rows) else 0
+    return code, "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+class TestLintTextBytes:
+    """``lint``'s text output, byte for byte, and its exit code."""
+
+    @staticmethod
+    def _assert_bytes(capsys, path: Path, strict: bool = False) -> str:
+        code = dispatch(["lint", str(path)] + (["--strict-types"] if strict else []))
+        out = capsys.readouterr().out
+        assert (code, out) == _expected_text_report(path, strict), path.name
+        return out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_fixtures(self, capsys, name):
+        strict = bool(GOLDEN[name].get("options", {}).get("strict_unknown_types"))
+        self._assert_bytes(capsys, FIXTURES / f"{name}.json", strict)
+
+    def test_synthetic_templates_at_each_density(self, tmp_path, capsys):
+        counts = []
+        for label, text in _synthetic_8_block_texts().items():
+            path = tmp_path / f"{label}.json"
+            path.write_text(text, encoding="utf-8")
+            counts.append(self._assert_bytes(capsys, path).count("\nError location - "))
+        assert counts[0] == 0 and counts[1] < counts[2] < counts[3]
+
+    def test_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "Resources": {}\n  "Outputs": {}\n}\n', encoding="utf-8")
+        assert self._assert_bytes(capsys, path).endswith(f"\nError location - {path}:3:3\n")
+
+
 # A --config file's settings, which name no real directory or endpoint.
 FILE_SETTINGS = {"schemas_dir": "file-schemas", "script_dir": "file-script", "api_base_url": "file-url"}
 
@@ -312,6 +358,12 @@ class TestDispatchBasics:
         captured = capsys.readouterr()
         assert code == 1
         assert "usage" in captured.err.lower()
+
+    def test_usage_error_prints_the_usage_of_the_parser_that_rejected_it(self, capsys):
+        assert dispatch(["lint", str(FIXTURES / "clean.json"), "--format", "xml"]) == 1
+        assert capsys.readouterr().err.splitlines()[1].startswith("usage: iacloop lint ")
+        assert dispatch(["frobnicate"]) == 1
+        assert capsys.readouterr().err.splitlines()[1].startswith("usage: iacloop [-h] [--config CONFIG] ")
 
     def test_no_subcommand_usage_error(self, capsys):
         assert dispatch([]) == 1
@@ -864,6 +916,10 @@ class TestBenchAndReport:
                                                  "mean_warnings": [0], "std_warnings": [0]}}))
         assert dispatch(["report", "--in", str(results)]) == 1
 
+    def test_report_without_an_output_fails_before_reading_its_input(self, tmp_path, capsys):
+        assert dispatch(["report", "--in", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err == "error: report requires at least one of --csv, --svg, --json\n"
+
     @pytest.mark.parametrize("text", [
         "[]",
         "{not json",
@@ -983,6 +1039,94 @@ class TestSharedParser:
         loaded = _modules_after("import iacloop.cli, iacloop.bench")
         assert {"iacloop.gateway", "iacloop.loop"} <= loaded
         assert heavy & loaded == set()
+
+
+# Argv shapes for dispatch; "{tmp}" is the test's directory, "{fx}" the lint
+# fixtures.  Those that start with a command parse with its parser alone.
+ARGV_SHAPES = {
+    "lint": ["lint", "{fx}/missing_required.json", "--format", "json", "--strict-types"],
+    "loop": ["loop", "--prompt-file", "{tmp}/prompt.txt", "--backend", "synthetic", "--iterations", "2",
+             "--out", "{tmp}/trace.json"],
+    "bench": ["bench", "--cases", "{tmp}/cases", "--trials", "2", "--generations", "1", "--iterations", "2",
+              "--out", "{tmp}/results.json"],
+    "report": ["report", "--in", "{tmp}/stats.json", "--csv", "{tmp}/out.csv"],
+    **{f"{command}{flag}": [command, flag] for command in ("lint", "loop", "bench", "report")
+       for flag in ("--help", "-h")},
+    "bad_choice": ["lint", "{fx}/clean.json", "--format", "xml"],
+    "missing_positional": ["lint"],
+    "abbreviated_flag": ["lint", "--form", "json", "{fx}/missing_required.json"],
+    "unknown_flag": ["lint", "{fx}/clean.json", "--bogus"],
+    "config_after_the_command": ["lint", "{fx}/clean.json", "--config", "{tmp}/cfg.json"],
+    "config_before_the_command": ["--config", "{tmp}/cfg.json", "lint", "{fx}/missing_required.json"],
+    "double_dash": ["lint", "--", "{fx}/clean.json"],
+    "double_dash_first": ["--", "lint", "{fx}/clean.json"],
+    "unknown_command": ["frobnicate"],
+    "empty": [],
+}
+# The shapes whose command receives a namespace.
+RUNS_A_COMMAND = {"lint", "loop", "bench", "report", "abbreviated_flag", "config_before_the_command", "double_dash"}
+# The shapes that leave arguments no parser knows.  On the one-pass path the
+# command's parser rejects them; on the top-level path, the top-level parser.
+UNRECOGNIZED = {"unknown_flag", "config_after_the_command"}
+
+
+class TestOnePassParse:
+    """An argv that starts with a command is parsed by that command's parser
+    alone, and the call does what the top-level parse does."""
+
+    @pytest.fixture
+    def argv_files(self, tmp_path):
+        (tmp_path / "prompt.txt").write_text("Create a VPC")
+        (tmp_path / "cases").mkdir()
+        (tmp_path / "cases" / "vpc.txt").write_text("Create a VPC")
+        (tmp_path / "cfg.json").write_text(json.dumps({"script_dir": str(tmp_path)}))
+        (tmp_path / "stats.json").write_text(json.dumps({"stats": {
+            "mean_errors": [2, 1], "std_errors": [0, 0], "mean_warnings": [0, 0], "std_warnings": [0, 0]}}))
+        return tmp_path
+
+    @staticmethod
+    def _argv(shape: str, tmp_path: Path) -> list[str]:
+        return [arg.format(tmp=tmp_path, fx=FIXTURES) for arg in ARGV_SHAPES[shape]]
+
+    @pytest.mark.parametrize("shape", sorted(ARGV_SHAPES))
+    def test_same_call_as_the_top_level_parse(self, argv_files, capsys, monkeypatch, shape):
+        argv = self._argv(shape, argv_files)
+        parser = cli._build_parser()
+        lint_usage = parser.commands["lint"].format_usage()
+        received = []
+        for name, command in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                lambda args, command=command: received.append(dict(vars(args))) or command(args))
+        calls = []
+        for commands in (parser.commands, {}):  # one pass, then forced through the top-level parser
+            monkeypatch.setattr(parser, "commands", commands)
+            code = dispatch(argv)
+            captured = capsys.readouterr()
+            calls.append([code, captured.out, captured.err, received[:]])
+            received.clear()
+        one_pass, top_level = calls
+        assert bool(one_pass[3]) == (shape in RUNS_A_COMMAND)
+        if shape in UNRECOGNIZED:
+            error = f"error: unrecognized arguments: {' '.join(argv[2:])}\n"
+            assert one_pass[2] == error + lint_usage
+            assert top_level[2] == error + parser.format_usage()
+            one_pass[2] = top_level[2] = error
+        assert one_pass == top_level
+
+    @pytest.mark.parametrize("shape, parsers", [
+        ("lint", ["iacloop lint"]),
+        ("bench--help", ["iacloop bench"]),
+        ("bad_choice", ["iacloop lint"]),
+        ("config_before_the_command", ["iacloop", "iacloop lint"]),
+        ("unknown_command", ["iacloop"]),
+    ])
+    def test_parsers_that_run(self, argv_files, capsys, monkeypatch, shape, parsers):
+        ran = []
+        inner = cli._Parser.parse_known_args
+        monkeypatch.setattr(cli._Parser, "parse_known_args",
+                            lambda self, *a, **k: ran.append(self.prog) or inner(self, *a, **k))
+        dispatch(self._argv(shape, argv_files))
+        assert ran == parsers
 
 
 class TestImportStructure:
