@@ -34,7 +34,6 @@ __all__ = [
     "aggregate",
     "detect_plateau",
     "export_csv",
-    "export_json",
     "export_svg",
     "results_to_dict",
     "write_results",
@@ -239,10 +238,11 @@ def _trace_writer(directory: Optional[Path]) -> Iterator[Optional[Callable[[str,
 _QUEUED_FILES = 8  # about 150 KB of trace text
 
 
-def aggregate(trials: list[list[tuple[int, int]]]) -> AggregateStats:
-    """Per-iteration mean and sample std of the trials' (errors, warnings) totals."""
+def aggregate(trials: list[list[tuple[int, int]]]) -> Optional[AggregateStats]:
+    """Per-iteration mean and sample std of the trials' (errors, warnings)
+    totals; None for fewer than 2 trials, which have no sample std."""
     if len(trials) < 2:
-        raise ValueError("aggregate requires at least 2 trials")
+        return None
     length = len(trials[0])
     if any(len(t) != length for t in trials):
         raise LengthMismatch("trials have unequal iteration counts")
@@ -263,16 +263,18 @@ def aggregate(trials: list[list[tuple[int, int]]]) -> AggregateStats:
     return stats
 
 
-def detect_plateau(
-    means: list[float], epsilon: float = 0.02, window: int = 2
-) -> Optional[int]:
-    """Smallest k such that every step in [k, k+window-1] changes by at most
-    epsilon relative to max(means[k], 1); None when no such k exists."""
-    if len(means) < window + 1:
-        raise ValueError("means must have at least window + 1 entries")
-    for k in range(len(means) - window):
-        threshold = epsilon * max(means[k], 1.0)
-        if all(abs(means[j] - means[j + 1]) <= threshold for j in range(k, k + window)):
+_PLATEAU_EPSILON = 0.02
+_PLATEAU_WINDOW = 2
+
+
+def detect_plateau(means: list[float]) -> Optional[int]:
+    """Smallest k such that each of the ``_PLATEAU_WINDOW`` steps from
+    means[k] changes by at most ``_PLATEAU_EPSILON`` relative to
+    max(means[k], 1); None when no such k exists, as when there are too few
+    means to hold the window."""
+    for k in range(len(means) - _PLATEAU_WINDOW):
+        threshold = _PLATEAU_EPSILON * max(means[k], 1.0)
+        if all(abs(means[j] - means[j + 1]) <= threshold for j in range(k, k + _PLATEAU_WINDOW)):
             return k
     return None
 
@@ -285,10 +287,6 @@ def export_csv(stats: AggregateStats, out_path: str | Path) -> None:
             f"{stats.mean_warnings[i]:.6f},{stats.std_warnings[i]:.6f}"
         )
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def export_json(stats: AggregateStats, out_path: str | Path) -> None:
-    Path(out_path).write_text(json.dumps(vars(stats), indent=2) + "\n", encoding="utf-8")
 
 
 _SVG_WIDTH = 800

@@ -8,7 +8,9 @@ which wins over defaults; ``BenchmarkConfig`` owns the defaults of the flags
 into a fresh namespace and nothing mutates the parser.  An argv that starts
 with a command is parsed once, by that command's parser; any other (``--config``
 or ``--help`` first, an unknown word, none) goes through the top-level parser.
-A usage error prints the usage of the parser that rejected the arguments.
+A usage error prints the usage of the parser that declares the rejected
+arguments: a bad ``--config`` file the top-level one, ``report`` with no output
+``report``'s.
 Importing this module loads only the settings and what ``lint`` runs (the
 linter, the JSON decoder and the schema store); ``loop``, ``bench`` and
 ``report`` import the backends, the loop and the benchmark harness when they
@@ -34,9 +36,9 @@ __all__ = ["dispatch", "main"]
 
 
 class UsageError(Exception):
-    def __init__(self, message: str, parser: Optional[argparse.ArgumentParser] = None) -> None:
+    def __init__(self, message: str, parser: argparse.ArgumentParser) -> None:
         super().__init__(message)
-        self.parser = parser  # the parser that rejected the arguments, if one did
+        self.parser = parser  # the parser that declares the rejected arguments
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iacloop", description="CloudFormation lint-driven repair loop tools")
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--config", help="JSON config file, given before the command; flags override its values")
     sub = parser.add_subparsers(dest="command")
     parser.commands = sub.choices  # each command's parser, by name
 
@@ -69,13 +71,14 @@ def _build_parser() -> _Parser:
     run.add_argument("--p-fix", type=float)
     run.add_argument("--p-spawn", type=float)
     run.add_argument("--stubborn-fraction", type=float)
+    run.add_argument("--defects-min", dest="initial_defects_min", type=int)
+    run.add_argument("--defects-max", dest="initial_defects_max", type=int)
 
     loop = sub.add_parser("loop", parents=[run], help="run one feedback-loop cell")
     loop.add_argument("--prompt-file", required=True)
     loop.add_argument("--backend", choices=("http", "scripted", "synthetic"), required=True)
     loop.add_argument("--early-stop", action="store_true")
     loop.add_argument("--out", required=True, help="trace JSON output path")
-    loop.add_argument("--initial-defects", type=int, default=8)
     loop.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
 
     bench = sub.add_parser("bench", parents=[run], help="run the full benchmark protocol")
@@ -85,15 +88,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--generations", dest="generations_per_case", type=int)
     bench.add_argument("--out", required=True, help="results JSON output path")
     bench.add_argument("--parallel", dest="parallelism", type=int)
-    bench.add_argument("--defects-min", dest="initial_defects_min", type=int)
-    bench.add_argument("--defects-max", dest="initial_defects_max", type=int)
     bench.add_argument("--traces-dir", help="persist per-cell traces here")
 
     report = sub.add_parser("report", help="export charts and tables from results JSON")
     report.add_argument("--in", dest="results_in", required=True)
     report.add_argument("--csv")
     report.add_argument("--svg")
-    report.add_argument("--json", dest="json_out")
     report.add_argument("--skip-initial", action="store_true", help="omit iteration 0 from the chart")
 
     return parser
@@ -102,24 +102,25 @@ def _build_parser() -> _Parser:
 _CONFIG_KEYS = ("schemas_dir", "script_dir", "api_base_url")
 
 
-def _load_config_file(path: Optional[str]) -> dict:
+def _load_config_file(path: Optional[str], parser: argparse.ArgumentParser) -> dict:
+    """The settings in the ``--config`` file; its usage errors name ``parser``, which declares the flag."""
     if not path:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise UsageError(f"cannot read config file {path}: {exc}", parser) from exc
     try:
         data = parse_located(text).value
     except JsonSyntaxError as exc:
-        raise UsageError(f"config file {path}:{exc.span.line}:{exc.span.column}: {exc.reason}") from exc
+        raise UsageError(f"config file {path}:{exc.span.line}:{exc.span.column}: {exc.reason}", parser) from exc
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise UsageError(f"config file {path} must hold a JSON object", parser)
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"config file {path}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+            raise UsageError(f"config file {path}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})", parser)
         if not isinstance(value, str):
-            raise UsageError(f"config file {path}: {key} must be a string")
+            raise UsageError(f"config file {path}: {key} must be a string", parser)
     return data
 
 
@@ -207,7 +208,7 @@ def _cmd_loop(args: argparse.Namespace) -> int:
         p_fix=settings["p_fix"],
         p_spawn=settings["p_spawn"],
         stubborn_fraction=settings["stubborn_fraction"],
-        initial_defects=args.initial_defects,
+        initial_defects=(settings["initial_defects_min"], settings["initial_defects_max"]),
         script_dir=args.script_dir,
         api_base_url=args.api_base_url,
         generation=GenerationConfig(model=settings["model"], temperature=args.temperature),
@@ -230,9 +231,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = BenchmarkConfig(**_given_fields(args))
     _check_out(args.out, "results")
     result = run_benchmark(cfg)
-    stats = aggregate(result.trials) if cfg.trials >= 2 else None
-    # detect_plateau needs window + 1 = 3 means; --iterations 1 gives 2.
-    plateau = detect_plateau(stats.mean_errors) if stats is not None and len(stats) > 2 else None
+    stats = aggregate(result.trials)
+    plateau = detect_plateau(stats.mean_errors) if stats is not None else None
     write_results(result, args.out, stats=stats, plateau_index=plateau)
     print(f"{result.completed} cells completed, {len(result.failures)} failed; results -> {args.out}")
     if not result.completed:
@@ -244,10 +244,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .bench import AggregateStats, export_csv, export_json, export_svg, read_results
+    from .bench import AggregateStats, export_csv, export_svg, read_results
 
-    if not (args.csv or args.svg or args.json_out):
-        raise UsageError("report requires at least one of --csv, --svg, --json")
+    if not (args.csv or args.svg):
+        raise UsageError("report requires --csv, --svg or both", _build_parser().commands["report"])
     try:
         data = read_results(args.results_in)
         if not isinstance(data, dict):
@@ -258,17 +258,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if stats is None:
         print(f"results file {args.results_in} has no aggregate stats (needs >= 2 trials)", file=sys.stderr)
         return 3
-    wrote = []
     if args.csv:
         export_csv(stats, args.csv)
-        wrote.append(args.csv)
     if args.svg:
         export_svg(stats, args.svg, include_initial=not args.skip_initial)
-        wrote.append(args.svg)
-    if args.json_out:
-        export_json(stats, args.json_out)
-        wrote.append(args.json_out)
-    print("wrote " + ", ".join(wrote))
+    print("wrote " + ", ".join(path for path in (args.csv, args.svg) if path))
     return 0
 
 
@@ -288,22 +282,21 @@ def dispatch(argv: Sequence[str]) -> int:
             args = parser.parse_args(list(argv))
         else:  # the namespace the top-level parse would give, in one pass
             args = command.parse_args(argv[1:], argparse.Namespace(config=None, command=argv[0]))
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
+        config = _load_config_file(args.config, parser)
+        for key in _CONFIG_KEYS:
+            if not getattr(args, key, None):
+                setattr(args, key, config.get(key))
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         exc.parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        config = _load_config_file(args.config)
-        for key in _CONFIG_KEYS:
-            if not getattr(args, key, None):
-                setattr(args, key, config.get(key))
-        return _COMMANDS[args.command](args)
-    except (UsageError, MissingSetting) as exc:
+    except MissingSetting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

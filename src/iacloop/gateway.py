@@ -241,7 +241,7 @@ def make_backend(
     p_fix: float,
     p_spawn: float,
     stubborn_fraction: float,
-    initial_defects: int | tuple[int, int],
+    initial_defects: tuple[int, int],
     script_dir: Optional[str],
     api_base_url: Optional[str],
     generation: GenerationConfig,
@@ -614,7 +614,7 @@ class SyntheticBackend:
     def __init__(
         self,
         params: SyntheticParams,
-        initial_defects: int | tuple[int, int] = 8,
+        initial_defects: int | tuple[int, int],
         store: Optional[SchemaStore] = None,
     ):
         lo, hi = initial_defects if isinstance(initial_defects, tuple) else (initial_defects, initial_defects)

@@ -15,7 +15,6 @@ from iacloop.bench import (
     aggregate,
     detect_plateau,
     export_csv,
-    export_json,
     export_svg,
     load_cases,
     results_to_dict,
@@ -476,8 +475,11 @@ class TestAggregate:
             aggregate(trials)
 
     def test_two_trials_minimum(self):
-        with pytest.raises(ValueError):
-            aggregate([[(1, 1)]])
+        # One trial has no sample std: no stats, and no error to pre-check.
+        assert aggregate([]) is None
+        assert aggregate([[(1, 1)]]) is None
+        assert aggregate([[(1, 1), (0, 0)]]) is None
+        assert aggregate([[(1, 1)], [(3, 1)]]) == AggregateStats([2.0], [math.sqrt(2)], [1.0], [0.0])
 
     def test_mean_within_min_max(self):
         rng = random.Random(3)
@@ -500,8 +502,13 @@ class TestDetectPlateau:
         assert detect_plateau(series) == 2
 
     def test_window_must_fit(self):
-        with pytest.raises(ValueError):
-            detect_plateau([1, 2], window=2)
+        # The window of 2 steps needs 3 means; fewer have no plateau.
+        assert detect_plateau([]) is None
+        assert detect_plateau([5]) is None
+        assert detect_plateau([5, 5]) is None
+        assert detect_plateau([5, 5, 5]) == 0
+        assert detect_plateau([5, 5, 5.1]) == 0  # within 2% of 5
+        assert detect_plateau([5, 5, 5.2]) is None
 
     def test_small_values_use_absolute_floor(self):
         # max(means[k], 1) keeps near-zero tails from demanding exact equality
@@ -536,12 +543,6 @@ class TestExport:
             assert int(iteration) == i
             expected = (stats.mean_errors[i], stats.std_errors[i], stats.mean_warnings[i], stats.std_warnings[i])
             assert all(abs(float(v) - e) <= 1e-6 for v, e in zip(values, expected, strict=True))
-
-    def test_json_mirrors_stats(self, tmp_path):
-        stats = self._stats(5)
-        out = tmp_path / "stats.json"
-        export_json(stats, out)
-        assert AggregateStats.from_dict(json.loads(out.read_text())) == stats
 
     def test_svg_zero_stats_has_zero_height_bars(self, tmp_path):
         stats = AggregateStats([0.0] * 11, [0.0] * 11, [0.0] * 11, [0.0] * 11)

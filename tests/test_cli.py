@@ -365,6 +365,29 @@ class TestDispatchBasics:
         assert dispatch(["frobnicate"]) == 1
         assert capsys.readouterr().err.splitlines()[1].startswith("usage: iacloop [-h] [--config CONFIG] ")
 
+    @pytest.mark.parametrize("config, error", [
+        pytest.param(None, "error: cannot read config file {path}: ", id="missing"),
+        pytest.param({"schema_dir": "s"}, "error: config file {path}: unknown key 'schema_dir'", id="unknown-key"),
+    ])
+    def test_bad_config_file_prints_the_top_level_usage(self, tmp_path, capsys, config, error):
+        # Found after parsing, like report's missing output (tested with report).
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        assert dispatch(["--config", str(path), "lint", str(FIXTURES / "clean.json")]) == 1
+        message, usage = capsys.readouterr().err.split("\n", 1)
+        assert message.startswith(error.format(path=path))
+        assert usage == cli._build_parser().format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["loop", "--prompt-file", "p.txt", "--backend", "synthetic", "--out", "t.json",
+                      "--initial-defects", "8"], id="loop--initial-defects"),
+        pytest.param(["report", "--in", "results.json", "--json", "stats.json"], id="report--json"),
+    ])
+    def test_removed_flags_are_unknown(self, capsys, argv):
+        assert dispatch(argv) == 1
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+
     def test_no_subcommand_usage_error(self, capsys):
         assert dispatch([]) == 1
 
@@ -375,9 +398,9 @@ class TestDispatchBasics:
         expectations = {
             "lint": ["--schemas", "--strict-types", "--format"],
             "loop": ["--prompt-file", "--backend", "--iterations", "--early-stop", "--out", "--model",
-                     "--temperature"],
+                     "--temperature", "--defects-min", "--defects-max"],
             "bench": ["--cases", "--backend", "--trials", "--generations", "--iterations",
-                      "--seed", "--out", "--parallel", "--model"],
+                      "--seed", "--out", "--parallel", "--model", "--defects-min", "--defects-max"],
             "report": ["--in", "--csv", "--svg"],
         }
         for command, flags in expectations.items():
@@ -493,6 +516,14 @@ def generate_calls(monkeypatch):
     return calls
 
 
+# Defect ranges that the synthetic backend rejects; loop and bench share the flags.
+INVALID_DEFECT_RANGES = {
+    "10-5": ("--defects-min", "10", "--defects-max", "5"),
+    "-3--1": ("--defects-min", "-3", "--defects-max", "-1"),
+    "-1-4": ("--defects-min", "-1", "--defects-max", "4"),
+}
+
+
 class TestLoopCommand:
     def test_scripted_loop_writes_trace(self, tmp_path, capsys):
         script = tmp_path / "script"
@@ -538,7 +569,7 @@ class TestLoopCommand:
             out = tmp_path / name
             code = dispatch([
                 "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
-                "--iterations", "4", "--seed", "11", "--initial-defects", "6",
+                "--iterations", "4", "--seed", "11", "--defects-min", "6", "--defects-max", "9",
                 "--out", str(out),
             ])
             assert code == 0
@@ -581,9 +612,11 @@ class TestLoopCommand:
         defaults = BenchmarkConfig(cases_dir="")
         assert seen == {
             "p_fix": defaults.p_fix, "p_spawn": defaults.p_spawn, "stubborn_fraction": defaults.stubborn_fraction,
-            "initial_defects": 8, "script_dir": None, "api_base_url": None, "generation": GenerationConfig(),
+            "initial_defects": (defaults.initial_defects_min, defaults.initial_defects_max), "script_dir": None,
+            "api_base_url": None, "generation": GenerationConfig(),
             "seed": defaults.master_seed, "max_iterations": defaults.iterations, "early_stop": False,
         }
+        assert seen["initial_defects"] == (6, 10)  # a bench cell's range
         assert defaults.model == GenerationConfig().model
 
     @pytest.mark.parametrize("extra, message", [
@@ -611,6 +644,7 @@ class TestLoopCommand:
             "--out", str(tmp_path / "t.json"),
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: scripted backend requires script_dir\n"  # no usage line
 
     def test_negative_initial_defects_fail_before_the_loop(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"
@@ -618,10 +652,21 @@ class TestLoopCommand:
         out = tmp_path / "trace.json"
         code = dispatch([
             "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
-            "--initial-defects", "-1", "--out", str(out),
+            "--defects-min", "-1", "--out", str(out),
         ])
         assert code == 3
         assert "initial defects" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defects", INVALID_DEFECT_RANGES.values(), ids=list(INVALID_DEFECT_RANGES))
+    def test_invalid_defect_range_fails_before_any_call(self, tmp_path, capsys, generate_calls, defects):
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "trace.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic", *defects, "--out", str(out)])
+        assert code == 3
+        assert "runtime failure: initial defects must be" in capsys.readouterr().err
+        assert generate_calls == []
         assert not out.exists()
 
     def test_out_in_a_missing_directory_fails_before_any_call(self, tmp_path, capsys, generate_calls):
@@ -686,9 +731,7 @@ class TestBenchFailsBeforeItsCells:
     # Every backend setting, not only the defect range, is checked before
     # the traces directory or results file exists or any cell starts.
     @pytest.mark.parametrize("extra, message", [
-        pytest.param(("--defects-min", "10", "--defects-max", "5"), "initial defects", id="10-5"),
-        pytest.param(("--defects-min", "-3", "--defects-max", "-1"), "initial defects", id="-3--1"),
-        pytest.param(("--defects-min", "-1", "--defects-max", "4"), "initial defects", id="-1-4"),
+        *(pytest.param(defects, "initial defects", id=name) for name, defects in INVALID_DEFECT_RANGES.items()),
         pytest.param(("--p-fix", "1.5"), "p_fix must be in [0, 1], got 1.5", id="p-fix"),
         pytest.param(("--backend", "scripted", "--script-dir", "{empty}"), "no *.txt response files", id="empty-script"),
         pytest.param(("--backend", "http", "--api-base", "api.example.com"), "must be an http or https URL",
@@ -918,7 +961,9 @@ class TestBenchAndReport:
 
     def test_report_without_an_output_fails_before_reading_its_input(self, tmp_path, capsys):
         assert dispatch(["report", "--in", str(tmp_path / "missing.json")]) == 1
-        assert capsys.readouterr().err == "error: report requires at least one of --csv, --svg, --json\n"
+        report_usage = cli._build_parser().commands["report"].format_usage()
+        assert report_usage.startswith("usage: iacloop report ")
+        assert capsys.readouterr().err == "error: report requires --csv, --svg or both\n" + report_usage
 
     @pytest.mark.parametrize("text", [
         "[]",

@@ -722,7 +722,7 @@ class TestSyntheticBackend:
         assert (serialized, dumps) == ([], [])
 
     def test_step_before_initial_generation(self):
-        backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=1.0, seed=5))
+        backend = SyntheticBackend(SyntheticParams(p_fix=1.0, p_spawn=1.0, seed=5), initial_defects=8)
         assert backend.synthetic_step() == "{}"
 
     def test_inject_repair_identity_per_kind(self):

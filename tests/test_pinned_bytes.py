@@ -63,12 +63,30 @@ BENCH_DIGESTS = {
     "trial01_case_02_gen1.json": "41f1c6b9146b55167c4507ba932ec93d1e3ee723fe242cff52a5b9888bfec5c7",
     "trial01_case_03_gen0.json": "619efa23c3a9f07490fcff06f6555168e03087230601befc206d00bf7694a50e",
     "trial01_case_03_gen1.json": "61ed897d295ab67fab5e944ea010746880745cfc93a6f42810979d2b47c876b9",
+    # ``iacloop report --csv --svg`` over that results.json.
+    "stats.csv": "dc80bf9e0e150bc0d3972564b86131a718a70534b219afe42ba6e1655a10f7ee",
+    "chart.svg": "ea5067e15ccb5e1830c009f696a0bc6d91542711094ff444b57a4d3a421e8e87",
 }
 LOOP_TRACE_DIGEST = "e94fa61772157cbf04f4aaee870a9d4bfd7fb922b8f50d05065c55824034d0b4"
 LOOP_PROMPTS_DIGEST = "28bae178b4f3bec51130c180a0e882422579c1f171b3135a499dcd8bf2144882"
-# ``iacloop loop --backend synthetic --seed 7 --iterations 10``, recorded
-# while the loop still linted whole templates.
+# ``iacloop loop --backend synthetic --seed 7 --iterations 10`` with 8 initial
+# defects, recorded while the loop still linted whole templates.
 SYNTHETIC_LOOP_TRACE_DIGEST = "8fb7605d218ff9f8382c5d493f225b61e931647116043723f9bbaaa4d0091f9f"
+# The same cell, by (defect count, seed), recorded when ``loop`` took the
+# count as one ``--initial-defects N``; ``--defects-min N --defects-max N``
+# spends no draw on it, so the bytes are the same.  With no defect the seed
+# changes nothing.
+FIXED_COUNT_LOOP_DIGESTS = {
+    (0, 1): "2dab0723e0afa29aa8ae866c3f965c062067fc8283cc3f7f3d3684a61e8eb8f2",
+    (0, 7): "2dab0723e0afa29aa8ae866c3f965c062067fc8283cc3f7f3d3684a61e8eb8f2",
+    (0, 11): "2dab0723e0afa29aa8ae866c3f965c062067fc8283cc3f7f3d3684a61e8eb8f2",
+    (6, 1): "dd0c7cc5b6a860b74e78028108511ef495d8e6ddec199e1adb5770c32bdab813",
+    (6, 7): "3f9ad5580051006834fc049a667bc845ce1d72db9fa13c3c1b705c971057497c",
+    (6, 11): "fb1f75ee474ceea0c073e54a73a4319de9f8e0041b480babbab198075c72483b",
+    (8, 1): "a8d6a4db1f3906285f42b9ea87e25f661037dd577b37b00b5412fd5b1f610f28",
+    (8, 7): SYNTHETIC_LOOP_TRACE_DIGEST,
+    (8, 11): "403bf642ce8e60d6c1520505ef08752fa41bf99dd0c1339e0ac9b4d0b0d22a3a",
+}
 # The bench digests cover 6-10 defects; this one covers a 600-defect template
 # (58 blocks), where injection and spawning draw from long free-site lists.
 DENSE_SYNTHETIC_DIGEST = "c17a5495d7b45fabe64473a34e3173f8b200ffef8ec76a7e51040ccb3036b824"
@@ -79,7 +97,8 @@ def _sha256(data: bytes) -> str:
 
 
 def bench_digests() -> dict[str, str]:
-    """Digests of results.json and every trace of a small fixed-seed bench.
+    """Digests of results.json, every trace of a small fixed-seed bench and
+    the CSV and SVG that ``report`` writes from its results.
 
     Runs in the current directory: results.json records the cases directory
     as given, so it is passed as the relative path "cases".
@@ -97,6 +116,9 @@ def bench_digests() -> dict[str, str]:
     digests = {"results.json": _sha256(Path("results.json").read_bytes())}
     for path in sorted(Path("traces").iterdir()):
         digests[path.name] = _sha256(path.read_bytes())
+    assert dispatch(["report", "--in", "results.json", "--csv", "stats.csv", "--svg", "chart.svg"]) == 0
+    for name in ("stats.csv", "chart.svg"):
+        digests[name] = _sha256(Path(name).read_bytes())
     return digests
 
 
@@ -118,14 +140,16 @@ def loop_trace_digest(work: Path) -> str:
     return _sha256(out.read_bytes())
 
 
-def synthetic_loop_trace_digest(work: Path) -> str:
-    """Digest of the trace ``iacloop loop`` writes for a seed-7 synthetic cell."""
+def synthetic_loop_trace_digest(work: Path, defects: int = 8, seed: int = 7) -> str:
+    """Digest of the trace ``iacloop loop`` writes for a synthetic cell with
+    exactly ``defects`` initial defects."""
     prompt = work / "cell.txt"
     prompt.write_text("Create an S3 bucket and an EC2 instance.\n", encoding="utf-8")
     out = work / "trace.json"
     code = dispatch([
         "loop", "--prompt-file", str(prompt), "--backend", "synthetic",
-        "--seed", "7", "--iterations", "10", "--out", str(out),
+        "--seed", str(seed), "--iterations", "10", "--defects-min", str(defects), "--defects-max", str(defects),
+        "--out", str(out),
     ])
     assert code == 0
     return _sha256(out.read_bytes())
@@ -166,6 +190,11 @@ def test_synthetic_loop_trace_matches_pinned_digest(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "cell: 11 records (8e/0w, 4e/0w, 3e/1w, 3e/0w, 3e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w, 2e/0w)\n"
     )
+
+
+def test_fixed_count_loop_traces_match_pinned_digests(tmp_path, capsys):
+    digests = {key: synthetic_loop_trace_digest(tmp_path, *key) for key in FIXED_COUNT_LOOP_DIGESTS}
+    assert digests == FIXED_COUNT_LOOP_DIGESTS
 
 
 def test_scripted_loop_prompts_match_pinned_digest():
