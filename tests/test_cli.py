@@ -14,7 +14,7 @@ from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
 from iacloop import gateway
-from iacloop.gateway import SyntheticBackend, SyntheticParams
+from iacloop.gateway import SyntheticBackend, SyntheticParams, mix64
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
@@ -23,6 +23,7 @@ from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
 from helpers import oracle_spans, pointer_of, save_schema_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+CASES = Path(__file__).resolve().parents[1] / "benchmarks" / "cases"
 
 THREE_ERRORS = json.dumps(
     {"Resources": {"I": {"Type": "AWS::EC2::Instance",
@@ -575,6 +576,26 @@ class TestLoopCommand:
             assert code == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_loop_is_a_one_cell_bench(self, tmp_path, capsys):
+        # loop seeded with a bench cell's seed writes that cell's trace bytes.
+        cases = [f"case_{i:02d}" for i in range(1, 6)]
+        (tmp_path / "cases").mkdir()
+        for case in cases:
+            (tmp_path / "cases" / f"{case}.txt").write_bytes((CASES / f"{case}.txt").read_bytes())
+        traces = tmp_path / "traces"
+        assert dispatch([
+            "bench", "--cases", str(tmp_path / "cases"), "--trials", "2", "--generations", "1", "--seed", "3",
+            "--out", str(tmp_path / "results.json"), "--traces-dir", str(traces),
+        ]) == 0
+        for trial in range(2):
+            for index, case in enumerate(cases):
+                out = tmp_path / "loop.json"
+                assert dispatch([
+                    "loop", "--prompt-file", str(tmp_path / "cases" / f"{case}.txt"), "--backend", "synthetic",
+                    "--seed", str(mix64(3, trial, index, 0)), "--out", str(out),
+                ]) == 0
+                assert out.read_bytes() == (traces / f"trial{trial:02d}_{case}_gen0.json").read_bytes()
 
     def test_not_utf8_script_file_is_named(self, tmp_path, capsys, generate_calls):
         script = tmp_path / "script"

@@ -87,6 +87,14 @@ FIXED_COUNT_LOOP_DIGESTS = {
     (8, 7): SYNTHETIC_LOOP_TRACE_DIGEST,
     (8, 11): "403bf642ce8e60d6c1520505ef08752fa41bf99dd0c1339e0ac9b4d0b0d22a3a",
 }
+# A template, then a non-answer: the third call exhausts the script, so every
+# cell fails at iteration 2 with 2 records.
+FAILING_REPLIES = [json.dumps({"Resources": {"B": {"Type": "AWS::S3::Bucket"}}}), "no template"]
+FAILING_LOOP_TRACE_DIGEST = "85ff6a5ba1b43943b50fad2c4228ccc1c5d035f2d95fd547e9409072fd43b6da"
+# ``iacloop bench`` over case_01 and case_02, 2 trials, 1 generation, with
+# that script: 4 failures and no completed cell.
+FAILING_BENCH_RESULTS_DIGEST = "1b229c876ebdff7653ade932913842267a6bb5836e7c2ff78b6c93b16498ed9d"
+FAILING_CELL_ERROR = "backend failed at iteration 2: script exhausted after 2 responses"
 # The bench digests cover 6-10 defects; this one covers a 600-defect template
 # (58 blocks), where injection and spawning draw from long free-site lists.
 DENSE_SYNTHETIC_DIGEST = "c17a5495d7b45fabe64473a34e3173f8b200ffef8ec76a7e51040ccb3036b824"
@@ -122,14 +130,18 @@ def bench_digests() -> dict[str, str]:
     return digests
 
 
+def _write_script(directory: Path, replies: list[str]) -> None:
+    directory.mkdir()
+    for index, reply in enumerate(replies):
+        (directory / f"{index:03d}.txt").write_text(reply, encoding="utf-8")
+
+
 def loop_trace_digest(work: Path) -> str:
     """Digest of the trace ``iacloop loop`` writes for the scripted replies."""
     prompt = work / "cell.txt"
     prompt.write_text("Create an S3 bucket and an EC2 instance.\n", encoding="utf-8")
     script = work / "script"
-    script.mkdir()
-    for index, reply in enumerate(REPLIES):
-        (script / f"{index:03d}.txt").write_text(reply, encoding="utf-8")
+    _write_script(script, REPLIES)
     out = work / "trace.json"
     code = dispatch([
         "loop", "--prompt-file", str(prompt), "--backend", "scripted",
@@ -153,6 +165,34 @@ def synthetic_loop_trace_digest(work: Path, defects: int = 8, seed: int = 7) -> 
     ])
     assert code == 0
     return _sha256(out.read_bytes())
+
+
+def failing_loop(work: Path) -> tuple[int, str]:
+    """Exit code and trace digest of ``iacloop loop`` over the failing script."""
+    prompt = work / "cell.txt"
+    prompt.write_text("Create an S3 bucket.\n", encoding="utf-8")
+    _write_script(work / "script", FAILING_REPLIES)
+    out = work / "trace.json"
+    code = dispatch([
+        "loop", "--prompt-file", str(prompt), "--backend", "scripted",
+        "--script-dir", str(work / "script"), "--iterations", "4", "--out", str(out),
+    ])
+    return code, _sha256(out.read_bytes())
+
+
+def failing_bench() -> tuple[int, str]:
+    """Exit code and results.json digest of ``iacloop bench`` over the
+    failing script, run in the current directory with relative paths, since
+    results.json records the directories as given."""
+    Path("cases").mkdir()
+    for name in ("case_01.txt", "case_02.txt"):
+        shutil.copy(CASES / name, Path("cases") / name)
+    _write_script(Path("script"), FAILING_REPLIES)
+    code = dispatch([
+        "bench", "--cases", "cases", "--backend", "scripted", "--script-dir", "script",
+        "--trials", "2", "--generations", "1", "--iterations", "4", "--out", "results.json",
+    ])
+    return code, _sha256(Path("results.json").read_bytes())
 
 
 class _RecordingBackend:
@@ -195,6 +235,25 @@ def test_synthetic_loop_trace_matches_pinned_digest(tmp_path, capsys):
 def test_fixed_count_loop_traces_match_pinned_digests(tmp_path, capsys):
     digests = {key: synthetic_loop_trace_digest(tmp_path, *key) for key in FIXED_COUNT_LOOP_DIGESTS}
     assert digests == FIXED_COUNT_LOOP_DIGESTS
+
+
+def test_failing_loop_trace_matches_pinned_digest(tmp_path, capsys):
+    assert failing_loop(tmp_path) == (3, FAILING_LOOP_TRACE_DIGEST)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"backend failure: {FAILING_CELL_ERROR}\n")
+    assert len(json.loads((tmp_path / "trace.json").read_text())["records"]) == 2
+
+
+def test_failing_bench_results_match_pinned_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert failing_bench() == (3, FAILING_BENCH_RESULTS_DIGEST)
+    captured = capsys.readouterr()
+    assert captured.out == "0 cells completed, 4 failed; results -> results.json\n"
+    assert captured.err == f"no cell completed; first failure: {FAILING_CELL_ERROR}\n"
+    failures = json.loads(Path("results.json").read_text())["failures"]
+    assert [(f["trial_index"], f["case_id"], f["records_completed"]) for f in failures] == [
+        (0, "case_01", 2), (0, "case_02", 2), (1, "case_01", 2), (1, "case_02", 2),
+    ]
 
 
 def test_scripted_loop_prompts_match_pinned_digest():
