@@ -15,13 +15,13 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .gateway import make_backend, mix64
+from .gateway import Backend, make_backend, mix64
 from .located_json import parse_located
-from .loop import BackendFailure, BenchmarkCase, run_loop
-from .schema_store import load_store
-from .settings import BenchmarkConfig, GenerationConfig
+from .loop import BackendFailure, BenchmarkCase, LoopTrace, run_loop
+from .schema_store import SchemaStore, load_store
+from .settings import BenchmarkConfig
 
 __all__ = [
     "CellFailure",
@@ -51,11 +51,11 @@ class LengthMismatch(ValueError):
 
 @dataclass
 class CellFailure:
+    """A cell that did not run to the end, with the records it completed."""
+
     trial_index: int
-    case_id: str
-    generation_index: int
     error: str
-    records_completed: int
+    trace: LoopTrace
 
 
 @dataclass
@@ -103,6 +103,33 @@ def load_cases(path: str | Path) -> list[BenchmarkCase]:
     return cases
 
 
+class Cells(NamedTuple):
+    """What every cell of one run shares, built once per run."""
+
+    cases: list[BenchmarkCase]
+    store: SchemaStore
+    new_backend: Callable[[int], Backend]  # seed -> Backend
+    iterations: int
+    early_stop: bool = False
+
+
+def run_cell(cells: Cells, seed: int, trial: int, case_index: int, generation: int) -> LoopTrace | CellFailure:
+    """Run one cell on the backend built from ``seed``.
+
+    A cell that raises is a CellFailure: after a backend failure it holds
+    the partial trace, after any other exception an empty one, since one
+    cell's fault must not lose the other cells.
+    """
+    backend, case = cells.new_backend(seed), cells.cases[case_index]
+    try:
+        return run_loop(case, backend, cells.store, max_iterations=cells.iterations, early_stop=cells.early_stop,
+                        generation_index=generation)
+    except BackendFailure as exc:
+        return CellFailure(trial, str(exc), exc.trace)
+    except Exception as exc:
+        return CellFailure(trial, f"{type(exc).__name__}: {exc}", LoopTrace(case.id, generation))
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """Execute trials x cases x generations cells and sum counts per iteration.
 
@@ -121,17 +148,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
-    new_backend = make_backend(
-        cfg.backend,
-        store,
-        p_fix=cfg.p_fix,
-        p_spawn=cfg.p_spawn,
-        stubborn_fraction=cfg.stubborn_fraction,
-        initial_defects=(cfg.initial_defects_min, cfg.initial_defects_max),
-        script_dir=cfg.script_dir,
-        api_base_url=cfg.api_base_url,
-        generation=GenerationConfig(model=cfg.model),
-    )
+    shared = Cells(cases, store, make_backend(cfg, store), cfg.iterations)
     traces = Path(cfg.traces_dir) if cfg.traces_dir else None
     if traces:  # before any cell runs, so a bad path costs no calls
         traces.mkdir(parents=True, exist_ok=True)
@@ -142,23 +159,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         for generation in range(cfg.generations_per_case)
     ]
 
-    def run_cell(cell: tuple[int, int, int]):
-        trial, case_index, generation = cell
-        backend = new_backend(mix64(cfg.master_seed, trial, case_index, generation))
-        case = cases[case_index]
-        try:
-            return run_loop(case, backend, store, max_iterations=cfg.iterations, generation_index=generation)
-        except BackendFailure as exc:
-            error, completed = str(exc), len(exc.trace.records)
-        except Exception as exc:  # one cell's fault must not lose the others
-            error, completed = f"{type(exc).__name__}: {exc}", 0
-        return CellFailure(
-            trial_index=trial,
-            case_id=case.id,
-            generation_index=generation,
-            error=error,
-            records_completed=completed,
-        )
+    def seeded(cell: tuple[int, int, int]) -> LoopTrace | CellFailure:
+        return run_cell(shared, mix64(cfg.master_seed, *cell), *cell)
 
     failures: list[CellFailure] = []
     totals = [[(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)]
@@ -169,7 +171,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
             pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
         try:
-            outcomes = pool.map(run_cell, cells) if pool else map(run_cell, cells)
+            outcomes = pool.map(seeded, cells) if pool else map(seeded, cells)
             for (trial, _, generation), outcome in zip(cells, outcomes):
                 if isinstance(outcome, CellFailure):
                     failures.append(outcome)
@@ -386,7 +388,11 @@ def results_to_dict(
         "trials": [{"trial_index": t, "per_iteration_totals": row} for t, row in enumerate(result.trials)],
         "stats": vars(stats) if stats is not None else None,
         "plateau_index": plateau_index,
-        "failures": [vars(f) for f in result.failures],
+        "failures": [
+            {"trial_index": f.trial_index, "case_id": f.trace.case_id, "generation_index": f.trace.generation_index,
+             "error": f.error, "records_completed": len(f.trace.records)}
+            for f in result.failures
+        ],
     }
 
 

@@ -124,13 +124,12 @@ def _load_config_file(path: Optional[str], parser: argparse.ArgumentParser) -> d
     return data
 
 
-# Each BenchmarkConfig field and its default (MISSING for cases_dir).
-_BENCH_DEFAULTS = {f.name: f.default for f in fields(BenchmarkConfig)}
+_BENCH_FIELDS = {f.name for f in fields(BenchmarkConfig)}
 
 
 def _given_fields(args: argparse.Namespace) -> dict:
     """The BenchmarkConfig fields that a flag or the config file set."""
-    return {name: value for name, value in vars(args).items() if name in _BENCH_DEFAULTS and value is not None}
+    return {name: value for name, value in vars(args).items() if name in _BENCH_FIELDS and value is not None}
 
 
 def _check_out(path: str, what: str) -> None:
@@ -191,37 +190,27 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_loop(args: argparse.Namespace) -> int:
+    from .bench import CellFailure, Cells, run_cell
     from .gateway import make_backend
-    from .loop import BackendFailure, BenchmarkCase, run_loop
+    from .loop import BenchmarkCase
 
     _check_out(args.out, "trace")
-    settings = {**_BENCH_DEFAULTS, **_given_fields(args)}
-    store = load_store(args.schemas_dir)
+    cfg = BenchmarkConfig(cases_dir=args.prompt_file, **_given_fields(args))  # cases_dir is not read
+    store = load_store(cfg.schemas_dir)
     try:
         case = BenchmarkCase.from_file(args.prompt_file)
     except OSError as exc:
         print(f"cannot read prompt file: {exc}", file=sys.stderr)
         return 3
-    backend = make_backend(
-        args.backend,
-        store,
-        p_fix=settings["p_fix"],
-        p_spawn=settings["p_spawn"],
-        stubborn_fraction=settings["stubborn_fraction"],
-        initial_defects=(settings["initial_defects_min"], settings["initial_defects_max"]),
-        script_dir=args.script_dir,
-        api_base_url=args.api_base_url,
-        generation=GenerationConfig(model=settings["model"], temperature=args.temperature),
-    )(settings["master_seed"])
-    try:
-        trace = run_loop(case, backend, store, max_iterations=settings["iterations"], early_stop=args.early_stop)
-    except BackendFailure as exc:
-        exc.trace.write(args.out)
-        print(f"backend failure: {exc}", file=sys.stderr)
+    cells = Cells([case], store, make_backend(cfg, store, args.temperature), cfg.iterations, args.early_stop)
+    outcome = run_cell(cells, cfg.master_seed, 0, 0, 0)  # a one-cell run, seeded with --seed itself
+    if isinstance(outcome, CellFailure):
+        outcome.trace.write(args.out)
+        print(f"backend failure: {outcome.error}", file=sys.stderr)
         return 3
-    trace.write(args.out)
-    counts = ", ".join(f"{r.error_count}e/{r.warning_count}w" for r in trace.records)
-    print(f"{case.id}: {len(trace.records)} records ({counts})")
+    outcome.write(args.out)
+    counts = ", ".join(f"{r.error_count}e/{r.warning_count}w" for r in outcome.records)
+    print(f"{case.id}: {len(outcome.records)} records ({counts})")
     return 0
 
 

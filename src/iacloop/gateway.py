@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 from .linter import LintReport, lint_template
 from .located_json import JsonDocument, parse_located
 from .schema_store import SchemaStore, builtin_core_schemas
-from .settings import GenerationConfig, MissingSetting
+from .settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
 __all__ = [
     "ChatMessage",
@@ -235,45 +235,41 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
 
 
 def make_backend(
-    kind: str,
-    store: SchemaStore,
-    *,
-    p_fix: float,
-    p_spawn: float,
-    stubborn_fraction: float,
-    initial_defects: tuple[int, int],
-    script_dir: Optional[str],
-    api_base_url: Optional[str],
-    generation: GenerationConfig,
+    cfg: BenchmarkConfig, store: SchemaStore, temperature: float = GenerationConfig.temperature
 ) -> Callable[[int], Backend]:
-    """A ``seed -> Backend`` constructor for the ``kind`` backend
-    ("synthetic", "scripted" or "http"), whose settings are checked here.
+    """A ``seed -> Backend`` constructor for ``cfg.backend`` ("synthetic",
+    "scripted" or "http"), whose settings are checked here.
 
-    Only the settings of the chosen kind are read.  Raises ValueError for
-    any other kind, an invalid synthetic setting or an ``api_base_url``
-    that is not http(s) with a host, MissingSetting when a scripted backend
-    has no ``script_dir`` or an http backend no ``api_base_url``, and
-    FileNotFoundError when the script directory holds no ``*.txt`` file.
-    A script is read once: each scripted backend replays it from the first
-    response.  Only a synthetic backend reads the seed.
+    The ``GenerationConfig`` of ``cfg.model`` and ``temperature`` is built
+    for every kind; beyond it, only the settings of the chosen kind are
+    read.  Raises ValueError for any other kind, an invalid generation or
+    synthetic setting or an ``api_base_url`` that is not http(s) with a
+    host, MissingSetting when a scripted backend has no ``script_dir`` or an
+    http backend no ``api_base_url``, and FileNotFoundError when the script
+    directory holds no ``*.txt`` file.  A script is read once: each scripted
+    backend replays it from the first response.  Only a synthetic backend
+    reads the seed.
     """
-    if kind == "synthetic":
-        params = SyntheticParams(p_fix=p_fix, p_spawn=p_spawn, stubborn_fraction=stubborn_fraction)
-        SyntheticBackend(params, initial_defects=initial_defects, store=store)  # checks the range
-        return lambda seed: SyntheticBackend(replace(params, seed=seed), initial_defects=initial_defects, store=store)
-    if kind == "scripted":
-        if not script_dir:
+    generation = GenerationConfig(model=cfg.model, temperature=temperature)
+    if cfg.backend == "synthetic":
+        params = SyntheticParams(p_fix=cfg.p_fix, p_spawn=cfg.p_spawn, stubborn_fraction=cfg.stubborn_fraction)
+        defects = (cfg.initial_defects_min, cfg.initial_defects_max)
+        SyntheticBackend(params, initial_defects=defects, store=store)  # checks the range
+        return lambda seed: SyntheticBackend(replace(params, seed=seed), initial_defects=defects, store=store)
+    if cfg.backend == "scripted":
+        if not cfg.script_dir:
             raise MissingSetting("scripted backend requires script_dir")
-        script = ScriptedBackend.from_dir(script_dir)
+        script = ScriptedBackend.from_dir(cfg.script_dir)
         return lambda seed: ScriptedBackend(script.responses)
-    if kind == "http":
+    if cfg.backend == "http":
+        api_base_url = cfg.api_base_url
         if not api_base_url:
             raise MissingSetting("http backend requires api_base_url")
         url = urllib.parse.urlsplit(api_base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"api_base_url must be an http or https URL with a host, got {api_base_url!r}")
         return lambda seed: HttpBackend(api_base_url, generation)
-    raise ValueError(f"unknown backend kind {kind!r}")
+    raise ValueError(f"unknown backend kind {cfg.backend!r}")
 
 
 class ScriptedBackend:

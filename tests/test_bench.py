@@ -155,7 +155,7 @@ class TestRunBenchmark:
         )
         result = run_benchmark(cfg)
         assert len(result.failures) == 1
-        assert result.failures[0].records_completed == 1
+        assert len(result.failures[0].trace.records) == 1
         assert result.trials[0] == [(0, 0)] * 4
 
     def test_unexpected_cell_error_listed_not_fatal(self, one_case_dir, tmp_path, monkeypatch):
@@ -176,7 +176,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
-        assert [(f.trial_index, f.generation_index, f.error, f.records_completed)
+        assert [(f.trial_index, f.trace.generation_index, f.error, len(f.trace.records))
                 for f in result.failures] == [(0, 1, "RuntimeError: cell exploded", 0),
                                               (1, 1, "RuntimeError: cell exploded", 0)]
         assert (expected.completed, result.completed) == (6, 4)

@@ -494,8 +494,8 @@ def settings_seen(monkeypatch):
         seen["schemas_dir"] = schemas_dir
         return builtin_core_schemas()
 
-    def make_backend(kind, store, *, script_dir, api_base_url, **synthetic):
-        seen.update(script_dir=script_dir, api_base_url=api_base_url)
+    def make_backend(cfg, store, temperature=None):
+        seen.update(script_dir=cfg.script_dir, api_base_url=cfg.api_base_url)
         raise MissingSetting("stopped")
 
     def run_benchmark(cfg):
@@ -614,30 +614,29 @@ class TestLoopCommand:
 
     def test_defaults_are_benchmark_config_defaults(self, tmp_path, capsys, monkeypatch):
         seen = {}
-        inner_backend, inner_loop = gateway.make_backend, loop_module.run_loop
+        inner_backend, inner_loop = gateway.make_backend, bench.run_loop
 
-        def make_backend(kind, store, **settings):
-            seen.update(settings)
-            return lambda seed: seen.update(seed=seed) or inner_backend(kind, store, **settings)(seed)
+        def make_backend(cfg, store, temperature):
+            seen.update(cfg=cfg, temperature=temperature)
+            return lambda seed: seen.update(seed=seed) or inner_backend(cfg, store, temperature)(seed)
 
         def run_loop(case, backend, store, **settings):
             seen.update(settings)
             return inner_loop(case, backend, store, **settings)
 
         monkeypatch.setattr(gateway, "make_backend", make_backend)
-        monkeypatch.setattr(loop_module, "run_loop", run_loop)
+        monkeypatch.setattr(bench, "run_loop", run_loop)
         prompt = tmp_path / "p.txt"
         prompt.write_text("Create a vpc")
         assert dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic",
                          "--out", str(tmp_path / "t.json")]) == 0
-        defaults = BenchmarkConfig(cases_dir="")
+        defaults = BenchmarkConfig(cases_dir=str(prompt))  # the prompt file stands in for the cases
         assert seen == {
-            "p_fix": defaults.p_fix, "p_spawn": defaults.p_spawn, "stubborn_fraction": defaults.stubborn_fraction,
-            "initial_defects": (defaults.initial_defects_min, defaults.initial_defects_max), "script_dir": None,
-            "api_base_url": None, "generation": GenerationConfig(),
-            "seed": defaults.master_seed, "max_iterations": defaults.iterations, "early_stop": False,
+            "cfg": defaults, "temperature": GenerationConfig().temperature, "seed": defaults.master_seed,
+            "max_iterations": defaults.iterations, "early_stop": False, "generation_index": 0,
         }
-        assert seen["initial_defects"] == (6, 10)  # a bench cell's range
+        assert (seen["temperature"], seen["seed"], seen["max_iterations"]) == (0.0, 0, 10)
+        assert (defaults.initial_defects_min, defaults.initial_defects_max) == (6, 10)  # a bench cell's range
         assert defaults.model == GenerationConfig().model
 
     @pytest.mark.parametrize("extra, message", [
@@ -645,7 +644,7 @@ class TestLoopCommand:
         pytest.param(("--temperature", "inf"), "temperature must be finite and >= 0, got inf", id="temperature-inf"),
         pytest.param(("--temperature", "-1"), "temperature must be finite and >= 0, got -1.0", id="temperature-neg"),
         pytest.param(("--model", ""), "model must be non-empty", id="empty-model"),
-        pytest.param(("--iterations", "0"), "max_iterations must be >= 1", id="no-iteration"),
+        pytest.param(("--iterations", "0"), "iterations must be >= 1", id="no-iteration"),
     ])
     def test_settings_are_checked_before_any_call(self, tmp_path, capsys, generate_calls, extra, message):
         prompt = tmp_path / "p.txt"
@@ -666,6 +665,26 @@ class TestLoopCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: scripted backend requires script_dir\n"  # no usage line
+
+    def test_cell_error_is_a_failed_cell(self, tmp_path, capsys):
+        # The cell fails as a bench cell does: its exception becomes the
+        # error, and the trace written is the cell's, with no record.
+        schemas = tmp_path / "schemas"  # no schema for the template's types: six defect sites
+        schemas.mkdir()
+        (schemas / "widget.json").write_text(json.dumps({"typeName": "AWS::Custom::Widget", "properties": {}}))
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "trace.json"
+        code = dispatch([
+            "loop", "--prompt-file", str(prompt), "--backend", "synthetic", "--schemas", str(schemas),
+            "--defects-min", "7", "--defects-max", "7", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "backend failure: ValueError: schema store leaves 6 defect sites, 11 needed for 7 defects: "
+            "it has no property schemas for the template's types\n"
+        )
+        assert json.loads(out.read_text()) == {"case_id": "p", "generation_index": 0, "records": []}
 
     def test_negative_initial_defects_fail_before_the_loop(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"

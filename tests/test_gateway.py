@@ -47,6 +47,11 @@ TWO_RETRIES = GenerationConfig(max_retries=2, timeout_seconds=5)
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
 
 
+def _settings(**fields) -> BenchmarkConfig:
+    """The settings ``make_backend`` reads; it never reads ``cases_dir``."""
+    return BenchmarkConfig(cases_dir="", **fields)
+
+
 class TestGenerate:
     def test_scripted_replay_order(self):
         backend = ScriptedBackend(["s1", "s2"])
@@ -62,28 +67,26 @@ class TestGenerate:
 
     def test_make_backend_rejects_unknown_kinds(self):
         # An unknown kind used to fall through to the http backend.
-        settings = dict(p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0, initial_defects=4,
-                        script_dir=None, api_base_url="http://x", generation=CFG)
         for kind in ("Synthetic", "synth", "HTTP", ""):
             for api_base_url in ("http://x", None):
                 with pytest.raises(ValueError, match=repr(kind)) as caught:
-                    make_backend(kind, builtin_core_schemas(), **dict(settings, api_base_url=api_base_url))
+                    make_backend(_settings(backend=kind, api_base_url=api_base_url), builtin_core_schemas())
                 assert not isinstance(caught.value, MissingSetting)
         with pytest.raises(MissingSetting):
-            make_backend("http", builtin_core_schemas(), **dict(settings, api_base_url=None))
-        new_backend = make_backend("http", builtin_core_schemas(), **settings)
+            make_backend(_settings(backend="http"), builtin_core_schemas())
+        new_backend = make_backend(_settings(backend="http", api_base_url="http://x", model="m"),
+                                   builtin_core_schemas(), temperature=0.5)
         first, second = new_backend(1), new_backend(1)
         assert isinstance(first, HttpBackend) and isinstance(second, HttpBackend)
         assert first is not second
         assert first.base_url == second.base_url == "http://x"
-        assert first.generation is second.generation is CFG
+        assert first.generation is second.generation
+        assert first.generation == GenerationConfig(model="m", temperature=0.5)
 
     def test_scripted_backends_of_one_constructor_replay_independently(self, tmp_path):
         (tmp_path / "000.txt").write_text("first")
         (tmp_path / "001.txt").write_text("second")
-        new_backend = make_backend("scripted", builtin_core_schemas(), p_fix=0.5, p_spawn=0.1,
-                                   stubborn_fraction=0.0, initial_defects=4, script_dir=str(tmp_path),
-                                   api_base_url=None, generation=CFG)
+        new_backend = make_backend(_settings(backend="scripted", script_dir=str(tmp_path)), builtin_core_schemas())
         one, other = new_backend(1), new_backend(1)
         assert generate(CONVERSATION, one) == "first"
         assert generate(CONVERSATION, one) == "second"
@@ -96,9 +99,8 @@ class TestGenerate:
         from iacloop.loop import FEEDBACK_HEADER
 
         store = builtin_core_schemas()
-        new_backend = make_backend("synthetic", store, p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25,
-                                   initial_defects=(3, 12), script_dir=None, api_base_url=None,
-                                   generation=CFG)
+        new_backend = make_backend(_settings(backend="synthetic", p_fix=0.5, p_spawn=0.2, stubborn_fraction=0.25,
+                                             initial_defects_min=3, initial_defects_max=12), store)
         feedback = CONVERSATION + [ChatMessage("assistant", "{}"), ChatMessage("user", FEEDBACK_HEADER + "\nE")]
         texts = set()
         for seed in (0, 1, 7, mix64(3, 1, 4, 1)):
@@ -208,8 +210,7 @@ class TestHttpBackend:
         monkeypatch.setenv("IACLOOP_API_KEY", "k")
         for spelling in (base + "/v1", base + "/v1/"):
             handler.script.append((200, _completion("X")))
-            backend = make_backend("http", builtin_core_schemas(), p_fix=0.5, p_spawn=0.1, stubborn_fraction=0.0,
-                                   initial_defects=4, script_dir=None, api_base_url=spelling, generation=CFG)(0)
+            backend = make_backend(_settings(backend="http", api_base_url=spelling), builtin_core_schemas())(0)
             assert backend.complete(CONVERSATION) == "X"
         assert [seen["path"] for seen in handler.requests_seen] == ["/v1/chat/completions"] * 2
 
