@@ -378,16 +378,14 @@ def export_svg(stats: AggregateStats, out_path: str | Path, include_initial: boo
     Path(out_path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def results_to_dict(
-    result: BenchmarkResult,
-    stats: Optional[AggregateStats],
-    plateau_index: Optional[int],
-) -> dict:
+def results_to_dict(result: BenchmarkResult) -> dict:
+    """The results file's payload: the run, its aggregate stats and plateau."""
+    stats = aggregate(result.trials)
     return {
         "config": result.config.to_dict(),
         "trials": [{"trial_index": t, "per_iteration_totals": row} for t, row in enumerate(result.trials)],
         "stats": vars(stats) if stats is not None else None,
-        "plateau_index": plateau_index,
+        "plateau_index": detect_plateau(stats.mean_errors) if stats is not None else None,
         "failures": [
             {"trial_index": f.trial_index, "case_id": f.trace.case_id, "generation_index": f.trace.generation_index,
              "error": f.error, "records_completed": len(f.trace.records)}
@@ -396,14 +394,11 @@ def results_to_dict(
     }
 
 
-def write_results(
-    result: BenchmarkResult,
-    out_path: str | Path,
-    stats: Optional[AggregateStats] = None,
-    plateau_index: Optional[int] = None,
-) -> None:
-    payload = results_to_dict(result, stats, plateau_index)
+def write_results(result: BenchmarkResult, out_path: str | Path) -> dict:
+    """Write ``results_to_dict(result)`` as JSON and return it."""
+    payload = results_to_dict(result)
     Path(out_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return payload
 
 
 def read_results(path: str | Path) -> dict:

@@ -62,6 +62,7 @@ def _build_parser() -> _Parser:
     # The flags loop and bench share.  A flag that sets a BenchmarkConfig field
     # stores under its name, with no default: BenchmarkConfig owns the defaults.
     run = _Parser(add_help=False)
+    run.add_argument("--backend", choices=("synthetic", "scripted", "http"))
     run.add_argument("--iterations", type=int)
     run.add_argument("--seed", dest="master_seed", type=int)
     run.add_argument("--schemas", dest="schemas_dir")
@@ -76,14 +77,12 @@ def _build_parser() -> _Parser:
 
     loop = sub.add_parser("loop", parents=[run], help="run one feedback-loop cell")
     loop.add_argument("--prompt-file", required=True)
-    loop.add_argument("--backend", choices=("http", "scripted", "synthetic"), required=True)
     loop.add_argument("--early-stop", action="store_true")
     loop.add_argument("--out", required=True, help="trace JSON output path")
     loop.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
 
     bench = sub.add_parser("bench", parents=[run], help="run the full benchmark protocol")
     bench.add_argument("--cases", dest="cases_dir", required=True, help="directory of *.txt prompt files")
-    bench.add_argument("--backend", choices=("synthetic", "scripted", "http"))
     bench.add_argument("--trials", type=int)
     bench.add_argument("--generations", dest="generations_per_case", type=int)
     bench.add_argument("--out", required=True, help="results JSON output path")
@@ -197,11 +196,7 @@ def _cmd_loop(args: argparse.Namespace) -> int:
     _check_out(args.out, "trace")
     cfg = BenchmarkConfig(cases_dir=args.prompt_file, **_given_fields(args))  # cases_dir is not read
     store = load_store(cfg.schemas_dir)
-    try:
-        case = BenchmarkCase.from_file(args.prompt_file)
-    except OSError as exc:
-        print(f"cannot read prompt file: {exc}", file=sys.stderr)
-        return 3
+    case = BenchmarkCase.from_file(args.prompt_file)
     cells = Cells([case], store, make_backend(cfg, store, args.temperature), cfg.iterations, args.early_stop)
     outcome = run_cell(cells, cfg.master_seed, 0, 0, 0)  # a one-cell run, seeded with --seed itself
     if isinstance(outcome, CellFailure):
@@ -215,14 +210,12 @@ def _cmd_loop(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import aggregate, detect_plateau, run_benchmark, write_results
+    from .bench import run_benchmark, write_results
 
     cfg = BenchmarkConfig(**_given_fields(args))
     _check_out(args.out, "results")
     result = run_benchmark(cfg)
-    stats = aggregate(result.trials)
-    plateau = detect_plateau(stats.mean_errors) if stats is not None else None
-    write_results(result, args.out, stats=stats, plateau_index=plateau)
+    plateau = write_results(result, args.out)["plateau_index"]
     print(f"{result.completed} cells completed, {len(result.failures)} failed; results -> {args.out}")
     if not result.completed:
         print(f"no cell completed; first failure: {result.failures[0].error}", file=sys.stderr)

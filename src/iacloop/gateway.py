@@ -134,34 +134,27 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry/backoff.
 
     Retries 5xx responses, rate limits (429), timeouts and failed
-    connections, from one budget of ``generation.max_retries`` retries,
-    with exponential backoff (1s, 2s, 4s, ...); a 429 whose ``Retry-After``
+    connections, from one budget of ``MAX_RETRIES`` retries, with
+    exponential backoff (1s, 2s, 4s, ...); a 429 whose ``Retry-After``
     header gives delta-seconds waits that long instead, and one that asks
     for more than ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.
-    Once the budget is spent, the last failure is raised "after retries".  Each request
-    sends ``generation``'s model and temperature and opens and closes its
-    own connection; the conversation is never mutated.
+    Once the budget is spent, the last failure is raised "after retries".
+    Each request sends ``generation``'s model and temperature with the key
+    from ``resolve_api_key``, waits ``TIMEOUT_SECONDS`` for its response, and
+    opens and closes its own connection; the conversation is never mutated.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        generation: GenerationConfig,
-        api_key: Optional[str] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, base_url: str, generation: GenerationConfig, sleep: Callable[[float], None] = time.sleep):
         self.base_url = base_url.rstrip("/").removesuffix("/v1")  # SDKs spell the base URL with its /v1
         self.generation = generation
-        self.api_key = api_key
         self._sleep = sleep
-        self.last_retry_count = 0
 
     def complete(self, conversation: Sequence[ChatMessage]) -> str:
         import http.client  # only a live run pays for the HTTP client
         import urllib.error
         import urllib.request
 
-        key = self.api_key or resolve_api_key()
+        key = resolve_api_key()
         if not key:
             raise AuthError("no API key configured (set IACLOOP_API_KEY or OPENAI_API_KEY)")
         payload = {
@@ -172,12 +165,11 @@ class HttpBackend:
         data = json.dumps(payload, allow_nan=False).encode()
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         request = urllib.request.Request(f"{self.base_url}/v1/chat/completions", data, headers)
-        self.last_retry_count = 0
-        for attempt in range(self.generation.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             delay = None
             try:  # the body is read in here, so a read that times out is retried
                 try:
-                    response = urllib.request.urlopen(request, timeout=self.generation.timeout_seconds)
+                    response = urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS)
                 except urllib.error.HTTPError as error:  # a status outside 2xx; the error is the response
                     response = error
                 with response:
@@ -196,7 +188,7 @@ class HttpBackend:
                 kind = "rate limited" if status == 429 else "server error"
                 failure = TransportError(f"{kind} {status} after retries", status=status, body=text)
                 delay = _retry_after(retry_after) if status == 429 else None
-            if attempt == self.generation.max_retries:  # so the last attempt returns or raises
+            if attempt == MAX_RETRIES:  # so the last attempt returns or raises
                 raise failure
             if delay is not None and delay > MAX_RETRY_AFTER_SECONDS:
                 raise TransportError(
@@ -205,7 +197,6 @@ class HttpBackend:
                     body=text,
                 )
             self._sleep(float(2**attempt) if delay is None else delay)
-            self.last_retry_count += 1
 
     @staticmethod
     def _extract_content(text: str) -> str:
@@ -223,6 +214,8 @@ class HttpBackend:
         return content
 
 
+MAX_RETRIES = 3  # retries per request, after its first attempt
+TIMEOUT_SECONDS = 60.0  # wait for each attempt's response
 # Longest server-requested wait a 429 retry honours.
 MAX_RETRY_AFTER_SECONDS = 120.0
 

@@ -23,8 +23,6 @@ class MissingSetting(ValueError):
 class GenerationConfig:
     model: str = "gpt-4o"
     temperature: float = 0.0
-    max_retries: int = 3
-    timeout_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         # No request can carry NaN or infinity; NaN fails every comparison.
@@ -32,8 +30,6 @@ class GenerationConfig:
             raise ValueError("model must be non-empty")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not 0 < self.timeout_seconds < math.inf:
-            raise ValueError(f"timeout_seconds must be finite and positive, got {self.timeout_seconds}")
 
 
 @dataclass

@@ -253,11 +253,10 @@ class TestCriterion7DeterminismUnderParallelism:
                 traces_dir=str(traces_dir),
             )
             result = run_benchmark(cfg)
-            stats = aggregate(result.trials)
             out = tmp_path / f"results-p{parallelism}.json"
-            write_results(result, out, stats=stats,
-                          plateau_index=detect_plateau(stats.mean_errors))
+            payload = write_results(result, out)
             outputs[parallelism] = out.read_bytes()
+            assert json.loads(outputs[parallelism])["stats"] == payload["stats"] == vars(aggregate(result.trials))
             traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert outputs[1] == outputs[8]
         assert len(traces[1]) == 3 * 4 * 2

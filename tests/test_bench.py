@@ -135,11 +135,10 @@ class TestRunBenchmark:
                 trials=2, master_seed=99, parallelism=parallelism, traces_dir=str(traces_dir),
             )
             result = run_benchmark(cfg)
-            stats = aggregate(result.trials)
             out = tmp_path / f"results-p{parallelism}.json"
-            write_results(result, out, stats=stats,
-                          plateau_index=detect_plateau(stats.mean_errors))
+            payload = write_results(result, out)
             results[parallelism] = out.read_bytes()
+            assert json.loads(results[parallelism])["stats"] == payload["stats"] == vars(aggregate(result.trials))
             traces[parallelism] = {path.name: path.read_bytes() for path in traces_dir.iterdir()}
         assert results[1] == results[8]
         assert len(traces[1]) == 4
@@ -581,9 +580,11 @@ class TestResultsFile:
         cfg = BenchmarkConfig(cases_dir=str(cases), generations_per_case=1,
                               iterations=2, trials=2, master_seed=1)
         result = run_benchmark(cfg)
-        stats = aggregate(result.trials)
-        payload = results_to_dict(result, stats, detect_plateau(stats.mean_errors))
+        payload = results_to_dict(result)
         assert set(payload) == {"config", "trials", "stats", "plateau_index", "failures"}
+        stats = aggregate(result.trials)
+        assert payload["stats"] == vars(stats)
+        assert payload["plateau_index"] == detect_plateau(stats.mean_errors)
         assert payload["config"]["master_seed"] == 1
         assert [t["trial_index"] for t in payload["trials"]] == [0, 1]
         assert len(payload["trials"][0]["per_iteration_totals"]) == 3

@@ -597,6 +597,25 @@ class TestLoopCommand:
                 ]) == 0
                 assert out.read_bytes() == (traces / f"trial{trial:02d}_{case}_gen0.json").read_bytes()
 
+    def test_default_backend_is_benchmark_config_default(self, tmp_path, capsys):
+        # --backend is shared with bench, and BenchmarkConfig owns its default.
+        outputs = []
+        for backend in ((), ("--backend", "synthetic")):
+            out = tmp_path / f"loop{len(outputs)}.json"
+            assert dispatch(["loop", "--prompt-file", str(CASES / "case_01.txt"), *backend,
+                             "--seed", "4787635008706537062", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert BenchmarkConfig(cases_dir="").backend == "synthetic"
+        assert outputs[0] == outputs[1]
+
+    def test_missing_prompt_file_is_a_runtime_failure(self, tmp_path, capsys, generate_calls):
+        prompt = tmp_path / "missing.txt"
+        out = tmp_path / "t.json"
+        assert dispatch(["loop", "--prompt-file", str(prompt), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"runtime failure: [Errno 2] No such file or directory: {str(prompt)!r}\n"
+        assert generate_calls == []
+        assert not out.exists()
+
     def test_not_utf8_script_file_is_named(self, tmp_path, capsys, generate_calls):
         script = tmp_path / "script"
         script.mkdir()

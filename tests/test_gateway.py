@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -42,8 +43,7 @@ from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
 
 from helpers import random_reply, reference_largest_object, render
 
-CFG = GenerationConfig(max_retries=3, timeout_seconds=5.0)
-TWO_RETRIES = GenerationConfig(max_retries=2, timeout_seconds=5)
+CFG = GenerationConfig()
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
 
 
@@ -176,11 +176,23 @@ def _completion(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
 
+@pytest.fixture
+def two_retries(monkeypatch):
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 2)
+
+
 class TestHttpBackend:
-    def test_wire_format_and_parse(self, stub_server):
+    @pytest.fixture(autouse=True)
+    def key_in_environment(self, monkeypatch):
+        # The key comes from the environment alone; a stalled test fails in 5 s, not 60.
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        monkeypatch.setattr(gateway, "TIMEOUT_SECONDS", 5.0)
+
+    def test_wire_format_and_parse(self, stub_server, monkeypatch):
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
-        backend = HttpBackend(base, CFG, api_key="k-test")
+        monkeypatch.setenv("IACLOOP_API_KEY", "k-test")
+        backend = HttpBackend(base, CFG)
         assert backend.complete(CONVERSATION) == "X"
         seen = handler.requests_seen[0]
         assert seen["path"] == "/v1/chat/completions"
@@ -197,17 +209,16 @@ class TestHttpBackend:
         handler.script += [(200, _completion("X"))] * 3
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            backend = HttpBackend(base, CFG, api_key="k")
+            backend = HttpBackend(base, CFG)
             for _ in range(3):
                 assert backend.complete(CONVERSATION) == "X"
             del backend
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_base_url_may_end_in_v1(self, stub_server, monkeypatch):
+    def test_base_url_may_end_in_v1(self, stub_server):
         # The OpenAI SDK, vLLM and Ollama document their base URLs with /v1.
         base, handler = stub_server
-        monkeypatch.setenv("IACLOOP_API_KEY", "k")
         for spelling in (base + "/v1", base + "/v1/"):
             handler.script.append((200, _completion("X")))
             backend = make_backend(_settings(backend="http", api_base_url=spelling), builtin_core_schemas())(0)
@@ -218,18 +229,29 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(500, {"err": 1}), (500, {"err": 2}), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
-        assert backend.last_retry_count == 2
         assert sleeps == [1.0, 2.0]
 
-    def test_retry_budget_exhausted(self, stub_server):
+    def test_retry_budget_exhausted(self, stub_server, two_retries):
         base, handler = stub_server
         handler.script += [(503, {})] * 3
-        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=lambda s: None)
+        backend = HttpBackend(base, CFG, sleep=lambda s: None)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 503
+
+    def test_no_retry_budget_fails_at_once(self, stub_server, monkeypatch):
+        base, handler = stub_server
+        handler.script += [(503, {}), (200, _completion("X"))]
+        monkeypatch.setattr(gateway, "MAX_RETRIES", 0)
+        sleeps = []
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        with pytest.raises(TransportError, match="server error 503 after retries") as exc_info:
+            backend.complete(CONVERSATION)
+        assert exc_info.value.status == 503
+        assert sleeps == []
+        assert len(handler.requests_seen) == 1
 
     def test_rate_limit_honours_retry_after_seconds(self, stub_server):
         base, handler = stub_server
@@ -240,17 +262,16 @@ class TestHttpBackend:
             (200, _completion("X")),
         ]
         sleeps = []
-        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         # Seconds are honoured; no header or an HTTP-date takes the backoff.
         assert sleeps == [7.0, 2.0, 4.0]
-        assert backend.last_retry_count == 3
 
-    def test_rate_limit_budget_exhausted(self, stub_server):
+    def test_rate_limit_budget_exhausted(self, stub_server, two_retries):
         base, handler = stub_server
         handler.script += [(429, {"error": "slow down"}, ("Retry-After", "0"))] * 3
         sleeps = []
-        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
@@ -262,7 +283,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", value)), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
@@ -273,41 +294,42 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", "120")), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [MAX_RETRY_AFTER_SECONDS] == [120.0]
 
-    def test_spent_budget_wins_over_a_long_retry_after(self, stub_server):
+    def test_spent_budget_wins_over_a_long_retry_after(self, stub_server, two_retries):
         # On the last attempt there is no wait to refuse: the budget is spent.
         base, handler = stub_server
         handler.script += [(503, {}), (503, {}), (429, {}, ("Retry-After", "3600"))]
         sleeps = []
-        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         with pytest.raises(TransportError, match="rate limited 429 after retries") as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
         assert sleeps == [1.0, 2.0]
 
-    def test_one_budget_covers_every_kind_of_failure(self, stub_server):
+    def test_one_budget_covers_every_kind_of_failure(self, stub_server, two_retries):
         base, handler = stub_server
         handler.script += [(503, {}), (429, {}, ("Retry-After", "5")), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(base, CFG, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [1.0, 5.0]
-        assert backend.last_retry_count == 2
 
-    def test_auth_error_on_401(self, stub_server):
+    def test_auth_error_on_401(self, stub_server, monkeypatch):
         base, handler = stub_server
         handler.script.append((401, {"error": "bad key"}))
-        backend = HttpBackend(base, CFG, api_key="nope")
+        monkeypatch.setenv("IACLOOP_API_KEY", "nope")
+        backend = HttpBackend(base, CFG)
         with pytest.raises(AuthError):
             backend.complete(CONVERSATION)
+        assert handler.requests_seen[0]["auth"] == "Bearer nope"
 
     def test_malformed_body_names_missing_field(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, {"nothing": []}))
-        backend = HttpBackend(base, CFG, api_key="k")
+        backend = HttpBackend(base, CFG)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert "choices" in str(exc_info.value)
@@ -318,24 +340,23 @@ class TestHttpBackend:
         with pytest.raises(TransportError, match="response body is not JSON"):
             HttpBackend._extract_content(body)
 
-    def test_timeouts_retry_then_fail(self):
+    def test_timeouts_retry_then_fail(self, two_retries, monkeypatch):
         # The listener's backlog completes each connection, but nothing ever
         # answers, so every attempt times out waiting for the response.
+        monkeypatch.setattr(gateway, "TIMEOUT_SECONDS", 0.05)
         with socket.create_server(("127.0.0.1", 0)) as silent:
             base = f"http://127.0.0.1:{silent.getsockname()[1]}"
             sleeps = []
-            generation = GenerationConfig(max_retries=2, timeout_seconds=0.05)
-            backend = HttpBackend(base, generation, api_key="k", sleep=sleeps.append)
+            backend = HttpBackend(base, CFG, sleep=sleeps.append)
             with pytest.raises(TransportError, match="transport failure after retries"):
                 backend.complete(CONVERSATION)
         assert sleeps == [1.0, 2.0]
-        assert backend.last_retry_count == 2
 
-    def test_refused_connections_retry_then_fail(self):
+    def test_refused_connections_retry_then_fail(self, two_retries):
         with socket.create_server(("127.0.0.1", 0)) as probe:
             port = probe.getsockname()[1]  # closed, so nothing listens there
         sleeps = []
-        backend = HttpBackend(f"http://127.0.0.1:{port}", TWO_RETRIES, api_key="k", sleep=sleeps.append)
+        backend = HttpBackend(f"http://127.0.0.1:{port}", CFG, sleep=sleeps.append)
         with pytest.raises(TransportError, match="transport failure after retries") as exc_info:
             backend.complete(CONVERSATION)
         assert isinstance(exc_info.value.__cause__.reason, ConnectionRefusedError)
@@ -362,7 +383,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
         conversation = list(CONVERSATION)
-        HttpBackend(base, CFG, api_key="k").complete(conversation)
+        HttpBackend(base, CFG).complete(conversation)
         assert conversation == CONVERSATION
 
 
@@ -479,14 +500,14 @@ class TestGenerationConfig:
         ("temperature", float("nan")),
         ("temperature", float("inf")),
         ("temperature", -1.0),
-        ("timeout_seconds", float("nan")),
-        ("timeout_seconds", float("inf")),
-        ("timeout_seconds", 0.0),
         ("model", ""),
     ])
     def test_rejects_what_no_request_can_carry(self, setting, value):
         with pytest.raises(ValueError, match=setting):
             GenerationConfig(**{setting: value})
+
+    def test_holds_what_a_request_sends(self):
+        assert [f.name for f in dataclasses.fields(GenerationConfig)] == ["model", "temperature"]
 
 
 class TestExtractTemplate:
