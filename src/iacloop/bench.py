@@ -110,7 +110,7 @@ class Cells(NamedTuple):
     store: SchemaStore
     new_backend: Callable[[int], Backend]  # seed -> Backend
     iterations: int
-    early_stop: bool = False
+    early_stop: bool
 
 
 def run_cell(cells: Cells, seed: int, trial: int, case_index: int, generation: int) -> LoopTrace | CellFailure:
@@ -136,7 +136,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     ``make_backend`` checks the backend's settings once, before any
     directory is made or cell runs; each cell builds its backend from its
     seed alone.  Aborted cells (a backend failure or any other exception
-    from the loop) are excluded from totals and listed in ``failures``.
+    from the loop) are excluded from totals and listed in ``failures``.  A
+    cell that ``early_stop`` ends on a clean report adds 0 for the
+    iterations it skips, as clean ones would.
     Outcomes are read in cell order (trial, case, generation), whatever the
     parallelism, each as soon as its cell and those before it have
     finished.  Every cell lints by block, so the cells share the linter's
@@ -148,7 +150,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     """
     cases = load_cases(cfg.cases_dir)
     store = load_store(cfg.schemas_dir)
-    shared = Cells(cases, store, make_backend(cfg, store), cfg.iterations)
+    shared = Cells(cases, store, make_backend(cfg, store), cfg.iterations, cfg.early_stop)
     traces = Path(cfg.traces_dir) if cfg.traces_dir else None
     if traces:  # before any cell runs, so a bad path costs no calls
         traces.mkdir(parents=True, exist_ok=True)

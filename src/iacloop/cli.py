@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 lint errors present
 (lint subcommand only), 3 runtime failure.  Flags win over the --config file,
 which wins over defaults; ``BenchmarkConfig`` owns the defaults of the flags
-``loop`` and ``bench`` share.  The argument parser is built on the first
-``dispatch`` and shared by every later call in the process; each call parses
-into a fresh namespace and nothing mutates the parser.  An argv that starts
+of ``loop`` and ``bench`` that set its fields.  The argument parser is built on
+the first ``dispatch`` and shared by every later call in the process; each call
+parses into a fresh namespace and nothing mutates the parser.  An argv that starts
 with a command is parsed once, by that command's parser; any other (``--config``
 or ``--help`` first, an unknown word, none) goes through the top-level parser.
 A usage error prints the usage of the parser that declares the rejected
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .linter import Diagnostic, format_diagnostic, lint_template
 from .located_json import JsonSyntaxError, parse_located
 from .schema_store import load_store
-from .settings import BenchmarkConfig, GenerationConfig, MissingSetting
+from .settings import BenchmarkConfig, MissingSetting
 
 __all__ = ["dispatch", "main"]
 
@@ -53,19 +53,19 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     parser.commands = sub.choices  # each command's parser, by name
 
-    lint = sub.add_parser("lint", help="lint one template file")
+    schemas = _Parser(add_help=False)  # the flag lint, loop and bench share
+    schemas.add_argument("--schemas", dest="schemas_dir", help="schema directory (builtin store when absent)")
+    lint = sub.add_parser("lint", parents=[schemas], help="lint one template file")
     lint.add_argument("file")
-    lint.add_argument("--schemas", dest="schemas_dir", help="schema directory (builtin store when absent)")
     lint.add_argument("--strict-types", action="store_true", help="unknown resource types are errors")
     lint.add_argument("--format", choices=("text", "json"), default="text")
 
-    # The flags loop and bench share.  A flag that sets a BenchmarkConfig field
-    # stores under its name, with no default: BenchmarkConfig owns the defaults.
-    run = _Parser(add_help=False)
+    # The flags loop and bench share.  A flag of either that sets a BenchmarkConfig
+    # field stores under its name, with no default: BenchmarkConfig owns the defaults.
+    run = _Parser(parents=[schemas], add_help=False)
     run.add_argument("--backend", choices=("synthetic", "scripted", "http"))
     run.add_argument("--iterations", type=int)
     run.add_argument("--seed", dest="master_seed", type=int)
-    run.add_argument("--schemas", dest="schemas_dir")
     run.add_argument("--script-dir", help="scripted backend response directory")
     run.add_argument("--api-base", dest="api_base_url", help="http backend base URL")
     run.add_argument("--model", help="http backend model name")
@@ -77,9 +77,9 @@ def _build_parser() -> _Parser:
 
     loop = sub.add_parser("loop", parents=[run], help="run one feedback-loop cell")
     loop.add_argument("--prompt-file", required=True)
-    loop.add_argument("--early-stop", action="store_true")
+    loop.add_argument("--early-stop", action="store_true", default=None)
     loop.add_argument("--out", required=True, help="trace JSON output path")
-    loop.add_argument("--temperature", type=float, default=GenerationConfig.temperature)
+    loop.add_argument("--temperature", type=float)
 
     bench = sub.add_parser("bench", parents=[run], help="run the full benchmark protocol")
     bench.add_argument("--cases", dest="cases_dir", required=True, help="directory of *.txt prompt files")
@@ -197,7 +197,7 @@ def _cmd_loop(args: argparse.Namespace) -> int:
     cfg = BenchmarkConfig(cases_dir=args.prompt_file, **_given_fields(args))  # cases_dir is not read
     store = load_store(cfg.schemas_dir)
     case = BenchmarkCase.from_file(args.prompt_file)
-    cells = Cells([case], store, make_backend(cfg, store, args.temperature), cfg.iterations, args.early_stop)
+    cells = Cells([case], store, make_backend(cfg, store), cfg.iterations, cfg.early_stop)
     outcome = run_cell(cells, cfg.master_seed, 0, 0, 0)  # a one-cell run, seeded with --seed itself
     if isinstance(outcome, CellFailure):
         outcome.trace.write(args.out)

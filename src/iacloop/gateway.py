@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 from .linter import LintReport, lint_template
 from .located_json import JsonDocument, parse_located
 from .schema_store import SchemaStore, builtin_core_schemas
-from .settings import BenchmarkConfig, GenerationConfig, MissingSetting
+from .settings import BenchmarkConfig, MissingSetting
 
 __all__ = [
     "ChatMessage",
@@ -78,7 +78,7 @@ class TransportError(RuntimeError):
 
 
 class AuthError(TransportError):
-    """Missing or rejected API credentials."""
+    """The endpoint rejected the API credentials."""
 
 
 class ScriptExhausted(RuntimeError):
@@ -139,14 +139,20 @@ class HttpBackend:
     header gives delta-seconds waits that long instead, and one that asks
     for more than ``MAX_RETRY_AFTER_SECONDS`` is a TransportError at once.
     Once the budget is spent, the last failure is raised "after retries".
-    Each request sends ``generation``'s model and temperature with the key
-    from ``resolve_api_key``, waits ``TIMEOUT_SECONDS`` for its response, and
-    opens and closes its own connection; the conversation is never mutated.
+    Each request sends ``model`` and ``temperature`` with the key that
+    ``resolve_api_key`` gave at construction (MissingSetting when none is
+    set), waits ``TIMEOUT_SECONDS`` for its response, and opens and closes its
+    own connection; it mutates no conversation and keeps no per-cell state,
+    so one client serves every cell of a run.
     """
 
-    def __init__(self, base_url: str, generation: GenerationConfig, sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, base_url: str, model: str, temperature: float, sleep: Callable[[float], None] = time.sleep):
+        self._key = resolve_api_key()
+        if not self._key:
+            raise MissingSetting("http backend requires an API key (set IACLOOP_API_KEY or OPENAI_API_KEY)")
         self.base_url = base_url.rstrip("/").removesuffix("/v1")  # SDKs spell the base URL with its /v1
-        self.generation = generation
+        self.model = model
+        self.temperature = temperature
         self._sleep = sleep
 
     def complete(self, conversation: Sequence[ChatMessage]) -> str:
@@ -154,16 +160,13 @@ class HttpBackend:
         import urllib.error
         import urllib.request
 
-        key = resolve_api_key()
-        if not key:
-            raise AuthError("no API key configured (set IACLOOP_API_KEY or OPENAI_API_KEY)")
         payload = {
-            "model": self.generation.model,
+            "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in conversation],
-            "temperature": self.generation.temperature,
+            "temperature": self.temperature,
         }
         data = json.dumps(payload, allow_nan=False).encode()
-        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        headers = {"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"}
         request = urllib.request.Request(f"{self.base_url}/v1/chat/completions", data, headers)
         for attempt in range(MAX_RETRIES + 1):
             delay = None
@@ -227,27 +230,25 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-def make_backend(
-    cfg: BenchmarkConfig, store: SchemaStore, temperature: float = GenerationConfig.temperature
-) -> Callable[[int], Backend]:
+def make_backend(cfg: BenchmarkConfig, store: SchemaStore) -> Callable[[int], Backend]:
     """A ``seed -> Backend`` constructor for ``cfg.backend`` ("synthetic",
     "scripted" or "http"), whose settings are checked here.
 
-    The ``GenerationConfig`` of ``cfg.model`` and ``temperature`` is built
-    for every kind; beyond it, only the settings of the chosen kind are
-    read.  Raises ValueError for any other kind, an invalid generation or
-    synthetic setting or an ``api_base_url`` that is not http(s) with a
-    host, MissingSetting when a scripted backend has no ``script_dir`` or an
-    http backend no ``api_base_url``, and FileNotFoundError when the script
+    Only the settings of the chosen kind are read.  Raises ValueError for
+    any other kind, an invalid synthetic setting, a schema store that leaves
+    too few defect sites for ``initial_defects_max``, or an
+    ``api_base_url`` that is not http(s) with a host; MissingSetting when a
+    scripted backend has no ``script_dir`` or an http backend no
+    ``api_base_url`` or no API key; and FileNotFoundError when the script
     directory holds no ``*.txt`` file.  A script is read once: each scripted
-    backend replays it from the first response.  Only a synthetic backend
-    reads the seed.
+    backend replays it from the first response.  Every http cell shares the
+    one client built here.  Only a synthetic backend reads the seed.
     """
-    generation = GenerationConfig(model=cfg.model, temperature=temperature)
     if cfg.backend == "synthetic":
         params = SyntheticParams(p_fix=cfg.p_fix, p_spawn=cfg.p_spawn, stubborn_fraction=cfg.stubborn_fraction)
         defects = (cfg.initial_defects_min, cfg.initial_defects_max)
         SyntheticBackend(params, initial_defects=defects, store=store)  # checks the range
+        _sized_base(cfg.initial_defects_max, store)  # the sites needed grow with the count: the largest checks all
         return lambda seed: SyntheticBackend(replace(params, seed=seed), initial_defects=defects, store=store)
     if cfg.backend == "scripted":
         if not cfg.script_dir:
@@ -255,13 +256,13 @@ def make_backend(
         script = ScriptedBackend.from_dir(cfg.script_dir)
         return lambda seed: ScriptedBackend(script.responses)
     if cfg.backend == "http":
-        api_base_url = cfg.api_base_url
-        if not api_base_url:
+        if not cfg.api_base_url:
             raise MissingSetting("http backend requires api_base_url")
-        url = urllib.parse.urlsplit(api_base_url)
+        url = urllib.parse.urlsplit(cfg.api_base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"api_base_url must be an http or https URL with a host, got {api_base_url!r}")
-        return lambda seed: HttpBackend(api_base_url, generation)
+            raise ValueError(f"api_base_url must be an http or https URL with a host, got {cfg.api_base_url!r}")
+        client = HttpBackend(cfg.api_base_url, cfg.model, cfg.temperature)
+        return lambda seed: client
     raise ValueError(f"unknown backend kind {cfg.backend!r}")
 
 

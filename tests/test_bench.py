@@ -115,6 +115,16 @@ class TestRunBenchmark:
         result = run_benchmark(cfg)
         assert result.trials[0] == [(6, 0), (2, 0), (0, 0), (0, 0)]
 
+    def test_early_stopped_cells_keep_the_totals(self, one_case_dir, script_dir, tmp_path):
+        # Each cell stops at its clean report, so its skipped iteration adds 0, as a clean one would.
+        cfg = BenchmarkConfig(
+            cases_dir=str(one_case_dir), generations_per_case=2, iterations=3, trials=1, backend="scripted",
+            script_dir=str(script_dir), early_stop=True, traces_dir=str(tmp_path / "traces"),
+        )
+        result = run_benchmark(cfg)
+        assert result.trials[0] == [(6, 0), (2, 0), (0, 0), (0, 0)]
+        assert [len(json.loads(path.read_text())["records"]) for path in (tmp_path / "traces").iterdir()] == [3, 3]
+
     def test_totals_additivity_over_traces(self, one_case_dir, tmp_path):
         cfg = BenchmarkConfig(
             cases_dir=str(one_case_dir), generations_per_case=3, iterations=4,
@@ -203,8 +213,9 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "run_loop", recording_loop)
         monkeypatch.setattr(loop, "lint_template", recording_lint)
-        # An http cell's replies come without a request.
+        # An http cell's replies come without a request; its client needs a key all the same.
         monkeypatch.setattr(HttpBackend, "complete", lambda self, conversation: '{"Resources": {}}')
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
         kinds = ("SyntheticBackend", "ScriptedBackend", "HttpBackend")
         for backend, setting in (("synthetic", {}), ("scripted", {"script_dir": str(script_dir)}),
                                  ("http", {"api_base_url": "http://localhost:9"})):

@@ -18,12 +18,13 @@ from iacloop.gateway import SyntheticBackend, SyntheticParams, mix64
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
-from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
+from iacloop.settings import BenchmarkConfig, MissingSetting
 
 from helpers import oracle_spans, pointer_of, save_schema_dir
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 CASES = Path(__file__).resolve().parents[1] / "benchmarks" / "cases"
+KEYLESS_ERROR = "error: http backend requires an API key (set IACLOOP_API_KEY or OPENAI_API_KEY)\n"
 
 THREE_ERRORS = json.dumps(
     {"Resources": {"I": {"Type": "AWS::EC2::Instance",
@@ -494,7 +495,7 @@ def settings_seen(monkeypatch):
         seen["schemas_dir"] = schemas_dir
         return builtin_core_schemas()
 
-    def make_backend(cfg, store, temperature=None):
+    def make_backend(cfg, store):
         seen.update(script_dir=cfg.script_dir, api_base_url=cfg.api_base_url)
         raise MissingSetting("stopped")
 
@@ -635,9 +636,9 @@ class TestLoopCommand:
         seen = {}
         inner_backend, inner_loop = gateway.make_backend, bench.run_loop
 
-        def make_backend(cfg, store, temperature):
-            seen.update(cfg=cfg, temperature=temperature)
-            return lambda seed: seen.update(seed=seed) or inner_backend(cfg, store, temperature)(seed)
+        def make_backend(cfg, store):
+            seen.update(cfg=cfg)
+            return lambda seed: seen.update(seed=seed) or inner_backend(cfg, store)(seed)
 
         def run_loop(case, backend, store, **settings):
             seen.update(settings)
@@ -651,12 +652,13 @@ class TestLoopCommand:
                          "--out", str(tmp_path / "t.json")]) == 0
         defaults = BenchmarkConfig(cases_dir=str(prompt))  # the prompt file stands in for the cases
         assert seen == {
-            "cfg": defaults, "temperature": GenerationConfig().temperature, "seed": defaults.master_seed,
-            "max_iterations": defaults.iterations, "early_stop": False, "generation_index": 0,
+            "cfg": defaults, "seed": defaults.master_seed,
+            "max_iterations": defaults.iterations, "early_stop": defaults.early_stop, "generation_index": 0,
         }
-        assert (seen["temperature"], seen["seed"], seen["max_iterations"]) == (0.0, 0, 10)
+        assert (seen["cfg"].temperature, seen["early_stop"]) == (0.0, False)
+        assert (seen["seed"], seen["max_iterations"]) == (0, 10)
         assert (defaults.initial_defects_min, defaults.initial_defects_max) == (6, 10)  # a bench cell's range
-        assert defaults.model == GenerationConfig().model
+        assert defaults.model == "gpt-4o"
 
     @pytest.mark.parametrize("extra, message", [
         pytest.param(("--temperature", "nan"), "temperature must be finite and >= 0, got nan", id="temperature-nan"),
@@ -685,9 +687,22 @@ class TestLoopCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: scripted backend requires script_dir\n"  # no usage line
 
-    def test_cell_error_is_a_failed_cell(self, tmp_path, capsys):
+    def test_cell_error_is_a_failed_cell(self, tmp_path, capsys, monkeypatch):
         # The cell fails as a bench cell does: its exception becomes the
         # error, and the trace written is the cell's, with no record.
+        def run_loop(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bench, "run_loop", run_loop)
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "trace.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "synthetic", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "backend failure: RuntimeError: boom\n"
+        assert json.loads(out.read_text()) == {"case_id": "p", "generation_index": 0, "records": []}
+
+    def test_too_few_defect_sites_fail_before_the_cell(self, tmp_path, capsys, generate_calls):
         schemas = tmp_path / "schemas"  # no schema for the template's types: six defect sites
         schemas.mkdir()
         (schemas / "widget.json").write_text(json.dumps({"typeName": "AWS::Custom::Widget", "properties": {}}))
@@ -700,10 +715,24 @@ class TestLoopCommand:
         ])
         assert code == 3
         assert capsys.readouterr().err == (
-            "backend failure: ValueError: schema store leaves 6 defect sites, 11 needed for 7 defects: "
+            "runtime failure: schema store leaves 6 defect sites, 11 needed for 7 defects: "
             "it has no property schemas for the template's types\n"
         )
-        assert json.loads(out.read_text()) == {"case_id": "p", "generation_index": 0, "records": []}
+        assert generate_calls == []
+        assert not out.exists()
+
+    def test_keyless_http_loop_fails_before_any_request(self, tmp_path, capsys, generate_calls, monkeypatch):
+        monkeypatch.delenv("IACLOOP_API_KEY", raising=False)
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        prompt = tmp_path / "p.txt"
+        prompt.write_text("Create a vpc")
+        out = tmp_path / "trace.json"
+        code = dispatch(["loop", "--prompt-file", str(prompt), "--backend", "http", "--api-base", "http://127.0.0.1:9",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == KEYLESS_ERROR
+        assert generate_calls == []
+        assert not out.exists()
 
     def test_negative_initial_defects_fail_before_the_loop(self, tmp_path, capsys):
         prompt = tmp_path / "p.txt"
@@ -838,6 +867,21 @@ class TestBenchFailsBeforeItsCells:
         assert not traces.exists()
         assert not results.exists()
 
+    def test_keyless_http_bench_fails_before_any_request(self, tmp_path, capsys, cells_run, monkeypatch):
+        monkeypatch.delenv("IACLOOP_API_KEY", raising=False)
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        traces = tmp_path / "traces"
+        results = tmp_path / "results.json"
+        code = dispatch(_bench_args(
+            tmp_path, "--backend", "http", "--api-base", "http://127.0.0.1:9", "--traces-dir", str(traces),
+            "--out", str(results),
+        ))
+        assert code == 1
+        assert capsys.readouterr().err == KEYLESS_ERROR
+        assert cells_run == []
+        assert not traces.exists()
+        assert not results.exists()
+
     def test_traces_dir_that_is_a_file(self, tmp_path, capsys, cells_run):
         traces = tmp_path / "traces"
         traces.write_text("not a directory")
@@ -947,9 +991,10 @@ class TestBenchAndReport:
         bars = [e for e in root.iter() if e.get("class") == "bar"]
         assert len(bars) == 4
 
-    def test_bench_without_usable_schemas_exits_3(self, tmp_path, capsys):
-        # No schema for the synthetic template's types: every cell fails to
-        # size its template, so no cell completes.
+    def test_bench_without_usable_schemas_exits_3(self, tmp_path, capsys, cells_run):
+        # No schema for the synthetic template's types: no cell could size
+        # its template.  Every cell's count is at most --defects-max, which
+        # needs the most sites, so the run stops before its first cell.
         cases = tmp_path / "cases"
         cases.mkdir()
         (cases / "case0.txt").write_text("Create a stack")
@@ -958,15 +1003,21 @@ class TestBenchAndReport:
         (schemas / "widget.json").write_text(json.dumps({
             "typeName": "AWS::Custom::Widget", "properties": {"Size": {"type": "integer"}},
         }))
+        traces = tmp_path / "traces"
+        results = tmp_path / "results.json"
         code = dispatch([
             "bench", "--cases", str(cases), "--backend", "synthetic", "--schemas", str(schemas),
             "--trials", "2", "--generations", "1", "--iterations", "2",
-            "--defects-min", "8", "--defects-max", "8", "--out", str(tmp_path / "results.json"),
+            "--defects-min", "6", "--defects-max", "8", "--traces-dir", str(traces), "--out", str(results),
         ])
-        captured = capsys.readouterr()
         assert code == 3
-        assert "0 cells completed, 2 failed" in captured.out
-        assert "ValueError" in captured.err and "defect sites" in captured.err
+        assert capsys.readouterr() == ("", (
+            "runtime failure: schema store leaves 6 defect sites, 12 needed for 8 defects: "
+            "it has no property schemas for the template's types\n"
+        ))
+        assert cells_run == []
+        assert not traces.exists()
+        assert not results.exists()
 
     def test_bench_single_iteration_writes_results(self, tmp_path, capsys):
         # Two per-iteration means are too few for plateau detection; the run

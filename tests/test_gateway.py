@@ -39,11 +39,11 @@ from iacloop import gateway
 from iacloop.linter import lint_template
 from iacloop.located_json import parse_located
 from iacloop.schema_store import PropertySpec, ResourceSchema, SchemaStore, builtin_core_schemas
-from iacloop.settings import BenchmarkConfig, GenerationConfig, MissingSetting
+from iacloop.settings import BenchmarkConfig, MissingSetting
 
 from helpers import random_reply, reference_largest_object, render
 
-CFG = GenerationConfig()
+CFG = BenchmarkConfig(cases_dir="")  # the generation defaults: model and temperature
 CONVERSATION = [ChatMessage("system", "be terse"), ChatMessage("user", "make a template")]
 
 
@@ -65,7 +65,7 @@ class TestGenerate:
         with pytest.raises(ScriptExhausted):
             generate(CONVERSATION, backend)
 
-    def test_make_backend_rejects_unknown_kinds(self):
+    def test_make_backend_rejects_unknown_kinds(self, monkeypatch):
         # An unknown kind used to fall through to the http backend.
         for kind in ("Synthetic", "synth", "HTTP", ""):
             for api_base_url in ("http://x", None):
@@ -74,14 +74,13 @@ class TestGenerate:
                 assert not isinstance(caught.value, MissingSetting)
         with pytest.raises(MissingSetting):
             make_backend(_settings(backend="http"), builtin_core_schemas())
-        new_backend = make_backend(_settings(backend="http", api_base_url="http://x", model="m"),
-                                   builtin_core_schemas(), temperature=0.5)
-        first, second = new_backend(1), new_backend(1)
-        assert isinstance(first, HttpBackend) and isinstance(second, HttpBackend)
-        assert first is not second
-        assert first.base_url == second.base_url == "http://x"
-        assert first.generation is second.generation
-        assert first.generation == GenerationConfig(model="m", temperature=0.5)
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        new_backend = make_backend(_settings(backend="http", api_base_url="http://x", model="m", temperature=0.5),
+                                   builtin_core_schemas())
+        first, second = new_backend(1), new_backend(2)
+        assert isinstance(first, HttpBackend)
+        assert first is second  # every cell shares the one client, which holds no per-cell state
+        assert (first.base_url, first.model, first.temperature) == ("http://x", "m", 0.5)
 
     def test_scripted_backends_of_one_constructor_replay_independently(self, tmp_path):
         (tmp_path / "000.txt").write_text("first")
@@ -192,7 +191,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
         monkeypatch.setenv("IACLOOP_API_KEY", "k-test")
-        backend = HttpBackend(base, CFG)
+        backend = HttpBackend(base, CFG.model, CFG.temperature)
         assert backend.complete(CONVERSATION) == "X"
         seen = handler.requests_seen[0]
         assert seen["path"] == "/v1/chat/completions"
@@ -209,7 +208,7 @@ class TestHttpBackend:
         handler.script += [(200, _completion("X"))] * 3
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            backend = HttpBackend(base, CFG)
+            backend = HttpBackend(base, CFG.model, CFG.temperature)
             for _ in range(3):
                 assert backend.complete(CONVERSATION) == "X"
             del backend
@@ -229,14 +228,14 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(500, {"err": 1}), (500, {"err": 2}), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [1.0, 2.0]
 
     def test_retry_budget_exhausted(self, stub_server, two_retries):
         base, handler = stub_server
         handler.script += [(503, {})] * 3
-        backend = HttpBackend(base, CFG, sleep=lambda s: None)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=lambda s: None)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 503
@@ -246,7 +245,7 @@ class TestHttpBackend:
         handler.script += [(503, {}), (200, _completion("X"))]
         monkeypatch.setattr(gateway, "MAX_RETRIES", 0)
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         with pytest.raises(TransportError, match="server error 503 after retries") as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 503
@@ -262,7 +261,7 @@ class TestHttpBackend:
             (200, _completion("X")),
         ]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         # Seconds are honoured; no header or an HTTP-date takes the backoff.
         assert sleeps == [7.0, 2.0, 4.0]
@@ -271,7 +270,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {"error": "slow down"}, ("Retry-After", "0"))] * 3
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
@@ -283,7 +282,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", value)), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
@@ -294,7 +293,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(429, {}, ("Retry-After", "120")), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [MAX_RETRY_AFTER_SECONDS] == [120.0]
 
@@ -303,7 +302,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(503, {}), (503, {}), (429, {}, ("Retry-After", "3600"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         with pytest.raises(TransportError, match="rate limited 429 after retries") as exc_info:
             backend.complete(CONVERSATION)
         assert exc_info.value.status == 429
@@ -313,7 +312,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script += [(503, {}), (429, {}, ("Retry-After", "5")), (200, _completion("X"))]
         sleeps = []
-        backend = HttpBackend(base, CFG, sleep=sleeps.append)
+        backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
         assert backend.complete(CONVERSATION) == "X"
         assert sleeps == [1.0, 5.0]
 
@@ -321,7 +320,7 @@ class TestHttpBackend:
         base, handler = stub_server
         handler.script.append((401, {"error": "bad key"}))
         monkeypatch.setenv("IACLOOP_API_KEY", "nope")
-        backend = HttpBackend(base, CFG)
+        backend = HttpBackend(base, CFG.model, CFG.temperature)
         with pytest.raises(AuthError):
             backend.complete(CONVERSATION)
         assert handler.requests_seen[0]["auth"] == "Bearer nope"
@@ -329,7 +328,7 @@ class TestHttpBackend:
     def test_malformed_body_names_missing_field(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, {"nothing": []}))
-        backend = HttpBackend(base, CFG)
+        backend = HttpBackend(base, CFG.model, CFG.temperature)
         with pytest.raises(TransportError) as exc_info:
             backend.complete(CONVERSATION)
         assert "choices" in str(exc_info.value)
@@ -347,7 +346,7 @@ class TestHttpBackend:
         with socket.create_server(("127.0.0.1", 0)) as silent:
             base = f"http://127.0.0.1:{silent.getsockname()[1]}"
             sleeps = []
-            backend = HttpBackend(base, CFG, sleep=sleeps.append)
+            backend = HttpBackend(base, CFG.model, CFG.temperature, sleep=sleeps.append)
             with pytest.raises(TransportError, match="transport failure after retries"):
                 backend.complete(CONVERSATION)
         assert sleeps == [1.0, 2.0]
@@ -356,7 +355,7 @@ class TestHttpBackend:
         with socket.create_server(("127.0.0.1", 0)) as probe:
             port = probe.getsockname()[1]  # closed, so nothing listens there
         sleeps = []
-        backend = HttpBackend(f"http://127.0.0.1:{port}", CFG, sleep=sleeps.append)
+        backend = HttpBackend(f"http://127.0.0.1:{port}", CFG.model, CFG.temperature, sleep=sleeps.append)
         with pytest.raises(TransportError, match="transport failure after retries") as exc_info:
             backend.complete(CONVERSATION)
         assert isinstance(exc_info.value.__cause__.reason, ConnectionRefusedError)
@@ -368,22 +367,33 @@ class TestHttpBackend:
         handler.script.append((200, _completion("ok")))
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         monkeypatch.setenv("IACLOOP_API_KEY", "env-key")
-        backend = HttpBackend(base, CFG)
+        backend = HttpBackend(base, CFG.model, CFG.temperature)
         assert backend.complete(CONVERSATION) == "ok"
         assert handler.requests_seen[0]["auth"] == "Bearer env-key"
 
-    def test_missing_key_is_auth_error(self, monkeypatch):
+    def test_missing_key_fails_construction(self, monkeypatch):
         monkeypatch.delenv("IACLOOP_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        backend = HttpBackend("http://unused", CFG)
-        with pytest.raises(AuthError):
-            backend.complete(CONVERSATION)
+        with pytest.raises(MissingSetting) as caught:
+            HttpBackend("http://unused", CFG.model, CFG.temperature)
+        assert str(caught.value) == "http backend requires an API key (set IACLOOP_API_KEY or OPENAI_API_KEY)"
+        assert not isinstance(caught.value, AuthError)
+
+    def test_key_is_read_once_at_construction(self, stub_server, monkeypatch):
+        base, handler = stub_server
+        handler.script += [(200, _completion("X"))] * 2
+        backend = HttpBackend(base, CFG.model, CFG.temperature)
+        monkeypatch.setenv("IACLOOP_API_KEY", "changed")
+        assert backend.complete(CONVERSATION) == "X"
+        monkeypatch.delenv("IACLOOP_API_KEY")
+        assert backend.complete(CONVERSATION) == "X"
+        assert [seen["auth"] for seen in handler.requests_seen] == ["Bearer k"] * 2
 
     def test_conversation_not_mutated(self, stub_server):
         base, handler = stub_server
         handler.script.append((200, _completion("X")))
         conversation = list(CONVERSATION)
-        HttpBackend(base, CFG).complete(conversation)
+        HttpBackend(base, CFG.model, CFG.temperature).complete(conversation)
         assert conversation == CONVERSATION
 
 
@@ -459,8 +469,8 @@ class TestHttpBench:
         monkeypatch.setenv("IACLOOP_API_KEY", "k")
         code, results = self._bench(base, tmp_path)
         assert code == 0
-        assert [seen["body"]["model"] for seen in handler.requests_seen] == [GenerationConfig().model] * 4
-        assert results["config"]["model"] == GenerationConfig().model
+        assert [seen["body"]["model"] for seen in handler.requests_seen] == [CFG.model] * 4
+        assert results["config"]["model"] == CFG.model
 
     def test_loop_model_and_temperature_reach_every_request(self, stub_server, tmp_path, monkeypatch):
         from iacloop.cli import dispatch
@@ -496,6 +506,9 @@ class TestHttpBench:
 
 
 class TestGenerationConfig:
+    """The generation settings, the model and the temperature, which
+    ``BenchmarkConfig`` owns and checks."""
+
     @pytest.mark.parametrize("setting, value", [
         ("temperature", float("nan")),
         ("temperature", float("inf")),
@@ -504,10 +517,28 @@ class TestGenerationConfig:
     ])
     def test_rejects_what_no_request_can_carry(self, setting, value):
         with pytest.raises(ValueError, match=setting):
-            GenerationConfig(**{setting: value})
+            _settings(**{setting: value})
 
-    def test_holds_what_a_request_sends(self):
-        assert [f.name for f in dataclasses.fields(GenerationConfig)] == ["model", "temperature"]
+    def test_holds_what_a_request_sends(self, stub_server, monkeypatch):
+        base, handler = stub_server
+        handler.script.append((200, _completion("X")))
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        cfg = _settings(backend="http", api_base_url=base, model="m", temperature=0.5)
+        assert make_backend(cfg, builtin_core_schemas())(0).complete(CONVERSATION) == "X"
+        (seen,) = handler.requests_seen
+        assert seen["body"] == {
+            "model": "m",
+            "messages": [{"role": m.role, "content": m.content} for m in CONVERSATION],
+            "temperature": 0.5,
+        }
+
+    def test_results_record_neither_temperature_nor_early_stop(self):
+        # Only loop sets them, and loop writes no results file.
+        recorded = _settings(temperature=0.5, early_stop=True).to_dict()
+        assert recorded == _settings().to_dict()
+        assert "temperature" not in recorded and "early_stop" not in recorded
+        assert set(recorded) == {f.name for f in dataclasses.fields(BenchmarkConfig)} - {
+            "parallelism", "traces_dir", "temperature", "early_stop"}
 
 
 class TestExtractTemplate:
