@@ -1,9 +1,9 @@
 """Benchmark protocol: trials x cases x generations loop cells, per-iteration
 totals, mean/std aggregation across trials, plateau detection, and exports.
 
-Every cell seeds its backend with mix64(master_seed, trial, case, generation),
-so results are identical for identical configuration regardless of the
-parallelism used to execute the cells.
+Every cell seeds its backend with ``Cell.seed``, the one owner of the rule
+mix64(master_seed, trial, case, generation), so results are identical for
+identical configuration regardless of the parallelism used to execute them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -49,11 +50,23 @@ class LengthMismatch(ValueError):
     """Trial series have unequal lengths."""
 
 
+class Cell(NamedTuple):
+    """One run of the loop: its trial, its case's index and its generation."""
+
+    trial: int
+    case: int
+    generation: int
+
+    def seed(self, master_seed: int) -> int:
+        """The seed of this cell's backend in a run seeded with ``master_seed``."""
+        return mix64(master_seed, *self)
+
+
 @dataclass
 class CellFailure:
     """A cell that did not run to the end, with the records it completed."""
 
-    trial_index: int
+    cell: Cell
     error: str
     trace: LoopTrace
 
@@ -104,7 +117,7 @@ def load_cases(path: str | Path) -> list[BenchmarkCase]:
 
 
 class Cells(NamedTuple):
-    """What every cell of one run shares, built once per run."""
+    """What every cell of one run shares, built once per run; it pickles."""
 
     cases: list[BenchmarkCase]
     store: SchemaStore
@@ -113,21 +126,21 @@ class Cells(NamedTuple):
     early_stop: bool
 
 
-def run_cell(cells: Cells, seed: int, trial: int, case_index: int, generation: int) -> LoopTrace | CellFailure:
-    """Run one cell on the backend built from ``seed``.
+def run_cell(cells: Cells, cell: Cell, seed: int) -> LoopTrace | CellFailure:
+    """Run ``cell`` on the backend built from ``seed``.
 
     A cell that raises is a CellFailure: after a backend failure it holds
     the partial trace, after any other exception an empty one, since one
     cell's fault must not lose the other cells.
     """
-    backend, case = cells.new_backend(seed), cells.cases[case_index]
+    backend, case = cells.new_backend(seed), cells.cases[cell.case]
     try:
         return run_loop(case, backend, cells.store, max_iterations=cells.iterations, early_stop=cells.early_stop,
-                        generation_index=generation)
+                        generation_index=cell.generation)
     except BackendFailure as exc:
-        return CellFailure(trial, str(exc), exc.trace)
+        return CellFailure(cell, str(exc), exc.trace)
     except Exception as exc:
-        return CellFailure(trial, f"{type(exc).__name__}: {exc}", LoopTrace(case.id, generation))
+        return CellFailure(cell, f"{type(exc).__name__}: {exc}", LoopTrace(case.id, cell.generation))
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
@@ -154,16 +167,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     traces = Path(cfg.traces_dir) if cfg.traces_dir else None
     if traces:  # before any cell runs, so a bad path costs no calls
         traces.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (trial, case_index, generation)
-        for trial in range(cfg.trials)
-        for case_index in range(len(cases))
-        for generation in range(cfg.generations_per_case)
-    ]
-
-    def seeded(cell: tuple[int, int, int]) -> LoopTrace | CellFailure:
-        return run_cell(shared, mix64(cfg.master_seed, *cell), *cell)
-
+    cells = [Cell(*key) for key in product(range(cfg.trials), range(len(cases)), range(cfg.generations_per_case))]
+    seeds = [cell.seed(cfg.master_seed) for cell in cells]
     failures: list[CellFailure] = []
     totals = [[(0, 0)] * (cfg.iterations + 1) for _ in range(cfg.trials)]
     with _trace_writer(traces) as write:
@@ -173,7 +178,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
             pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
         try:
-            outcomes = pool.map(seeded, cells) if pool else map(seeded, cells)
+            outcomes = (pool.map if pool else map)(run_cell, repeat(shared), cells, seeds)
             for (trial, _, generation), outcome in zip(cells, outcomes):
                 if isinstance(outcome, CellFailure):
                     failures.append(outcome)
@@ -389,7 +394,7 @@ def results_to_dict(result: BenchmarkResult) -> dict:
         "stats": vars(stats) if stats is not None else None,
         "plateau_index": detect_plateau(stats.mean_errors) if stats is not None else None,
         "failures": [
-            {"trial_index": f.trial_index, "case_id": f.trace.case_id, "generation_index": f.trace.generation_index,
+            {"trial_index": f.cell.trial, "case_id": f.trace.case_id, "generation_index": f.cell.generation,
              "error": f.error, "records_completed": len(f.trace.records)}
             for f in result.failures
         ],

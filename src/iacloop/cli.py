@@ -189,7 +189,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_loop(args: argparse.Namespace) -> int:
-    from .bench import CellFailure, Cells, run_cell
+    from .bench import Cell, CellFailure, Cells, run_cell
     from .gateway import make_backend
     from .loop import BenchmarkCase
 
@@ -198,7 +198,7 @@ def _cmd_loop(args: argparse.Namespace) -> int:
     store = load_store(cfg.schemas_dir)
     case = BenchmarkCase.from_file(args.prompt_file)
     cells = Cells([case], store, make_backend(cfg, store), cfg.iterations, cfg.early_stop)
-    outcome = run_cell(cells, cfg.master_seed, 0, 0, 0)  # a one-cell run, seeded with --seed itself
+    outcome = run_cell(cells, Cell(0, 0, 0), cfg.master_seed)  # a one-cell run, seeded with --seed itself
     if isinstance(outcome, CellFailure):
         outcome.trace.write(args.out)
         print(f"backend failure: {outcome.error}", file=sys.stderr)

@@ -115,9 +115,9 @@ def _splitmix64(x: int) -> int:
 def mix64(*components: int) -> int:
     """Mix integers into one 64-bit seed via a splitmix64 finalizer chain.
 
-    Benchmark cells derive their seed as
-    ``mix64(master_seed, trial_index, case_index, generation_index)`` so a
-    cell's randomness is independent of execution schedule.
+    ``bench.Cell.seed``, the one owner of the cell seed rule, derives each
+    benchmark cell's seed as ``mix64(master_seed, trial, case, generation)``,
+    so a cell's randomness is independent of execution schedule.
     """
     acc = 0x9E3779B97F4A7C15
     for c in components:
@@ -242,28 +242,40 @@ def make_backend(cfg: BenchmarkConfig, store: SchemaStore) -> Callable[[int], Ba
     ``api_base_url`` or no API key; and FileNotFoundError when the script
     directory holds no ``*.txt`` file.  A script is read once: each scripted
     backend replays it from the first response.  Every http cell shares the
-    one client built here.  Only a synthetic backend reads the seed.
+    one client built here.  Only a synthetic backend reads the seed.  Each
+    constructor is a ``partial`` of a module-level function, so it pickles.
     """
     if cfg.backend == "synthetic":
         params = SyntheticParams(p_fix=cfg.p_fix, p_spawn=cfg.p_spawn, stubborn_fraction=cfg.stubborn_fraction)
         defects = (cfg.initial_defects_min, cfg.initial_defects_max)
         SyntheticBackend(params, initial_defects=defects, store=store)  # checks the range
         _sized_base(cfg.initial_defects_max, store)  # the sites needed grow with the count: the largest checks all
-        return lambda seed: SyntheticBackend(replace(params, seed=seed), initial_defects=defects, store=store)
+        return functools.partial(_synthetic_backend, params, defects, store)
     if cfg.backend == "scripted":
         if not cfg.script_dir:
             raise MissingSetting("scripted backend requires script_dir")
         script = ScriptedBackend.from_dir(cfg.script_dir)
-        return lambda seed: ScriptedBackend(script.responses)
+        return functools.partial(_scripted_backend, script.responses)
     if cfg.backend == "http":
         if not cfg.api_base_url:
             raise MissingSetting("http backend requires api_base_url")
         url = urllib.parse.urlsplit(cfg.api_base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"api_base_url must be an http or https URL with a host, got {cfg.api_base_url!r}")
-        client = HttpBackend(cfg.api_base_url, cfg.model, cfg.temperature)
-        return lambda seed: client
+        return functools.partial(_shared_backend, HttpBackend(cfg.api_base_url, cfg.model, cfg.temperature))
     raise ValueError(f"unknown backend kind {cfg.backend!r}")
+
+
+def _synthetic_backend(params: SyntheticParams, defects: tuple[int, int], store: SchemaStore, seed: int) -> Backend:
+    return SyntheticBackend(replace(params, seed=seed), initial_defects=defects, store=store)
+
+
+def _scripted_backend(responses: tuple[str, ...], seed: int) -> Backend:
+    return ScriptedBackend(responses)
+
+
+def _shared_backend(client: Backend, seed: int) -> Backend:
+    return client
 
 
 class ScriptedBackend:

@@ -259,7 +259,7 @@ def run_loop(
             )
         )
         last_template = document.text
-        if early_stop and report.error_count == 0 and report.warning_count == 0:
+        if early_stop and not report.diagnostics:
             break
 
     return trace

@@ -185,9 +185,9 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "run_loop", failing_second_generation)
         result = run_benchmark(cfg)
-        assert [(f.trial_index, f.trace.generation_index, f.error, len(f.trace.records))
-                for f in result.failures] == [(0, 1, "RuntimeError: cell exploded", 0),
-                                              (1, 1, "RuntimeError: cell exploded", 0)]
+        assert [(f.cell, f.trace.generation_index, f.error, len(f.trace.records))
+                for f in result.failures] == [(bench.Cell(0, 0, 1), 1, "RuntimeError: cell exploded", 0),
+                                              (bench.Cell(1, 0, 1), 1, "RuntimeError: cell exploded", 0)]
         assert (expected.completed, result.completed) == (6, 4)
         # No file for a failed cell; every other file is the expected run's, byte for byte.
         written = {p.name: p.read_bytes() for p in (tmp_path / "failing").iterdir()}
@@ -292,6 +292,81 @@ class TestRunBenchmark:
         assert len(files) == 1
         data = json.loads(files[0].read_text())
         assert [r["error_count"] for r in data["records"]] == [3, 1, 0, 0]
+
+
+class TestCellsAsData:
+    """A run is plain data: its ``Cells`` pickle, and a ``Cell`` runs the
+    same anywhere."""
+
+    @pytest.fixture
+    def cells_of(self, one_case_dir, script_dir, monkeypatch):
+        from iacloop import bench
+        from iacloop.gateway import make_backend
+
+        script = [THREE_ERRORS, ONE_ERROR, CLEAN]
+
+        def complete(self, conversation):  # the template after the one fed back; the first for a prompt
+            fed = [i for i, text in enumerate(script) if text in conversation[-1].content]
+            return script[min(fed[-1] + 1, 2)] if fed else script[0]
+
+        # An http cell's replies come without a request; its client needs a key all the same.
+        monkeypatch.setattr(HttpBackend, "complete", complete)
+        monkeypatch.setenv("IACLOOP_API_KEY", "k")
+        settings = {"synthetic": {}, "scripted": {"script_dir": str(script_dir)},
+                    "http": {"api_base_url": "http://localhost:9"}}
+
+        def cells_of(kind):
+            cfg = BenchmarkConfig(cases_dir=str(one_case_dir), iterations=3, backend=kind, **settings[kind])
+            store = builtin_core_schemas()
+            return bench.Cells(load_cases(cfg.cases_dir), store, make_backend(cfg, store), cfg.iterations,
+                               cfg.early_stop)
+
+        return cells_of
+
+    @pytest.mark.parametrize("kind", ["synthetic", "scripted", "http"])
+    def test_pickled_cells_run_a_cell_alike(self, cells_of, kind):
+        import pickle
+
+        from iacloop.bench import Cell, run_cell
+
+        cells = cells_of(kind)
+        copy = pickle.loads(pickle.dumps(cells))
+        cell = Cell(1, 0, 2)
+        seed = cell.seed(5)
+        expected = run_cell(cells, cell, seed)
+        assert isinstance(expected, LoopTrace) and len(expected.records) == 4
+        if kind != "synthetic":
+            assert [r.error_count for r in expected.records] == [3, 1, 0, 0]
+        assert run_cell(copy, cell, seed).text() == expected.text()
+        if kind == "http":  # one client, its key read once, at construction
+            client, copied = cells.new_backend(seed), copy.new_backend(seed)
+            assert vars(copied) == vars(client) and copied._key == "k"
+            assert copy.new_backend(0) is copied
+
+    def test_a_cell_in_a_spawned_process_equals_the_serial_cell(self, cells_of):
+        import multiprocessing
+
+        from iacloop.bench import Cell, run_cell
+
+        cells, cell = cells_of("synthetic"), Cell(0, 0, 0)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            spawned = pool.apply_async(run_cell, (cells, cell, cell.seed(3))).get(timeout=60)
+        assert spawned.text() == run_cell(cells, cell, cell.seed(3)).text()
+
+    def test_cell_seed_is_the_mixed_key(self):
+        from iacloop.bench import Cell
+        from iacloop.gateway import mix64
+
+        assert Cell(1, 4, 1).seed(3) == mix64(3, 1, 4, 1)
+        assert Cell(0, 0, 0).seed(3) == 4787635008706537062  # the seed CI's loop cell runs with
+
+    def test_cell_runner_stays_untraced(self):
+        from iacloop import bench
+
+        # perfbench's tracer wraps every function bench.__all__ lists.  A
+        # traced run_cell would take each cell's run_loop span out of
+        # run_benchmark's, and protocol.bench.cell_busy_ratio would read 0.
+        assert {"run_cell", "Cell", "Cells"}.isdisjoint(bench.__all__)
 
 
 class TestTraceWriter:

@@ -14,7 +14,7 @@ from iacloop import loop as loop_module
 from iacloop import cli
 from iacloop.cli import dispatch
 from iacloop import gateway
-from iacloop.gateway import SyntheticBackend, SyntheticParams, mix64
+from iacloop.gateway import SyntheticBackend, SyntheticParams
 from iacloop.linter import lint_template
 from iacloop.located_json import JsonSyntaxError, parse_located
 from iacloop.schema_store import builtin_core_schemas
@@ -594,7 +594,7 @@ class TestLoopCommand:
                 out = tmp_path / "loop.json"
                 assert dispatch([
                     "loop", "--prompt-file", str(tmp_path / "cases" / f"{case}.txt"), "--backend", "synthetic",
-                    "--seed", str(mix64(3, trial, index, 0)), "--out", str(out),
+                    "--seed", str(bench.Cell(trial, index, 0).seed(3)), "--out", str(out),
                 ]) == 0
                 assert out.read_bytes() == (traces / f"trial{trial:02d}_{case}_gen0.json").read_bytes()
 
